@@ -1,7 +1,8 @@
 //! `perf_probe`: times the topology kernel over a fixed scenario matrix
 //! and writes a machine-readable `BENCH.json`.
 //!
-//! Six scenarios cover the kernel's load-bearing shapes:
+//! Seven scenarios cover the kernel's load-bearing shapes and the
+//! per-run set-up in front of them:
 //!
 //! * `samplers` — per-distribution sampler microbench: the aggregate
 //!   draw rate of the production (`tpv_math`-backed) samplers is the
@@ -9,6 +10,10 @@
 //!   of ns/draw against inline libm reference transforms — alternating
 //!   short blocks on the same core so frequency scaling and cache state
 //!   hit both sides equally.
+//! * `service_setup` — per-run set-up microbench: µs per
+//!   `ServiceInstance::new` for the default memcached (100K-key
+//!   preload), HDSearch and Social Network configurations, printed per
+//!   service; the gated quantity is service constructions per second.
 //! * `static_1x1` — the paper's testbed: one HP memcached client at
 //!   100K QPS (the `run_once` fast path).
 //! * `fleet_16` — a 16-node HP fleet, 100K QPS per node: the
@@ -252,8 +257,8 @@ fn time_scenario(name: &str, trials: usize, mut run: impl FnMut() -> (u64, u64))
         events_per_sec_ci_low: ci_low,
         events_per_sec_ci_high: ci_high,
         wall_ms_parallel_trials: Vec::new(),
-        speedup_ci_low: 0.0,
-        speedup_ci_high: 0.0,
+        speedup_ci_low: None,
+        speedup_ci_high: None,
     }
 }
 
@@ -381,6 +386,57 @@ fn samplers(trials: usize, _pin: PinPolicy) -> ScenarioReport {
         }
         black_box(acc);
         (FAMILIES * SAMPLER_DRAWS as u64, SAMPLER_DRAWS as u64)
+    })
+}
+
+/// Constructions per configuration in one `service_setup` table row.
+const SETUP_ROUNDS: usize = 9;
+
+/// The per-run set-up microbench: µs per `ServiceInstance::new` for the
+/// default memcached (100K-key preload), HDSearch and Social Network
+/// configurations, the services' own defaults rather than the kernel
+/// scenarios' 10K-key probe store. Prints the per-configuration median
+/// over [`SETUP_ROUNDS`] constructions; the gated leg builds one of each,
+/// so events/sec is service constructions per second.
+fn service_setup(trials: usize, _pin: PinPolicy) -> ScenarioReport {
+    use std::hint::black_box;
+    use tpv_hw::RunEnvironment;
+    use tpv_services::hdsearch::HdSearchConfig;
+    use tpv_services::socialnet::SocialConfig;
+    use tpv_services::ServiceInstance;
+
+    let server = MachineConfig::server_baseline();
+    let env = RunEnvironment::neutral();
+    let horizon = SimDuration::from_ms(60);
+    let configs = [
+        ("memcached", ServiceConfig::new(ServiceKind::Memcached(KvConfig::default()))),
+        ("hdsearch", ServiceConfig::new(ServiceKind::HdSearch(HdSearchConfig::default()))),
+        ("socialnet", ServiceConfig::new(ServiceKind::SocialNetwork(SocialConfig::default()))),
+    ];
+    let build = |config: &ServiceConfig, seed: u64| {
+        let mut rng = tpv_sim::SimRng::seed_from_u64(seed);
+        black_box(ServiceInstance::new(config, &server, &env, horizon, &mut rng));
+    };
+    println!("service_setup: median us per ServiceInstance::new over {SETUP_ROUNDS} constructions");
+    println!("| service | us/new |");
+    println!("|---|---|");
+    for (name, config) in &configs {
+        let us: Vec<f64> = (0..SETUP_ROUNDS as u64)
+            .map(|round| {
+                let started = Instant::now();
+                build(config, SEED + round);
+                started.elapsed().as_secs_f64() * 1e6
+            })
+            .collect();
+        println!("| {name} | {:.0} |", tpv_stats::desc::median(&us));
+    }
+    println!();
+
+    time_scenario("service_setup", trials, || {
+        for (_, config) in &configs {
+            build(config, SEED);
+        }
+        (configs.len() as u64, 0)
     })
 }
 
@@ -512,8 +568,7 @@ fn dual_timed(parallel: ScenarioReport, serial: ScenarioReport) -> ScenarioRepor
         (parallel.events, parallel.requests),
         "serial and parallel shard execution disagree on work counters"
     );
-    let (sp_low, sp_high) =
-        speedup_ci(&serial.wall_ms_trials, &parallel.wall_ms_trials).unwrap_or((0.0, 0.0));
+    let ci = speedup_ci(&serial.wall_ms_trials, &parallel.wall_ms_trials);
     ScenarioReport {
         wall_ms_serial: Some(serial.wall_ms_median),
         speedup_vs_serial: if parallel.wall_ms_median > 0.0 {
@@ -526,8 +581,8 @@ fn dual_timed(parallel: ScenarioReport, serial: ScenarioReport) -> ScenarioRepor
         events_per_sec_ci_high: serial.events_per_sec_ci_high,
         wall_ms_trials: serial.wall_ms_trials,
         wall_ms_parallel_trials: parallel.wall_ms_trials.clone(),
-        speedup_ci_low: sp_low,
-        speedup_ci_high: sp_high,
+        speedup_ci_low: ci.map(|(low, _)| low),
+        speedup_ci_high: ci.map(|(_, high)| high),
         ..parallel
     }
 }
@@ -647,6 +702,7 @@ fn main() -> ExitCode {
     // against the one taken right after fleet_256.
     let matrix: Vec<(&str, ScenarioFn)> = vec![
         ("samplers", samplers),
+        ("service_setup", service_setup),
         ("static_1x1", static_1x1),
         ("fleet_16", fleet_16),
         ("diurnal_8", diurnal_8),
@@ -756,8 +812,8 @@ fn main() -> ExitCode {
         // descheduled one cannot sink a passing run either, because the
         // CI is bootstrapped from the IQR-filtered trials.
         let point = s.speedup_vs_serial.unwrap_or(0.0);
-        let (gated, basis) = if s.speedup_ci_low > 0.0 {
-            (s.speedup_ci_low, format!("95% CI lower bound, point {point:.2}x"))
+        let (gated, basis) = if let Some(low) = s.speedup_ci_low {
+            (low, format!("95% CI lower bound, point {point:.2}x"))
         } else {
             (point, "point estimate, too few trials for a CI".to_string())
         };

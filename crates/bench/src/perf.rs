@@ -37,7 +37,10 @@
 //! every report carries a [`RunnerInfo`] fingerprint — CPU model
 //! string, core count, kernel release — so a baseline diff can tell
 //! "the kernel regressed" apart from "CI landed on a different runner
-//! class".
+//! class". The speedup CI (`speedup_ci_low`/`_high`) follows the same
+//! rule: `null` off the dual-timed scenarios. Reports that still carry
+//! the `0.0` placeholder there parse as `Some(0.0)`, so the reader loads
+//! them unchanged.
 
 use std::fmt::Write as _;
 
@@ -105,13 +108,13 @@ pub struct ScenarioReport {
     /// scenarios, so both legs stay recomputable from the report.
     pub wall_ms_parallel_trials: Vec<f64>,
     /// Two-sample-bootstrap 95% CI on `speedup_vs_serial` from
-    /// [`speedup_ci`]; both `0.0` when not dual-timed or when either
-    /// leg's sample is too small. The scaling gate binds on this lower
-    /// bound when present — a point estimate inflated by one lucky
-    /// parallel trial no longer passes.
-    pub speedup_ci_low: f64,
+    /// [`speedup_ci`]; `None` (serialized `null`) when not dual-timed or
+    /// when either leg's sample is too small. The scaling gate binds on
+    /// this lower bound when present — a point estimate inflated by one
+    /// lucky parallel trial no longer passes.
+    pub speedup_ci_low: Option<f64>,
     /// Upper end of the speedup CI (see `speedup_ci_low`).
-    pub speedup_ci_high: f64,
+    pub speedup_ci_high: Option<f64>,
 }
 
 /// Fingerprint of the machine a report was measured on.
@@ -199,8 +202,8 @@ impl BenchReport {
             let _ = writeln!(out, "      \"events_per_sec_ci_high\": {:.1},", s.events_per_sec_ci_high);
             let parallel: Vec<String> = s.wall_ms_parallel_trials.iter().map(|t| format!("{t:.4}")).collect();
             let _ = writeln!(out, "      \"wall_ms_parallel_trials\": [{}],", parallel.join(", "));
-            let _ = writeln!(out, "      \"speedup_ci_low\": {:.4},", s.speedup_ci_low);
-            let _ = writeln!(out, "      \"speedup_ci_high\": {:.4}", s.speedup_ci_high);
+            let _ = writeln!(out, "      \"speedup_ci_low\": {},", json::opt_num(s.speedup_ci_low, 4));
+            let _ = writeln!(out, "      \"speedup_ci_high\": {}", json::opt_num(s.speedup_ci_high, 4));
             out.push_str(if i + 1 == self.scenarios.len() { "    }\n" } else { "    },\n" });
         }
         out.push_str("  ]\n}\n");
@@ -245,8 +248,8 @@ impl BenchReport {
                 events_per_sec_ci_low: json::get_f64(s, "events_per_sec_ci_low")?,
                 events_per_sec_ci_high: json::get_f64(s, "events_per_sec_ci_high")?,
                 wall_ms_parallel_trials: json::get_f64_array(s, "wall_ms_parallel_trials")?,
-                speedup_ci_low: json::get_f64(s, "speedup_ci_low")?,
-                speedup_ci_high: json::get_f64(s, "speedup_ci_high")?,
+                speedup_ci_low: json::get_opt_f64(s, "speedup_ci_low")?,
+                speedup_ci_high: json::get_opt_f64(s, "speedup_ci_high")?,
             });
         }
         Ok(BenchReport { schema: schema.to_string(), quick, runner, scenarios })
@@ -841,8 +844,8 @@ mod tests {
                     events_per_sec_ci_low: 9_929_000.0,
                     events_per_sec_ci_high: 10_207_000.0,
                     wall_ms_parallel_trials: Vec::new(),
-                    speedup_ci_low: 0.0,
-                    speedup_ci_high: 0.0,
+                    speedup_ci_low: None,
+                    speedup_ci_high: None,
                 },
                 ScenarioReport {
                     name: "fleet_16".to_string(),
@@ -860,8 +863,8 @@ mod tests {
                     events_per_sec_ci_low: 11_600_000.0,
                     events_per_sec_ci_high: 11_900_000.0,
                     wall_ms_parallel_trials: vec![11.2, 11.4, 11.3, 11.5, 11.25],
-                    speedup_ci_low: 3.61,
-                    speedup_ci_high: 3.90,
+                    speedup_ci_low: Some(3.61),
+                    speedup_ci_high: Some(3.90),
                 },
             ],
         }
@@ -881,14 +884,14 @@ mod tests {
             assert_eq!(a.requests, b.requests);
             assert!((a.wall_ms_median - b.wall_ms_median).abs() < 1e-3);
             assert!((a.events_per_sec - b.events_per_sec).abs() < 1.0);
-            match (a.wall_ms_serial, b.wall_ms_serial) {
-                (Some(x), Some(y)) => assert!((x - y).abs() < 1e-3),
-                (x, y) => assert_eq!(x, y, "serial wall None-ness must round-trip"),
-            }
-            match (a.speedup_vs_serial, b.speedup_vs_serial) {
-                (Some(x), Some(y)) => assert!((x - y).abs() < 1e-3),
-                (x, y) => assert_eq!(x, y, "speedup None-ness must round-trip"),
-            }
+            let assert_close = |x: Option<f64>, y: Option<f64>, what: &str| match (x, y) {
+                (Some(x), Some(y)) => assert!((x - y).abs() < 1e-3, "{what}: {x} vs {y}"),
+                (x, y) => assert_eq!(x, y, "{what} None-ness must round-trip"),
+            };
+            assert_close(a.wall_ms_serial, b.wall_ms_serial, "serial wall");
+            assert_close(a.speedup_vs_serial, b.speedup_vs_serial, "speedup");
+            assert_close(a.speedup_ci_low, b.speedup_ci_low, "speedup CI low");
+            assert_close(a.speedup_ci_high, b.speedup_ci_high, "speedup CI high");
             assert_eq!(a.repeats, b.repeats);
             assert_eq!(a.peak_rss_kb, b.peak_rss_kb);
             assert_eq!(a.wall_ms_trials.len(), b.wall_ms_trials.len());
@@ -901,8 +904,30 @@ mod tests {
             for (x, y) in a.wall_ms_parallel_trials.iter().zip(&b.wall_ms_parallel_trials) {
                 assert!((x - y).abs() < 1e-3);
             }
-            assert!((a.speedup_ci_low - b.speedup_ci_low).abs() < 1e-3);
-            assert!((a.speedup_ci_high - b.speedup_ci_high).abs() < 1e-3);
+        }
+    }
+
+    #[test]
+    fn speedup_ci_is_null_off_dual_timed_scenarios() {
+        let json = sample().to_json();
+        assert!(json.contains("\"speedup_ci_low\": null"), "{json}");
+        assert!(json.contains("\"speedup_ci_high\": 3.9000"), "{json}");
+        // Reports written before the field became optional carry a 0.0
+        // placeholder; they still load.
+        let legacy = json.replace("\"speedup_ci_low\": null", "\"speedup_ci_low\": 0.0000");
+        let parsed = BenchReport::from_json(&legacy).expect("0.0 placeholder parses");
+        assert_eq!(parsed.scenarios[0].speedup_ci_low, Some(0.0));
+        assert_eq!(parsed.scenarios[0].speedup_ci_high, None);
+    }
+
+    #[test]
+    fn checked_in_baseline_loads() {
+        let text = include_str!("../../../bench_baseline.json");
+        let baseline = BenchReport::from_json(text).expect("bench_baseline.json parses");
+        for s in &baseline.scenarios {
+            let dual_timed = !s.wall_ms_parallel_trials.is_empty();
+            assert_eq!(s.speedup_ci_low.is_some(), dual_timed, "{}", s.name);
+            assert_eq!(s.speedup_ci_high.is_some(), dual_timed, "{}", s.name);
         }
     }
 

@@ -29,20 +29,44 @@ pub type Vector = Vec<f32>;
 /// One LSH table: random hyperplanes + hash buckets.
 #[derive(Debug)]
 struct LshTable {
-    hyperplanes: Vec<Vector>,
+    /// Hyperplane count.
+    planes: usize,
+    /// The hyperplanes transposed: component `d` of plane `p` at
+    /// `d * planes + p`, so one pass over a vector feeds every plane.
+    transposed: Vec<f32>,
     buckets: crate::fasthash::FxHashMap<u64, Vec<u32>>,
 }
 
 impl LshTable {
-    fn hash(&self, v: &[f32]) -> u64 {
-        let mut sig = 0u64;
-        for (i, plane) in self.hyperplanes.iter().enumerate() {
-            let dot: f32 = plane.iter().zip(v).map(|(a, b)| a * b).sum();
-            if dot >= 0.0 {
-                sig |= 1 << i;
+    fn new(hyperplanes: &[Vector]) -> Self {
+        let planes = hyperplanes.len();
+        let dim = hyperplanes.first().map_or(0, Vec::len);
+        let transposed = (0..dim).flat_map(|d| hyperplanes.iter().map(move |plane| plane[d])).collect();
+        LshTable { planes, transposed, buckets: crate::fasthash::FxHashMap::default() }
+    }
+
+    /// Every plane's dot product with `v`, in the first `planes` slots,
+    /// from one pass over `v`. Each plane adds its terms in component
+    /// order from `Iterator::sum`'s start value, so its slot has the bits
+    /// of `plane.iter().zip(v).map(|(a, b)| a * b).sum::<f32>()`.
+    fn dots(&self, v: &[f32]) -> [f32; 64] {
+        let mut dots = [std::iter::empty::<f32>().sum::<f32>(); 64];
+        for (column, &x) in self.transposed.chunks_exact(self.planes).zip(v) {
+            for (dot, &a) in dots.iter_mut().zip(column) {
+                *dot += a * x;
             }
         }
-        sig
+        dots
+    }
+
+    /// The signature of `v`: bit `p` set when `v` lies on the
+    /// non-negative side of plane `p`.
+    fn hash(&self, v: &[f32]) -> u64 {
+        let dots = self.dots(v);
+        dots[..self.planes]
+            .iter()
+            .enumerate()
+            .fold(0, |sig, (i, &dot)| if dot >= 0.0 { sig | 1 << i } else { sig })
     }
 }
 
@@ -95,8 +119,8 @@ impl LshIndex {
         let dim = data[0].len();
         let mut built = Vec::with_capacity(tables);
         for _ in 0..tables {
-            let hyperplanes = (0..planes).map(|_| random_unit_vector(dim, rng)).collect();
-            let mut table = LshTable { hyperplanes, buckets: crate::fasthash::FxHashMap::default() };
+            let hyperplanes: Vec<Vector> = (0..planes).map(|_| random_unit_vector(dim, rng)).collect();
+            let mut table = LshTable::new(&hyperplanes);
             for (id, v) in data.iter().enumerate() {
                 assert_eq!(v.len(), dim, "inconsistent vector dimensionality");
                 let h = table.hash(v);
@@ -127,20 +151,25 @@ impl LshIndex {
         id as usize % self.shards
     }
 
-    /// Retrieves the deduplicated candidate set for a query.
-    pub fn candidates(&self, query: &[f32]) -> Vec<u32> {
-        let mut seen = std::collections::HashSet::new();
+    /// Marks every id in the query's buckets, one bit per indexed vector.
+    fn candidate_bitmap(&self, query: &[f32]) -> Vec<u64> {
+        let mut seen = vec![0u64; self.data.len().div_ceil(64)];
         for table in &self.tables {
-            let h = table.hash(query);
-            if let Some(bucket) = table.buckets.get(&h) {
+            if let Some(bucket) = table.buckets.get(&table.hash(query)) {
                 for &id in bucket {
-                    seen.insert(id);
+                    seen[id as usize / 64] |= 1 << (id % 64);
                 }
             }
         }
-        let mut v: Vec<u32> = seen.into_iter().collect();
-        v.sort_unstable();
-        v
+        seen
+    }
+
+    /// Retrieves the deduplicated candidate set for a query, in
+    /// ascending id order.
+    pub fn candidates(&self, query: &[f32]) -> Vec<u32> {
+        let mut ids = Vec::new();
+        for_each_set_bit(&self.candidate_bitmap(query), |id| ids.push(id));
+        ids
     }
 
     /// Full LSH query: candidates, exact distances, top-`k` nearest.
@@ -167,10 +196,19 @@ impl LshIndex {
     /// Per-shard candidate counts for a query (drives bucket-leg timing).
     pub fn shard_candidate_counts(&self, query: &[f32]) -> Vec<u32> {
         let mut counts = vec![0u32; self.shards];
-        for id in self.candidates(query) {
-            counts[self.shard_of(id)] += 1;
-        }
+        for_each_set_bit(&self.candidate_bitmap(query), |id| counts[self.shard_of(id)] += 1);
         counts
+    }
+}
+
+/// Calls `f` with the index of every set bit of `words`, ascending.
+fn for_each_set_bit(words: &[u64], mut f: impl FnMut(u32)) {
+    for (w, &word) in words.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            f(w as u32 * 64 + rest.trailing_zeros());
+            rest &= rest - 1;
+        }
     }
 }
 
@@ -242,7 +280,9 @@ impl HdSearchService {
         horizon: SimDuration,
         rng: &mut SimRng,
     ) -> Self {
-        let mut data_rng = rng.fork(0x4453); // stable dataset across runs
+        // A fork of the per-run service stream: the dataset changes with
+        // the run seed, like every other draw the service makes.
+        let mut data_rng = rng.fork(0x4453);
         let data = clustered_dataset(config.dataset_size, config.dim, 8, &mut data_rng);
         let index = LshIndex::build(data, config.tables, config.planes, config.shards, &mut data_rng);
         // Measure real per-query candidate counts once.
@@ -448,6 +488,66 @@ mod tests {
         let total: u32 = counts.iter().sum();
         assert_eq!(total as usize, index.candidates(&q).len());
         assert_eq!(counts.len(), 4);
+    }
+
+    /// Candidates as they were deduplicated before the bitmap: a
+    /// `HashSet` over every table's bucket, sorted.
+    fn reference_candidates(index: &LshIndex, q: &[f32]) -> Vec<u32> {
+        let mut seen = std::collections::HashSet::new();
+        for table in &index.tables {
+            if let Some(bucket) = table.buckets.get(&table.hash(q)) {
+                seen.extend(bucket.iter().copied());
+            }
+        }
+        let mut ids: Vec<u32> = seen.into_iter().collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    #[test]
+    fn transposed_dots_match_per_plane_sums() {
+        let mut rng = SimRng::seed_from_u64(10);
+        for planes in [5usize, 8, 13] {
+            let hyperplanes: Vec<Vector> = (0..planes).map(|_| random_unit_vector(48, &mut rng)).collect();
+            let table = LshTable::new(&hyperplanes);
+            let mut queries = clustered_dataset(200, 48, 4, &mut rng);
+            queries.push(vec![0.0; 48]);
+            queries.push(hyperplanes[0].iter().map(|x| -x).collect());
+            for q in &queries {
+                let dots = table.dots(q);
+                let mut sig = 0u64;
+                for (p, plane) in hyperplanes.iter().enumerate() {
+                    let dot: f32 = plane.iter().zip(q).map(|(a, b)| a * b).sum();
+                    assert_eq!(dots[p].to_bits(), dot.to_bits(), "{planes} planes, plane {p}");
+                    if dot >= 0.0 {
+                        sig |= 1 << p;
+                    }
+                }
+                assert_eq!(table.hash(q), sig, "{planes} planes");
+            }
+        }
+    }
+
+    #[test]
+    fn bitmap_candidates_match_a_hash_set() {
+        for planes in [5usize, 8, 13] {
+            let mut rng = SimRng::seed_from_u64(planes as u64);
+            let data = clustered_dataset(1000, 32, 8, &mut rng);
+            let index = LshIndex::build(data, 4, planes, 3, &mut rng);
+            for t in 0..40 {
+                let q: Vector = index.data[(t * 37) % index.len()]
+                    .iter()
+                    .map(|&x| x + Normal::standard_sample(&mut rng) as f32 * 0.3)
+                    .collect();
+                let expected = reference_candidates(&index, &q);
+                assert_eq!(index.candidates(&q), expected, "{planes} planes, query {t}");
+                let mut counts = vec![0u32; 3];
+                for &id in &expected {
+                    counts[index.shard_of(id)] += 1;
+                }
+                assert_eq!(index.shard_candidate_counts(&q), counts, "{planes} planes, query {t}");
+            }
+        }
     }
 
     fn drive(

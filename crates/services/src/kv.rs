@@ -38,7 +38,32 @@ pub struct StoredValue {
     pub version: u32,
 }
 
+/// ETC value sizes: GP(θ = 0, σ = 214.476, k = 0.348238).
+fn etc_value_size() -> GeneralizedPareto {
+    GeneralizedPareto::new(0.0, 214.476, 0.348238)
+}
+
+/// A drawn value size as stored bytes: clamped to 1 B – 1 MB.
+fn value_bytes(size: f64) -> u32 {
+    size.clamp(1.0, 1_000_000.0) as u32
+}
+
+/// Preloaded uniforms per block: 64 KiB, below the C allocator's
+/// default 128 KiB mmap threshold. One 800 KB block per store would be
+/// mmapped, and freeing it raises glibc's dynamic mmap and trim
+/// thresholds; each thread arena may then keep up to twice that much
+/// freed memory, so peak RSS would swing by megabytes with thread
+/// timing.
+const PRELOAD_BLOCK: usize = 8192;
+
 /// A sharded hash-table store — the functional core of the service.
+///
+/// Keys `0..preload_keys` start resident with ETC value sizes (the
+/// cache-fill-then-read pattern). The preload is kept as the raw
+/// uniforms its values were drawn from, and a value's size is computed
+/// only when a read or write reaches it, so building a store costs one
+/// bulk uniform draw per key rather than a GPD transform and a hash
+/// insert. Writes go to the sharded hash maps, which shadow the preload.
 ///
 /// # Example
 ///
@@ -51,7 +76,13 @@ pub struct StoredValue {
 /// ```
 #[derive(Debug)]
 pub struct KvStore {
+    /// Raw `[0, 1)` uniforms behind the preloaded keys' value sizes,
+    /// key `k` at `preload[k / PRELOAD_BLOCK][k % PRELOAD_BLOCK]`.
+    preload: Vec<Box<[f64]>>,
+    value_size: GeneralizedPareto,
     shards: Vec<FxHashMap<u64, StoredValue>>,
+    /// Written keys outside the preload range.
+    extra_keys: usize,
     hits: u64,
     misses: u64,
 }
@@ -63,61 +94,78 @@ impl KvStore {
     ///
     /// Panics if `shards == 0`.
     pub fn new(shards: usize) -> Self {
-        Self::with_key_capacity(shards, 0)
+        assert!(shards > 0, "store needs at least one shard");
+        KvStore {
+            preload: Vec::new(),
+            value_size: etc_value_size(),
+            shards: (0..shards).map(|_| FxHashMap::default()).collect(),
+            extra_keys: 0,
+            hits: 0,
+            misses: 0,
+        }
     }
 
-    /// An empty store pre-sized for about `keys` resident keys spread
-    /// over `shards` shards — skips the rehash chain a large preload
-    /// (e.g. the ETC cache fill) would otherwise walk. Capacity is an
-    /// allocation hint only; contents and lookup results are identical
-    /// to [`KvStore::new`].
+    /// A store whose keys `0..keys` are resident at version 0, key `k`
+    /// holding the ETC value size of the `k`-th uniform `rng` draws —
+    /// the same size the `k`-th of `keys` [`GeneralizedPareto::sample`]
+    /// calls on `rng` gives. Draws exactly `keys` uniforms.
     ///
     /// # Panics
     ///
     /// Panics if `shards == 0`.
-    pub fn with_key_capacity(shards: usize, keys: usize) -> Self {
-        assert!(shards > 0, "store needs at least one shard");
-        // Headroom over the even split: Fibonacci sharding is not
-        // perfectly uniform, and hash maps resize at ~7/8 load.
-        let per_shard = keys / shards + keys / (4 * shards).max(1) + 8;
-        KvStore {
-            shards: (0..shards)
-                .map(|_| FxHashMap::with_capacity_and_hasher(per_shard, Default::default()))
-                .collect(),
-            hits: 0,
-            misses: 0,
-        }
+    pub fn preloaded(shards: usize, keys: usize, rng: &mut SimRng) -> Self {
+        let mut store = Self::new(shards);
+        store.preload = (0..keys)
+            .step_by(PRELOAD_BLOCK)
+            .map(|first| {
+                let mut block = vec![0.0; PRELOAD_BLOCK.min(keys - first)].into_boxed_slice();
+                rng.fill_f64(&mut block);
+                block
+            })
+            .collect();
+        store
     }
 
     fn shard_of(&self, key: u64) -> usize {
         (key.wrapping_mul(0x9e3779b97f4a7c15) >> 33) as usize % self.shards.len()
     }
 
+    /// The current value of `key`, without touching the statistics.
+    fn lookup(&self, key: u64) -> Option<StoredValue> {
+        if let Some(v) = self.shards[self.shard_of(key)].get(&key) {
+            return Some(*v);
+        }
+        let key = usize::try_from(key).ok()?;
+        let unit = *self.preload.get(key / PRELOAD_BLOCK)?.get(key % PRELOAD_BLOCK)?;
+        Some(StoredValue { size: value_bytes(self.value_size.from_unit(unit)), version: 0 })
+    }
+
     /// Reads a key, recording hit/miss statistics.
     pub fn get(&mut self, key: u64) -> Option<StoredValue> {
-        let shard = self.shard_of(key);
-        match self.shards[shard].get(&key) {
-            Some(v) => {
-                self.hits += 1;
-                Some(*v)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let found = self.lookup(key);
+        if found.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
+        found
     }
 
     /// Writes a key, returning the previous value if any.
     pub fn set(&mut self, key: u64, size: u32) -> Option<StoredValue> {
+        let previous = self.lookup(key);
+        if previous.is_none() {
+            self.extra_keys += 1;
+        }
+        let version = previous.map_or(0, |v| v.version + 1);
         let shard = self.shard_of(key);
-        let next_version = self.shards[shard].get(&key).map(|v| v.version + 1).unwrap_or(0);
-        self.shards[shard].insert(key, StoredValue { size, version: next_version })
+        self.shards[shard].insert(key, StoredValue { size, version });
+        previous
     }
 
     /// Number of resident keys.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(FxHashMap::len).sum()
+        self.preload.iter().map(|block| block.len()).sum::<usize>() + self.extra_keys
     }
 
     /// Whether the store is empty.
@@ -158,7 +206,7 @@ impl EtcWorkload {
         assert!(keys > 0, "ETC needs a non-empty keyspace");
         EtcWorkload {
             key_size: Gev::new(30.7984, 8.20449, 0.078688),
-            value_size: GeneralizedPareto::new(0.0, 214.476, 0.348238),
+            value_size: etc_value_size(),
             popularity: Zipf::new(keys.min(1_000_000) as usize, 0.99),
             keys,
             get_ratio: 30.0 / 31.0,
@@ -170,7 +218,7 @@ impl EtcWorkload {
         let op = if rng.next_bool(self.get_ratio) { KvOp::Get } else { KvOp::Set };
         let key = self.popularity.sample_rank(rng) as u64 % self.keys;
         let key_size = self.key_size.sample(rng).clamp(1.0, 250.0) as u32;
-        let value_size = self.value_size.sample(rng).clamp(1.0, 1_000_000.0) as u32;
+        let value_size = value_bytes(self.value_size.sample(rng));
         RequestDescriptor::Kv { op, key, key_size, value_size }
     }
 }
@@ -224,15 +272,12 @@ impl KvService {
         horizon: SimDuration,
         rng: &mut SimRng,
     ) -> Self {
-        let mut store = KvStore::with_key_capacity(config.workers.max(1) * 4, config.preload_keys as usize);
         let workload = EtcWorkload::new(config.preload_keys);
         // Preload so GETs mostly hit (ETC is a cache-fill-then-read
-        // pattern; the paper fills before measuring).
-        let mut preload_rng = rng.split();
-        for key in 0..config.preload_keys {
-            let size = workload.value_size.sample(&mut preload_rng).clamp(1.0, 1_000_000.0) as u32;
-            store.set(key, size);
-        }
+        // pattern; the paper fills before measuring). One uniform per
+        // key from a child stream; the store transforms them on read.
+        let store =
+            KvStore::preloaded(config.workers.max(1) * 4, config.preload_keys as usize, &mut rng.split());
         let mut pool = WorkerPool::new(server, env, config.workers, interference, horizon, rng);
         pool.set_contention_coef(0.35); // hash-table walks are memory-bound
         KvService {
@@ -356,6 +401,105 @@ mod tests {
         s.get(2);
         assert!((s.hit_ratio() - 0.5).abs() < 1e-12);
         assert_eq!(KvStore::new(1).hit_ratio(), 1.0);
+    }
+
+    /// The store as it was before the on-read preload: every preloaded
+    /// key's value drawn with `GeneralizedPareto::sample` and inserted up
+    /// front, in key order.
+    struct EagerStore {
+        map: std::collections::HashMap<u64, StoredValue>,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl EagerStore {
+        fn filled(keys: u64, rng: &mut SimRng) -> Self {
+            let mut store = EagerStore { map: Default::default(), hits: 0, misses: 0 };
+            for key in 0..keys {
+                store.set(key, value_bytes(etc_value_size().sample(rng)));
+            }
+            store
+        }
+
+        fn get(&mut self, key: u64) -> Option<StoredValue> {
+            let found = self.map.get(&key).copied();
+            if found.is_some() {
+                self.hits += 1;
+            } else {
+                self.misses += 1;
+            }
+            found
+        }
+
+        fn set(&mut self, key: u64, size: u32) -> Option<StoredValue> {
+            let version = self.map.get(&key).map_or(0, |v| v.version + 1);
+            self.map.insert(key, StoredValue { size, version })
+        }
+
+        fn hit_ratio(&self) -> f64 {
+            let total = self.hits + self.misses;
+            if total == 0 {
+                1.0
+            } else {
+                self.hits as f64 / total as f64
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_preload_matches_an_eager_fill() {
+        // Block-sized preloads and ones spanning several blocks check the
+        // block boundaries.
+        let block = PRELOAD_BLOCK as u64;
+        for (seed, keys) in [(1u64, 0u64), (2, 1), (3, 257), (4, 2_000), (5, block), (6, 2 * block + 3)] {
+            let mut eager_rng = SimRng::seed_from_u64(seed);
+            let mut lazy_rng = eager_rng.clone();
+            let mut eager = EagerStore::filled(keys, &mut eager_rng);
+            let mut lazy = KvStore::preloaded(3, keys as usize, &mut lazy_rng);
+            assert_eq!(eager_rng.next_u64(), lazy_rng.next_u64(), "preload draw counts differ");
+            assert_eq!(lazy.len(), eager.map.len());
+
+            // A small keyspace reaching past the preload makes repeated
+            // SETs, first SETs of preloaded keys and fresh keys common.
+            let mut ops = SimRng::seed_from_u64(seed ^ 0xabcd);
+            for step in 0..20_000 {
+                let key = ops.next_below(keys + 64);
+                if ops.next_bool(0.6) {
+                    assert_eq!(lazy.get(key), eager.get(key), "seed {seed} step {step}: get({key})");
+                } else {
+                    let size = 1 + ops.next_below(5_000) as u32;
+                    assert_eq!(
+                        lazy.set(key, size),
+                        eager.set(key, size),
+                        "seed {seed} step {step}: set({key})"
+                    );
+                }
+                assert_eq!(lazy.len(), eager.map.len(), "seed {seed} step {step}: len");
+                assert_eq!(
+                    lazy.hit_ratio().to_bits(),
+                    eager.hit_ratio().to_bits(),
+                    "seed {seed} step {step}"
+                );
+            }
+            for key in 0..keys + 64 {
+                assert_eq!(lazy.get(key), eager.get(key), "seed {seed}: final get({key})");
+            }
+        }
+    }
+
+    #[test]
+    fn preloaded_key_reads_at_version_zero_and_first_set_bumps_it() {
+        let mut rng = SimRng::seed_from_u64(9);
+        let mut s = KvStore::preloaded(2, 2, &mut rng.clone());
+        let units = [rng.next_f64(), rng.next_f64()];
+        let v = s.get(1).expect("preloaded key is resident");
+        assert_eq!(v.version, 0);
+        assert_eq!(v.size, value_bytes(etc_value_size().from_unit(units[1])));
+        assert_eq!(s.set(1, 77), Some(v));
+        assert_eq!(s.get(1), Some(StoredValue { size: 77, version: 1 }));
+        assert!(s.get(2).is_none());
+        assert_eq!(s.len(), 2);
+        assert!((s.hit_ratio() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -175,7 +175,9 @@ impl SocialNetworkService {
         horizon: SimDuration,
         rng: &mut SimRng,
     ) -> Self {
-        let mut data_rng = rng.fork(0x534e); // stable graph across runs
+        // A fork of the per-run service stream: the graph and posts
+        // change with the run seed, like every other draw the service makes.
+        let mut data_rng = rng.fork(0x534e);
         let graph = SocialGraph::generate(config.users, config.mean_degree, &mut data_rng);
         let mut posts = PostStore::new(config.users);
         for user in 0..config.users {

@@ -308,16 +308,26 @@ impl GeneralizedPareto {
         assert!(scale > 0.0, "GPD scale must be positive, got {scale}");
         GeneralizedPareto { location, scale, shape }
     }
-}
 
-impl Sampler for GeneralizedPareto {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        let u = 1.0 - rng.next_f64(); // in (0,1]
+    /// The inverse-CDF transform of one raw `[0, 1)` uniform (as drawn
+    /// by [`SimRng::next_f64`]) into a GPD variate. Pure — the scalar
+    /// [`Sampler::sample`] path and uniforms drawn in bulk and
+    /// transformed later (the KV store's on-read preload) run the
+    /// identical arithmetic.
+    #[inline]
+    pub fn from_unit(&self, a: f64) -> f64 {
+        let u = 1.0 - a; // in (0,1]
         if self.shape.abs() < 1e-12 {
             self.location - self.scale * fast_ln(u)
         } else {
             self.location + self.scale * (fast_pow(u, -self.shape) - 1.0) / self.shape
         }
+    }
+}
+
+impl Sampler for GeneralizedPareto {
+    fn sample(&self, rng: &mut SimRng) -> f64 {
+        self.from_unit(rng.next_f64())
     }
 }
 
@@ -412,18 +422,26 @@ impl Zipf {
 
     /// Builds the normalized prefix table — the summation order is part
     /// of the determinism contract (see [`zipf_cache`]).
+    ///
+    /// The table is collected straight into its `Arc` (an exact-length
+    /// iterator allocates once) rather than through a `Vec`: freeing an
+    /// 800 KB temporary would hand an mmapped block back to glibc, which
+    /// then raises its mmap and trim thresholds for the whole process,
+    /// so every thread arena could keep up to 1.6 MB of freed memory and
+    /// peak RSS would depend on which threads did the work.
     fn build_cdf(n: usize, s: f64) -> Arc<[f64]> {
-        let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / fast_pow(k as f64, s);
-            cdf.push(acc);
-        }
+        let mut cdf: Arc<[f64]> = (1..=n)
+            .map(|k| {
+                acc += 1.0 / fast_pow(k as f64, s);
+                acc
+            })
+            .collect();
         let total = acc;
-        for v in &mut cdf {
+        for v in Arc::get_mut(&mut cdf).expect("a fresh table is unshared") {
             *v /= total;
         }
-        cdf.into()
+        cdf
     }
 
     /// Draws a rank in `[0, n)` (0-based; rank 0 is the most popular).

@@ -166,10 +166,12 @@ impl SimRng {
 
     /// Derives a child generator for a named component.
     ///
-    /// Unlike [`split`](Self::split), the child depends only on the parent's
-    /// *seed state* and the label — not on how many draws the parent has
-    /// made — so components created in different orders still receive the
-    /// same streams.
+    /// Unlike [`split`](Self::split), forking does not advance the
+    /// parent, so sibling forks taken at the same stream position receive
+    /// the same streams whatever order they are created in. The child is
+    /// keyed by the label and the parent's *current* state (`s[0]` and
+    /// `s[2]`, which every draw changes): a fork taken after the parent
+    /// has drawn differs from one taken before.
     pub fn fork(&self, label: u64) -> SimRng {
         let mut sm = SplitMix64::new(self.s[0] ^ self.s[2].rotate_left(17) ^ label);
         let mut s = [0u64; 4];
@@ -285,6 +287,16 @@ mod tests {
         let mut c1b = r2.fork(1);
         assert_eq!(c1.next_u64(), c1b.next_u64());
         assert_eq!(c2.next_u64(), c2b.next_u64());
+    }
+
+    #[test]
+    fn fork_reads_the_live_state_and_leaves_the_parent_alone() {
+        let mut parent = SimRng::seed_from_u64(77);
+        let untouched = parent.clone();
+        let mut before = parent.fork(1);
+        assert_eq!(parent.next_u64(), untouched.clone().next_u64(), "fork advanced the parent");
+        let mut after = parent.fork(1);
+        assert_ne!(before.next_u64(), after.next_u64(), "fork ignored the parent's draws");
     }
 
     #[test]

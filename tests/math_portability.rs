@@ -66,6 +66,28 @@ fn samplers_consume_the_pinned_number_of_draws() {
     assert_draws(&Empirical::new(vec![1.0, 2.0, 3.0]), 1, "Empirical");
 }
 
+/// `GeneralizedPareto::from_unit` is the transform `sample` applies: fed
+/// the uniform `sample` would draw, it returns the same bits, and
+/// `sample` still consumes exactly one draw. The KV store's on-read
+/// preload relies on this to size values it never sampled.
+#[test]
+fn gpd_from_unit_is_bit_identical_to_sample() {
+    for dist in [
+        GeneralizedPareto::new(0.0, 214.476, 0.348238),
+        GeneralizedPareto::new(3.0, 1.0, -0.2),
+        GeneralizedPareto::new(0.0, 5.0, 0.0),
+    ] {
+        assert_draws(&dist, 1, "GeneralizedPareto");
+        let mut sampled = SimRng::seed_from_u64(31);
+        let mut units = sampled.clone();
+        for i in 0..10_000 {
+            let a = dist.sample(&mut sampled);
+            let b = dist.from_unit(units.next_f64());
+            assert_eq!(a.to_bits(), b.to_bits(), "{dist:?}, draw {i}");
+        }
+    }
+}
+
 /// Arrival gap draws follow the same contract, expressed through
 /// `uniforms_per_gap` (which the batching layer trusts for stride math).
 #[test]
