@@ -9,7 +9,8 @@
 //!   gated quantity, and the scenario prints an interleaved A/B table
 //!   of ns/draw against inline libm reference transforms — alternating
 //!   short blocks on the same core so frequency scaling and cache state
-//!   hit both sides equally.
+//!   hit both sides equally. Its `normal (block)` row times
+//!   `Normal::fill_standard` over whole blocks (print-only, not gated).
 //! * `service_setup` — per-run set-up microbench: µs per
 //!   `ServiceInstance::new` for the default memcached (100K-key
 //!   preload), HDSearch and Social Network configurations, printed per
@@ -277,25 +278,32 @@ fn ab_ns_per_draw(
     mut libm_draw: impl FnMut(&mut tpv_sim::SimRng) -> f64,
     mut fast_draw: impl FnMut(&mut tpv_sim::SimRng) -> f64,
 ) -> (f64, f64) {
+    ab_ns_per_block_draw(
+        |r, out| out.iter_mut().for_each(|z| *z = libm_draw(r)),
+        |r, out| out.iter_mut().for_each(|z| *z = fast_draw(r)),
+    )
+}
+
+/// [`ab_ns_per_draw`] for transforms that fill a whole block of
+/// `AB_BLOCK` draws per call.
+fn ab_ns_per_block_draw(
+    mut libm_fill: impl FnMut(&mut tpv_sim::SimRng, &mut [f64]),
+    mut fast_fill: impl FnMut(&mut tpv_sim::SimRng, &mut [f64]),
+) -> (f64, f64) {
     use std::hint::black_box;
     let mut libm_rng = tpv_sim::SimRng::seed_from_u64(SEED);
     let mut fast_rng = tpv_sim::SimRng::seed_from_u64(SEED);
+    let mut block = vec![0.0; AB_BLOCK];
     let mut libm_ns = Vec::with_capacity(AB_ROUNDS);
     let mut fast_ns = Vec::with_capacity(AB_ROUNDS);
     for _ in 0..AB_ROUNDS {
         let started = Instant::now();
-        let mut acc = 0.0;
-        for _ in 0..AB_BLOCK {
-            acc += libm_draw(&mut libm_rng);
-        }
-        black_box(acc);
+        libm_fill(&mut libm_rng, &mut block);
+        black_box(&block);
         libm_ns.push(started.elapsed().as_nanos() as f64 / AB_BLOCK as f64);
         let started = Instant::now();
-        let mut acc = 0.0;
-        for _ in 0..AB_BLOCK {
-            acc += fast_draw(&mut fast_rng);
-        }
-        black_box(acc);
+        fast_fill(&mut fast_rng, &mut block);
+        black_box(&block);
         fast_ns.push(started.elapsed().as_nanos() as f64 / AB_BLOCK as f64);
     }
     (tpv_stats::desc::median(&libm_ns), tpv_stats::desc::median(&fast_ns))
@@ -334,6 +342,18 @@ fn samplers(trials: usize, _pin: PinPolicy) -> ScenarioReport {
                     100.0 + 15.0 * z
                 },
                 |r| norm.sample(r),
+            ),
+        ),
+        (
+            "normal (block)",
+            ab_ns_per_block_draw(
+                |r, out| {
+                    for z in out {
+                        let (a, b) = (r.next_f64(), r.next_f64());
+                        *z = (-2.0 * (1.0 - a).ln()).sqrt() * (std::f64::consts::TAU * b).cos();
+                    }
+                },
+                Normal::fill_standard,
             ),
         ),
         (

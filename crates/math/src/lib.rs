@@ -33,6 +33,13 @@
 //! ~40·5e-14 + 4e-13 ≈ 2.4e-12 on the hot domain (Zipf tables,
 //! Pareto/GPD/GEV inversions), far inside the 1e-9 budget.
 //!
+//! [`box_muller`] is the one unit-domain kernel: for raw uniforms
+//! `a, b ∈ [0, 1)` (its precondition, `debug_assert`ed) it returns the
+//! bits of `(-2.0 * fast_ln(1.0 - a)).sqrt() * fast_sincos(TAU * b).1`
+//! from the same polynomial cores, without guards or data-dependent
+//! branches, so a loop over a block of uniform pairs is straight-line
+//! code. Every normal variate in the simulator goes through it.
+//!
 //! Every polynomial is evaluated in **Estrin form** — a fixed, pinned
 //! expression tree, so the bits are as deterministic as Horner's, but
 //! with ~4 dependent levels instead of one per degree, which matters
@@ -182,6 +189,14 @@ pub fn fast_ln(x: f64) -> f64 {
         m *= 0.5;
         e += 1;
     }
+    ln_bracketed(m, e)
+}
+
+/// `ln(m · 2^e)` for a mantissa `m` bracketed into `[√2/2, √2)`: the
+/// polynomial core [`fast_ln`] and [`box_muller`] share, so each
+/// coefficient exists once.
+#[inline]
+fn ln_bracketed(m: f64, e: i64) -> f64 {
     let t = (m - 1.0) / (m + 1.0);
     let t2 = t * t;
     // atanh series: ln m = 2t·(1 + t²/3 + t⁴/5 + … + t¹⁴/15), in Estrin
@@ -218,6 +233,21 @@ pub fn fast_sincos(x: f64) -> (f64, f64) {
         return (f64::NAN, f64::NAN);
     }
     let nf = (x * FRAC_2_PI).round();
+    let (s, c) = sincos_reduced(x, nf);
+    // Two's-complement masking maps negative n to the right quadrant.
+    match (nf as i64) & 3 {
+        0 => (s, c),
+        1 => (c, -s),
+        2 => (-s, -c),
+        _ => (-c, s),
+    }
+}
+
+/// `(sin r, cos r)` for `r = x − nf·π/2`, the guard-free core
+/// [`fast_sincos`] and [`box_muller`] share; the caller picks the
+/// quadrant.
+#[inline]
+fn sincos_reduced(x: f64, nf: f64) -> (f64, f64) {
     let r = (x - nf * PIO2_HI) - nf * PIO2_LO;
     let r2 = r * r;
     // Both polynomials in Estrin form (pairs in r², merged through r⁴
@@ -237,13 +267,7 @@ pub fn fast_sincos(x: f64) -> (f64, f64) {
     let c45 = 1.0 / 40_320.0 + r2 * (-1.0 / 3_628_800.0);
     let c67 = 1.0 / 479_001_600.0 + r2 * (-1.0 / 87_178_291_200.0);
     let c = (c01 + r4 * c23) + r8 * (c45 + r4 * c67);
-    // Two's-complement masking maps negative n to the right quadrant.
-    match (nf as i64) & 3 {
-        0 => (s, c),
-        1 => (c, -s),
-        2 => (-s, -c),
-        _ => (-c, s),
-    }
+    (s, c)
 }
 
 /// Deterministic `x^y` for positive bases, as `exp(y·ln x)`.
@@ -269,6 +293,41 @@ pub fn fast_pow(x: f64, y: f64) -> f64 {
         return f64::NAN;
     }
     fast_exp(y * fast_ln(x))
+}
+
+/// Deterministic Box–Muller transform of two uniforms `a, b ∈ [0, 1)`
+/// into one standard-normal variate: the bits of
+/// `(-2.0 * fast_ln(1.0 - a)).sqrt() * fast_sincos(TAU * b).1`.
+///
+/// **Precondition:** `a` and `b` lie in `[0, 1)` (checked by a
+/// `debug_assert`), the range of a raw uniform draw. On that domain
+/// `1 − a` is a normal number in `[2⁻⁵³, 1]` and `2π·b·2/π` lies in
+/// `[0, 4]`, so the kernel needs none of the general functions' guards
+/// and has no data-dependent branch: the `ln` mantissa bracket is a
+/// select, `round` is a truncation plus one when the fraction is
+/// ≥ 0.5 (exact for non-negative arguments), and the cosine quadrant
+/// is a select plus a sign-bit xor. A loop over a block of pairs is
+/// therefore straight-line code the compiler may pack into vector
+/// lanes; every lane still runs the one pinned expression tree.
+#[inline]
+pub fn box_muller(a: f64, b: f64) -> f64 {
+    debug_assert!((0.0..1.0).contains(&a) && (0.0..1.0).contains(&b), "box_muller({a}, {b}) outside [0, 1)");
+    // 1 − a is a normal number in [2⁻⁵³, 1]: no subnormal rescale.
+    let bits = (1.0 - a).to_bits();
+    let m = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | 0x3ff0_0000_0000_0000);
+    let high = m >= std::f64::consts::SQRT_2;
+    let m = if high { m * 0.5 } else { m };
+    let e = ((bits >> 52) as i64) - 1023 + i64::from(high);
+    let radius = (-2.0 * ln_bracketed(m, e)).sqrt();
+    let x = std::f64::consts::TAU * b;
+    let y = x * FRAC_2_PI;
+    let whole = y as i64;
+    let n = whole + i64::from(y - whole as f64 >= 0.5);
+    let (s, c) = sincos_reduced(x, n as f64);
+    // cos(r + n·π/2) is c, −s, −c, s for n mod 4 = 0, 1, 2, 3.
+    let leg = if n & 1 == 0 { c } else { s };
+    let flip = ((n ^ (n >> 1)) & 1) as u64;
+    radius * f64::from_bits(leg.to_bits() ^ (flip << 63))
 }
 
 #[cfg(test)]

@@ -26,14 +26,21 @@ use crate::worker_pool::WorkerPool;
 /// A feature vector.
 pub type Vector = Vec<f32>;
 
+/// Hyperplanes per accumulator group in [`LshTable::dots`]: a
+/// fixed-size array the compiler keeps in registers.
+const LANES: usize = 8;
+
 /// One LSH table: random hyperplanes + hash buckets.
 #[derive(Debug)]
 struct LshTable {
     /// Hyperplane count.
     planes: usize,
-    /// The hyperplanes transposed: component `d` of plane `p` at
-    /// `d * planes + p`, so one pass over a vector feeds every plane.
-    transposed: Vec<f32>,
+    /// Vector dimensionality.
+    dim: usize,
+    /// The hyperplanes in groups of [`LANES`], each group transposed:
+    /// entry `g * dim + d` holds component `d` of planes
+    /// `g * LANES .. (g + 1) * LANES`, zero past the last plane.
+    groups: Vec<[f32; LANES]>,
     buckets: crate::fasthash::FxHashMap<u64, Vec<u32>>,
 }
 
@@ -41,20 +48,41 @@ impl LshTable {
     fn new(hyperplanes: &[Vector]) -> Self {
         let planes = hyperplanes.len();
         let dim = hyperplanes.first().map_or(0, Vec::len);
-        let transposed = (0..dim).flat_map(|d| hyperplanes.iter().map(move |plane| plane[d])).collect();
-        LshTable { planes, transposed, buckets: crate::fasthash::FxHashMap::default() }
+        let groups = hyperplanes
+            .chunks(LANES)
+            .flat_map(|group| {
+                (0..dim).map(move |d| {
+                    let mut column = [0.0; LANES];
+                    for (slot, plane) in column.iter_mut().zip(group) {
+                        *slot = plane[d];
+                    }
+                    column
+                })
+            })
+            .collect();
+        LshTable { planes, dim, groups, buckets: crate::fasthash::FxHashMap::default() }
     }
 
     /// Every plane's dot product with `v`, in the first `planes` slots,
-    /// from one pass over `v`. Each plane adds its terms in component
-    /// order from `Iterator::sum`'s start value, so its slot has the bits
-    /// of `plane.iter().zip(v).map(|(a, b)| a * b).sum::<f32>()`.
+    /// from one pass over `v` per group of [`LANES`] planes. Each plane
+    /// adds its terms in component order from `Iterator::sum`'s start
+    /// value, so its slot has the bits of
+    /// `plane.iter().zip(v).map(|(a, b)| a * b).sum::<f32>()`. A group's
+    /// sums stay in registers; summing into a runtime-length slice
+    /// instead kept them on the stack, a store-to-load chain per
+    /// component that made hashing ~2x slower (EXPERIMENTS.md, round 7).
     fn dots(&self, v: &[f32]) -> [f32; 64] {
-        let mut dots = [std::iter::empty::<f32>().sum::<f32>(); 64];
-        for (column, &x) in self.transposed.chunks_exact(self.planes).zip(v) {
-            for (dot, &a) in dots.iter_mut().zip(column) {
-                *dot += a * x;
+        let start = std::iter::empty::<f32>().sum::<f32>();
+        let mut dots = [start; 64];
+        // `chunks_exact` rejects 0; a 0-dimensional table has no groups.
+        for (out, group) in dots.chunks_exact_mut(LANES).zip(self.groups.chunks_exact(self.dim.max(1))) {
+            let mut sums = [start; LANES];
+            for (column, &x) in group.iter().zip(v) {
+                for (sum, &a) in sums.iter_mut().zip(column) {
+                    *sum += a * x;
+                }
             }
+            out.copy_from_slice(&sums);
         }
         dots
     }
@@ -83,26 +111,41 @@ fn squared_distance(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-fn random_unit_vector(dim: usize, rng: &mut SimRng) -> Vector {
-    let mut v: Vector = (0..dim).map(|_| Normal::standard_sample(rng) as f32).collect();
+/// A random direction: one block of standard normals drawn into
+/// `normals` (its length is the dimension), normalized.
+fn random_unit_vector(normals: &mut [f64], rng: &mut SimRng) -> Vector {
+    Normal::fill_standard(rng, normals);
+    let mut v: Vector = normals.iter().map(|&g| g as f32).collect();
     let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-12);
     v.iter_mut().for_each(|x| *x /= norm);
     v
+}
+
+/// A cluster centre's components: one block of standard normals drawn
+/// into `normals`, scaled by 4.
+fn cluster_center<'a>(normals: &'a mut [f64], rng: &mut SimRng) -> impl Iterator<Item = f32> + 'a {
+    Normal::fill_standard(rng, normals);
+    normals.iter().map(|&g| g as f32 * 4.0)
+}
+
+/// The components of a point near `center`: one block of standard
+/// normals drawn into `normals`, scaled by 0.6 and added to the centre.
+fn cluster_point<'a>(
+    center: &'a [f32],
+    normals: &'a mut [f64],
+    rng: &mut SimRng,
+) -> impl Iterator<Item = f32> + 'a {
+    Normal::fill_standard(rng, normals);
+    center.iter().zip(normals.iter()).map(|(&x, &g)| x + g as f32 * 0.6)
 }
 
 /// Generates a clustered synthetic dataset (images of similar scenes have
 /// nearby feature vectors; clusters model that structure).
 pub fn clustered_dataset(n: usize, dim: usize, clusters: usize, rng: &mut SimRng) -> Vec<Vector> {
     assert!(clusters > 0, "need at least one cluster");
-    let centers: Vec<Vector> = (0..clusters)
-        .map(|_| (0..dim).map(|_| Normal::standard_sample(rng) as f32 * 4.0).collect())
-        .collect();
-    (0..n)
-        .map(|i| {
-            let c = &centers[i % clusters];
-            c.iter().map(|&x| x + Normal::standard_sample(rng) as f32 * 0.6).collect()
-        })
-        .collect()
+    let mut normals = vec![0.0; dim];
+    let centers: Vec<Vector> = (0..clusters).map(|_| cluster_center(&mut normals, rng).collect()).collect();
+    (0..n).map(|i| cluster_point(&centers[i % clusters], &mut normals, rng).collect()).collect()
 }
 
 impl LshIndex {
@@ -117,13 +160,20 @@ impl LshIndex {
         assert!(tables > 0 && planes > 0 && planes <= 63, "bad LSH shape");
         assert!(shards > 0, "need at least one shard");
         let dim = data[0].len();
+        assert!(data.iter().all(|v| v.len() == dim), "inconsistent vector dimensionality");
+        let mut normals = vec![0.0; dim];
+        let mut signatures = Vec::with_capacity(data.len());
         let mut built = Vec::with_capacity(tables);
         for _ in 0..tables {
-            let hyperplanes: Vec<Vector> = (0..planes).map(|_| random_unit_vector(dim, rng)).collect();
+            let hyperplanes: Vec<Vector> =
+                (0..planes).map(|_| random_unit_vector(&mut normals, rng)).collect();
             let mut table = LshTable::new(&hyperplanes);
-            for (id, v) in data.iter().enumerate() {
-                assert_eq!(v.len(), dim, "inconsistent vector dimensionality");
-                let h = table.hash(v);
+            // Hash every vector, then fill the buckets in id order: the
+            // buckets of one interleaved loop, with the hashing in a
+            // tight loop of its own.
+            signatures.clear();
+            signatures.extend(data.iter().map(|v| table.hash(v)));
+            for (id, &h) in signatures.iter().enumerate() {
                 table.buckets.entry(h).or_default().push(id as u32);
             }
             built.push(table);
@@ -260,7 +310,6 @@ struct QueryProfile {
 /// The HDSearch service instance for one run.
 #[derive(Debug)]
 pub struct HdSearchService {
-    index: LshIndex,
     profiles: Vec<QueryProfile>,
     midtier: WorkerPool,
     buckets: WorkerPool,
@@ -271,7 +320,9 @@ pub struct HdSearchService {
 
 impl HdSearchService {
     /// Builds the dataset, the LSH index, the query profiles and the
-    /// worker pools for one run.
+    /// worker pools for one run. Requests read only the profiles, so
+    /// the dataset and index are dropped once profiling is done rather
+    /// than held for the whole run.
     pub fn new(
         config: HdSearchConfig,
         server: &MachineConfig,
@@ -285,20 +336,27 @@ impl HdSearchService {
         let mut data_rng = rng.fork(0x4453);
         let data = clustered_dataset(config.dataset_size, config.dim, 8, &mut data_rng);
         let index = LshIndex::build(data, config.tables, config.planes, config.shards, &mut data_rng);
-        // Measure real per-query candidate counts once.
+        // Measure real per-query candidate counts once. Each query base
+        // is a one-point cluster around a fresh centre, drawn as
+        // `clustered_dataset(1, dim, 1, …)` would draw it.
+        let mut normals = vec![0.0; config.dim];
+        let mut center = Vec::with_capacity(config.dim);
+        let mut q = Vec::with_capacity(config.dim);
         let profiles = (0..config.profile_queries.max(1))
             .map(|i| {
-                let base = &clustered_dataset(1, config.dim, 1, &mut data_rng)[0];
+                center.clear();
+                center.extend(cluster_center(&mut normals, &mut data_rng));
+                let base = cluster_point(&center, &mut normals, &mut data_rng);
                 // Mix a real dataset point in so queries hit populated buckets.
                 let anchor = (i * 17) % index.len();
-                let q: Vector = index.data[anchor].iter().zip(base).map(|(a, b)| a + 0.15 * b).collect();
+                q.clear();
+                q.extend(index.data[anchor].iter().zip(base).map(|(a, b)| a + 0.15 * b));
                 QueryProfile { shard_candidates: index.shard_candidate_counts(&q) }
             })
             .collect();
         let midtier = WorkerPool::new(server, env, config.midtier_workers, interference, horizon, rng);
         let buckets = WorkerPool::new(server, env, config.bucket_workers, interference, horizon, rng);
         HdSearchService {
-            index,
             profiles,
             midtier,
             buckets,
@@ -366,10 +424,9 @@ impl HdSearchService {
         match stage {
             1 => {
                 // Fan-out: one leg per shard, in parallel on the bucket pool.
-                let profile = self.profiles[query_id].shard_candidates.clone();
                 let mut busy = SimDuration::from_ns(ctx.busy_ns);
                 let mut join = now;
-                for (shard, &cands) in profile.iter().enumerate() {
+                for (shard, &cands) in self.profiles[query_id].shard_candidates.iter().enumerate() {
                     // Distance computations dominate: ~1.1 µs per candidate
                     // (64-dim float distance + ranking).
                     let leg_work = SimDuration::from_us_f64(35.0 + cands as f64 * 1.1)
@@ -399,11 +456,6 @@ impl HdSearchService {
             }
             other => panic!("HdSearchService has no stage {other}"),
         }
-    }
-
-    /// The underlying LSH index (inspection / tests).
-    pub fn index(&self) -> &LshIndex {
-        &self.index
     }
 }
 
@@ -508,7 +560,9 @@ mod tests {
     fn transposed_dots_match_per_plane_sums() {
         let mut rng = SimRng::seed_from_u64(10);
         for planes in [5usize, 8, 13] {
-            let hyperplanes: Vec<Vector> = (0..planes).map(|_| random_unit_vector(48, &mut rng)).collect();
+            let mut normals = vec![0.0; 48];
+            let hyperplanes: Vec<Vector> =
+                (0..planes).map(|_| random_unit_vector(&mut normals, &mut rng)).collect();
             let table = LshTable::new(&hyperplanes);
             let mut queries = clustered_dataset(200, 48, 4, &mut rng);
             queries.push(vec![0.0; 48]);
@@ -546,6 +600,21 @@ mod tests {
                     counts[index.shard_of(id)] += 1;
                 }
                 assert_eq!(index.shard_candidate_counts(&q), counts, "{planes} planes, query {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn hash_then_bucket_keeps_bucket_contents_and_order() {
+        for planes in [3usize, 8, 13] {
+            let (mut rng, dim) = (SimRng::seed_from_u64(40 + planes as u64), 24);
+            let index = LshIndex::build(clustered_dataset(900, dim, 6, &mut rng), 3, planes, 2, &mut rng);
+            for table in &index.tables {
+                let mut interleaved = crate::fasthash::FxHashMap::<u64, Vec<u32>>::default();
+                for (id, v) in index.data.iter().enumerate() {
+                    interleaved.entry(table.hash(v)).or_default().push(id as u32);
+                }
+                assert_eq!(table.buckets, interleaved, "{planes} planes");
             }
         }
     }

@@ -24,7 +24,7 @@ use crate::rng::SimRng;
 use crate::SimDuration;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
-use tpv_math::{fast_exp, fast_ln, fast_pow, fast_sincos};
+use tpv_math::{box_muller, fast_exp, fast_ln, fast_pow};
 
 /// A distribution over `f64` that can be sampled with a [`SimRng`].
 pub trait Sampler {
@@ -194,14 +194,35 @@ impl Normal {
 
     /// The Box–Muller transform of two raw `[0, 1)` uniforms into a
     /// standard-normal variate (the cosine leg; the sine leg is
-    /// discarded by convention). Pure — shared by the scalar and bulk
-    /// sampling paths.
+    /// discarded by convention): [`tpv_math::box_muller`]. Pure —
+    /// shared by the scalar and bulk sampling paths.
     #[inline]
     pub fn standard_from_units(a: f64, b: f64) -> f64 {
-        let u1 = 1.0 - a; // (0, 1], safe for ln
-        (-2.0 * fast_ln(u1)).sqrt() * fast_sincos(std::f64::consts::TAU * b).1
+        box_muller(a, b)
+    }
+
+    /// Fills `out` with standard-normal variates, bit-identical to
+    /// calling [`standard_sample`](Self::standard_sample) `out.len()`
+    /// times in order and leaving `rng` at the same stream position.
+    /// Each chunk of 64 variates draws its 128 uniforms in one
+    /// [`SimRng::fill_f64`] call, then maps the branch-free kernel over
+    /// the pairs — a contiguous loop the compiler may pack into vector
+    /// lanes. Pinned by `tests/math_portability.rs`.
+    pub fn fill_standard(rng: &mut SimRng, out: &mut [f64]) {
+        let mut units = [0.0; 2 * NORMAL_BLOCK];
+        for chunk in out.chunks_mut(NORMAL_BLOCK) {
+            let units = &mut units[..2 * chunk.len()];
+            rng.fill_f64(units);
+            for (z, pair) in chunk.iter_mut().zip(units.chunks_exact(2)) {
+                *z = box_muller(pair[0], pair[1]);
+            }
+        }
     }
 }
+
+/// Normal variates per [`Normal::fill_standard`] block (its uniforms
+/// take 1 KiB of stack).
+const NORMAL_BLOCK: usize = 64;
 
 impl Sampler for Normal {
     fn sample(&self, rng: &mut SimRng) -> f64 {
