@@ -96,8 +96,10 @@ use tpv_bench::perf::{
     compare, events_per_sec_ci, iqr_filter, refreshed_baseline, speedup_ci, summary_markdown, BenchReport,
     RunnerInfo, ScenarioReport, Verdict, SCHEMA,
 };
-use tpv_core::collect::{Collector, EventCountCollector, PerCohortCollector, PhaseCollector};
-use tpv_core::runtime::{run_collected, run_sharded_collected_with, run_topology_sharded_with};
+use tpv_core::collect::{
+    Collector, EventCountCollector, PerCohortCollector, PerNodeCollector, PhaseCollector,
+};
+use tpv_core::runtime::{run_collected, run_sharded_collected_hedged_with};
 use tpv_core::topology::{uniform_fleet, ClientNode, CohortSpec, NodeDynamics, ShardSpec, TopologySpec};
 use tpv_core::PinPolicy;
 use tpv_hw::MachineConfig;
@@ -553,11 +555,8 @@ fn diurnal_8(trials: usize, pin: PinPolicy) -> ScenarioReport {
         if shards > 1 {
             let schedule = topo.merged_schedule();
             let (result, _per_shard, collector) =
-                run_sharded_collected_with(&topo, SEED, shard_workers(), pin, |shard, shard_key| {
-                    (
-                        EventCountCollector::new(),
-                        PhaseCollector::for_partition(schedule.clone(), window.0, window.1, shard_key, shard),
-                    )
+                run_sharded_collected_hedged_with(&topo, SEED, shard_workers(), pin, None, |_, _| {
+                    (EventCountCollector::new(), PhaseCollector::new(schedule.clone(), window.0, window.1))
                 });
             (collector.0.events(), result.samples)
         } else {
@@ -633,14 +632,21 @@ fn fleet_256(trials: usize, pin: PinPolicy) -> ScenarioReport {
         // The pinning smoke: core affinity is a throughput knob, never
         // a results knob. Compare the *full* sharded result structures,
         // not just work counters, before any timed leg runs pinned.
-        let unpinned = run_topology_sharded_with(&topo, SEED, workers, PinPolicy::Off);
-        let pinned = run_topology_sharded_with(&topo, SEED, workers, pin);
-        assert_eq!(unpinned, pinned, "fleet_256: pinned execution drifted from unpinned");
+        let full = |pin: PinPolicy| {
+            let (aggregate, shards, per_node) =
+                run_sharded_collected_hedged_with(&topo, SEED, workers, pin, None, |_, _| {
+                    PerNodeCollector::new(nodes.len())
+                });
+            (aggregate, shards, per_node.into_results())
+        };
+        assert_eq!(full(PinPolicy::Off), full(pin), "fleet_256: pinned execution drifted from unpinned");
         println!("ok    fleet_256: pinned run bit-identical to unpinned ({workers} workers)");
     }
     let probe = |workers: usize, pin: PinPolicy| {
         let (result, _, counter) =
-            run_sharded_collected_with(&topo, SEED, workers, pin, |_, _| EventCountCollector::new());
+            run_sharded_collected_hedged_with(&topo, SEED, workers, pin, None, |_, _| {
+                EventCountCollector::new()
+            });
         (counter.events(), result.samples)
     };
     let parallel = time_scenario("fleet_256", trials, || probe(workers, pin));
@@ -689,9 +695,10 @@ fn fleet_1m(trials: usize, pin: PinPolicy) -> ScenarioReport {
     // the lowering is tracked-then-pooled per cohort, 3 nodes each.
     let cohort_of: Vec<Option<usize>> = (0..48).map(|i| Some(i / 3)).collect();
     let probe = |workers: usize, pin: PinPolicy| {
-        let (result, _, (counter, _)) = run_sharded_collected_with(&topo, SEED, workers, pin, |_, _| {
-            (EventCountCollector::new(), PerCohortCollector::new(cohort_of.clone(), 16))
-        });
+        let (result, _, (counter, _)) =
+            run_sharded_collected_hedged_with(&topo, SEED, workers, pin, None, |_, _| {
+                (EventCountCollector::new(), PerCohortCollector::new(cohort_of.clone(), 16))
+            });
         (counter.events(), result.samples)
     };
     let workers = shard_workers();

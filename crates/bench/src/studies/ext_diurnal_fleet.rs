@@ -16,6 +16,7 @@
 //! regimes into one number that describes none of them.
 
 use tpv_core::report::{Csv, MarkdownTable};
+use tpv_core::runtime::run_phased;
 use tpv_core::topology::{uniform_fleet, ClientNode, NodeDynamics, TopologySpec};
 use tpv_hw::MachineConfig;
 use tpv_loadgen::{GeneratorSpec, PhasedRate};
@@ -67,7 +68,9 @@ pub(crate) fn run(ctx: &StudyCtx) {
         warmup,
         cohorts: &[],
     };
-    let per_cell = ctx.run_phased_cells(&[topo], runs, env_seed());
+    let per_cell = ctx.run_topology_cells(&[topo], runs, env_seed(), |t, s, w| {
+        run_phased(t, s, w).expect("cell validated before execution")
+    });
     let samples = &per_cell[0];
 
     let mut table = MarkdownTable::new(&[

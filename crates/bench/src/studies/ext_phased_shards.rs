@@ -24,6 +24,7 @@
 
 use tpv_core::analysis::Summary;
 use tpv_core::report::{Csv, MarkdownTable};
+use tpv_core::runtime::run_phased;
 use tpv_core::topology::{ClientNode, NodeDynamics, ShardPolicy, ShardSpec, TopologySpec};
 use tpv_hw::{CStatePolicy, DynamicMachine, FreqDriver, FreqGovernor, MachineConfig, UncoreMode};
 use tpv_loadgen::{GeneratorSpec, PhasedRate};
@@ -119,7 +120,9 @@ pub(crate) fn run(ctx: &StudyCtx) {
             cohorts: &[],
         })
         .collect();
-    let per_cell = ctx.run_phased_cells(&cells, runs, env_seed());
+    let per_cell = ctx.run_topology_cells(&cells, runs, env_seed(), |t, s, w| {
+        run_phased(t, s, w).expect("cell validated before execution")
+    });
     let tiers = ["uniform", "hot"];
 
     // When: the pooled per-phase regimes, side by side per tier.

@@ -21,6 +21,7 @@
 
 use tpv_core::analysis::Summary;
 use tpv_core::report::{Csv, MarkdownTable};
+use tpv_core::runtime::run_topology_sharded;
 use tpv_core::topology::{ClientNode, ShardPolicy, ShardSpec, TopologySpec};
 use tpv_hw::MachineConfig;
 use tpv_loadgen::GeneratorSpec;
@@ -97,7 +98,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
             cohorts: &[],
         })
         .collect();
-    let per_cell = ctx.run_sharded_cells(&topos, runs, env_seed());
+    let per_cell = ctx.run_topology_cells(&topos, runs, env_seed(), run_topology_sharded);
 
     let mut table = MarkdownTable::new(&[
         "routing / fleet",

@@ -18,6 +18,7 @@
 
 use tpv_core::analysis::Summary;
 use tpv_core::report::{Csv, MarkdownTable};
+use tpv_core::runtime::run_phased;
 use tpv_core::topology::{ClientNode, NodeDynamics, TopologySpec};
 use tpv_hw::{CStatePolicy, DynamicMachine, FreqDriver, FreqGovernor, MachineConfig, UncoreMode};
 use tpv_loadgen::GeneratorSpec;
@@ -84,7 +85,9 @@ pub(crate) fn run(ctx: &StudyCtx) {
         warmup,
         cohorts: &[],
     };
-    let samples = &ctx.run_phased_cells(&[topo], runs, env_seed())[0];
+    let samples = &ctx.run_topology_cells(&[topo], runs, env_seed(), |t, s, w| {
+        run_phased(t, s, w).expect("cell validated before execution")
+    })[0];
 
     // When: the pooled per-phase regimes around the boundary.
     let mut phase_table = MarkdownTable::new(&["phase", "window", "p50 (us)", "p99 (us)", "CoV"]);

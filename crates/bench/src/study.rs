@@ -13,8 +13,7 @@ use std::sync::Arc;
 
 use tpv_core::control::{ControlResult, ControlSpec, Controller, MitigationPolicy};
 use tpv_core::engine::{fingerprint_control, fingerprint_topology, Engine, JobPlan, RunCache};
-use tpv_core::runtime::PhasedFleetResult;
-use tpv_core::topology::{CohortedFleetResult, FleetResult, ShardedFleetResult, TopologySpec};
+use tpv_core::topology::TopologySpec;
 
 use crate::studies;
 
@@ -51,105 +50,41 @@ impl StudyCtx {
 
     /// Executes `runs` seeded fleet runs of every topology cell through
     /// the context engine and regroups the results per cell — the fleet
-    /// counterpart of `Experiment::run_with`, shared by the topology
-    /// studies so the fingerprint → plan → execute → regroup convention
-    /// lives in one place.
-    pub fn run_fleet_cells(
-        &self,
-        topos: &[TopologySpec<'_>],
-        runs: usize,
-        seed: u64,
-    ) -> Vec<Vec<FleetResult>> {
-        let fingerprints: Vec<u64> = topos.iter().map(fingerprint_topology).collect();
-        let plan = JobPlan::new(seed, &fingerprints, runs);
-        let results = self.engine.execute_topology(&plan, |cell| topos[cell]);
-        let mut per_cell: Vec<Vec<FleetResult>> = vec![Vec::with_capacity(runs); topos.len()];
-        for (cell, _, fleet) in results {
-            per_cell[cell].push(fleet);
-        }
-        per_cell
-    }
-
-    /// The sharded counterpart of [`StudyCtx::run_fleet_cells`]: every
-    /// topology cell executes as a
-    /// [`tpv_core::runtime::run_topology_sharded`] job, so each run
-    /// carries the per-shard breakdown next to its fleet result. The
-    /// engine splits its worker budget between job-level and intra-run
-    /// (shard-level) parallelism; results are bit-identical either way.
-    pub fn run_sharded_cells(
-        &self,
-        topos: &[TopologySpec<'_>],
-        runs: usize,
-        seed: u64,
-    ) -> Vec<Vec<ShardedFleetResult>> {
-        let fingerprints: Vec<u64> = topos.iter().map(fingerprint_topology).collect();
-        let plan = JobPlan::new(seed, &fingerprints, runs);
-        let results = self.engine.execute_sharded(&plan, |cell| topos[cell]);
-        let mut per_cell: Vec<Vec<ShardedFleetResult>> = vec![Vec::with_capacity(runs); topos.len()];
-        for (cell, _, sharded) in results {
-            per_cell[cell].push(sharded);
-        }
-        per_cell
-    }
-
-    /// The phased counterpart of [`StudyCtx::run_fleet_cells`]: every
-    /// topology cell executes as a
-    /// [`tpv_core::runtime::run_phased_sharded`] job, so each run carries
-    /// pooled per-phase statistics and the per-shard breakdown next to
-    /// its fleet result — what the time-varying studies
-    /// (`ext_diurnal_fleet`, `ext_turbo_decay`, `ext_phased_shards`)
-    /// render. Multi-shard tiers run on the work-stealing pool with
-    /// canonical-order per-phase merges, so results are bit-identical at
-    /// any worker split.
+    /// counterpart of `Experiment::run_with`. Each job calls
+    /// `run(topo, seed, shard_workers)`, where `shard_workers` is the
+    /// engine's leftover budget for the shards inside one run
+    /// ([`Engine::shard_workers`]); any entry point of
+    /// [`tpv_core::runtime`] fits, e.g.
+    /// `|t, s, w| run_topology_sharded(t, s, w)`. Results are
+    /// bit-identical at any worker split.
     ///
     /// # Panics
     ///
-    /// Panics with the cell's [`tpv_core::topology::TopologyError`] if a
-    /// topology fails validation — `all_experiments` isolates study
-    /// panics, so a misconfigured study reports its typed error without
-    /// aborting the rest of the suite.
-    pub fn run_phased_cells(
+    /// Every cell is validated before any job executes; a misconfigured
+    /// cell panics with its [`tpv_core::topology::TopologyError`] —
+    /// `all_experiments` isolates study panics, so it reports the typed
+    /// error without aborting the rest of the suite.
+    pub fn run_topology_cells<R, F>(
         &self,
         topos: &[TopologySpec<'_>],
         runs: usize,
         seed: u64,
-    ) -> Vec<Vec<PhasedFleetResult>> {
-        let fingerprints: Vec<u64> = topos.iter().map(fingerprint_topology).collect();
-        let plan = JobPlan::new(seed, &fingerprints, runs);
-        let results = self.engine.execute_phased(&plan, |cell| topos[cell]).unwrap_or_else(|e| panic!("{e}"));
-        let mut per_cell: Vec<Vec<PhasedFleetResult>> = vec![Vec::with_capacity(runs); topos.len()];
-        for (cell, _, phased) in results {
-            per_cell[cell].push(phased);
+        run: F,
+    ) -> Vec<Vec<R>>
+    where
+        R: Send,
+        F: Fn(&TopologySpec<'_>, u64, usize) -> R + Sync,
+    {
+        for topo in topos {
+            topo.validate().unwrap_or_else(|e| panic!("{e}"));
         }
-        per_cell
+        let fingerprints: Vec<u64> = topos.iter().map(fingerprint_topology).collect();
+        self.run_cells(&fingerprints, runs, seed, |cell, seed, shard_workers| {
+            run(&topos[cell], seed, shard_workers)
+        })
     }
 
-    /// The cohorted counterpart of [`StudyCtx::run_fleet_cells`]: every
-    /// topology cell executes as a [`tpv_core::runtime::run_cohorted`]
-    /// job, carrying per-cohort rollups (and any per-shard breakdown)
-    /// next to its fleet result — what the population-scale study
-    /// (`ext_million_fleet`) renders. Worker budgeting follows
-    /// [`tpv_core::engine::Engine::execute_sharded`]: leftover workers
-    /// parallelize the shards inside each run.
-    pub fn run_cohorted_cells(
-        &self,
-        topos: &[TopologySpec<'_>],
-        runs: usize,
-        seed: u64,
-    ) -> Vec<Vec<CohortedFleetResult>> {
-        let fingerprints: Vec<u64> = topos.iter().map(fingerprint_topology).collect();
-        let plan = JobPlan::new(seed, &fingerprints, runs);
-        let results = self
-            .engine
-            .execute_jobs(&plan, |job| tpv_core::runtime::run_cohorted(&topos[job.cell], job.seed, 1));
-        let mut per_cell: Vec<Vec<CohortedFleetResult>> = vec![Vec::with_capacity(runs); topos.len()];
-        for (cell, _, cohorted) in results {
-            per_cell[cell].push(cohorted);
-        }
-        per_cell
-    }
-
-    /// The closed-loop counterpart of [`StudyCtx::run_fleet_cells`]:
+    /// The closed-loop counterpart of [`StudyCtx::run_topology_cells`]:
     /// every cell is a `(spec, policy)` pair executed through
     /// [`tpv_core::control::Controller`], seeded per run off the cell's
     /// [`fingerprint_control`] content address — so a policy cell's seeds
@@ -163,13 +98,25 @@ impl StudyCtx {
     ) -> Vec<Vec<ControlResult>> {
         let fingerprints: Vec<u64> =
             cells.iter().map(|(spec, policy)| fingerprint_control(spec, policy.name())).collect();
-        let plan = JobPlan::new(seed, &fingerprints, runs);
-        let results = self.engine.execute_jobs(&plan, |job| {
-            let (spec, policy) = cells[job.cell];
-            Controller::new(spec, policy).run(job.seed, 1)
-        });
-        let mut per_cell: Vec<Vec<ControlResult>> = vec![Vec::with_capacity(runs); cells.len()];
-        for (cell, _, result) in results {
+        self.run_cells(&fingerprints, runs, seed, |cell, seed, _| {
+            let (spec, policy) = cells[cell];
+            Controller::new(spec, policy).run(seed, 1)
+        })
+    }
+
+    /// Plans `runs` jobs per content-addressed cell, executes them on the
+    /// context engine as `run(cell, seed, shard_workers)` and regroups
+    /// the results per cell, in run order.
+    fn run_cells<R, F>(&self, fingerprints: &[u64], runs: usize, seed: u64, run: F) -> Vec<Vec<R>>
+    where
+        R: Send,
+        F: Fn(usize, u64, usize) -> R + Sync,
+    {
+        let plan = JobPlan::new(seed, fingerprints, runs);
+        let shard_workers = self.engine.shard_workers(&plan);
+        let mut per_cell: Vec<Vec<R>> = fingerprints.iter().map(|_| Vec::with_capacity(runs)).collect();
+        for (cell, _, result) in self.engine.execute_jobs(&plan, |job| run(job.cell, job.seed, shard_workers))
+        {
             per_cell[cell].push(result);
         }
         per_cell

@@ -114,14 +114,17 @@ pub trait Collector {
 
 /// A collector whose per-shard instances can be folded back into one —
 /// what lets the sharded kernel
-/// ([`crate::runtime::run_sharded_collected`]) give every concurrent
-/// shard its own collector and still hand the caller a single merged
-/// collection. `other` is always the *next* shard in stable shard
-/// declaration order, and shards observe disjoint node sets, so an
-/// implementation merging by node index is automatically
-/// order-insensitive.
+/// ([`crate::runtime::run_sharded_collected_hedged_with`]) give every
+/// concurrent shard its own collector and still hand the caller a single
+/// merged collection. `other` is always the *next* partition in
+/// canonical `(shard_key, shard_index)` order — the order the runner
+/// fixes once, when it builds the partitions — so an implementation can
+/// fold float state eagerly and still be independent of shard
+/// enumeration, worker count and steal schedule. Shards observe
+/// disjoint node sets, so merging by node index is order-insensitive
+/// outright.
 pub trait MergeCollector: Collector {
-    /// Folds `other` — the same run's next shard, in stable shard
+    /// Folds `other` — the same run's next partition, in canonical
     /// order — into `self`.
     fn merge(&mut self, other: Self);
 }
@@ -334,7 +337,8 @@ impl MergeCollector for PerCohortCollector {
     /// Folds the next shard's cohort partials into `self`. Shards
     /// partition the fleet but a cohort's members can span shards, so —
     /// unlike [`PerNodeCollector`] — merging accumulates rather than
-    /// moves; stable shard order keeps the float folds canonical.
+    /// moves; the runner's canonical partition order keeps the float
+    /// folds canonical.
     fn merge(&mut self, other: Self) {
         assert_eq!(self.cohort_of, other.cohort_of, "collectors cover different fleets");
         for (mine, theirs) in self.hists.iter_mut().zip(&other.hists) {
@@ -492,29 +496,17 @@ pub struct PhaseStats {
 /// regime that produced it, even if its response lands after the next
 /// boundary.
 ///
-/// Sharded runs give every shard its own collector (built with
-/// [`PhaseCollector::for_partition`], carrying the shard's canonical
-/// content key) and fold them through [`MergeCollector`]. The merge does
-/// **not** accumulate float state in fold order: absorbed partitions are
-/// buffered and [`PhaseCollector::into_stats`] combines them in canonical
-/// `(shard_key, shard_index)` order — the same enumeration-insensitivity
-/// argument the aggregate's `finish_run` merge rests on — so the
-/// per-phase Welford state (mean/CoV) is bit-identical whatever the
-/// shard enumeration, worker count or steal schedule.
+/// Sharded runs give every shard its own collector and fold them through
+/// [`MergeCollector`] in the runner's canonical partition order — the
+/// order the aggregate merges in too — so the per-phase Welford state
+/// (mean/CoV) is bit-identical whatever the shard enumeration, worker
+/// count or steal schedule.
 #[derive(Debug)]
 pub struct PhaseCollector {
     schedule: PhaseSchedule,
     window_start: SimTime,
     window_end: SimTime,
     hists: Vec<LatencyHistogram>,
-    /// Canonical merge rank of this collector's partition:
-    /// `(shard content key, shard declaration index)` — the tiebreak
-    /// mirrors the aggregate merge in `finish_run`. `(0, 0)` for the
-    /// unsharded path.
-    rank: (u64, usize),
-    /// Partitions absorbed by [`MergeCollector::merge`], awaiting the
-    /// canonical-order fold in [`PhaseCollector::into_stats`].
-    absorbed: Vec<((u64, usize), Vec<LatencyHistogram>)>,
 }
 
 impl PhaseCollector {
@@ -525,24 +517,6 @@ impl PhaseCollector {
     ///
     /// Panics unless the window is non-empty.
     pub fn new(schedule: PhaseSchedule, window_start: SimTime, window_end: SimTime) -> Self {
-        PhaseCollector::for_partition(schedule, window_start, window_end, 0, 0)
-    }
-
-    /// A per-shard collector for the partition with canonical content
-    /// key `shard_key` and declaration index `shard` — what the sharded
-    /// kernel hands each shard so merged per-phase stats fold in
-    /// canonical order.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the window is non-empty.
-    pub fn for_partition(
-        schedule: PhaseSchedule,
-        window_start: SimTime,
-        window_end: SimTime,
-        shard_key: u64,
-        shard: usize,
-    ) -> Self {
         assert!(window_start < window_end, "empty measurement window");
         let phases = schedule.phase_count();
         PhaseCollector {
@@ -550,32 +524,12 @@ impl PhaseCollector {
             window_start,
             window_end,
             hists: (0..phases).map(|_| LatencyHistogram::new()).collect(),
-            rank: (shard_key, shard),
-            absorbed: Vec::new(),
         }
     }
 
     /// Per-phase statistics for every phase overlapping the window, in
     /// phase order.
-    ///
-    /// Any partitions absorbed through [`MergeCollector::merge`] are
-    /// folded here, in canonical `(shard_key, shard_index)` order; with
-    /// none absorbed (the unsharded and K=1 paths) the fold merges one
-    /// partition into empty histograms, which is bit-exact.
     pub fn into_stats(self) -> Vec<PhaseStats> {
-        let mut parts: Vec<((u64, usize), Vec<LatencyHistogram>)> =
-            Vec::with_capacity(1 + self.absorbed.len());
-        parts.push((self.rank, self.hists));
-        parts.extend(self.absorbed);
-        parts.sort_by_key(|&(rank, _)| rank);
-        let mut hists: Vec<LatencyHistogram> =
-            (0..self.schedule.phase_count()).map(|_| LatencyHistogram::new()).collect();
-        for (_, part) in &parts {
-            assert_eq!(part.len(), hists.len(), "merged phase collectors cover different schedules");
-            for (acc, h) in hists.iter_mut().zip(part) {
-                acc.merge(h);
-            }
-        }
         (0..self.schedule.phase_count())
             .filter_map(|p| {
                 let start = self.schedule.phase_start(p).max(self.window_start);
@@ -583,7 +537,7 @@ impl PhaseCollector {
                 if start >= end {
                     return None;
                 }
-                let h = &hists[p];
+                let h = &self.hists[p];
                 let mean = h.mean();
                 let cov =
                     if h.count() == 0 || mean.is_zero() { 0.0 } else { h.std_dev().as_us() / mean.as_us() };
@@ -611,16 +565,12 @@ impl Collector for PhaseCollector {
 }
 
 impl MergeCollector for PhaseCollector {
-    /// Buffers `other`'s per-phase histograms (and anything it absorbed
-    /// in turn) under its canonical rank. The float-sensitive fold is
-    /// deferred to [`PhaseCollector::into_stats`], which sorts by
-    /// `(shard_key, shard_index)` first — so the merged per-phase stats
-    /// are independent of fold order, and therefore of shard
-    /// enumeration, unlike an eager in-order histogram merge.
+    /// Folds `other`'s per-phase histograms into `self`, phase by phase.
     fn merge(&mut self, other: Self) {
-        debug_assert_eq!(self.schedule, other.schedule, "merged phase collectors follow one schedule");
-        self.absorbed.push((other.rank, other.hists));
-        self.absorbed.extend(other.absorbed);
+        assert_eq!(self.schedule, other.schedule, "merged phase collectors cover different schedules");
+        for (acc, h) in self.hists.iter_mut().zip(&other.hists) {
+            acc.merge(h);
+        }
     }
 }
 
@@ -662,22 +612,21 @@ pub struct ShardWindow {
 /// tails plus achieved rates, collected in one kernel pass.
 ///
 /// Sharded runs give every shard its own observer (built with
-/// [`WindowedObserver::for_partition`]); the fold mirrors
-/// [`PhaseCollector`]'s canonical-order discipline. Per-node state moves
-/// (shards partition the fleet, like [`PerNodeCollector`]); per-shard
-/// histograms are buffered whole under their canonical
-/// `(shard_key, shard_index)` rank and never cross-merged, so nothing in
-/// the observation depends on fold order, worker count or steal
-/// schedule. That is what lets a [`crate::control::MitigationPolicy`]
-/// treat the observation as a pure function of the run.
+/// [`WindowedObserver::for_partition`]). Per-node state moves (shards
+/// partition the fleet, like [`PerNodeCollector`]); per-shard histograms
+/// are kept whole, one `(shard, histogram)` row per partition, and never
+/// cross-merged, so nothing in the observation depends on fold order,
+/// worker count or steal schedule. That is what lets a
+/// [`crate::control::MitigationPolicy`] treat the observation as a pure
+/// function of the run.
 #[derive(Debug)]
 pub struct WindowedObserver {
     node_hists: Vec<LatencyHistogram>,
     node_stats: Vec<Option<NodeStats>>,
     hedges: Vec<u64>,
-    shard_hist: LatencyHistogram,
-    rank: (u64, usize),
-    absorbed: Vec<((u64, usize), LatencyHistogram)>,
+    /// `(shard index, histogram)` per partition; a fresh observer holds
+    /// its own partition's row, merges append the others'.
+    shards: Vec<(usize, LatencyHistogram)>,
 }
 
 impl WindowedObserver {
@@ -686,18 +635,18 @@ impl WindowedObserver {
         WindowedObserver::for_partition(nodes, 0, 0)
     }
 
-    /// A per-shard observer for the partition with canonical content key
-    /// `shard_key` and declaration index `shard` — pass this as the
-    /// collector factory of
-    /// [`crate::runtime::run_sharded_collected_with`].
-    pub fn for_partition(nodes: usize, shard_key: u64, shard: usize) -> Self {
+    /// A per-shard observer for the partition with declaration index
+    /// `shard` — pass `|shard, key| WindowedObserver::for_partition(n,
+    /// key, shard)` as the collector factory of
+    /// [`crate::runtime::run_sharded_collected_hedged_with`]. The shard
+    /// content key is accepted for that factory's shape and unused: the
+    /// runner already merges partitions in canonical order.
+    pub fn for_partition(nodes: usize, _shard_key: u64, shard: usize) -> Self {
         WindowedObserver {
             node_hists: (0..nodes).map(|_| LatencyHistogram::new()).collect(),
             node_stats: vec![None; nodes],
             hedges: vec![0; nodes],
-            shard_hist: LatencyHistogram::new(),
-            rank: (shard_key, shard),
-            absorbed: Vec::new(),
+            shards: vec![(shard, LatencyHistogram::new())],
         }
     }
 
@@ -730,13 +679,11 @@ impl WindowedObserver {
                 hedges,
             })
             .collect();
-        let mut parts: Vec<((u64, usize), LatencyHistogram)> = Vec::with_capacity(1 + self.absorbed.len());
-        parts.push((self.rank, self.shard_hist));
-        parts.extend(self.absorbed);
-        parts.sort_by_key(|&((key, shard), _)| (shard, key));
+        let mut parts = self.shards;
+        parts.sort_by_key(|&(shard, _)| shard);
         let shards = parts
             .into_iter()
-            .map(|((_, shard), hist)| ShardWindow {
+            .map(|(shard, hist)| ShardWindow {
                 shard,
                 samples: hist.count(),
                 p99: hist.percentile(99.0),
@@ -750,7 +697,7 @@ impl WindowedObserver {
 impl Collector for WindowedObserver {
     fn on_latency(&mut self, node: usize, _stamp: SimTime, measured: SimDuration) {
         self.node_hists[node].record(measured);
-        self.shard_hist.record(measured);
+        self.shards[0].1.record(measured);
     }
 
     fn on_node_done(&mut self, node: usize, stats: &NodeStats) {
@@ -763,10 +710,9 @@ impl Collector for WindowedObserver {
 }
 
 impl MergeCollector for WindowedObserver {
-    /// Takes `other`'s finished nodes (disjoint across shards) and
-    /// buffers its shard histogram whole under its canonical rank — no
-    /// float state is ever folded across shards, so the observation is
-    /// independent of merge order.
+    /// Takes `other`'s finished nodes (disjoint across shards) and its
+    /// shard rows whole — no float state is ever folded across shards,
+    /// so the observation is independent of merge order.
     fn merge(&mut self, other: Self) {
         assert_eq!(self.node_hists.len(), other.node_hists.len(), "observers cover different fleets");
         for (i, (stats, (hist, hedges))) in
@@ -779,8 +725,7 @@ impl MergeCollector for WindowedObserver {
             }
             self.hedges[i] += hedges;
         }
-        self.absorbed.push((other.rank, other.shard_hist));
-        self.absorbed.extend(other.absorbed);
+        self.shards.extend(other.shards);
     }
 }
 
@@ -914,7 +859,7 @@ mod tests {
                 shards[shard].on_latency(node, SimTime::ZERO, SimDuration::from_us(40 + 10 * node as u64));
                 shards[shard].on_node_done(node, &node_stats(qps[node], 0.1 + node as f64));
             }
-            // Fold in stable shard order, as run_sharded_collected does.
+            // Fold in one fixed order, as the sharded kernel folds its plans.
             let mut iter = shards.into_iter();
             let mut merged = iter.next().unwrap();
             for s in iter {

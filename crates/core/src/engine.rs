@@ -17,8 +17,10 @@
 //!   dependencies). Results are reassembled in `(cell, run)` order, so
 //!   serial, parallel and shuffled execution are bit-identical. The
 //!   scheduling core ([`Engine::execute_jobs`]) is payload-generic:
-//!   single-client cells ([`Engine::execute`]) and fleet topologies
-//!   ([`Engine::execute_topology`]) ride the same pool.
+//!   cached single-client cells ([`Engine::execute`]) and any fleet
+//!   entry point of [`crate::runtime`] ride the same pool, the latter
+//!   handing leftover workers to the shards inside each run
+//!   ([`Engine::shard_workers`]).
 //! * [`RunCache`] memoizes results keyed by a [`RunSpec`] fingerprint and
 //!   seed. Identical jobs shared across experiments — the paper's
 //!   baseline cells appear in several figures — execute once per process
@@ -50,8 +52,8 @@ use std::sync::{Arc, Mutex};
 
 use tpv_sim::SimRng;
 
-use crate::runtime::{run_once, run_topology, PhasedFleetResult, RunResult, RunSpec};
-use crate::topology::{FleetResult, TopologyError, TopologySpec};
+use crate::runtime::{run_once, RunResult, RunSpec};
+use crate::topology::TopologySpec;
 
 /// One schedulable unit of work: a single seeded run of one cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -252,7 +254,6 @@ enum Parallelism {
 pub struct Engine {
     parallelism: Option<Parallelism>,
     cache: Option<Arc<RunCache>>,
-    pin: crate::pin::PinPolicy,
 }
 
 impl Engine {
@@ -279,20 +280,6 @@ impl Engine {
         self
     }
 
-    /// Sets the worker placement policy ([`crate::pin::PinPolicy`]) for
-    /// this engine's own job pool *and* the shard workers of
-    /// [`Engine::execute_sharded`]. Off by default; results are
-    /// bit-identical whatever the policy.
-    pub fn with_pin_policy(mut self, pin: crate::pin::PinPolicy) -> Self {
-        self.pin = pin;
-        self
-    }
-
-    /// The configured worker placement policy.
-    pub fn pin_policy(&self) -> crate::pin::PinPolicy {
-        self.pin
-    }
-
     /// The attached cache, if any.
     pub fn cache(&self) -> Option<&Arc<RunCache>> {
         self.cache.as_ref()
@@ -312,15 +299,30 @@ impl Engine {
         self.requested_workers().min(jobs.max(1))
     }
 
+    /// The worker budget left for the shards *inside* each run of
+    /// `plan`: the job pool takes as many workers as the plan has jobs,
+    /// and whatever is left over parallelizes each run's shards — a plan
+    /// with one job on an 8-way engine runs its shards 8 wide, while a
+    /// 50-job study keeps job-level parallelism and runs each job's
+    /// shards serially. Pass it as the `workers` of a sharded entry point
+    /// of [`crate::runtime`]; results are bit-identical at any split.
+    pub fn shard_workers(&self, plan: &JobPlan) -> usize {
+        let outer = self.effective_workers(plan.jobs().len());
+        (self.requested_workers() / outer).max(1)
+    }
+
     /// Runs an arbitrary per-job function over every job of `plan` —
     /// serially or on the self-scheduling pool — and returns
     /// `(cell, run, result)` triples sorted in `(cell, run)` order,
     /// independent of scheduling.
     ///
     /// This is the engine's scheduling core; [`Engine::execute`] (cached
-    /// `RunSpec` jobs) and [`Engine::execute_topology`] (fleet jobs) are
-    /// thin layers over it. Use it directly for custom job payloads that
-    /// should inherit the engine's determinism contract.
+    /// `RunSpec` jobs) is a thin layer over it. Use it directly for fleet
+    /// runs and custom job payloads that should inherit the engine's
+    /// determinism contract. Fleet jobs bypass the [`RunCache`]: per-node
+    /// payloads are large relative to an aggregate [`RunResult`] and
+    /// fleet cells are study-specific, so memoization would trade memory
+    /// for no reuse.
     pub fn execute_jobs<R, F>(&self, plan: &JobPlan, run: F) -> Vec<(usize, usize, R)>
     where
         R: Send,
@@ -333,12 +335,10 @@ impl Engine {
         } else {
             let out = Mutex::new(Vec::with_capacity(jobs.len()));
             let next = AtomicUsize::new(0);
-            let pin = self.pin;
             std::thread::scope(|scope| {
-                for w in 0..workers {
+                for _ in 0..workers {
                     let (out, next, run) = (&out, &next, &run);
                     scope.spawn(move || {
-                        pin.apply(w);
                         loop {
                             // Self-scheduling queue: each worker claims the
                             // next unclaimed job, so long cells cannot idle
@@ -365,99 +365,6 @@ impl Engine {
         F: Fn(usize) -> RunSpec<'s> + Sync,
     {
         self.execute_jobs(plan, |job| self.execute_job(job, &spec_of))
-    }
-
-    /// Executes every job of `plan` as a fleet run, materialising each
-    /// cell's topology with `spec_of`.
-    ///
-    /// Fleet jobs bypass the [`RunCache`]: per-node payloads are large
-    /// relative to an aggregate [`RunResult`] and fleet cells are
-    /// study-specific, so memoization would trade memory for no reuse.
-    /// Determinism is unchanged — seeds travel with the jobs.
-    pub fn execute_topology<'s, F>(&self, plan: &JobPlan, spec_of: F) -> Vec<(usize, usize, FleetResult)>
-    where
-        F: Fn(usize) -> TopologySpec<'s> + Sync,
-    {
-        self.execute_jobs(plan, |job| run_topology(&spec_of(job.cell), job.seed))
-    }
-
-    /// Executes every job of `plan` as a **sharded** fleet run
-    /// ([`crate::runtime::run_topology_sharded`]): the fleet result plus
-    /// the per-shard breakdown.
-    ///
-    /// The engine's worker budget is split between the two levels of
-    /// parallelism: the job pool takes as many workers as it has jobs,
-    /// and whatever is left over parallelizes the shards *inside* each
-    /// run — a plan with one job on an 8-way engine runs its shards 8
-    /// wide, while a 50-job study keeps job-level parallelism and runs
-    /// each job's shards serially. Results are bit-identical either way
-    /// (see `run_topology_sharded`'s determinism contract). Like the
-    /// other fleet entry points, sharded jobs bypass the [`RunCache`].
-    pub fn execute_sharded<'s, F>(
-        &self,
-        plan: &JobPlan,
-        spec_of: F,
-    ) -> Vec<(usize, usize, crate::topology::ShardedFleetResult)>
-    where
-        F: Fn(usize) -> TopologySpec<'s> + Sync,
-    {
-        let outer = self.effective_workers(plan.jobs().len());
-        let intra = (self.requested_workers() / outer.max(1)).max(1);
-        self.execute_jobs(plan, |job| {
-            crate::runtime::run_topology_sharded_with(&spec_of(job.cell), job.seed, intra, self.pin)
-        })
-    }
-
-    /// Executes every job of `plan` as a phased fleet run
-    /// ([`crate::runtime::run_phased_sharded`]): the fleet result plus
-    /// the per-shard breakdown and pooled per-phase statistics over the
-    /// topology's merged schedule.
-    ///
-    /// The worker budget splits like [`Engine::execute_sharded`]: the
-    /// job pool takes as many workers as it has jobs, and the remainder
-    /// parallelizes shards inside each run. Per-phase merges happen in
-    /// canonical `(shard_key, shard_index)` order, so results are
-    /// bit-identical at any split. Like [`Engine::execute_topology`],
-    /// phased jobs bypass the [`RunCache`]; determinism is unchanged —
-    /// seeds travel with the jobs.
-    ///
-    /// # Errors
-    ///
-    /// Every cell is validated *before* any job executes; a misconfigured
-    /// cell (e.g. a phased rate plan with a NaN multiplier) returns its
-    /// [`TopologyError`] instead of aborting mid-plan.
-    pub fn execute_phased<'s, F>(
-        &self,
-        plan: &JobPlan,
-        spec_of: F,
-    ) -> Result<Vec<(usize, usize, PhasedFleetResult)>, TopologyError>
-    where
-        F: Fn(usize) -> TopologySpec<'s> + Sync,
-    {
-        for cell in 0..plan.cell_count() {
-            spec_of(cell).validate()?;
-        }
-        let outer = self.effective_workers(plan.jobs().len());
-        let intra = (self.requested_workers() / outer.max(1)).max(1);
-        Ok(self.execute_jobs(plan, |job| {
-            crate::runtime::run_phased_sharded_with(&spec_of(job.cell), job.seed, intra, self.pin)
-                .expect("cell validated before execution")
-        }))
-    }
-
-    /// Executes one traced run (fidelity diagnostics) through the engine.
-    ///
-    /// Traces are never cached — the payload is large and traced runs
-    /// are one-off self-checks — but the measurement comes from the same
-    /// deterministic `(spec, seed)` path the cache keys, so a traced
-    /// run's [`RunResult`] equals its untraced twin bit for bit.
-    pub fn execute_traced(
-        &self,
-        spec: &RunSpec<'_>,
-        seed: u64,
-        max_trace: usize,
-    ) -> (RunResult, crate::runtime::RunTrace) {
-        crate::runtime::run_traced(spec, seed, max_trace)
     }
 
     /// Runs one job, consulting the cache when one is attached.
@@ -609,6 +516,7 @@ mod tests {
 
     #[test]
     fn topology_execution_is_parallelism_invariant() {
+        use crate::runtime::run_topology;
         use crate::topology::{uniform_fleet, TopologySpec};
         use tpv_loadgen::GeneratorSpec;
         use tpv_net::LinkConfig;
@@ -633,8 +541,8 @@ mod tests {
             cohorts: &[],
         };
         let plan = JobPlan::new(9, &[fingerprint_topology(&topo)], 3);
-        let serial = Engine::serial().execute_topology(&plan, |_| topo);
-        let parallel = Engine::with_workers(4).execute_topology(&plan, |_| topo);
+        let serial = Engine::serial().execute_jobs(&plan, |job| run_topology(&topo, job.seed));
+        let parallel = Engine::with_workers(4).execute_jobs(&plan, |job| run_topology(&topo, job.seed));
         assert_eq!(serial, parallel, "fleet runs must be bit-identical across parallelism");
         assert_eq!(serial.len(), 3);
         assert_eq!(serial[0].2.nodes.len(), 3);

@@ -137,15 +137,13 @@ pub fn assess(result: &RunResult, trace: &RunTrace) -> FidelityReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::RunSpec;
+    use crate::runtime::{run_traced, RunSpec};
     use tpv_hw::MachineConfig;
     use tpv_loadgen::GeneratorSpec;
     use tpv_net::LinkConfig;
     use tpv_services::kv::KvConfig;
     use tpv_services::{ServiceConfig, ServiceKind};
     use tpv_sim::SimDuration;
-
-    use crate::engine::Engine;
 
     fn traced(client: MachineConfig, qps: f64, seed: u64) -> (RunResult, RunTrace) {
         let service = ServiceConfig::without_interference(ServiceKind::Memcached(KvConfig {
@@ -165,7 +163,7 @@ mod tests {
             duration: SimDuration::from_ms(80),
             warmup: SimDuration::from_ms(10),
         };
-        Engine::serial().execute_traced(&spec, seed, 20_000)
+        run_traced(&spec, seed, 20_000)
     }
 
     #[test]

@@ -56,8 +56,8 @@ pub use engine::{CacheStats, Engine, Job, JobPlan, RunCache};
 pub use experiment::{Benchmark, Experiment, ExperimentResults, ServerScenario};
 pub use pin::PinPolicy;
 pub use runtime::{
-    run_cohorted, run_once, run_phased, run_phased_sharded, run_phased_sharded_with, run_topology,
-    run_traced, PhasedFleetResult, RunResult, RunSpec, RunTrace,
+    run_cohorted, run_once, run_phased, run_topology, run_traced, PhasedFleetResult, RunResult, RunSpec,
+    RunTrace,
 };
 pub use topology::{
     uniform_fleet, ClientNode, CohortResult, CohortSpec, CohortedFleetResult, FleetResult, NodeDynamics,

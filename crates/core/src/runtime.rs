@@ -94,6 +94,7 @@ use crate::collect::{
     Collector, MergeCollector, NodeStats, NullCollector, PerCohortCollector, PerNodeCollector,
     PhaseCollector, PhaseStats, TraceCollector,
 };
+use crate::pin::PinPolicy;
 use crate::topology::{
     node_stream_keys, ClientNode, CohortResult, CohortedFleetResult, FleetLayout, FleetResult, NodeDynamics,
     NodeResult, ShardResult, ShardedFleetResult, TopologyError, TopologySpec,
@@ -527,24 +528,21 @@ impl PhasedFleetResult {
     }
 }
 
-/// Like [`run_topology`], additionally bucketing pooled latencies by the
-/// phase their request was stamped in (over the topology's
+/// Like [`run_topology_sharded`], additionally bucketing pooled latencies
+/// by the phase their request was stamped in (over the topology's
 /// [`TopologySpec::merged_schedule`]). This is the entry point for
 /// time-varying studies: a phase boundary that switches machine state or
 /// load is visible as a regime change between consecutive
 /// [`PhaseStats`].
 ///
-/// Multi-shard (and cohorted) topologies are supported: the run executes
-/// through the same partitioned kernel as [`run_topology_sharded`], and
+/// Multi-shard (and cohorted) topologies run on up to `workers` threads
+/// of the same partitioned kernel as [`run_topology_sharded`], and
 /// per-phase histogram state merges across shards in canonical
-/// `(shard_key, shard_index)` order — see [`PhaseCollector`] — so the
-/// per-phase stats share the aggregate's shard-enumeration-invariance
-/// contract. This serial entry point equals
-/// [`run_phased_sharded`] at any worker count bit for bit.
-///
-/// The whole-run `fleet` half is produced by the same kernel pass, so it
-/// matches [`run_topology`]'s (and [`run_topology_sharded`]'s) output
-/// bit for bit.
+/// `(shard_key, shard_index)` order, so the per-phase stats share the
+/// aggregate's contract: bit-identical whatever `workers`, the steal
+/// schedule or the shard enumeration order. The whole-run `fleet` half
+/// is produced by the same kernel pass, so it matches [`run_topology`]'s
+/// (and [`run_topology_sharded`]'s) output bit for bit.
 ///
 /// # Errors
 ///
@@ -555,51 +553,10 @@ impl PhasedFleetResult {
 ///
 /// Panics on malformed hand-assembled plans, as
 /// [`TopologySpec::validate`] documents.
-pub fn run_phased(topo: &TopologySpec<'_>, seed: u64) -> Result<PhasedFleetResult, TopologyError> {
-    run_phased_sharded(topo, seed, 1)
-}
-
-/// [`run_phased`] on up to `workers` threads: phased multi-shard
-/// topologies ride the same work-stealing shard pool as
-/// [`run_topology_sharded`]. Same determinism contract — results are
-/// bit-identical whatever `workers`, the steal schedule or the shard
-/// enumeration order.
-///
-/// # Errors
-///
-/// Returns the [`TopologyError`] from [`TopologySpec::validate`] on a
-/// structurally invalid spec.
-///
-/// # Panics
-///
-/// Panics on malformed hand-assembled plans, as
-/// [`TopologySpec::validate`] documents.
-pub fn run_phased_sharded(
+pub fn run_phased(
     topo: &TopologySpec<'_>,
     seed: u64,
     workers: usize,
-) -> Result<PhasedFleetResult, TopologyError> {
-    run_phased_sharded_with(topo, seed, workers, crate::pin::PinPolicy::Off)
-}
-
-/// [`run_phased_sharded`] with an explicit worker
-/// [`PinPolicy`](crate::pin::PinPolicy) — pinning remains a throughput
-/// knob, never a results knob.
-///
-/// # Errors
-///
-/// Returns the [`TopologyError`] from [`TopologySpec::validate`] on a
-/// structurally invalid spec.
-///
-/// # Panics
-///
-/// Panics on malformed hand-assembled plans, as
-/// [`TopologySpec::validate`] documents.
-pub fn run_phased_sharded_with(
-    topo: &TopologySpec<'_>,
-    seed: u64,
-    workers: usize,
-    pin: crate::pin::PinPolicy,
 ) -> Result<PhasedFleetResult, TopologyError> {
     topo.validate()?;
     let layout = topo.layout();
@@ -607,11 +564,8 @@ pub fn run_phased_sharded_with(
     let schedule = topo.merged_schedule();
     let window = (SimTime::ZERO + topo.warmup, SimTime::ZERO + topo.duration);
     let (aggregate, shards, (per_node, per_phase)) =
-        run_sharded_collected_with(topo, seed, workers, pin, |shard, shard_key| {
-            (
-                PerNodeCollector::new(n),
-                PhaseCollector::for_partition(schedule.clone(), window.0, window.1, shard_key, shard),
-            )
+        run_sharded_collected_hedged_with(topo, seed, workers, PinPolicy::Off, None, |_, _| {
+            (PerNodeCollector::new(n), PhaseCollector::new(schedule.clone(), window.0, window.1))
         });
     Ok(PhasedFleetResult {
         fleet: FleetResult { aggregate, nodes: node_results(&layout, per_node) },
@@ -640,10 +594,9 @@ fn validate_topology(topo: &TopologySpec<'_>) {
 struct PartitionPlan<'a> {
     /// Shard index in declaration order (0 for the single tier).
     shard: usize,
-    /// Canonical content key: float aggregates merge across partitions
-    /// in `(key, shard)` order, so shard *enumeration* order cannot leak
-    /// into the aggregate through non-associative f64 addition. 0 for
-    /// the single tier.
+    /// Canonical content key: plans are ordered by `(key, shard)`, so
+    /// shard *enumeration* order cannot leak into any float merge
+    /// through non-associative f64 addition. 0 for the single tier.
     key: u64,
     server: &'a MachineConfig,
     members: Vec<(usize, &'a ClientNode, u64)>,
@@ -657,7 +610,11 @@ struct PartitionPlan<'a> {
 /// Splits a topology into its independent per-shard sub-simulations,
 /// over the **lowered** fleet `nodes` (see
 /// [`TopologySpec::lowered_node_count`]; identical to `topo.nodes` when
-/// the topology has no cohorts).
+/// the topology has no cohorts), returned in canonical
+/// `(shard_key, shard)` order. This is the one place the merge order is
+/// decided: every path iterates the plans in the order returned, so the
+/// aggregate and every merged collector fold their float state
+/// identically whatever the shard enumeration or execution schedule.
 ///
 /// Shards share no mutable state — each partition gets its own service
 /// instance, event queue, slab and RNG streams — so partitions can run
@@ -717,15 +674,15 @@ fn build_partitions<'a>(
     for ((i, node), (&shard, &key)) in nodes.iter().enumerate().zip(assignment.iter().zip(&node_keys)) {
         plans[shard].members.push((i, node, key));
     }
+    plans.sort_by_key(|plan| (plan.key, plan.shard));
     plans
 }
 
 /// Everything one partition's sub-simulation produced: the pooled
 /// latency histogram plus the client-side counters of its member nodes.
-/// Merging outcomes (in canonical key order) reproduces the single-loop
+/// Merging outcomes (in canonical plan order) reproduces the single-loop
 /// epilogue exactly.
 struct PartitionOutcome {
-    key: u64,
     hist: LatencyHistogram,
     late_sends: u64,
     total_sends: u64,
@@ -738,9 +695,8 @@ struct PartitionOutcome {
 }
 
 impl PartitionOutcome {
-    fn empty(key: u64) -> Self {
+    fn empty() -> Self {
         PartitionOutcome {
-            key,
             hist: LatencyHistogram::new(),
             late_sends: 0,
             total_sends: 0,
@@ -771,17 +727,16 @@ impl PartitionOutcome {
     }
 }
 
-/// Merges partition outcomes into the whole-run aggregate. Integer
-/// counters sum exactly; float aggregates (histogram mean/variance,
-/// energy) merge in canonical `(key, shard)` order — respectively via
-/// `stable_sum` — so the result is independent of shard enumeration and
-/// execution order. A single partition merges into an empty histogram,
-/// which is bit-exact, keeping the unsharded path byte-identical to the
-/// historical single-loop epilogue.
+/// Merges partition outcomes — given in [`build_partitions`]' canonical
+/// plan order — into the whole-run aggregate. Integer counters sum
+/// exactly; float aggregates (histogram mean/variance, energy) merge in
+/// that order, respectively via `stable_sum`, so the result is
+/// independent of shard enumeration and execution order. A single
+/// partition merges into an empty histogram, which is bit-exact, keeping
+/// the unsharded path byte-identical to the historical single-loop
+/// epilogue.
 fn finish_run(topo: &TopologySpec<'_>, outcomes: &[PartitionOutcome]) -> RunResult {
     let measured_dur = topo.duration - topo.warmup;
-    let mut order: Vec<usize> = (0..outcomes.len()).collect();
-    order.sort_by_key(|&i| (outcomes[i].key, i));
     let mut hist = LatencyHistogram::new();
     let mut wakes = [0u64; 4];
     let mut energies: Vec<f64> = Vec::new();
@@ -789,8 +744,7 @@ fn finish_run(topo: &TopologySpec<'_>, outcomes: &[PartitionOutcome]) -> RunResu
     let mut total_sends = 0u64;
     let mut total_slip = SimDuration::ZERO;
     let mut truncated = 0u64;
-    for &i in &order {
-        let o = &outcomes[i];
+    for o in outcomes {
         hist.merge(&o.hist);
         for (acc, w) in wakes.iter_mut().zip(o.wakes) {
             *acc += w;
@@ -819,8 +773,9 @@ fn finish_run(topo: &TopologySpec<'_>, outcomes: &[PartitionOutcome]) -> RunResu
 /// The topology kernel: executes one run, feeding observations to
 /// `collector`. This is the single hot loop behind [`run_once`],
 /// [`run_traced`], [`run_topology`] and (per shard) the parallel
-/// [`run_topology_sharded`]. Sharded topologies execute their partitions
-/// serially here, feeding the one collector in shard declaration order.
+/// [`run_sharded_collected_hedged_with`]. Sharded topologies execute
+/// their partitions serially here, feeding the one collector in
+/// canonical partition order.
 ///
 /// # Panics
 ///
@@ -850,7 +805,7 @@ fn run_partition<C: Collector>(
     if part.members.is_empty() {
         // A shard with no assigned nodes serves nothing; its streams are
         // never consumed, so adding shards cannot perturb loaded ones.
-        return PartitionOutcome::empty(part.key);
+        return PartitionOutcome::empty();
     }
     let master = &part.master;
     let mut service_rng = master.fork(3);
@@ -960,13 +915,6 @@ fn run_partition<C: Collector>(
 
     let mut hist = LatencyHistogram::new();
 
-    // Dispatch in tie-run batches: `pop_batch` drains every event sharing
-    // the earliest timestamp in one call, amortizing the queue's per-pop
-    // bookkeeping. All batch members report the same clamped `now`, so
-    // the drain-horizon check moves out of the per-event path; events a
-    // handler schedules at the batch's own timestamp land in a later
-    // batch, exactly where FIFO tie order already places them — the
-    // dispatch sequence is the one-at-a-time pop sequence unchanged.
     // Dispatch in tie-run batches: `pop_batch` drains every event sharing
     // the earliest timestamp in one call, amortizing the queue's per-pop
     // bookkeeping. All batch members report the same clamped `now`, so
@@ -1111,7 +1059,7 @@ fn run_partition<C: Collector>(
     // Whatever is left in flight was cut off by the drain horizon and is
     // missing from the histogram (right-censored tail).
     let measured_dur = topo.duration - topo.warmup;
-    let mut outcome = PartitionOutcome::empty(part.key);
+    let mut outcome = PartitionOutcome::empty();
     let mut targets: Vec<f64> = Vec::with_capacity(states.len());
     for (node, st) in states.iter().enumerate() {
         let sends = st.client.send_stats();
@@ -1145,42 +1093,26 @@ fn run_partition<C: Collector>(
 
 /// Like [`run_topology`] for a sharded server tier: executes the
 /// topology's independent per-shard sub-simulations on up to `workers`
-/// scoped threads (the same self-scheduling pattern as
-/// [`crate::engine::Engine`]'s job pool) and returns the fleet view next
-/// to the per-shard breakdown.
+/// scoped threads and returns the fleet view next to the per-shard
+/// breakdown.
 ///
 /// Determinism contract: results are **bit-identical** whatever
 /// `workers`, the OS schedule, or the shard execution order — each shard
 /// is a self-contained simulation with content-addressed RNG streams,
-/// and all merges happen in stable orders. `workers == 1` is the fully
-/// serial execution; an unsharded topology is the degenerate single
-/// partition (identical to [`run_topology`]).
+/// and all merges happen in the canonical plan order. `workers == 1` is
+/// the fully serial execution; an unsharded topology is the degenerate
+/// single partition (identical to [`run_topology`]).
 ///
 /// # Panics
 ///
 /// Panics on the same invalid specs as [`run_collected`].
 pub fn run_topology_sharded(topo: &TopologySpec<'_>, seed: u64, workers: usize) -> ShardedFleetResult {
-    run_topology_sharded_with(topo, seed, workers, crate::pin::PinPolicy::Off)
-}
-
-/// [`run_topology_sharded`] with an explicit worker
-/// [`PinPolicy`](crate::pin::PinPolicy) — same determinism contract:
-/// the result is bit-identical whatever the policy, the worker count or
-/// the OS schedule.
-///
-/// # Panics
-///
-/// Panics on the same invalid specs as [`run_collected`].
-pub fn run_topology_sharded_with(
-    topo: &TopologySpec<'_>,
-    seed: u64,
-    workers: usize,
-    pin: crate::pin::PinPolicy,
-) -> ShardedFleetResult {
     let layout = topo.layout();
     let n = layout.len();
     let (aggregate, shards, collector) =
-        run_sharded_collected_with(topo, seed, workers, pin, |_, _| PerNodeCollector::new(n));
+        run_sharded_collected_hedged_with(topo, seed, workers, PinPolicy::Off, None, |_, _| {
+            PerNodeCollector::new(n)
+        });
     ShardedFleetResult { fleet: FleetResult { aggregate, nodes: node_results(&layout, collector) }, shards }
 }
 
@@ -1191,11 +1123,11 @@ pub fn run_topology_sharded_with(
 /// into a few dozen cohorts execute at the cost of the lowered fleet.
 ///
 /// Determinism contract: like [`run_topology_sharded`], results are
-/// bit-identical whatever `workers` or the OS schedule — per-cohort
-/// state merges across shards in stable shard declaration order, and
-/// the per-cohort energy/target sums are order-independent
-/// (`stable_sum`). Works on topologies without cohorts too (the
-/// `cohorts` rollup is then empty).
+/// bit-identical whatever `workers`, the OS schedule or the shard
+/// enumeration — per-cohort state merges across shards in the canonical
+/// plan order, and the per-cohort energy/target sums are
+/// order-independent (`stable_sum`). Works on topologies without
+/// cohorts too (the `cohorts` rollup is then empty).
 ///
 /// # Panics
 ///
@@ -1205,9 +1137,10 @@ pub fn run_cohorted(topo: &TopologySpec<'_>, seed: u64, workers: usize) -> Cohor
     let n = layout.len();
     let cohort_of = layout.cohort_map();
     let n_cohorts = topo.cohorts.len();
-    let (aggregate, shards, (per_node, per_cohort)) = run_sharded_collected(topo, seed, workers, |_, _| {
-        (PerNodeCollector::new(n), PerCohortCollector::new(cohort_of.clone(), n_cohorts))
-    });
+    let (aggregate, shards, (per_node, per_cohort)) =
+        run_sharded_collected_hedged_with(topo, seed, workers, PinPolicy::Off, None, |_, _| {
+            (PerNodeCollector::new(n), PerCohortCollector::new(cohort_of.clone(), n_cohorts))
+        });
     let measured = topo.duration - topo.warmup;
     let cohorts = topo
         .cohorts
@@ -1228,73 +1161,32 @@ pub fn run_cohorted(topo: &TopologySpec<'_>, seed: u64, workers: usize) -> Cohor
 }
 
 /// The collector-generic parallel sharded kernel behind
-/// [`run_topology_sharded`]: every shard runs with its own collector
-/// (`make(shard, shard_key)` — the declaration index and the shard's
-/// canonical content key, so collectors that fold float state can defer
-/// to canonical `(key, index)` order like [`PhaseCollector`] does), and
-/// the per-shard collectors are folded in stable shard order through
-/// [`MergeCollector::merge`]. Returns the aggregate result, the
-/// per-shard breakdowns (shard declaration order) and the merged
+/// [`run_topology_sharded`], [`run_phased`] and [`run_cohorted`]: the
+/// topology's partitions run on up to `workers` scoped threads (the
+/// work-stealing pool below), pinned per `pin`, every partition with its
+/// own collector `make(shard, shard_key)`. The per-shard collectors are
+/// folded through [`MergeCollector::merge`] in the canonical plan order
+/// of `build_partitions`, so a collector folding float state needs no
+/// ordering logic of its own. Returns the aggregate result, the
+/// per-shard breakdowns (sorted by shard index) and the merged
 /// collector.
 ///
 /// The aggregate is bit-identical to feeding one collector through
-/// [`run_collected`] on the same topology; the merged collector matches
-/// too for the merge-order-insensitive collectors this trait is
-/// implemented on.
+/// [`run_collected`] on the same topology, and every output is
+/// bit-identical whatever `workers`, the pin policy or the OS schedule —
+/// pinning only decides *where* worker threads run, never *what* they
+/// compute (see [`crate::pin`]).
 ///
-/// # Panics
-///
-/// Panics on the same invalid specs as [`run_collected`].
-pub fn run_sharded_collected<C, F>(
-    topo: &TopologySpec<'_>,
-    seed: u64,
-    workers: usize,
-    make: F,
-) -> (RunResult, Vec<ShardResult>, C)
-where
-    C: MergeCollector + Send,
-    F: Fn(usize, u64) -> C + Sync,
-{
-    run_sharded_collected_with(topo, seed, workers, crate::pin::PinPolicy::Off, make)
-}
-
-/// [`run_sharded_collected`] with an explicit worker [`PinPolicy`].
-///
-/// Identical results whatever the policy — pinning only decides *where*
-/// worker threads run, never *what* they compute (see [`crate::pin`]).
-///
-/// # Panics
-///
-/// Panics on the same invalid specs as [`run_collected`].
-///
-/// [`PinPolicy`]: crate::pin::PinPolicy
-pub fn run_sharded_collected_with<C, F>(
-    topo: &TopologySpec<'_>,
-    seed: u64,
-    workers: usize,
-    pin: crate::pin::PinPolicy,
-    make: F,
-) -> (RunResult, Vec<ShardResult>, C)
-where
-    C: MergeCollector + Send,
-    F: Fn(usize, u64) -> C + Sync,
-{
-    run_sharded_collected_hedged_with(topo, seed, workers, pin, None, make)
-}
-
-/// [`run_sharded_collected_with`] plus an optional
-/// [`HedgePlan`](crate::control::HedgePlan): nodes the plan covers
-/// duplicate overdue requests to an analytic replica and the first
-/// response wins (see [`crate::control::HedgeSpec`] for the model and
+/// An optional [`HedgePlan`](crate::control::HedgePlan) makes the nodes
+/// it covers duplicate overdue requests to an analytic replica, first
+/// response winning (see [`crate::control::HedgeSpec`] for the model and
 /// its low-rate caveat). `hedge: None` is exactly the unhedged kernel —
-/// the hedge streams then don't exist, not merely go unused.
-///
-/// Hedging preserves every determinism contract: the hedge leg draws
-/// from fork 7 of the hedged node's own content-addressed master, fires
-/// only for measured requests, and dispatches no events — results stay
-/// bit-identical whatever `workers`, the pin policy, the OS schedule or
-/// the fleet declaration order. The legacy single-node stream layout
-/// (one node, unsharded) predates per-node masters and never hedges.
+/// the hedge streams then don't exist, not merely go unused. Hedging
+/// preserves every determinism contract: the hedge leg draws from fork 7
+/// of the hedged node's own content-addressed master, fires only for
+/// measured requests, and dispatches no events. The legacy single-node
+/// stream layout (one node, unsharded) predates per-node masters and
+/// never hedges.
 ///
 /// # Panics
 ///
@@ -1303,7 +1195,7 @@ pub fn run_sharded_collected_hedged_with<C, F>(
     topo: &TopologySpec<'_>,
     seed: u64,
     workers: usize,
-    pin: crate::pin::PinPolicy,
+    pin: PinPolicy,
     hedge: Option<&crate::control::HedgePlan>,
     make: F,
 ) -> (RunResult, Vec<ShardResult>, C)
@@ -1341,8 +1233,8 @@ where
         // steal from the back of their neighbours' deques, so estimation
         // error moves work instead of idling a core. No task is ever
         // *created* after seeding, so a worker that finds every deque
-        // empty can safely exit. Results still carry their shard index
-        // and merge in canonical order below — the steal schedule
+        // empty can safely exit. Results still carry their plan index
+        // and merge in canonical plan order below — the steal schedule
         // cannot leak into a single bit of the output.
         let cost = |s: usize| plans[s].members.iter().map(|&(_, node, _)| node.qps).sum::<f64>();
         let mut order: Vec<usize> = (0..plans.len()).collect();
@@ -1405,7 +1297,7 @@ where
             Some(acc) => acc.merge(collector),
         }
     }
-    let shards = outcomes
+    let mut shards: Vec<ShardResult> = outcomes
         .iter()
         .zip(&plans)
         .map(|(outcome, plan)| ShardResult {
@@ -1414,6 +1306,7 @@ where
             nodes: plan.members.iter().map(|&(i, _, _)| i).collect(),
         })
         .collect();
+    shards.sort_by_key(|s| s.shard);
     let aggregate = finish_run(topo, &outcomes);
     (aggregate, shards, merged.expect("at least one partition"))
 }

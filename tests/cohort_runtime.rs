@@ -10,7 +10,7 @@
 
 use tpv_core::collect::EventCountCollector;
 use tpv_core::runtime::{run_cohorted, run_collected};
-use tpv_core::topology::{ClientNode, CohortSpec, ShardSpec, TopologySpec};
+use tpv_core::topology::{ClientNode, CohortSpec, ShardPolicy, ShardSpec, TopologySpec};
 use tpv_hw::MachineConfig;
 use tpv_loadgen::GeneratorSpec;
 use tpv_net::LinkConfig;
@@ -104,6 +104,44 @@ fn serial_and_parallel_cohort_execution_are_bit_identical() {
     // plus the pooled remainder, nothing else.
     let pooled: u64 = serial.cohorts.iter().map(|c| c.result.samples).sum();
     assert_eq!(serial.fleet.aggregate.samples, pooled, "cohort rollups must pool to the aggregate");
+}
+
+#[test]
+fn cohort_rollups_are_invariant_under_shard_rotation() {
+    // Three distinct backends, every cohort's lowered nodes spread over
+    // all of them, so each rollup folds partials from three shards.
+    // Rotating the machine list — with the explicit assignment remapped
+    // so every node keeps its backend — changes only the shards'
+    // declaration order; the runner folds partitions in canonical
+    // content order, so no rollup may notice.
+    let service = kv_service();
+    let server = MachineConfig::server_baseline();
+    let machines = [server, server.with_smt(true), server.with_turbo(true)];
+    assert!(machines[0] != machines[1] && machines[1] != machines[2] && machines[0] != machines[2]);
+    let cohorts = [
+        CohortSpec::new(template("lp-pool", true, 2_500.0), 24).with_tracked(2),
+        CohortSpec::new(template("hp-pool", false, 4_000.0), 16).with_tracked(2),
+    ];
+    let lowered = topo(&service, &server, &[], &cohorts, None).lowered_node_count();
+    let assignment: Vec<usize> = (0..lowered).map(|i| i % 3).collect();
+    let forward =
+        ShardSpec { machines: machines.to_vec(), policy: ShardPolicy::Explicit(assignment.clone()) };
+    let rotated = ShardSpec {
+        machines: vec![machines[1], machines[2], machines[0]],
+        policy: ShardPolicy::Explicit(assignment.iter().map(|&s| (s + 2) % 3).collect()),
+    };
+    for seed in 7..=11 {
+        let a = run_cohorted(&topo(&service, &server, &[], &cohorts, Some(&forward)), seed, 3);
+        let b = run_cohorted(&topo(&service, &server, &[], &cohorts, Some(&rotated)), seed, 3);
+        assert_eq!(a.cohorts, b.cohorts, "seed {seed}: cohort rollups depend on shard enumeration");
+        assert_eq!(
+            a.fleet.aggregate, b.fleet.aggregate,
+            "seed {seed}: aggregate depends on shard enumeration"
+        );
+        for (s, shard) in a.shards.iter().enumerate() {
+            assert_eq!(shard.result, b.shards[(s + 2) % 3].result, "seed {seed}: shard {s} moved physics");
+        }
+    }
 }
 
 /// Satellite contract: superposition is associative in distribution. A

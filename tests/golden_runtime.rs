@@ -16,9 +16,7 @@ use tpv_core::control::{
     AdmissionThrottle, ControlSpec, Controller, DoNothing, HedgeRequests, MitigationPolicy, RemediateNode,
     RerouteHotShard,
 };
-use tpv_core::runtime::{
-    run_cohorted, run_once, run_phased, run_phased_sharded, run_topology_sharded, RunResult, RunSpec,
-};
+use tpv_core::runtime::{run_cohorted, run_once, run_phased, run_topology_sharded, RunResult, RunSpec};
 use tpv_core::topology::{ClientNode, CohortSpec, NodeDynamics, ShardPolicy, ShardSpec, TopologySpec};
 use tpv_hw::{CStatePolicy, MachineConfig};
 use tpv_loadgen::{GeneratorSpec, LoopMode, PointOfMeasurement, TimingMode};
@@ -275,7 +273,7 @@ fn observe_phased(parts: &Parts, dynamics: &NodeDynamics, seed: u64) -> ([u64; 1
         warmup: spec.warmup,
         cohorts: &[],
     };
-    let phased = run_phased(&topo, seed).expect("valid phased golden topology");
+    let phased = run_phased(&topo, seed, 1).expect("valid phased golden topology");
     let row = golden_row(&phased.fleet.aggregate);
     let phases = phased.phases.iter().map(|p| [p.samples, p.p99.as_ns()]).collect();
     (row, phases)
@@ -398,7 +396,7 @@ fn observe_phased_sharded(
         warmup: SimDuration::from_ms(6),
         cohorts: &[],
     };
-    let run = run_phased_sharded(&topo, seed, workers).expect("valid phased sharded golden topology");
+    let run = run_phased(&topo, seed, workers).expect("valid phased sharded golden topology");
     let row = golden_row(&run.fleet.aggregate);
     let per_shard = run.shards.iter().map(|s| [s.result.samples, s.result.p99.as_ns()]).collect();
     let per_phase = run.phases.iter().map(|p| [p.samples, p.p99.as_ns()]).collect();
@@ -865,7 +863,7 @@ fn single_phase_schedule_over_a_sharded_tier_reproduces_the_sharded_goldens() {
             warmup: SimDuration::from_ms(6),
             cohorts: &[],
         };
-        let run = run_phased_sharded(&topo, g.seed, 3).expect("valid phased sharded topology");
+        let run = run_phased(&topo, g.seed, 3).expect("valid phased sharded topology");
         assert_eq!(
             golden_row(&run.fleet.aggregate),
             g.row,

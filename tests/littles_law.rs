@@ -138,7 +138,7 @@ fn stepped_load_phases_obey_littles_law_per_phase() {
         warmup: SimDuration::from_ms(8),
         cohorts: &[],
     };
-    let phased = run_phased(&topo, 29).expect("valid phased topology");
+    let phased = run_phased(&topo, 29, 1).expect("valid phased topology");
     let low = phased.phase(0).unwrap();
     let high = phased.phase(1).unwrap();
     // Each phase achieves its own offered rate...

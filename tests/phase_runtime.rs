@@ -57,7 +57,7 @@ fn degenerate_single_phase_schedule_is_bit_identical_to_static() {
         .with_rates(vec![1.0])
         .with_links(vec![link]);
     let nodes = [spec.client_node().with_dynamics(dynamics)];
-    let phased = run_phased(&topo(&service, &server, &nodes), 17).expect("valid phased topology");
+    let phased = run_phased(&topo(&service, &server, &nodes), 17, 1).expect("valid phased topology");
     assert_eq!(
         phased.fleet.aggregate, static_result,
         "a degenerate schedule must not perturb the static kernel"
@@ -89,7 +89,7 @@ fn run_phased_on_static_topology_matches_run_topology() {
         .collect();
     let spec = topo(&service, &server, &nodes);
     let fleet = run_topology(&spec, 23);
-    let phased = run_phased(&spec, 23).expect("valid phased topology");
+    let phased = run_phased(&spec, 23, 1).expect("valid phased topology");
     assert_eq!(phased.fleet, fleet, "phased view must not perturb the fleet result");
     assert_eq!(phased.phases.len(), 1, "static topology has one merged phase");
     assert_eq!(phased.phases[0].samples, fleet.aggregate.samples);
@@ -115,7 +115,7 @@ fn two_phase_machine_flip_shows_a_regime_change() {
         100_000.0,
     )
     .with_dynamics(dynamics)];
-    let phased = run_phased(&topo(&service, &server, &nodes), 5).expect("valid phased topology");
+    let phased = run_phased(&topo(&service, &server, &nodes), 5, 1).expect("valid phased topology");
     assert_eq!(phased.phases.len(), 2);
     let before = phased.phase(0).unwrap();
     let after = phased.phase(1).unwrap();
@@ -149,7 +149,7 @@ fn stepped_load_tracks_the_multipliers() {
     )
     .with_dynamics(dynamics)];
     let spec = topo(&service, &server, &nodes);
-    let phased = run_phased(&spec, 9).expect("valid phased topology");
+    let phased = run_phased(&spec, 9, 1).expect("valid phased topology");
     let low = phased.phase(0).unwrap();
     let high = phased.phase(1).unwrap();
     assert!((low.achieved_qps / 40_000.0 - 1.0).abs() < 0.1, "low phase {}", low.achieved_qps);
@@ -180,7 +180,7 @@ fn dynamic_fleets_are_permutation_invariant() {
     ];
     let run_order = |order: &[usize]| {
         let nodes: Vec<ClientNode> = order.iter().map(|&i| base[i].clone()).collect();
-        run_phased(&topo(&service, &server, &nodes), 31).expect("valid phased topology")
+        run_phased(&topo(&service, &server, &nodes), 31, 1).expect("valid phased topology")
     };
     let fwd = run_order(&[0, 1, 2]);
     let rev = run_order(&[2, 1, 0]);
@@ -224,10 +224,10 @@ fn dynamic_runs_are_deterministic_per_seed() {
     )
     .with_dynamics(dynamics)];
     let spec = topo(&service, &server, &nodes);
-    let a = run_phased(&spec, 42).expect("valid phased topology");
-    let b = run_phased(&spec, 42).expect("valid phased topology");
+    let a = run_phased(&spec, 42, 1).expect("valid phased topology");
+    let b = run_phased(&spec, 42, 1).expect("valid phased topology");
     assert_eq!(a, b);
-    let c = run_phased(&spec, 43).expect("valid phased topology");
+    let c = run_phased(&spec, 43, 1).expect("valid phased topology");
     assert_ne!(a.fleet.aggregate, c.fleet.aggregate);
 }
 
@@ -248,7 +248,7 @@ fn phased_rate_on_closed_loop_is_rejected() {
         10_000.0,
     )
     .with_dynamics(dynamics)];
-    let err = run_phased(&topo(&service, &server, &nodes), 1).unwrap_err();
+    let err = run_phased(&topo(&service, &server, &nodes), 1, 1).unwrap_err();
     assert_eq!(err, TopologyError::PhasedRateClosedLoop { label: "closed".into() });
     assert!(err.to_string().contains("require an open-loop generator"), "{err}");
 }
@@ -277,7 +277,7 @@ fn non_finite_phase_rates_are_rejected() {
     };
 
     let nan_nodes = build(vec![1.0, f64::NAN]);
-    let err = run_phased(&topo(&service, &server, &nan_nodes), 1).unwrap_err();
+    let err = run_phased(&topo(&service, &server, &nan_nodes), 1, 1).unwrap_err();
     assert!(
         matches!(
             err,
@@ -289,7 +289,7 @@ fn non_finite_phase_rates_are_rejected() {
     assert!(err.to_string().contains("NaN"), "{err}");
 
     let negative_nodes = build(vec![-0.5, 2.0]);
-    let err = run_phased(&topo(&service, &server, &negative_nodes), 1).unwrap_err();
+    let err = run_phased(&topo(&service, &server, &negative_nodes), 1, 1).unwrap_err();
     assert_eq!(
         err,
         TopologyError::NonFinitePhaseRate { label: "poisoned".into(), phase: 0, multiplier: -0.5 }
@@ -297,12 +297,12 @@ fn non_finite_phase_rates_are_rejected() {
     assert!(err.to_string().contains("-0.5"), "{err}");
 
     let inf_nodes = build(vec![1.0, f64::INFINITY]);
-    let err = run_phased(&topo(&service, &server, &inf_nodes), 1).unwrap_err();
+    let err = run_phased(&topo(&service, &server, &inf_nodes), 1, 1).unwrap_err();
     assert!(matches!(err, TopologyError::NonFinitePhaseRate { phase: 1, .. }), "{err:?}");
 
     // A well-formed plan through the same seam still validates.
     let fine_nodes = build(vec![0.5, 2.0]);
-    assert!(run_phased(&topo(&service, &server, &fine_nodes), 1).is_ok());
+    assert!(run_phased(&topo(&service, &server, &fine_nodes), 1, 1).is_ok());
 }
 
 /// The merged schedule is the union of node schedules, and per-phase
@@ -324,7 +324,7 @@ fn merged_schedule_unions_node_boundaries() {
     let spec = topo(&service, &server, &nodes);
     let merged = spec.merged_schedule();
     assert_eq!(merged.boundaries(), &[SimTime::from_ms(20), SimTime::from_ms(40)]);
-    let phased = run_phased(&spec, 3).expect("valid phased topology");
+    let phased = run_phased(&spec, 3, 1).expect("valid phased topology");
     assert_eq!(phased.phases.len(), 3);
     assert!(phased.phases.iter().all(|p| p.samples > 0));
 }

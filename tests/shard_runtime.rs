@@ -6,14 +6,15 @@
 //! values bit-for-bit (`GOLDEN_SHARDED`) and checks the degenerate K=1
 //! tier against every static golden row.
 
-use tpv_core::collect::{EventCountCollector, PhaseCollector};
+use tpv_core::collect::{EventCountCollector, PerNodeCollector, PhaseCollector};
 use tpv_core::engine::{fingerprint_topology, Engine, JobPlan};
 use tpv_core::runtime::{
-    run_collected, run_phased, run_phased_sharded, run_phased_sharded_with, run_sharded_collected,
-    run_topology, run_topology_sharded, run_topology_sharded_with,
+    run_collected, run_phased, run_sharded_collected_hedged_with, run_topology, run_topology_sharded,
+    PhasedFleetResult,
 };
 use tpv_core::topology::{
-    ClientNode, NodeDynamics, ShardPolicy, ShardSpec, ShardedFleetResult, TopologySpec,
+    ClientNode, FleetResult, NodeDynamics, NodeResult, ShardPolicy, ShardSpec, ShardedFleetResult,
+    TopologySpec,
 };
 use tpv_core::PinPolicy;
 use tpv_hw::MachineConfig;
@@ -59,6 +60,31 @@ fn topo<'a>(
         warmup: SimDuration::from_ms(4),
         cohorts: &[],
     }
+}
+
+/// [`run_phased`] on up to `workers` threads pinned round-robin: the
+/// same per-node and per-phase collectors, through the pin-taking kernel.
+fn pinned_phased(spec: &TopologySpec<'_>, seed: u64, workers: usize) -> PhasedFleetResult {
+    let n = spec.nodes.len();
+    let window = (SimTime::ZERO + spec.warmup, SimTime::ZERO + spec.duration);
+    let schedule = spec.merged_schedule();
+    let (aggregate, shards, (per_node, phases)) =
+        run_sharded_collected_hedged_with(spec, seed, workers, PinPolicy::RoundRobin, None, |_, _| {
+            (PerNodeCollector::new(n), PhaseCollector::new(schedule.clone(), window.0, window.1))
+        });
+    let nodes = spec
+        .nodes
+        .iter()
+        .zip(per_node.into_results())
+        .map(|(node, result)| NodeResult { label: node.label.clone(), result })
+        .collect();
+    PhasedFleetResult { fleet: FleetResult { aggregate, nodes }, shards, phases: phases.into_stats() }
+}
+
+/// [`run_topology_sharded`] pinned round-robin (see [`pinned_phased`]).
+fn pinned_sharded(spec: &TopologySpec<'_>, seed: u64, workers: usize) -> ShardedFleetResult {
+    let run = pinned_phased(spec, seed, workers);
+    ShardedFleetResult { fleet: run.fleet, shards: run.shards }
 }
 
 #[test]
@@ -235,11 +261,11 @@ fn work_stealing_and_pinning_are_schedule_invariant_under_hot_shard_skew() {
         .collect();
     let hot = ShardSpec::uniform(server, 4).with_policy(ShardPolicy::HotShard { hot: 1, share: 0.5 });
     let spec = topo(&service, &server, &nodes, Some(&hot));
-    let serial = run_topology_sharded_with(&spec, 29, 1, PinPolicy::Off);
+    let serial = run_topology_sharded(&spec, 29, 1);
     for workers in [2, 3, 4, 8] {
-        let stolen = run_topology_sharded_with(&spec, 29, workers, PinPolicy::Off);
+        let stolen = run_topology_sharded(&spec, 29, workers);
         assert_eq!(serial, stolen, "{workers}-worker stolen schedule drifted from serial");
-        let pinned = run_topology_sharded_with(&spec, 29, workers, PinPolicy::RoundRobin);
+        let pinned = pinned_sharded(&spec, 29, workers);
         assert_eq!(serial, pinned, "{workers}-worker pinned schedule drifted from serial");
     }
 }
@@ -254,7 +280,9 @@ fn merged_event_counts_match_the_serial_collector() {
     let mut serial = EventCountCollector::new();
     let serial_result = run_collected(&spec, 3, &mut serial);
     let (parallel_result, shard_results, merged) =
-        run_sharded_collected(&spec, 3, 4, |_, _| EventCountCollector::new());
+        run_sharded_collected_hedged_with(&spec, 3, 4, PinPolicy::Off, None, |_, _| {
+            EventCountCollector::new()
+        });
     assert_eq!(serial_result, parallel_result);
     assert_eq!(serial.events(), merged.events(), "per-shard event counts must merge to the serial count");
     assert_eq!(shard_results.len(), 4);
@@ -268,12 +296,13 @@ fn engine_execute_sharded_is_parallelism_invariant() {
     let shards = ShardSpec::uniform(server, 4);
     let spec = topo(&service, &server, &nodes, Some(&shards));
     let plan = JobPlan::new(17, &[fingerprint_topology(&spec)], 3).shuffled(99);
-    let serial = Engine::serial().execute_sharded(&plan, |_| spec);
-    let parallel = Engine::with_workers(8).execute_sharded(&plan, |_| spec);
+    let execute = |engine: Engine| {
+        let shard_workers = engine.shard_workers(&plan);
+        engine.execute_jobs(&plan, |job| run_topology_sharded(&spec, job.seed, shard_workers))
+    };
+    let serial = execute(Engine::serial());
+    let parallel = execute(Engine::with_workers(8));
     assert_eq!(serial, parallel, "engine scheduling must not change sharded results");
-    let pinned =
-        Engine::with_workers(8).with_pin_policy(PinPolicy::RoundRobin).execute_sharded(&plan, |_| spec);
-    assert_eq!(serial, pinned, "core pinning must not change sharded results");
     assert_eq!(serial.len(), 3);
     let direct: Vec<(usize, usize, ShardedFleetResult)> =
         plan.jobs().iter().map(|j| (j.cell, j.run, run_topology_sharded(&spec, j.seed, 1))).collect();
@@ -316,14 +345,13 @@ fn phased_serial_and_parallel_shard_execution_are_bit_identical() {
     let nodes = phased_fleet();
     let shards = ShardSpec::uniform(server, 4);
     let spec = topo(&service, &server, &nodes, Some(&shards));
-    let serial = run_phased_sharded(&spec, 19, 1).expect("valid phased topology");
+    let serial = run_phased(&spec, 19, 1).expect("valid phased topology");
     assert_eq!(serial.phases.len(), 2, "the merged schedule has two phases");
     assert!(serial.phases.iter().all(|p| p.samples > 0));
     for workers in [2, 3, 4, 8] {
-        let parallel = run_phased_sharded(&spec, 19, workers).expect("valid phased topology");
+        let parallel = run_phased(&spec, 19, workers).expect("valid phased topology");
         assert_eq!(serial, parallel, "{workers}-worker phased schedule drifted from serial");
-        let pinned = run_phased_sharded_with(&spec, 19, workers, PinPolicy::RoundRobin)
-            .expect("valid phased topology");
+        let pinned = pinned_phased(&spec, 19, workers);
         assert_eq!(serial, pinned, "{workers}-worker pinned phased schedule drifted from serial");
     }
     // The phased view is the sharded kernel plus a phase lens: the fleet
@@ -354,10 +382,10 @@ fn phased_shard_enumeration_order_is_presentation_not_physics() {
         machines: vec![slow, fast],
         policy: ShardPolicy::Explicit(assignment.iter().map(|&s| 1 - s).collect()),
     };
-    let a = run_phased_sharded(&topo(&service, &server, &nodes, Some(&forward)), 7, 4)
-        .expect("valid phased topology");
-    let b = run_phased_sharded(&topo(&service, &server, &nodes, Some(&swapped)), 7, 4)
-        .expect("valid phased topology");
+    let a =
+        run_phased(&topo(&service, &server, &nodes, Some(&forward)), 7, 4).expect("valid phased topology");
+    let b =
+        run_phased(&topo(&service, &server, &nodes, Some(&swapped)), 7, 4).expect("valid phased topology");
     assert_eq!(a.phases, b.phases, "per-phase stats differ under shard enumeration permutation");
     assert_eq!(a.fleet.aggregate, b.fleet.aggregate);
     for label in nodes.iter().map(|n| &n.label) {
@@ -380,16 +408,15 @@ fn phased_node_permutation_is_presentation_not_physics() {
     let assignment = shards.assign(base.len());
     let spec_a =
         ShardSpec { machines: shards.machines.clone(), policy: ShardPolicy::Explicit(assignment.clone()) };
-    let a = run_phased_sharded(&topo(&service, &server, &base, Some(&spec_a)), 21, 4)
-        .expect("valid phased topology");
+    let a = run_phased(&topo(&service, &server, &base, Some(&spec_a)), 21, 4).expect("valid phased topology");
     let order = [5usize, 2, 7, 0, 3, 6, 1, 4];
     let permuted: Vec<ClientNode> = order.iter().map(|&i| base[i].clone()).collect();
     let spec_b = ShardSpec {
         machines: shards.machines.clone(),
         policy: ShardPolicy::Explicit(order.iter().map(|&i| assignment[i]).collect()),
     };
-    let b = run_phased_sharded(&topo(&service, &server, &permuted, Some(&spec_b)), 21, 4)
-        .expect("valid phased topology");
+    let b =
+        run_phased(&topo(&service, &server, &permuted, Some(&spec_b)), 21, 4).expect("valid phased topology");
     assert_eq!(a.phases, b.phases, "per-phase stats must ignore node declaration order");
     assert_eq!(a.fleet.aggregate, b.fleet.aggregate);
     for label in base.iter().map(|n| &n.label) {
@@ -406,16 +433,15 @@ fn phased_one_shard_tier_is_the_unsharded_phased_kernel() {
     let service = kv_service();
     let server = MachineConfig::server_baseline();
     let nodes = phased_fleet();
-    let unsharded = run_phased(&topo(&service, &server, &nodes, None), 5).expect("valid phased topology");
+    let unsharded = run_phased(&topo(&service, &server, &nodes, None), 5, 1).expect("valid phased topology");
     let one = ShardSpec::uniform(server, 1);
-    let sharded = run_phased_sharded(&topo(&service, &server, &nodes, Some(&one)), 5, 4)
-        .expect("valid phased topology");
+    let sharded =
+        run_phased(&topo(&service, &server, &nodes, Some(&one)), 5, 4).expect("valid phased topology");
     assert_eq!(sharded.fleet, unsharded.fleet, "K=1 must be bit-identical to the unsharded phased kernel");
     assert_eq!(sharded.phases, unsharded.phases, "K=1 per-phase stats must match the unsharded kernel");
     assert_eq!(sharded.shards.len(), 1);
     // Worker count on an unsharded phased topology is a no-op too.
-    let wide =
-        run_phased_sharded(&topo(&service, &server, &nodes, None), 5, 8).expect("valid phased topology");
+    let wide = run_phased(&topo(&service, &server, &nodes, None), 5, 8).expect("valid phased topology");
     assert_eq!(wide, unsharded);
 }
 
@@ -451,11 +477,8 @@ fn phase_boundary_event_counts_merge_exactly_under_hot_shard_skew() {
     let mut serial = (EventCountCollector::new(), PhaseCollector::new(schedule.clone(), window.0, window.1));
     let serial_result = run_collected(&spec, 29, &mut serial);
     let (parallel_result, shard_results, (events, phases)) =
-        run_sharded_collected(&spec, 29, 4, |shard, shard_key| {
-            (
-                EventCountCollector::new(),
-                PhaseCollector::for_partition(schedule.clone(), window.0, window.1, shard_key, shard),
-            )
+        run_sharded_collected_hedged_with(&spec, 29, 4, PinPolicy::Off, None, |_, _| {
+            (EventCountCollector::new(), PhaseCollector::new(schedule.clone(), window.0, window.1))
         });
     assert_eq!(serial_result, parallel_result);
     assert_eq!(serial.0.events(), events.events(), "per-shard event counts must merge to the serial count");
