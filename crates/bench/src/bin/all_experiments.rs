@@ -20,7 +20,6 @@ fn kind_name(kind: StudyKind) -> &'static str {
         StudyKind::Table => "table",
         StudyKind::Figure => "figure",
         StudyKind::Extension => "extension",
-        StudyKind::Diagnostic => "diagnostic",
     }
 }
 
@@ -47,7 +46,6 @@ fn main() {
         let in_suite = match study.kind {
             StudyKind::Table | StudyKind::Figure => true,
             StudyKind::Extension => include_extensions,
-            StudyKind::Diagnostic => false,
         };
         if !in_suite {
             continue;

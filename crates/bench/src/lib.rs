@@ -73,8 +73,3 @@ pub fn banner(what: &str, runs: usize, duration: SimDuration) {
 pub fn avg_samples(cell: &Cell) -> Vec<f64> {
     cell.samples.iter().map(|r| r.avg_us()).collect()
 }
-
-/// Convenience: a cell's per-run p99 latencies in µs.
-pub fn p99_samples(cell: &Cell) -> Vec<f64> {
-    cell.samples.iter().map(|r| r.p99_us()).collect()
-}

@@ -4,7 +4,6 @@
 //! through the context's engine (sharing the run cache with any other
 //! study in the same driver process) and prints the paper-format output.
 
-pub(crate) mod calibrate;
 pub(crate) mod ext_closed_loop;
 pub(crate) mod ext_diurnal_fleet;
 pub(crate) mod ext_fleet_scaling;

@@ -26,8 +26,6 @@ pub enum StudyKind {
     Figure,
     /// An experiment beyond the paper's artefacts.
     Extension,
-    /// A development diagnostic (calibration scorecards, probes).
-    Diagnostic,
 }
 
 /// Execution context handed to every study renderer.
@@ -284,12 +282,6 @@ pub fn registry() -> Vec<Study> {
             kind: StudyKind::Extension,
             run: studies::ext_verdict_methods::run,
         },
-        Study {
-            name: "calibrate",
-            title: "Calibration scorecard against DESIGN.md shape obligations",
-            kind: StudyKind::Diagnostic,
-            run: studies::calibrate::run,
-        },
     ]
 }
 
@@ -322,8 +314,8 @@ mod tests {
         let mut deduped = names.clone();
         deduped.dedup();
         assert_eq!(names, deduped, "registry names must be unique");
-        // The `all_experiments --list` smoke check greps for these; keep
-        // the registry and CI in sync.
+        // Each has a binary of the same name, which the CI registry
+        // smoke check looks up in `all_experiments --list`.
         for required in [
             "ext_diurnal_fleet",
             "ext_turbo_decay",

@@ -41,11 +41,6 @@ impl Summary {
         &self.avg_us
     }
 
-    /// Per-run p99-latency samples (µs).
-    pub fn p99_samples_us(&self) -> &[f64] {
-        &self.p99_us
-    }
-
     /// Median of per-run average latencies (µs) — the paper's reported
     /// "Average Response Time (median)".
     pub fn avg_median_us(&self) -> f64 {

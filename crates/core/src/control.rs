@@ -477,28 +477,6 @@ pub struct ControlResult {
 }
 
 impl ControlResult {
-    /// The pooled p99 spread — worst window p99 over best window p99 —
-    /// across windows `skip..` with samples. Skipping the pre-decision
-    /// prefix (typically `skip = 1`) compares policies on the windows
-    /// they could actually influence. Returns `0.0` when undefined (no
-    /// loaded windows, or a best p99 of zero).
-    pub fn pooled_p99_spread(&self, skip: usize) -> f64 {
-        let p99s: Vec<f64> = self
-            .windows
-            .iter()
-            .skip(skip)
-            .filter(|w| w.aggregate.samples > 0)
-            .map(|w| w.aggregate.p99.as_us())
-            .collect();
-        let worst = p99s.iter().cloned().fold(f64::MIN, f64::max);
-        let best = p99s.iter().cloned().fold(f64::MAX, f64::min);
-        if p99s.is_empty() || best <= 0.0 {
-            0.0
-        } else {
-            worst / best
-        }
-    }
-
     /// The fleet p99 spread — worst node p99 over best node p99 within a
     /// window, maximized across windows `skip..` — the paper's
     /// client-side variability metric under mitigation: how far apart

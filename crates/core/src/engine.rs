@@ -73,8 +73,6 @@ pub struct Job {
 #[derive(Debug, Clone)]
 pub struct JobPlan {
     jobs: Vec<Job>,
-    cells: usize,
-    runs: usize,
 }
 
 impl JobPlan {
@@ -99,7 +97,7 @@ impl JobPlan {
                 jobs.push(Job { cell, run, seed: s.next_u64(), fingerprint: fp });
             }
         }
-        JobPlan { jobs, cells: fingerprints.len(), runs }
+        JobPlan { jobs }
     }
 
     /// Randomizes job execution order (OrderSage-style). Seeds travel
@@ -114,16 +112,6 @@ impl JobPlan {
     /// The jobs in scheduled order.
     pub fn jobs(&self) -> &[Job] {
         &self.jobs
-    }
-
-    /// Number of cells the plan covers.
-    pub fn cell_count(&self) -> usize {
-        self.cells
-    }
-
-    /// Runs per cell.
-    pub fn runs_per_cell(&self) -> usize {
-        self.runs
     }
 }
 
@@ -448,8 +436,6 @@ mod tests {
     fn plan_seeds_are_content_addressed() {
         let a = JobPlan::new(7, &[11, 22], 3);
         assert_eq!(a.jobs().len(), 6);
-        assert_eq!(a.cell_count(), 2);
-        assert_eq!(a.runs_per_cell(), 3);
         // Same fingerprint at a different position ⇒ same seeds.
         let b = JobPlan::new(7, &[99, 11], 3);
         let seeds_a: Vec<u64> = a.jobs().iter().filter(|j| j.fingerprint == 11).map(|j| j.seed).collect();

@@ -212,7 +212,7 @@ impl Experiment {
             cell.samples = runs;
         }
 
-        ExperimentResults { cells, benchmark_name: self.benchmark.name.clone() }
+        ExperimentResults { cells }
     }
 
     /// The fully-bound spec for one cell (what the engine fingerprints,
@@ -330,15 +330,9 @@ impl Cell {
 #[derive(Debug, Clone)]
 pub struct ExperimentResults {
     cells: Vec<Cell>,
-    benchmark_name: String,
 }
 
 impl ExperimentResults {
-    /// The benchmark's name.
-    pub fn benchmark_name(&self) -> &str {
-        &self.benchmark_name
-    }
-
     /// All cells, in (client, server, qps) declaration order.
     pub fn cells(&self) -> &[Cell] {
         &self.cells
@@ -349,18 +343,6 @@ impl ExperimentResults {
         self.cells.iter().find(|c| {
             c.client_label == client_label && c.server_label == server_label && (c.qps - qps).abs() < 1e-9
         })
-    }
-
-    /// All distinct QPS points, ascending.
-    pub fn qps_points(&self) -> Vec<f64> {
-        let mut v: Vec<f64> = Vec::new();
-        for c in &self.cells {
-            if !v.iter().any(|&q| (q - c.qps).abs() < 1e-9) {
-                v.push(c.qps);
-            }
-        }
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        v
     }
 }
 
@@ -389,12 +371,10 @@ mod tests {
     fn matrix_has_expected_cells() {
         let results = tiny_experiment().run();
         assert_eq!(results.cells().len(), 2);
-        assert_eq!(results.benchmark_name(), "memcached");
         let lp = results.cell("LP", "SMToff", 50_000.0).unwrap();
         assert_eq!(lp.samples.len(), 3);
         assert_eq!(lp.key(), "LP-SMToff");
         assert!(results.cell("XX", "SMToff", 50_000.0).is_none());
-        assert_eq!(results.qps_points(), vec![50_000.0]);
     }
 
     #[test]

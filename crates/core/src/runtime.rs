@@ -350,15 +350,11 @@ impl<'a> NodeState<'a> {
         let (per_conn_gap, phase_arrivals) = match dynamics.and_then(|d| d.rate.as_ref()) {
             Some(rate) => {
                 let per_phase: Vec<ArrivalProcess> = (0..rate.schedule().phase_count())
-                    .map(|p| {
-                        let gap =
-                            SimDuration::from_secs_f64(n_conns as f64 / (node.qps * rate.multiplier(p)));
-                        ArrivalProcess::new(node.generator.arrival, gap)
-                    })
+                    .map(|p| ArrivalProcess::new(node.generator.arrival, node.conn_gap(rate.multiplier(p))))
                     .collect();
                 (per_phase[0].mean_gap(), per_phase)
             }
-            None => (SimDuration::from_secs_f64(n_conns as f64 / node.qps), Vec::new()),
+            None => (node.conn_gap(1.0), Vec::new()),
         };
         let link0 = dynamics.and_then(|d| d.links.as_ref()).map_or(&node.link, |links| &links[0]);
         let link = Link::new(link0, &mut net_rng);

@@ -284,6 +284,15 @@ impl ClientNode {
     pub fn initial_machine(&self) -> &MachineConfig {
         self.dynamics.as_ref().and_then(|dy| dy.machine.as_ref()).map_or(&self.machine, |plan| plan.config(0))
     }
+
+    /// Mean gap between one connection's sends at `multiplier` times the
+    /// node's base load: the pacing the kernel builds its arrival
+    /// processes from. Zero when that load is too high to pace at
+    /// nanosecond resolution. A multiplier of `1.0` gives the static
+    /// node's gap bit for bit.
+    pub(crate) fn conn_gap(&self, multiplier: f64) -> SimDuration {
+        SimDuration::from_secs_f64(f64::from(self.generator.connections.max(1)) / (self.qps * multiplier))
+    }
 }
 
 /// A compressed population of identically-configured client nodes.
@@ -423,6 +432,17 @@ pub enum TopologyError {
         /// The cohort template's label.
         label: String,
     },
+    /// A load so high (an infinite one included) that one connection's
+    /// mean gap between sends rounds to zero nanoseconds, which no
+    /// arrival process can pace.
+    UnschedulableLoad {
+        /// The offending node's label.
+        label: String,
+        /// The phase whose rate is too high; `None` for the base load.
+        phase: Option<usize>,
+        /// The rejected load: the node's qps times the phase multiplier.
+        qps: f64,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -461,6 +481,10 @@ impl fmt::Display for TopologyError {
                 "cohort '{label}': pooled members require an open-loop generator (closed loops pace by \
                  think time, which superposed arrivals cannot model); track every member instead"
             ),
+            TopologyError::UnschedulableLoad { label, phase, qps } => {
+                let at = phase.map_or_else(|| "offered load".to_string(), |p| format!("phase {p} load"));
+                write!(f, "node '{label}': {at} of {qps} qps leaves a zero gap between a connection's sends")
+            }
         }
     }
 }
@@ -814,6 +838,13 @@ impl TopologySpec<'_> {
             if node.qps <= 0.0 || node.qps.is_nan() {
                 return Err(TopologyError::NonPositiveQps { label: node.label.clone(), qps: node.qps });
             }
+            if node.conn_gap(1.0).is_zero() {
+                return Err(TopologyError::UnschedulableLoad {
+                    label: node.label.clone(),
+                    phase: None,
+                    qps: node.qps,
+                });
+            }
             if let Some(dy) = &node.dynamics {
                 dy.validate();
                 if dy.schedule.phase_count() > u16::MAX as usize {
@@ -841,6 +872,13 @@ impl TopologySpec<'_> {
                                 label: node.label.clone(),
                                 phase,
                                 multiplier,
+                            });
+                        }
+                        if node.conn_gap(multiplier).is_zero() {
+                            return Err(TopologyError::UnschedulableLoad {
+                                label: node.label.clone(),
+                                phase: Some(phase),
+                                qps: node.qps * multiplier,
                             });
                         }
                     }
@@ -894,13 +932,6 @@ impl TopologySpec<'_> {
         )
     }
 
-    /// Total connections across the lowered fleet — flat in cohort
-    /// populations (each cohort costs `(tracked + 1) ×` its template's
-    /// connections at most).
-    pub fn total_connections(&self) -> u32 {
-        self.layout().nodes().iter().map(|n| n.generator.connections.max(1)).sum()
-    }
-
     /// The union of every node's phase boundaries — the finest schedule
     /// against which per-phase metrics of this topology are well defined.
     /// The single all-covering phase when no node is dynamic.
@@ -915,16 +946,6 @@ impl TopologySpec<'_> {
     /// Number of server shards (1 for the single-tier case).
     pub fn shard_count(&self) -> usize {
         self.shards.map_or(1, ShardSpec::count)
-    }
-
-    /// The node→shard assignment in lowered node order (all zeros for
-    /// the single-tier case).
-    pub fn shard_assignment(&self) -> Vec<usize> {
-        let lowered = self.layout().len();
-        match self.shards {
-            Some(s) => s.assign(lowered),
-            None => vec![0; lowered],
-        }
     }
 }
 
@@ -1310,7 +1331,6 @@ mod tests {
         assert_eq!(topo.modeled_clients(), 6);
         assert_eq!(topo.lowered_node_count(), 4);
         assert_eq!(topo.total_qps(), 11_000.0);
-        assert_eq!(topo.total_connections(), 4 * GeneratorSpec::mutilate().connections);
         assert!(topo.validate().is_ok());
     }
 

@@ -242,13 +242,6 @@ impl Default for StackCosts {
     }
 }
 
-/// Approximate wire size of a request/response, used for size-dependent
-/// service costs (large memcached values cost more to serialize).
-pub fn wire_size_bytes(payload: usize) -> usize {
-    const TCP_IP_ETH_OVERHEAD: usize = 78;
-    payload + TCP_IP_ETH_OVERHEAD
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,6 +326,5 @@ mod tests {
         let c = StackCosts::tcp_small_rpc();
         assert!(c.client_send < SimDuration::from_us(10));
         assert!(c.kernel_rx < SimDuration::from_us(10));
-        assert_eq!(wire_size_bytes(100), 178);
     }
 }

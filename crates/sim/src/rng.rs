@@ -99,12 +99,6 @@ impl SimRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// A uniform `f64` in `(0, 1]` — safe as input to `ln()`.
-    #[inline]
-    pub fn next_f64_open(&mut self) -> f64 {
-        1.0 - self.next_f64()
-    }
-
     /// Fills `out` with uniform `[0, 1)` draws, bit-identical to calling
     /// [`next_f64`](Self::next_f64) `out.len()` times in order — bulk
     /// generation moves no stream position and changes no value, it only
@@ -237,14 +231,6 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean} too far from 0.5");
-    }
-
-    #[test]
-    fn open_interval_never_returns_zero() {
-        let mut r = SimRng::seed_from_u64(9);
-        for _ in 0..100_000 {
-            assert!(r.next_f64_open() > 0.0);
-        }
     }
 
     #[test]

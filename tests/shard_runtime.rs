@@ -6,7 +6,7 @@
 //! values bit-for-bit (`GOLDEN_SHARDED`) and checks the degenerate K=1
 //! tier against every static golden row.
 
-use tpv_core::collect::{EventCountCollector, PerNodeCollector, PhaseCollector};
+use tpv_core::collect::{Collector, EventCountCollector, MergeCollector, PerNodeCollector, PhaseCollector};
 use tpv_core::engine::{fingerprint_topology, Engine, JobPlan};
 use tpv_core::runtime::{
     run_collected, run_phased, run_sharded_collected_hedged_with, run_topology, run_topology_sharded,
@@ -22,7 +22,7 @@ use tpv_loadgen::GeneratorSpec;
 use tpv_net::LinkConfig;
 use tpv_services::kv::KvConfig;
 use tpv_services::{ServiceConfig, ServiceKind};
-use tpv_sim::{PhaseSchedule, SimDuration, SimTime};
+use tpv_sim::{PhaseSchedule, SimDuration, SimTime, Welford};
 
 fn kv_service() -> ServiceConfig {
     ServiceConfig::without_interference(ServiceKind::Memcached(KvConfig {
@@ -286,6 +286,80 @@ fn merged_event_counts_match_the_serial_collector() {
     assert_eq!(serial_result, parallel_result);
     assert_eq!(serial.events(), merged.events(), "per-shard event counts must merge to the serial count");
     assert_eq!(shard_results.len(), 4);
+}
+
+/// Latency moments in fold order: every sample is pushed into a
+/// [`Welford`] and partitions merge with [`Welford::merge`]. Unlike a
+/// histogram, whose bucket counts add exactly, these float bits depend
+/// on the order the samples and partitions are folded in.
+#[derive(Default)]
+struct MomentCollector(Welford);
+
+impl Collector for MomentCollector {
+    fn on_latency(&mut self, _node: usize, _stamp: SimTime, measured: SimDuration) {
+        self.0.push(measured.as_us());
+    }
+}
+
+impl MergeCollector for MomentCollector {
+    fn merge(&mut self, other: Self) {
+        self.0.merge(&other.0);
+    }
+}
+
+/// The canonical `(shard_key, shard)` merge order is fixed by content,
+/// not by enumeration: rotating a 3-shard tier of distinct machines
+/// (with the explicit assignment remapped so every node keeps its
+/// machine) leaves the merged moments' bits unchanged, through the
+/// serial single-collector path and the per-shard merge path alike.
+#[test]
+fn merged_moments_are_bit_identical_under_shard_rotation() {
+    let service = kv_service();
+    let server = MachineConfig::server_baseline();
+    let nodes: Vec<ClientNode> = mixed_fleet().into_iter().take(6).collect();
+    let machines = [
+        MachineConfig::server_baseline(),
+        MachineConfig::server_baseline().with_smt(true),
+        MachineConfig::server_baseline().with_turbo(true),
+    ];
+    let assignment: Vec<usize> = (0..nodes.len()).map(|i| i % 3).collect();
+    let forward =
+        ShardSpec { machines: machines.to_vec(), policy: ShardPolicy::Explicit(assignment.clone()) };
+    // Machine `s` moves to slot `(s + 2) % 3`.
+    let rotated = ShardSpec {
+        machines: vec![machines[1], machines[2], machines[0]],
+        policy: ShardPolicy::Explicit(assignment.iter().map(|&s| (s + 2) % 3).collect()),
+    };
+    let spec = |shards| TopologySpec {
+        duration: SimDuration::from_ms(20),
+        warmup: SimDuration::from_ms(2),
+        ..topo(&service, &server, &nodes, Some(shards))
+    };
+    let bits = |w: &Welford| (w.count(), w.mean().to_bits(), w.population_variance().to_bits());
+    for seed in 1..=3 {
+        let mut serial = [MomentCollector::default(), MomentCollector::default()];
+        for (collector, shards) in serial.iter_mut().zip([&forward, &rotated]) {
+            run_collected(&spec(shards), seed, collector);
+        }
+        assert!(serial[0].0.count() > 0, "seed {seed}: no samples");
+        assert_eq!(
+            bits(&serial[0].0),
+            bits(&serial[1].0),
+            "seed {seed}: serial moments moved under rotation"
+        );
+
+        let merged = [&forward, &rotated].map(|shards| {
+            run_sharded_collected_hedged_with(&spec(shards), seed, 3, PinPolicy::Off, None, |_, _| {
+                MomentCollector::default()
+            })
+            .2
+        });
+        assert_eq!(
+            bits(&merged[0].0),
+            bits(&merged[1].0),
+            "seed {seed}: merged moments moved under rotation"
+        );
+    }
 }
 
 #[test]
