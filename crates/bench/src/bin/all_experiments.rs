@@ -11,6 +11,11 @@
 //!   artefacts.
 //! * `--list` prints the study registry (name, kind, title) without
 //!   running anything.
+//!
+//! After each study a `[cache]` line reports how many of its engine jobs
+//! the shared run cache served and the study's wall time in seconds.
+
+use std::time::Instant;
 
 use tpv_bench::study::{registry, StudyCtx, StudyKind};
 use tpv_core::engine::CacheStats;
@@ -55,7 +60,9 @@ fn main() {
         println!("================================================================\n");
         // One panicking study must not abort the rest of the suite
         // (matching the isolation of the old per-binary driver).
+        let started = Instant::now();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (study.run)(&ctx)));
+        let wall_s = started.elapsed().as_secs_f64();
         match outcome {
             Ok(()) => ran += 1,
             Err(_) => {
@@ -63,20 +70,19 @@ fn main() {
                 failures.push(study.name);
             }
         }
-        // Per-study cache report: how much of this artefact was replayed
-        // from cells earlier studies already executed.
+        // Per-study report: how much of this artefact was replayed from
+        // cells earlier studies already executed, and its wall time
+        // (stdout only — never part of a CSV or fingerprint).
         if let Some(cache) = ctx.cache() {
             let now = cache.stats();
             let hits = now.hits - last.hits;
             let misses = now.misses - last.misses;
             let jobs = hits + misses;
-            if jobs > 0 {
-                println!(
-                    "[cache] {}: {hits} of {jobs} jobs from cache ({:.0}%), {misses} executed",
-                    study.name,
-                    100.0 * hits as f64 / jobs as f64
-                );
-            }
+            let pct = if jobs > 0 { 100.0 * hits as f64 / jobs as f64 } else { 0.0 };
+            println!(
+                "[cache] {}: {hits} of {jobs} jobs from cache ({pct:.0}%), {misses} executed; wall {wall_s:.3} s",
+                study.name
+            );
             last = now;
         }
     }

@@ -16,7 +16,6 @@
 //! regimes into one number that describes none of them.
 
 use tpv_core::report::{Csv, MarkdownTable};
-use tpv_core::runtime::run_phased;
 use tpv_core::topology::{uniform_fleet, ClientNode, NodeDynamics, TopologySpec};
 use tpv_hw::MachineConfig;
 use tpv_loadgen::{GeneratorSpec, PhasedRate};
@@ -68,9 +67,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
         warmup,
         cohorts: &[],
     };
-    let per_cell = ctx.run_topology_cells(&[topo], runs, env_seed(), |t, s, w| {
-        run_phased(t, s, w).expect("cell validated before execution")
-    });
+    let per_cell = ctx.run_topology_cells(&[topo], runs, env_seed());
     let samples = &per_cell[0];
 
     let mut table = MarkdownTable::new(&[
@@ -131,7 +128,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
     println!("{}", table.render());
     crate::write_csv("ext_diurnal_fleet.csv", &csv);
 
-    let whole_run: Vec<f64> = samples.iter().map(|r| r.fleet.aggregate.p99.as_us()).collect();
+    let whole_run: Vec<f64> = samples.iter().map(|r| r.aggregate.p99.as_us()).collect();
     let peak_p99 = median_of(&|p| p.p99.as_us(), peak.0);
     let trough_p99 = median_of(&|p| p.p99.as_us(), trough.0);
     println!(

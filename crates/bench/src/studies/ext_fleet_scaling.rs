@@ -13,7 +13,6 @@
 
 use tpv_core::analysis::Summary;
 use tpv_core::report::{Csv, MarkdownTable};
-use tpv_core::runtime::run_topology;
 use tpv_core::topology::{uniform_fleet, ClientNode, TopologySpec};
 use tpv_hw::MachineConfig;
 use tpv_loadgen::GeneratorSpec;
@@ -63,7 +62,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
             cohorts: &[],
         })
         .collect();
-    let per_cell = ctx.run_topology_cells(&topos, runs, env_seed(), |t, s, _| run_topology(t, s));
+    let per_cell = ctx.run_topology_cells(&topos, runs, env_seed());
 
     let mut table = MarkdownTable::new(&[
         "nodes",

@@ -21,7 +21,6 @@
 
 use tpv_core::analysis::Summary;
 use tpv_core::report::{Csv, MarkdownTable};
-use tpv_core::runtime::run_cohorted;
 use tpv_core::topology::{ClientNode, CohortSpec, ShardSpec, TopologySpec};
 use tpv_hw::MachineConfig;
 use tpv_loadgen::GeneratorSpec;
@@ -84,7 +83,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
     );
     assert!(topo.modeled_clients() >= 1_000_000, "study must model at least a million clients");
 
-    let per_cell = ctx.run_topology_cells(&[topo], runs, env_seed(), run_cohorted);
+    let per_cell = ctx.run_topology_cells(&[topo], runs, env_seed());
     let samples = &per_cell[0];
 
     let mut table = MarkdownTable::new(&["cohort", "class", "population", "samples", "p50 (us)", "p99 (us)"]);

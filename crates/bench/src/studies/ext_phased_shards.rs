@@ -24,7 +24,6 @@
 
 use tpv_core::analysis::Summary;
 use tpv_core::report::{Csv, MarkdownTable};
-use tpv_core::runtime::run_phased;
 use tpv_core::topology::{ClientNode, NodeDynamics, ShardPolicy, ShardSpec, TopologySpec};
 use tpv_hw::{CStatePolicy, DynamicMachine, FreqDriver, FreqGovernor, MachineConfig, UncoreMode};
 use tpv_loadgen::{GeneratorSpec, PhasedRate};
@@ -120,9 +119,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
             cohorts: &[],
         })
         .collect();
-    let per_cell = ctx.run_topology_cells(&cells, runs, env_seed(), |t, s, w| {
-        run_phased(t, s, w).expect("cell validated before execution")
-    });
+    let per_cell = ctx.run_topology_cells(&cells, runs, env_seed());
     let tiers = ["uniform", "hot"];
 
     // When: the pooled per-phase regimes, side by side per tier.
@@ -208,9 +205,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
     for class in ["decay", "steady"] {
         let class_runs: Vec<_> = per_cell[0]
             .iter()
-            .flat_map(|r| {
-                r.fleet.nodes.iter().filter(|n| n.label.starts_with(class)).map(|n| n.result.clone())
-            })
+            .flat_map(|r| r.nodes.iter().filter(|n| n.label.starts_with(class)).map(|n| n.result.clone()))
             .collect();
         let summary = Summary::from_runs(&class_runs);
         node_table.row(&[class.to_string(), format!("{:.1}", summary.p99_median_us())]);

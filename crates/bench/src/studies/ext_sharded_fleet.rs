@@ -21,7 +21,6 @@
 
 use tpv_core::analysis::Summary;
 use tpv_core::report::{Csv, MarkdownTable};
-use tpv_core::runtime::run_topology_sharded;
 use tpv_core::topology::{ClientNode, ShardPolicy, ShardSpec, TopologySpec};
 use tpv_hw::MachineConfig;
 use tpv_loadgen::GeneratorSpec;
@@ -98,7 +97,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
             cohorts: &[],
         })
         .collect();
-    let per_cell = ctx.run_topology_cells(&topos, runs, env_seed(), run_topology_sharded);
+    let per_cell = ctx.run_topology_cells(&topos, runs, env_seed());
 
     let mut table = MarkdownTable::new(&[
         "routing / fleet",
@@ -121,7 +120,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
     let mut spreads: Vec<(String, f64)> = Vec::new();
     for (ci, (label, _, _)) in cells.iter().enumerate() {
         let samples = &per_cell[ci];
-        let aggregate: Vec<_> = samples.iter().map(|s| s.fleet.aggregate.clone()).collect();
+        let aggregate: Vec<_> = samples.iter().map(|s| s.aggregate.clone()).collect();
         let agg_p99 = Summary::from_runs(&aggregate).p99_median_us();
         // Median across runs of the per-run best/worst shard tails.
         let mut best: Vec<f64> = samples.iter().map(|s| s.best_shard_p99().as_us()).collect();
@@ -133,7 +132,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
         let spread = worst_p99 / best_p99;
         let hot_pct: f64 = samples
             .iter()
-            .map(|s| s.shards[0].result.samples as f64 / s.fleet.aggregate.samples.max(1) as f64)
+            .map(|s| s.shards[0].result.samples as f64 / s.aggregate.samples.max(1) as f64)
             .sum::<f64>()
             / samples.len() as f64
             * 100.0;

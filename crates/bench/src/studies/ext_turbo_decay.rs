@@ -18,7 +18,6 @@
 
 use tpv_core::analysis::Summary;
 use tpv_core::report::{Csv, MarkdownTable};
-use tpv_core::runtime::run_phased;
 use tpv_core::topology::{ClientNode, NodeDynamics, TopologySpec};
 use tpv_hw::{CStatePolicy, DynamicMachine, FreqDriver, FreqGovernor, MachineConfig, UncoreMode};
 use tpv_loadgen::GeneratorSpec;
@@ -85,9 +84,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
         warmup,
         cohorts: &[],
     };
-    let samples = &ctx.run_topology_cells(&[topo], runs, env_seed(), |t, s, w| {
-        run_phased(t, s, w).expect("cell validated before execution")
-    })[0];
+    let samples = &ctx.run_topology_cells(&[topo], runs, env_seed())[0];
 
     // When: the pooled per-phase regimes around the boundary.
     let mut phase_table = MarkdownTable::new(&["phase", "window", "p50 (us)", "p99 (us)", "CoV"]);
@@ -128,9 +125,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
     for class in ["decay", "steady"] {
         let class_runs: Vec<_> = samples
             .iter()
-            .flat_map(|r| {
-                r.fleet.nodes.iter().filter(|n| n.label.starts_with(class)).map(|n| n.result.clone())
-            })
+            .flat_map(|r| r.nodes.iter().filter(|n| n.label.starts_with(class)).map(|n| n.result.clone()))
             .collect();
         let summary = Summary::from_runs(&class_runs);
         let slip: Vec<f64> = class_runs.iter().map(|r| r.mean_send_slip.as_us()).collect();

@@ -13,7 +13,8 @@ use std::sync::Arc;
 
 use tpv_core::control::{ControlResult, ControlSpec, Controller, MitigationPolicy};
 use tpv_core::engine::{fingerprint_control, fingerprint_topology, Engine, JobPlan, RunCache};
-use tpv_core::topology::TopologySpec;
+use tpv_core::runtime::run_fleet;
+use tpv_core::topology::{FleetResult, TopologySpec};
 
 use crate::studies;
 
@@ -48,12 +49,9 @@ impl StudyCtx {
 
     /// Executes `runs` seeded fleet runs of every topology cell through
     /// the context engine and regroups the results per cell — the fleet
-    /// counterpart of `Experiment::run_with`. Each job calls
-    /// `run(topo, seed, shard_workers)`, where `shard_workers` is the
-    /// engine's leftover budget for the shards inside one run
-    /// ([`Engine::shard_workers`]); any entry point of
-    /// [`tpv_core::runtime`] fits, e.g.
-    /// `|t, s, w| run_topology_sharded(t, s, w)`. Results are
+    /// counterpart of `Experiment::run_with`. Each job is one
+    /// [`run_fleet`] on the engine's leftover budget for the shards
+    /// inside one run ([`Engine::shard_workers`]), so results are
     /// bit-identical at any worker split.
     ///
     /// # Panics
@@ -62,23 +60,18 @@ impl StudyCtx {
     /// cell panics with its [`tpv_core::topology::TopologyError`] —
     /// `all_experiments` isolates study panics, so it reports the typed
     /// error without aborting the rest of the suite.
-    pub fn run_topology_cells<R, F>(
+    pub fn run_topology_cells(
         &self,
         topos: &[TopologySpec<'_>],
         runs: usize,
         seed: u64,
-        run: F,
-    ) -> Vec<Vec<R>>
-    where
-        R: Send,
-        F: Fn(&TopologySpec<'_>, u64, usize) -> R + Sync,
-    {
+    ) -> Vec<Vec<FleetResult>> {
         for topo in topos {
             topo.validate().unwrap_or_else(|e| panic!("{e}"));
         }
         let fingerprints: Vec<u64> = topos.iter().map(fingerprint_topology).collect();
         self.run_cells(&fingerprints, runs, seed, |cell, seed, shard_workers| {
-            run(&topos[cell], seed, shard_workers)
+            run_fleet(&topos[cell], seed, shard_workers).expect("cell validated before execution")
         })
     }
 

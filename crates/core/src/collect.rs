@@ -235,7 +235,7 @@ impl Collector for PerNodeCollector {
 
 /// Accumulates one latency histogram and one statistics block per
 /// *cohort* of a cohort-compressed fleet — the collection behind
-/// [`crate::runtime::run_cohorted`].
+/// [`crate::runtime::run_fleet`]'s cohort rollups.
 ///
 /// Node indices are mapped to cohorts through the lowered fleet's
 /// cohort map (see
@@ -422,8 +422,9 @@ impl Collector for TraceCollector {
 }
 
 /// Forwards every hook to both collectors — composition for runs that
-/// need two independent collections in one pass (e.g. per-node *and*
-/// per-phase, which is what [`crate::runtime::run_phased`] does).
+/// need independent collections in one pass. Pairs nest for more than
+/// two: [`crate::runtime::run_fleet`] collects per node, per phase and
+/// per cohort as `(nodes, (phases, cohorts))`.
 impl<A: Collector, B: Collector> Collector for (A, B) {
     #[inline]
     fn on_event(&mut self, now: SimTime) {

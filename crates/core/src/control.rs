@@ -421,7 +421,9 @@ impl ControlSpec {
         assert!(self.windows > 0, "a controlled run needs at least one window");
         assert!(!self.window.is_zero(), "control windows must be positive");
         assert!(self.warmup < self.window, "warmup must be shorter than one window");
-        self.shards.validate(self.nodes.len());
+        if let Err(e) = self.shards.validate(self.nodes.len()) {
+            panic!("{e}");
+        }
         let mut labels: Vec<&str> = self.nodes.iter().map(|n| n.label.as_str()).collect();
         labels.sort_unstable();
         labels.windows(2).for_each(|pair| {
@@ -544,7 +546,7 @@ impl<'a> Controller<'a> {
 
     /// Executes the controlled run. `workers` parallelizes *within* each
     /// window (shards run concurrently, exactly like
-    /// [`crate::runtime::run_topology_sharded`]); windows themselves are
+    /// [`crate::runtime::run_fleet`]); windows themselves are
     /// inherently sequential — each one's configuration depends on the
     /// previous one's observation.
     ///

@@ -502,7 +502,7 @@ mod tests {
 
     #[test]
     fn topology_execution_is_parallelism_invariant() {
-        use crate::runtime::run_topology;
+        use crate::runtime::run_fleet;
         use crate::topology::{uniform_fleet, TopologySpec};
         use tpv_loadgen::GeneratorSpec;
         use tpv_net::LinkConfig;
@@ -527,8 +527,9 @@ mod tests {
             cohorts: &[],
         };
         let plan = JobPlan::new(9, &[fingerprint_topology(&topo)], 3);
-        let serial = Engine::serial().execute_jobs(&plan, |job| run_topology(&topo, job.seed));
-        let parallel = Engine::with_workers(4).execute_jobs(&plan, |job| run_topology(&topo, job.seed));
+        let run = |seed| run_fleet(&topo, seed, 1).expect("valid topology");
+        let serial = Engine::serial().execute_jobs(&plan, |job| run(job.seed));
+        let parallel = Engine::with_workers(4).execute_jobs(&plan, |job| run(job.seed));
         assert_eq!(serial, parallel, "fleet runs must be bit-identical across parallelism");
         assert_eq!(serial.len(), 3);
         assert_eq!(serial[0].2.nodes.len(), 3);

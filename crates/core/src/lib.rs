@@ -55,11 +55,8 @@ pub use control::{
 pub use engine::{CacheStats, Engine, Job, JobPlan, RunCache};
 pub use experiment::{Benchmark, Experiment, ExperimentResults, ServerScenario};
 pub use pin::PinPolicy;
-pub use runtime::{
-    run_cohorted, run_once, run_phased, run_topology, run_traced, PhasedFleetResult, RunResult, RunSpec,
-    RunTrace,
-};
+pub use runtime::{run_fleet, run_once, run_traced, RunResult, RunSpec, RunTrace};
 pub use topology::{
-    uniform_fleet, ClientNode, CohortResult, CohortSpec, CohortedFleetResult, FleetResult, NodeDynamics,
-    NodeResult, TopologyError, TopologySpec,
+    uniform_fleet, ClientNode, CohortResult, CohortSpec, FleetResult, NodeDynamics, NodeResult,
+    TopologyError, TopologySpec,
 };

@@ -2,7 +2,7 @@
 //! event queue.
 //!
 //! One [`run_once`] call = one paper "run" of the trivial 1×1 topology;
-//! [`run_topology`] executes an arbitrary [`TopologySpec`] — N client
+//! [`run_fleet`] executes an arbitrary [`TopologySpec`] — N client
 //! nodes with heterogeneous hardware configurations, per-pair links, and
 //! a shared server tier. The kernel wires each node's generator
 //! ([`tpv_loadgen::ClientSide`]) and link ([`tpv_net::Link`]) to the
@@ -26,20 +26,21 @@
 //! * runs can be **time-varying**: a node's
 //!   [`NodeDynamics`] schedules deterministic phase boundaries at which
 //!   its machine configuration, offered rate and/or link switch, and
-//!   [`run_phased`] reports the per-phase latency regimes next to the
+//!   [`run_fleet`] reports the per-phase latency regimes next to the
 //!   whole-run fleet result;
 //! * the server tier can be **sharded**
 //!   ([`crate::topology::ShardSpec`]): each shard is its own backend
 //!   machine and service instance, shards share no mutable state, and
 //!   the kernel partitions the run into independent per-shard
-//!   sub-simulations — executed serially here, or concurrently by
-//!   [`run_topology_sharded`] with bit-identical results whatever the
-//!   thread count or schedule;
+//!   sub-simulations — executed serially by [`run_collected`], or
+//!   concurrently by [`run_fleet`] and
+//!   [`run_sharded_collected_hedged_with`] with bit-identical results
+//!   whatever the thread count or schedule;
 //! * client populations compress through
 //!   [`crate::topology::CohortSpec`]s: before partitioning, the kernel
 //!   *lowers* each cohort into its tracked replicas plus one pooled
 //!   node at the superposed arrival rate, so a million modeled clients
-//!   execute as a few dozen kernel nodes ([`run_cohorted`] reports the
+//!   execute as a few dozen kernel nodes ([`run_fleet`] reports the
 //!   per-cohort rollups next to the fleet view).
 //!
 //! The single-node topology reproduces the historical monolithic loop's
@@ -55,7 +56,7 @@
 //! the misconfigured low-power node is visibly the straggler:
 //!
 //! ```
-//! use tpv_core::runtime::run_topology;
+//! use tpv_core::runtime::run_fleet;
 //! use tpv_core::topology::{ClientNode, TopologySpec};
 //! use tpv_hw::MachineConfig;
 //! use tpv_loadgen::GeneratorSpec;
@@ -78,8 +79,8 @@
 //!     shards: None,
 //!     cohorts: &[],
 //! };
-//! let a = run_topology(&topo, 42);
-//! assert_eq!(a, run_topology(&topo, 42));
+//! let a = run_fleet(&topo, 42, 2).expect("valid topology");
+//! assert_eq!(a, run_fleet(&topo, 42, 1).expect("valid topology"));
 //! assert!(a.nodes[1].result.p99 > a.nodes[0].result.p99);
 //! ```
 
@@ -92,12 +93,12 @@ use tpv_sim::{EventQueue, HotColdSlab, LatencyHistogram, SimDuration, SimRng, Si
 
 use crate::collect::{
     Collector, MergeCollector, NodeStats, NullCollector, PerCohortCollector, PerNodeCollector,
-    PhaseCollector, PhaseStats, TraceCollector,
+    PhaseCollector, TraceCollector,
 };
 use crate::pin::PinPolicy;
 use crate::topology::{
-    node_stream_keys, ClientNode, CohortResult, CohortedFleetResult, FleetLayout, FleetResult, NodeDynamics,
-    NodeResult, ShardResult, ShardedFleetResult, TopologyError, TopologySpec,
+    node_stream_keys, ClientNode, CohortResult, FleetResult, NodeDynamics, NodeResult, ShardResult,
+    TopologyError, TopologySpec,
 };
 
 /// Everything needed to execute one run.
@@ -469,105 +470,49 @@ pub fn run_traced(spec: &RunSpec<'_>, seed: u64, max_trace: usize) -> (RunResult
     (result, collector.into_trace())
 }
 
-/// Executes one run of a topology, returning the aggregate plus per-node
-/// breakdowns (one per *lowered* node for cohorted topologies, labelled
-/// per [`crate::topology::CohortedFleetResult::fleet`]'s convention).
+/// Executes one run of a topology on up to `workers` threads and returns
+/// every breakdown of that one kernel pass: the aggregate, one result per
+/// lowered node, per shard, per phase of
+/// [`TopologySpec::merged_schedule`] and per cohort (see
+/// [`FleetResult`]). This is the fleet entry point: a static topology
+/// reports one all-covering phase, an unsharded one a single shard
+/// covering the whole fleet, one without cohorts no cohort rollups.
 ///
-/// Deterministic: the same `(spec, seed)` produces bit-identical results,
-/// and per-node results are invariant under permutation of the node
-/// declaration order (content-addressed per-node seeds).
-///
-/// # Panics
-///
-/// Panics if [`TopologySpec::validate`] rejects the topology.
-pub fn run_topology(topo: &TopologySpec<'_>, seed: u64) -> FleetResult {
-    let layout = topo.layout();
-    let mut collector = PerNodeCollector::new(layout.len());
-    let aggregate = run_collected(topo, seed, &mut collector);
-    FleetResult { aggregate, nodes: node_results(&layout, collector) }
-}
-
-/// Zips a lowered layout with a filled per-node collector into labelled
-/// [`NodeResult`]s — shared by every entry point that reports per-node
-/// breakdowns, so lowered-node labelling cannot drift between them.
-fn node_results(layout: &FleetLayout<'_>, collector: PerNodeCollector) -> Vec<NodeResult> {
-    collector
-        .into_results()
-        .into_iter()
-        .enumerate()
-        .map(|(i, result)| NodeResult { label: layout.display_label(i), result })
-        .collect()
-}
-
-/// The measurements of one phased fleet run: the whole-run fleet view,
-/// the per-shard breakdown and the pooled per-phase latency regimes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhasedFleetResult {
-    /// Whole-run aggregate and per-node breakdowns (identical in shape
-    /// to [`run_topology`]'s result).
-    pub fleet: FleetResult,
-    /// Whole-run per-shard breakdown in shard declaration order — one
-    /// entry covering the whole fleet for a single-tier topology
-    /// (identical in shape to [`run_topology_sharded`]'s breakdown).
-    pub shards: Vec<ShardResult>,
-    /// Pooled per-phase statistics over the topology's merged schedule
-    /// (one all-covering phase for a fully static topology), restricted
-    /// to phases overlapping the measurement window.
-    pub phases: Vec<PhaseStats>,
-}
-
-impl PhasedFleetResult {
-    /// The per-phase stats for schedule phase `phase`, if it overlaps
-    /// the measurement window.
-    pub fn phase(&self, phase: usize) -> Option<&PhaseStats> {
-        self.phases.iter().find(|p| p.phase == phase)
-    }
-}
-
-/// Like [`run_topology_sharded`], additionally bucketing pooled latencies
-/// by the phase their request was stamped in (over the topology's
-/// [`TopologySpec::merged_schedule`]). This is the entry point for
-/// time-varying studies: a phase boundary that switches machine state or
-/// load is visible as a regime change between consecutive
-/// [`PhaseStats`].
-///
-/// Multi-shard (and cohorted) topologies run on up to `workers` threads
-/// of the same partitioned kernel as [`run_topology_sharded`], and
-/// per-phase histogram state merges across shards in canonical
-/// `(shard_key, shard_index)` order, so the per-phase stats share the
-/// aggregate's contract: bit-identical whatever `workers`, the steal
-/// schedule or the shard enumeration order. The whole-run `fleet` half
-/// is produced by the same kernel pass, so it matches [`run_topology`]'s
-/// (and [`run_topology_sharded`]'s) output bit for bit.
+/// Deterministic: the same `(spec, seed)` gives bit-identical results
+/// whatever `workers`, the OS schedule or the shard enumeration order.
+/// Each partition is a self-contained simulation with content-addressed
+/// RNG streams, and the per-shard collectors fold in the canonical plan
+/// order of `build_partitions`. Per-node results are invariant under
+/// permutation of the node declaration order.
 ///
 /// # Errors
 ///
-/// Returns the [`TopologyError`] from [`TopologySpec::validate`] on a
-/// structurally invalid spec.
-///
-/// # Panics
-///
-/// Panics on malformed hand-assembled plans, as
-/// [`TopologySpec::validate`] documents.
-pub fn run_phased(
-    topo: &TopologySpec<'_>,
-    seed: u64,
-    workers: usize,
-) -> Result<PhasedFleetResult, TopologyError> {
+/// Returns the [`TopologyError`] from [`TopologySpec::validate`] on an
+/// invalid spec, before any event runs.
+pub fn run_fleet(topo: &TopologySpec<'_>, seed: u64, workers: usize) -> Result<FleetResult, TopologyError> {
     topo.validate()?;
     let layout = topo.layout();
     let n = layout.len();
+    let cohort_of = layout.cohort_map();
     let schedule = topo.merged_schedule();
-    let window = (SimTime::ZERO + topo.warmup, SimTime::ZERO + topo.duration);
-    let (aggregate, shards, (per_node, per_phase)) =
+    let (start, end) = (SimTime::ZERO + topo.warmup, SimTime::ZERO + topo.duration);
+    let (aggregate, shards, (per_node, (per_phase, per_cohort))) =
         run_sharded_collected_hedged_with(topo, seed, workers, PinPolicy::Off, None, |_, _| {
-            (PerNodeCollector::new(n), PhaseCollector::new(schedule.clone(), window.0, window.1))
+            let per_cohort = PerCohortCollector::new(cohort_of.clone(), topo.cohorts.len());
+            (PerNodeCollector::new(n), (PhaseCollector::new(schedule.clone(), start, end), per_cohort))
         });
-    Ok(PhasedFleetResult {
-        fleet: FleetResult { aggregate, nodes: node_results(&layout, per_node) },
-        shards,
-        phases: per_phase.into_stats(),
-    })
+    let nodes = per_node.into_results().into_iter().enumerate();
+    let nodes = nodes.map(|(i, result)| NodeResult { label: layout.display_label(i), result }).collect();
+    let cohorts = topo.cohorts.iter().zip(per_cohort.into_results(topo.duration - topo.warmup));
+    let cohorts = cohorts
+        .map(|(spec, result)| CohortResult {
+            label: spec.node.label.clone(),
+            population: spec.population,
+            tracked: spec.tracked.min(spec.population),
+            result,
+        })
+        .collect();
+    Ok(FleetResult { aggregate, nodes, shards, phases: per_phase.into_stats(), cohorts })
 }
 
 /// Validates a topology before execution — shared by every kernel entry
@@ -768,7 +713,7 @@ fn finish_run(topo: &TopologySpec<'_>, outcomes: &[PartitionOutcome]) -> RunResu
 
 /// The topology kernel: executes one run, feeding observations to
 /// `collector`. This is the single hot loop behind [`run_once`],
-/// [`run_traced`], [`run_topology`] and (per shard) the parallel
+/// [`run_traced`] and (per shard) the parallel
 /// [`run_sharded_collected_hedged_with`]. Sharded topologies execute
 /// their partitions serially here, feeding the one collector in
 /// canonical partition order.
@@ -1087,77 +1032,8 @@ fn run_partition<C: Collector>(
     outcome
 }
 
-/// Like [`run_topology`] for a sharded server tier: executes the
-/// topology's independent per-shard sub-simulations on up to `workers`
-/// scoped threads and returns the fleet view next to the per-shard
-/// breakdown.
-///
-/// Determinism contract: results are **bit-identical** whatever
-/// `workers`, the OS schedule, or the shard execution order — each shard
-/// is a self-contained simulation with content-addressed RNG streams,
-/// and all merges happen in the canonical plan order. `workers == 1` is
-/// the fully serial execution; an unsharded topology is the degenerate
-/// single partition (identical to [`run_topology`]).
-///
-/// # Panics
-///
-/// Panics on the same invalid specs as [`run_collected`].
-pub fn run_topology_sharded(topo: &TopologySpec<'_>, seed: u64, workers: usize) -> ShardedFleetResult {
-    let layout = topo.layout();
-    let n = layout.len();
-    let (aggregate, shards, collector) =
-        run_sharded_collected_hedged_with(topo, seed, workers, PinPolicy::Off, None, |_, _| {
-            PerNodeCollector::new(n)
-        });
-    ShardedFleetResult { fleet: FleetResult { aggregate, nodes: node_results(&layout, collector) }, shards }
-}
-
-/// Executes a cohort-compressed topology (sharded or not) on up to
-/// `workers` threads and returns the fleet view over the lowered nodes,
-/// the per-shard breakdown and the per-cohort rollups. This is the
-/// population-scale entry point: a million modeled clients compressed
-/// into a few dozen cohorts execute at the cost of the lowered fleet.
-///
-/// Determinism contract: like [`run_topology_sharded`], results are
-/// bit-identical whatever `workers`, the OS schedule or the shard
-/// enumeration — per-cohort state merges across shards in the canonical
-/// plan order, and the per-cohort energy/target sums are
-/// order-independent (`stable_sum`). Works on topologies without
-/// cohorts too (the `cohorts` rollup is then empty).
-///
-/// # Panics
-///
-/// Panics on the same invalid specs as [`run_collected`].
-pub fn run_cohorted(topo: &TopologySpec<'_>, seed: u64, workers: usize) -> CohortedFleetResult {
-    let layout = topo.layout();
-    let n = layout.len();
-    let cohort_of = layout.cohort_map();
-    let n_cohorts = topo.cohorts.len();
-    let (aggregate, shards, (per_node, per_cohort)) =
-        run_sharded_collected_hedged_with(topo, seed, workers, PinPolicy::Off, None, |_, _| {
-            (PerNodeCollector::new(n), PerCohortCollector::new(cohort_of.clone(), n_cohorts))
-        });
-    let measured = topo.duration - topo.warmup;
-    let cohorts = topo
-        .cohorts
-        .iter()
-        .zip(per_cohort.into_results(measured))
-        .map(|(spec, result)| CohortResult {
-            label: spec.node.label.clone(),
-            population: spec.population,
-            tracked: spec.tracked.min(spec.population),
-            result,
-        })
-        .collect();
-    CohortedFleetResult {
-        fleet: FleetResult { aggregate, nodes: node_results(&layout, per_node) },
-        shards,
-        cohorts,
-    }
-}
-
-/// The collector-generic parallel sharded kernel behind
-/// [`run_topology_sharded`], [`run_phased`] and [`run_cohorted`]: the
+/// The collector-generic parallel sharded kernel behind [`run_fleet`]
+/// and the mitigation controller ([`crate::control::Controller`]): the
 /// topology's partitions run on up to `workers` scoped threads (the
 /// work-stealing pool below), pinned per `pin`, every partition with its
 /// own collector `make(shard, shard_key)`. The per-shard collectors are
@@ -1486,7 +1362,7 @@ mod tests {
             warmup: spec.warmup,
             cohorts: &[],
         };
-        let fleet = run_topology(&topo, 11);
+        let fleet = run_fleet(&topo, 11, 1).expect("valid topology");
         assert_eq!(fleet.aggregate, solo, "1×1 topology must match run_once bit for bit");
         assert_eq!(fleet.nodes.len(), 1);
         // The single node's breakdown carries the same distribution.
@@ -1516,7 +1392,7 @@ mod tests {
             warmup: SimDuration::from_ms(10),
             cohorts: &[],
         };
-        let fleet = run_topology(&topo, 21);
+        let fleet = run_fleet(&topo, 21, 1).expect("valid topology");
         assert_eq!(fleet.nodes.len(), 4);
         let pooled: u64 = fleet.nodes.iter().map(|n| n.result.samples).sum();
         assert_eq!(fleet.aggregate.samples, pooled, "aggregate pools per-node samples");
@@ -1546,7 +1422,7 @@ mod tests {
         one_bad[0] = ClientNode::new("bad0", MachineConfig::low_power(), gen, link, 25_000.0);
         let duration = SimDuration::from_ms(60);
         let warmup = SimDuration::from_ms(10);
-        let clean = run_topology(
+        let clean = run_fleet(
             &TopologySpec {
                 shards: None,
                 service: &service,
@@ -1557,8 +1433,10 @@ mod tests {
                 cohorts: &[],
             },
             5,
-        );
-        let skewed = run_topology(
+            1,
+        )
+        .expect("valid topology");
+        let skewed = run_fleet(
             &TopologySpec {
                 shards: None,
                 service: &service,
@@ -1569,7 +1447,9 @@ mod tests {
                 cohorts: &[],
             },
             5,
-        );
+            1,
+        )
+        .expect("valid topology");
         assert!(
             skewed.aggregate.p99 > clean.aggregate.p99,
             "one bad client must inflate the pooled tail: {} !> {}",

@@ -20,9 +20,10 @@
 //!   in the declaration — permuting the fleet cannot change any node's
 //!   results.
 //!
-//! [`crate::runtime::run_topology`] executes a topology and returns a
+//! [`crate::runtime::run_fleet`] executes a topology and returns a
 //! [`FleetResult`]: the familiar aggregate [`RunResult`] plus one
-//! [`NodeResult`] per client node.
+//! [`NodeResult`] per client node and the per-shard, per-phase and
+//! per-cohort breakdowns.
 //!
 //! Population-scale fleets compress through [`CohortSpec`]s: nodes
 //! sharing one configuration class collapse into a single *pooled* node
@@ -38,7 +39,7 @@
 //! irrelevant — each node's results follow the node wherever it moves:
 //!
 //! ```
-//! use tpv_core::runtime::run_topology;
+//! use tpv_core::runtime::run_fleet;
 //! use tpv_core::topology::{ClientNode, TopologySpec};
 //! use tpv_hw::MachineConfig;
 //! use tpv_loadgen::GeneratorSpec;
@@ -51,7 +52,7 @@
 //! let hp = ClientNode::new("hp", MachineConfig::high_performance(), gen, LinkConfig::cloudlab_lan(), 15_000.0);
 //! let lp = ClientNode::new("lp", MachineConfig::low_power(), gen, LinkConfig::cloudlab_lan(), 15_000.0);
 //! let run = |nodes: &[ClientNode]| {
-//!     run_topology(&TopologySpec {
+//!     run_fleet(&TopologySpec {
 //!         service: &service,
 //!         server: &server,
 //!         nodes,
@@ -59,7 +60,8 @@
 //!         warmup: SimDuration::from_ms(3),
 //!         shards: None,
 //!         cohorts: &[],
-//!     }, 7)
+//!     }, 7, 1)
+//!     .expect("valid topology")
 //! };
 //! let fwd = run(&[hp.clone(), lp.clone()]);
 //! let rev = run(&[lp, hp]);
@@ -77,6 +79,7 @@ use tpv_net::LinkConfig;
 use tpv_services::ServiceConfig;
 use tpv_sim::{PhaseSchedule, SimDuration, SimTime};
 
+use crate::collect::PhaseStats;
 use crate::runtime::{RunResult, RunSpec};
 
 /// Phase-scheduled, time-varying behaviour of one client node: at every
@@ -168,22 +171,32 @@ impl NodeDynamics {
         self
     }
 
-    /// Checks the per-phase vectors against the schedule — the runtime
-    /// calls this once per run so hand-assembled dynamics fail loudly.
+    /// Checks the per-phase plans against the schedule of the node
+    /// labelled `label` — the runtime calls this once per run so
+    /// hand-assembled dynamics are rejected before any event runs.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on any phase-count mismatch.
-    pub fn validate(&self) {
-        let phases = self.schedule.phase_count();
-        if let Some(machine) = &self.machine {
-            assert_eq!(*machine.schedule(), self.schedule, "machine plan must follow the node's schedule");
+    /// [`TopologyError::PlanScheduleMismatch`] for a machine or rate plan
+    /// over another schedule, [`TopologyError::LinkCountMismatch`] for a
+    /// link list that is not one per phase.
+    pub fn validate(&self, label: &str) -> Result<(), TopologyError> {
+        let mismatch = |plan| Err(TopologyError::PlanScheduleMismatch { label: label.to_string(), plan });
+        if self.machine.as_ref().is_some_and(|m| *m.schedule() != self.schedule) {
+            return mismatch("machine");
         }
-        if let Some(rate) = &self.rate {
-            assert_eq!(*rate.schedule(), self.schedule, "rate plan must follow the node's schedule");
+        if self.rate.as_ref().is_some_and(|r| *r.schedule() != self.schedule) {
+            return mismatch("rate");
         }
-        if let Some(links) = &self.links {
-            assert_eq!(links.len(), phases, "node dynamics needs one link per phase");
+        match &self.links {
+            Some(links) if links.len() != self.schedule.phase_count() => {
+                Err(TopologyError::LinkCountMismatch {
+                    label: label.to_string(),
+                    links: links.len(),
+                    phases: self.schedule.phase_count(),
+                })
+            }
+            _ => Ok(()),
         }
     }
 
@@ -355,11 +368,12 @@ impl CohortSpec {
 }
 
 /// A structurally invalid [`TopologySpec`], reported by
-/// [`TopologySpec::validate`]. Misconfiguration surfaces as a value the
-/// caller can log and move past (`all_experiments` keeps its suite
-/// alive) instead of a mid-suite abort; the runtime entry points bridge
-/// `Err` back into a panic carrying this error's message, which
-/// preserves the historical panic pins.
+/// [`TopologySpec::validate`] and [`crate::runtime::run_fleet`].
+/// Misconfiguration surfaces as a value the caller can log and move past
+/// (`all_experiments` keeps its suite alive) instead of a mid-suite
+/// abort; the collector-generic runtime entry points bridge `Err` into a
+/// panic carrying this error's message, which preserves the historical
+/// panic pins.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TopologyError {
     /// No client nodes and no cohorts.
@@ -443,6 +457,48 @@ pub enum TopologyError {
         /// The rejected load: the node's qps times the phase multiplier.
         qps: f64,
     },
+    /// A node's machine or rate plan follows another phase schedule than
+    /// the node's own [`NodeDynamics::schedule`].
+    PlanScheduleMismatch {
+        /// The offending node's label.
+        label: String,
+        /// Which plan: `"machine"` or `"rate"`.
+        plan: &'static str,
+    },
+    /// A node's per-phase link list is not one link per phase.
+    LinkCountMismatch {
+        /// The offending node's label.
+        label: String,
+        /// Links supplied.
+        links: usize,
+        /// Phases in the node's schedule.
+        phases: usize,
+    },
+    /// A [`ShardSpec`] with no shard machines.
+    EmptyShardTier,
+    /// A shard index the tier does not have.
+    ShardOutOfRange {
+        /// The node an [`ShardPolicy::Explicit`] assignment sends there;
+        /// `None` for the shard a [`ShardPolicy::HotShard`] names.
+        node: Option<usize>,
+        /// The rejected shard index.
+        shard: usize,
+        /// Shards in the tier.
+        shards: usize,
+    },
+    /// A [`ShardPolicy::HotShard`] share outside `(0, 1]`.
+    HotShardShare {
+        /// The rejected share.
+        share: f64,
+    },
+    /// A [`ShardPolicy::Explicit`] assignment that is not one shard per
+    /// lowered node.
+    AssignmentLength {
+        /// Entries in the assignment.
+        assigned: usize,
+        /// Lowered nodes in the fleet.
+        nodes: usize,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -485,6 +541,25 @@ impl fmt::Display for TopologyError {
                 let at = phase.map_or_else(|| "offered load".to_string(), |p| format!("phase {p} load"));
                 write!(f, "node '{label}': {at} of {qps} qps leaves a zero gap between a connection's sends")
             }
+            TopologyError::PlanScheduleMismatch { label, plan } => {
+                write!(f, "node '{label}': {plan} plan must follow the node's phase schedule")
+            }
+            TopologyError::LinkCountMismatch { label, links, phases } => write!(
+                f,
+                "node '{label}': dynamics need one link per phase, got {links} links for {phases} phases"
+            ),
+            TopologyError::EmptyShardTier => write!(f, "a server tier needs at least one shard"),
+            TopologyError::ShardOutOfRange { node, shard, shards } => match node {
+                Some(i) => write!(f, "node {i} assigned to shard {shard}, out of range (K = {shards})"),
+                None => write!(f, "hot shard {shard} out of range (K = {shards})"),
+            },
+            TopologyError::HotShardShare { share } => {
+                write!(f, "hot-shard share must be in (0, 1], got {share}")
+            }
+            TopologyError::AssignmentLength { assigned, nodes } => write!(
+                f,
+                "explicit assignment needs one shard per node, got {assigned} for {nodes} nodes"
+            ),
         }
     }
 }
@@ -640,7 +715,7 @@ pub enum ShardPolicy {
 /// node→shard assignment. Shards share no mutable state — every shard
 /// has its own worker queues, key space and interference draws — which
 /// is what lets the kernel execute them as independent sub-simulations
-/// (see `tpv_core::runtime::run_topology_sharded`).
+/// (see [`crate::runtime::run_fleet`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSpec {
     /// One server machine configuration per shard.
@@ -669,28 +744,38 @@ impl ShardSpec {
 
     /// Checks the spec against a fleet of `nodes` client nodes.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an empty tier, an out-of-range [`ShardPolicy::HotShard`]
-    /// or a malformed [`ShardPolicy::Explicit`] assignment.
-    pub fn validate(&self, nodes: usize) {
-        assert!(!self.machines.is_empty(), "a server tier needs at least one shard");
+    /// [`TopologyError::EmptyShardTier`] for a tier without machines,
+    /// [`TopologyError::ShardOutOfRange`] for a hot or explicitly
+    /// assigned shard past the tier, [`TopologyError::HotShardShare`] for
+    /// a share outside `(0, 1]` and [`TopologyError::AssignmentLength`]
+    /// for an explicit assignment that is not one shard per node.
+    pub fn validate(&self, nodes: usize) -> Result<(), TopologyError> {
+        let shards = self.count();
+        if shards == 0 {
+            return Err(TopologyError::EmptyShardTier);
+        }
         match &self.policy {
             ShardPolicy::RoundRobin | ShardPolicy::Range => {}
-            ShardPolicy::HotShard { hot, share } => {
-                assert!(*hot < self.count(), "hot shard {hot} out of range (K = {})", self.count());
-                assert!(
-                    *share > 0.0 && *share <= 1.0 && share.is_finite(),
-                    "hot-shard share must be in (0, 1], got {share}"
-                );
+            &ShardPolicy::HotShard { hot, share } => {
+                if hot >= shards {
+                    return Err(TopologyError::ShardOutOfRange { node: None, shard: hot, shards });
+                }
+                if share.is_nan() || share <= 0.0 || share > 1.0 {
+                    return Err(TopologyError::HotShardShare { share });
+                }
             }
             ShardPolicy::Explicit(assignment) => {
-                assert_eq!(assignment.len(), nodes, "explicit assignment needs one shard per node");
-                for (i, &s) in assignment.iter().enumerate() {
-                    assert!(s < self.count(), "node {i} assigned to shard {s} of {}", self.count());
+                if assignment.len() != nodes {
+                    return Err(TopologyError::AssignmentLength { assigned: assignment.len(), nodes });
+                }
+                if let Some((i, &shard)) = assignment.iter().enumerate().find(|&(_, &s)| s >= shards) {
+                    return Err(TopologyError::ShardOutOfRange { node: Some(i), shard, shards });
                 }
             }
         }
+        Ok(())
     }
 
     /// The node→shard assignment for a fleet of `nodes` client nodes, in
@@ -698,9 +783,12 @@ impl ShardSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the spec fails [`ShardSpec::validate`].
+    /// Panics with the error's message if [`ShardSpec::validate`]
+    /// rejects the spec.
     pub fn assign(&self, nodes: usize) -> Vec<usize> {
-        self.validate(nodes);
+        if let Err(e) = self.validate(nodes) {
+            panic!("{e}");
+        }
         let k = self.count();
         match &self.policy {
             ShardPolicy::RoundRobin => (0..nodes).map(|i| i % k).collect(),
@@ -801,16 +889,14 @@ impl TopologySpec<'_> {
     }
 
     /// Checks the spec structurally, reporting misconfiguration as a
-    /// typed [`TopologyError`] a caller can surface without aborting.
-    /// The runtime entry points call this and panic on `Err` with the
-    /// error's message.
+    /// typed [`TopologyError`] a caller can surface without aborting —
+    /// malformed [`NodeDynamics`] plans and [`ShardSpec`] assignments
+    /// included. [`crate::runtime::run_fleet`] returns this error; the
+    /// collector-generic runtime entry points panic with its message.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics (rather than returning `Err`) on malformed hand-assembled
-    /// *plans* — phase-count mismatches inside a [`NodeDynamics`] and
-    /// malformed [`ShardSpec`] assignments — which are programming
-    /// errors, not experiment configuration.
+    /// The first [`TopologyError`] the spec commits.
     pub fn validate(&self) -> Result<(), TopologyError> {
         if self.nodes.is_empty() && self.cohorts.is_empty() {
             return Err(TopologyError::EmptyFleet);
@@ -846,7 +932,7 @@ impl TopologySpec<'_> {
                 });
             }
             if let Some(dy) = &node.dynamics {
-                dy.validate();
+                dy.validate(&node.label)?;
                 if dy.schedule.phase_count() > u16::MAX as usize {
                     return Err(TopologyError::TooManyPhases {
                         label: node.label.clone(),
@@ -888,10 +974,7 @@ impl TopologySpec<'_> {
         if self.warmup >= self.duration {
             return Err(TopologyError::EmptyWindow { warmup: self.warmup, duration: self.duration });
         }
-        if let Some(shards) = self.shards {
-            shards.validate(layout.len());
-        }
-        Ok(())
+        self.shards.map_or(Ok(()), |shards| shards.validate(layout.len()))
     }
 
     /// Number of kernel-executed nodes after cohort lowering.
@@ -1012,22 +1095,11 @@ pub struct NodeResult {
     pub result: RunResult,
 }
 
-/// The measurements of one fleet run: the aggregate the experimenter
-/// would naively report, plus the per-node breakdown that reveals which
-/// clients skewed it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetResult {
-    /// Fleet-wide measurements (all nodes' requests pooled, counters
-    /// summed) — identical in shape to a single-client [`RunResult`].
-    pub aggregate: RunResult,
-    /// Per-node breakdowns, in node declaration order.
-    pub nodes: Vec<NodeResult>,
-}
-
-/// The measurements of one server shard over a sharded fleet run.
+/// The measurements of one server shard over a fleet run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardResult {
-    /// Shard index in the [`ShardSpec`]'s declaration order.
+    /// Shard index in the [`ShardSpec`]'s declaration order (0 for the
+    /// single tier).
     pub shard: usize,
     /// Pooled measurements over the shard's assigned nodes — the same
     /// shape as a fleet aggregate, restricted to this backend. A shard
@@ -1037,38 +1109,9 @@ pub struct ShardResult {
     pub nodes: Vec<usize>,
 }
 
-/// The measurements of one sharded fleet run: the fleet view (aggregate
-/// plus per-node breakdowns, identical in shape to
-/// [`crate::runtime::run_topology`]'s result) next to the per-shard
-/// breakdown that reveals backend imbalance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedFleetResult {
-    /// Whole-run fleet view.
-    pub fleet: FleetResult,
-    /// Per-shard breakdowns, in shard declaration order.
-    pub shards: Vec<ShardResult>,
-}
-
-impl ShardedFleetResult {
-    /// The largest per-shard p99 — the hottest backend's tail.
-    pub fn worst_shard_p99(&self) -> SimDuration {
-        self.shards.iter().map(|s| s.result.p99).max().unwrap_or(SimDuration::ZERO)
-    }
-
-    /// The smallest per-shard p99 among shards that served requests.
-    pub fn best_shard_p99(&self) -> SimDuration {
-        self.shards
-            .iter()
-            .filter(|s| s.result.samples > 0)
-            .map(|s| s.result.p99)
-            .min()
-            .unwrap_or(SimDuration::ZERO)
-    }
-}
-
-/// The measurements of one cohort over a cohorted fleet run: every
-/// lowered node of the cohort (tracked replicas plus the pooled
-/// remainder) pooled into one distribution.
+/// The measurements of one cohort over a fleet run: every lowered node
+/// of the cohort (tracked replicas plus the pooled remainder) pooled
+/// into one distribution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CohortResult {
     /// The cohort template's label.
@@ -1081,41 +1124,31 @@ pub struct CohortResult {
     pub result: RunResult,
 }
 
-/// The measurements of one cohorted fleet run: the fleet view over the
-/// *lowered* nodes, the per-shard breakdown, and the per-cohort rollup.
+/// The measurements of one fleet run, every breakdown from one kernel
+/// pass ([`crate::runtime::run_fleet`]): the aggregate the experimenter
+/// would naively report, plus the per-node, per-shard, per-phase and
+/// per-cohort views that reveal which clients, backends or regimes
+/// skewed it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CohortedFleetResult {
-    /// Whole-run fleet view over the lowered nodes. Tracked members are
-    /// labelled `label#k` and pooled nodes `label#pooled(n)`; explicit
-    /// nodes keep their declared labels.
-    pub fleet: FleetResult,
-    /// Per-shard breakdowns, in shard declaration order (one entry for
-    /// the single-tier case).
+pub struct FleetResult {
+    /// Fleet-wide measurements (all nodes' requests pooled, counters
+    /// summed) — identical in shape to a single-client [`RunResult`].
+    pub aggregate: RunResult,
+    /// Per-node breakdowns over the *lowered* fleet, in declaration
+    /// order: explicit nodes keep their labels, tracked cohort members
+    /// are labelled `label#k` and pooled nodes `label#pooled(n)`.
+    pub nodes: Vec<NodeResult>,
+    /// Per-shard breakdowns in shard declaration order — one entry
+    /// covering the whole fleet for a single-tier topology.
     pub shards: Vec<ShardResult>,
-    /// Per-cohort rollups, in cohort declaration order.
+    /// Pooled per-phase statistics over the topology's
+    /// [`TopologySpec::merged_schedule`] (one all-covering phase for a
+    /// static topology), restricted to phases overlapping the
+    /// measurement window.
+    pub phases: Vec<PhaseStats>,
+    /// Per-cohort rollups in cohort declaration order (empty for a
+    /// topology without cohorts).
     pub cohorts: Vec<CohortResult>,
-}
-
-impl CohortedFleetResult {
-    /// The rollup for the cohort whose template is labelled `label`.
-    pub fn cohort(&self, label: &str) -> Option<&CohortResult> {
-        self.cohorts.iter().find(|c| c.label == label)
-    }
-
-    /// The largest per-cohort p99 — the straggler class's tail.
-    pub fn worst_cohort_p99(&self) -> SimDuration {
-        self.cohorts.iter().map(|c| c.result.p99).max().unwrap_or(SimDuration::ZERO)
-    }
-
-    /// The smallest per-cohort p99 among cohorts that recorded samples.
-    pub fn best_cohort_p99(&self) -> SimDuration {
-        self.cohorts
-            .iter()
-            .filter(|c| c.result.samples > 0)
-            .map(|c| c.result.p99)
-            .min()
-            .unwrap_or(SimDuration::ZERO)
-    }
 }
 
 impl FleetResult {
@@ -1132,6 +1165,32 @@ impl FleetResult {
     /// The smallest per-node p99.
     pub fn best_node_p99(&self) -> SimDuration {
         self.nodes.iter().map(|n| n.result.p99).min().unwrap_or(SimDuration::ZERO)
+    }
+
+    /// The largest per-shard p99 — the hottest backend's tail.
+    pub fn worst_shard_p99(&self) -> SimDuration {
+        self.shards.iter().map(|s| s.result.p99).max().unwrap_or(SimDuration::ZERO)
+    }
+
+    /// The smallest per-shard p99 among shards that served requests.
+    pub fn best_shard_p99(&self) -> SimDuration {
+        self.shards
+            .iter()
+            .filter(|s| s.result.samples > 0)
+            .map(|s| s.result.p99)
+            .min()
+            .unwrap_or(SimDuration::ZERO)
+    }
+
+    /// The per-phase stats for schedule phase `phase`, if it overlaps
+    /// the measurement window.
+    pub fn phase(&self, phase: usize) -> Option<&PhaseStats> {
+        self.phases.iter().find(|p| p.phase == phase)
+    }
+
+    /// The rollup for the cohort whose template is labelled `label`.
+    pub fn cohort(&self, label: &str) -> Option<&CohortResult> {
+        self.cohorts.iter().find(|c| c.label == label)
     }
 }
 

@@ -17,18 +17,6 @@ use crate::cstate::CState;
 use crate::env::RunEnvironment;
 use crate::machine::MachineConfig;
 
-/// How a core behaves when it has nothing to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IdleBehavior {
-    /// The thread blocks (epoll/timer); idleness enters C-states and drops
-    /// frequency per the machine config. This is the normal mode.
-    Sleep,
-    /// The thread spins (busy-wait): the core never leaves C0 and the
-    /// governor sees 100 % utilisation — no wake path at all. Used by
-    /// time-insensitive busy-wait generators (§II) on their arrival loop.
-    Spin,
-}
-
 /// Outcome of placing one piece of work on a core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreGrant {
@@ -36,8 +24,7 @@ pub struct CoreGrant {
     pub start: SimTime,
     /// When the work completed.
     pub end: SimTime,
-    /// Wake-path cost paid before execution (zero if the core was busy or
-    /// spinning).
+    /// Wake-path cost paid before execution (zero if the core was busy).
     pub wake_latency: SimDuration,
     /// The C-state the core was found in.
     pub cstate: CState,
@@ -66,7 +53,6 @@ pub struct CoreResource {
     fifo: FifoResource,
     config: MachineConfig,
     env: RunEnvironment,
-    idle_behavior: IdleBehavior,
     /// Estimated number of concurrently active cores on the socket, used
     /// for the turbo bin; callers may update it as load changes.
     active_cores_estimate: u32,
@@ -118,14 +104,14 @@ const RESIDENCY_MARGIN: f64 = 2.0;
 const IDLE_EWMA_ALPHA: f64 = 0.3;
 
 impl CoreResource {
-    /// A sleeping-idle core of the given machine in the given run
-    /// environment.
+    /// A core of the given machine in the given run environment. Idle
+    /// periods enter the C-states its policy allows (`idle=poll` keeps it
+    /// in C0).
     pub fn new(config: &MachineConfig, env: &RunEnvironment) -> Self {
         CoreResource {
             fifo: FifoResource::new(),
             config: *config,
             env: *env,
-            idle_behavior: IdleBehavior::Sleep,
             active_cores_estimate: 4,
             idle_ewma: None,
             wakes_by_state: [0; 4],
@@ -133,13 +119,6 @@ impl CoreResource {
             total_wake_time: SimDuration::ZERO,
             cache: AcquireCache::new(config, env, 4),
         }
-    }
-
-    /// A spinning (busy-wait) core: never sleeps, never pays a wake path.
-    pub fn new_spinning(config: &MachineConfig, env: &RunEnvironment) -> Self {
-        let mut c = CoreResource::new(config, env);
-        c.idle_behavior = IdleBehavior::Spin;
-        c
     }
 
     /// Sets the occupancy estimate used for the turbo frequency bin.
@@ -195,7 +174,7 @@ impl CoreResource {
         let idle_gap =
             if self.fifo.is_idle_at(now) { now.since(self.fifo.busy_until()) } else { SimDuration::ZERO };
 
-        if self.idle_behavior == IdleBehavior::Sleep && !idle_gap.is_zero() {
+        if !idle_gap.is_zero() {
             // The governor chose a state when the core went idle; it could
             // not see the actual gap, only its history of recent idle
             // periods (the menu governor's "typical interval"), optionally
@@ -244,11 +223,6 @@ impl CoreResource {
             self.wakes_by_state[state_index(state)] += 1;
             self.idle_by_state[state_index(state)] += idle_gap;
             self.total_wake_time += wake;
-        }
-
-        if self.idle_behavior == IdleBehavior::Spin && !idle_gap.is_zero() {
-            // Busy-wait: the idle span was spent polling in C0.
-            self.idle_by_state[0] += idle_gap;
         }
 
         let service = wake + work.scale(stretch);
@@ -312,13 +286,10 @@ impl CoreResource {
             energy += idle.as_secs() * self.config.cstate_table.params(state).relative_power;
         }
         // Trailing idleness after the last work item: attribute it to the
-        // state the core would settle into (C0 when spinning).
+        // state the core would settle into (C0 under `idle=poll`).
         if now > self.fifo.busy_until() {
             let trailing = now.since(self.fifo.busy_until()).as_secs();
-            let settle = match self.idle_behavior {
-                IdleBehavior::Spin => CState::C0,
-                IdleBehavior::Sleep => self.config.cstates.deepest(),
-            };
+            let settle = self.config.cstates.deepest();
             energy += trailing * self.config.cstate_table.params(settle).relative_power;
         }
         energy
@@ -391,20 +362,6 @@ mod tests {
         assert_eq!(g2.cstate, CState::C0);
         assert!(g2.queue_wait > SimDuration::ZERO);
         assert!(g2.start >= g1.end);
-    }
-
-    #[test]
-    fn spinning_core_never_pays() {
-        let lp = MachineConfig::low_power();
-        let mut r = rng();
-        let env = RunEnvironment::neutral();
-        let mut core = CoreResource::new_spinning(&lp, &env);
-        for ms in [1u64, 10, 100] {
-            let g = core.acquire(SimTime::from_ms(ms), SimDuration::from_us(2), &mut r);
-            assert_eq!(g.wake_latency, SimDuration::ZERO);
-            assert_eq!(g.cstate, CState::C0);
-        }
-        assert_eq!(core.wakes_by_state(), [0, 0, 0, 0]);
     }
 
     #[test]
@@ -496,7 +453,7 @@ mod tests {
         let mut r1 = rng();
         let mut r2 = rng();
         let mut sleeper = CoreResource::new(&lp, &env);
-        let mut spinner = CoreResource::new_spinning(&lp, &env);
+        let mut spinner = CoreResource::new(&lp.with_cstates(CStatePolicy::PollIdle), &env);
         let mut t = SimTime::ZERO;
         for _ in 0..100 {
             t += SimDuration::from_ms(1);

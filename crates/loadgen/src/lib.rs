@@ -464,15 +464,10 @@ impl ClientSide {
     /// environment `env`.
     pub fn new(spec: GeneratorSpec, machine: &MachineConfig, env: &RunEnvironment) -> Self {
         let n = spec.total_threads() as usize;
-        let threads = (0..n)
-            .map(|_| match spec.timing {
-                // Block-wait threads sleep between events; busy-wait
-                // arrival loops keep their own core hot, and responses are
-                // handled by blocking RPC completion threads.
-                TimingMode::BlockWait => CoreResource::new(machine, env),
-                TimingMode::BusyWait => CoreResource::new(machine, env),
-            })
-            .collect();
+        // Every thread is an ordinary core of the machine: a busy-wait
+        // arrival loop's spinning is modelled in `plan_send`, and its
+        // responses are handled by blocking RPC completion threads.
+        let threads = (0..n).map(|_| CoreResource::new(machine, env)).collect();
         ClientSide {
             spec,
             threads,

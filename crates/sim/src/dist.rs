@@ -525,15 +525,6 @@ impl Sampler for Empirical {
     }
 }
 
-/// A boxed sampler, for configurations that choose distributions at runtime.
-pub type DynSampler = Box<dyn Sampler + Send + Sync>;
-
-impl Sampler for DynSampler {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        (**self).sample(rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -759,12 +750,5 @@ mod tests {
         assert_eq!(n.sample_us(&mut rng), SimDuration::ZERO);
         let d = Deterministic::new(2.5);
         assert_eq!(d.sample_us(&mut rng).as_ns(), 2_500);
-    }
-
-    #[test]
-    fn dyn_sampler_boxing_works() {
-        let d: DynSampler = Box::new(Deterministic::new(1.0));
-        let mut rng = SimRng::seed_from_u64(20);
-        assert_eq!(d.sample(&mut rng), 1.0);
     }
 }

@@ -9,14 +9,19 @@
 //! identity against every static golden row.
 
 use tpv_core::collect::EventCountCollector;
-use tpv_core::runtime::{run_cohorted, run_collected};
-use tpv_core::topology::{ClientNode, CohortSpec, ShardPolicy, ShardSpec, TopologySpec};
+use tpv_core::runtime::{run_collected, run_fleet};
+use tpv_core::topology::{ClientNode, CohortSpec, FleetResult, ShardPolicy, ShardSpec, TopologySpec};
 use tpv_hw::MachineConfig;
 use tpv_loadgen::GeneratorSpec;
 use tpv_net::LinkConfig;
 use tpv_services::kv::KvConfig;
 use tpv_services::{ServiceConfig, ServiceKind};
 use tpv_sim::SimDuration;
+
+/// [`run_fleet`] on a topology these tests build valid.
+fn fleet(spec: &TopologySpec<'_>, seed: u64, workers: usize) -> FleetResult {
+    run_fleet(spec, seed, workers).expect("valid topology")
+}
 
 fn kv_service() -> ServiceConfig {
     ServiceConfig::without_interference(ServiceKind::Memcached(KvConfig {
@@ -60,12 +65,12 @@ fn cohort_declaration_order_is_presentation() {
     let forward = [a.clone(), b.clone(), c.clone()];
     let permuted = [c, a, b];
 
-    let x = run_cohorted(&topo(&service, &server, &[], &forward, None), 77, 2);
-    let y = run_cohorted(&topo(&service, &server, &[], &permuted, None), 77, 2);
+    let x = fleet(&topo(&service, &server, &[], &forward, None), 77, 2);
+    let y = fleet(&topo(&service, &server, &[], &permuted, None), 77, 2);
 
     // The aggregate is merged in content-key order, not declaration
     // order, so permuting the cohort list cannot move a single bit.
-    assert_eq!(x.fleet.aggregate, y.fleet.aggregate, "aggregate depends on cohort order");
+    assert_eq!(x.aggregate, y.aggregate, "aggregate depends on cohort order");
     assert_eq!(x.shards, y.shards, "shard breakdown depends on cohort order");
     // Per-cohort rollups follow declaration order; matched by label
     // they are identical.
@@ -78,8 +83,8 @@ fn cohort_declaration_order_is_presentation() {
         assert_eq!(cohort, twin, "cohort '{}' drifted under permutation", cohort.label);
     }
     // Same lowered nodes too, as a label-keyed set.
-    let mut xs: Vec<_> = x.fleet.nodes.iter().map(|n| (n.label.clone(), n.result.clone())).collect();
-    let mut ys: Vec<_> = y.fleet.nodes.iter().map(|n| (n.label.clone(), n.result.clone())).collect();
+    let mut xs: Vec<_> = x.nodes.iter().map(|n| (n.label.clone(), n.result.clone())).collect();
+    let mut ys: Vec<_> = y.nodes.iter().map(|n| (n.label.clone(), n.result.clone())).collect();
     xs.sort_by(|p, q| p.0.cmp(&q.0));
     ys.sort_by(|p, q| p.0.cmp(&q.0));
     assert_eq!(xs, ys, "per-node breakdowns depend on cohort order");
@@ -95,15 +100,15 @@ fn serial_and_parallel_cohort_execution_are_bit_identical() {
         CohortSpec::new(template("hp-pool", false, 4_000.0), 16).with_tracked(1),
     ];
     let spec = topo(&service, &server, &[], &cohorts, Some(&shards));
-    let serial = run_cohorted(&spec, 13, 1);
+    let serial = fleet(&spec, 13, 1);
     for workers in [2, 4, 64] {
-        let parallel = run_cohorted(&spec, 13, workers);
+        let parallel = fleet(&spec, 13, workers);
         assert_eq!(serial, parallel, "{workers} workers drifted from serial cohort execution");
     }
     // Rollups pool exactly the cohort's lowered nodes: tracked members
     // plus the pooled remainder, nothing else.
     let pooled: u64 = serial.cohorts.iter().map(|c| c.result.samples).sum();
-    assert_eq!(serial.fleet.aggregate.samples, pooled, "cohort rollups must pool to the aggregate");
+    assert_eq!(serial.aggregate.samples, pooled, "cohort rollups must pool to the aggregate");
 }
 
 #[test]
@@ -131,13 +136,10 @@ fn cohort_rollups_are_invariant_under_shard_rotation() {
         policy: ShardPolicy::Explicit(assignment.iter().map(|&s| (s + 2) % 3).collect()),
     };
     for seed in 7..=11 {
-        let a = run_cohorted(&topo(&service, &server, &[], &cohorts, Some(&forward)), seed, 3);
-        let b = run_cohorted(&topo(&service, &server, &[], &cohorts, Some(&rotated)), seed, 3);
+        let a = fleet(&topo(&service, &server, &[], &cohorts, Some(&forward)), seed, 3);
+        let b = fleet(&topo(&service, &server, &[], &cohorts, Some(&rotated)), seed, 3);
         assert_eq!(a.cohorts, b.cohorts, "seed {seed}: cohort rollups depend on shard enumeration");
-        assert_eq!(
-            a.fleet.aggregate, b.fleet.aggregate,
-            "seed {seed}: aggregate depends on shard enumeration"
-        );
+        assert_eq!(a.aggregate, b.aggregate, "seed {seed}: aggregate depends on shard enumeration");
         for (s, shard) in a.shards.iter().enumerate() {
             assert_eq!(shard.result, b.shards[(s + 2) % 3].result, "seed {seed}: shard {s} moved physics");
         }
@@ -158,15 +160,15 @@ fn one_pooled_cohort_matches_k_singleton_cohorts_statistically() {
     let split: Vec<CohortSpec> =
         (0..8).map(|_| CohortSpec::new(template("pool", false, 5_000.0), 1)).collect();
 
-    let big = run_cohorted(&topo(&service, &server, &[], &merged, None), 99, 2);
-    let many = run_cohorted(&topo(&service, &server, &[], &split, None), 99, 2);
+    let big = fleet(&topo(&service, &server, &[], &merged, None), 99, 2);
+    let many = fleet(&topo(&service, &server, &[], &split, None), 99, 2);
 
-    assert_eq!(big.fleet.nodes.len(), 1, "population-k cohort must lower to one pooled node");
-    assert_eq!(many.fleet.nodes.len(), 8, "k singleton cohorts must lower to k nodes");
-    let (a, b) = (big.fleet.aggregate.samples as f64, many.fleet.aggregate.samples as f64);
+    assert_eq!(big.nodes.len(), 1, "population-k cohort must lower to one pooled node");
+    assert_eq!(many.nodes.len(), 8, "k singleton cohorts must lower to k nodes");
+    let (a, b) = (big.aggregate.samples as f64, many.aggregate.samples as f64);
     let rel = (a - b).abs() / b;
     assert!(rel < 0.10, "pooled ({a}) and superposed-by-hand ({b}) sample counts diverged by {rel:.3}");
-    let (qa, qb) = (big.fleet.aggregate.achieved_qps, many.fleet.aggregate.achieved_qps);
+    let (qa, qb) = (big.aggregate.achieved_qps, many.aggregate.achieved_qps);
     assert!(((qa - qb) / qb).abs() < 0.10, "achieved qps diverged: {qa:.0} vs {qb:.0}");
 }
 
@@ -199,10 +201,7 @@ fn cohort_split_and_merge_keep_event_counts_deterministic() {
     // And worker count is presentation: the cohorted runner dispatches
     // the same requests serial or parallel.
     let spec = topo(&service, &server, &[], &halves, None);
-    assert_eq!(
-        run_cohorted(&spec, 31, 1).fleet.aggregate.samples,
-        run_cohorted(&spec, 31, 8).fleet.aggregate.samples,
-    );
+    assert_eq!(fleet(&spec, 31, 1).aggregate.samples, fleet(&spec, 31, 8).aggregate.samples,);
     // The two declarations offer identical load; their realized counts
     // differ only by arrival interleaving.
     let (_, merged_samples) = merged_counts;
@@ -217,22 +216,22 @@ fn tracked_members_expose_exact_drilldown_next_to_the_pool() {
     let server = MachineConfig::server_baseline();
     let solo = [template("solo", false, 8_000.0)];
     let cohorts = [CohortSpec::new(template("lp", true, 1_000.0), 50).with_tracked(2)];
-    let run = run_cohorted(&topo(&service, &server, &solo, &cohorts, None), 5, 2);
+    let run = fleet(&topo(&service, &server, &solo, &cohorts, None), 5, 2);
 
-    let labels: Vec<&str> = run.fleet.nodes.iter().map(|n| n.label.as_str()).collect();
+    let labels: Vec<&str> = run.nodes.iter().map(|n| n.label.as_str()).collect();
     assert_eq!(labels, ["solo", "lp#0", "lp#1", "lp#pooled(48)"]);
     // Tracked members are exact per-node streams at the template's own
     // rate; the pooled node carries the superposed remainder.
-    assert_eq!(run.fleet.nodes[1].result.target_qps, 1_000.0);
-    assert_eq!(run.fleet.nodes[2].result.target_qps, 1_000.0);
-    assert_eq!(run.fleet.nodes[3].result.target_qps, 48_000.0);
+    assert_eq!(run.nodes[1].result.target_qps, 1_000.0);
+    assert_eq!(run.nodes[2].result.target_qps, 1_000.0);
+    assert_eq!(run.nodes[3].result.target_qps, 48_000.0);
     // The rollup pools exactly the cohort's three nodes — the explicit
     // node never leaks in.
     assert_eq!(run.cohorts.len(), 1);
     assert_eq!(run.cohorts[0].population, 50);
     assert_eq!(run.cohorts[0].tracked, 2);
-    let member_samples: u64 = run.fleet.nodes[1..].iter().map(|n| n.result.samples).sum();
+    let member_samples: u64 = run.nodes[1..].iter().map(|n| n.result.samples).sum();
     assert_eq!(run.cohorts[0].result.samples, member_samples);
-    assert_eq!(run.fleet.aggregate.samples, member_samples + run.fleet.nodes[0].result.samples,);
-    assert!(run.worst_cohort_p99() >= run.best_cohort_p99());
+    assert_eq!(run.aggregate.samples, member_samples + run.nodes[0].result.samples,);
+    assert_eq!(run.cohort("lp"), Some(&run.cohorts[0]));
 }

@@ -16,7 +16,7 @@ use tpv_core::control::{
     AdmissionThrottle, ControlSpec, Controller, DoNothing, HedgeRequests, MitigationPolicy, RemediateNode,
     RerouteHotShard,
 };
-use tpv_core::runtime::{run_cohorted, run_once, run_phased, run_topology_sharded, RunResult, RunSpec};
+use tpv_core::runtime::{run_fleet, run_once, RunResult, RunSpec};
 use tpv_core::topology::{ClientNode, CohortSpec, NodeDynamics, ShardPolicy, ShardSpec, TopologySpec};
 use tpv_hw::{CStatePolicy, MachineConfig};
 use tpv_loadgen::{GeneratorSpec, LoopMode, PointOfMeasurement, TimingMode};
@@ -273,8 +273,8 @@ fn observe_phased(parts: &Parts, dynamics: &NodeDynamics, seed: u64) -> ([u64; 1
         warmup: spec.warmup,
         cohorts: &[],
     };
-    let phased = run_phased(&topo, seed, 1).expect("valid phased golden topology");
-    let row = golden_row(&phased.fleet.aggregate);
+    let phased = run_fleet(&topo, seed, 1).expect("valid phased golden topology");
+    let row = golden_row(&phased.aggregate);
     let phases = phased.phases.iter().map(|p| [p.samples, p.p99.as_ns()]).collect();
     (row, phases)
 }
@@ -324,8 +324,8 @@ fn observe_sharded(shards: &ShardSpec, nodes: &[ClientNode], seed: u64) -> ([u64
     };
     // Three workers over four shards: the parallel path with an uneven
     // split, the strictest schedule to stay bit-identical under.
-    let sharded = run_topology_sharded(&topo, seed, 3);
-    let row = golden_row(&sharded.fleet.aggregate);
+    let sharded = run_fleet(&topo, seed, 3).expect("valid sharded golden topology");
+    let row = golden_row(&sharded.aggregate);
     let shards_out = sharded.shards.iter().map(|s| [s.result.samples, s.result.p99.as_ns()]).collect();
     (row, shards_out)
 }
@@ -396,8 +396,8 @@ fn observe_phased_sharded(
         warmup: SimDuration::from_ms(6),
         cohorts: &[],
     };
-    let run = run_phased(&topo, seed, workers).expect("valid phased sharded golden topology");
-    let row = golden_row(&run.fleet.aggregate);
+    let run = run_fleet(&topo, seed, workers).expect("valid phased sharded golden topology");
+    let row = golden_row(&run.aggregate);
     let per_shard = run.shards.iter().map(|s| [s.result.samples, s.result.p99.as_ns()]).collect();
     let per_phase = run.phases.iter().map(|p| [p.samples, p.p99.as_ns()]).collect();
     (row, per_shard, per_phase)
@@ -407,7 +407,7 @@ fn observe_phased_sharded(
 /// per-cohort `(samples, p99 ns)` pairs — a drift in the cohort
 /// lowering, the pooled arrival superposition or the per-cohort
 /// canonical merge trips the pin. Observed through the parallel
-/// `run_cohorted` entry point.
+/// `run_fleet` entry point.
 struct CohortGolden {
     name: &'static str,
     seed: u64,
@@ -453,8 +453,8 @@ fn observe_cohort(
         warmup: SimDuration::from_ms(6),
         cohorts,
     };
-    let run = run_cohorted(&topo, seed, 3);
-    let row = golden_row(&run.fleet.aggregate);
+    let run = run_fleet(&topo, seed, 3).expect("valid cohort golden topology");
+    let row = golden_row(&run.aggregate);
     let per_cohort = run.cohorts.iter().map(|c| [c.result.samples, c.result.p99.as_ns()]).collect();
     (row, per_cohort)
 }
@@ -709,7 +709,7 @@ fn controlled_runs_match_their_pins() {
 /// explicit `ClientNode` — the cohort layer's central invariant (the
 /// analogue of the shard layer's K=1 rule), checked against the same
 /// `GOLDEN` rows the static kernel is pinned by, through the parallel
-/// `run_cohorted` entry point. Open-loop shapes exercise the *pooled*
+/// `run_fleet` entry point. Open-loop shapes exercise the *pooled*
 /// lowering (a pool of one), the closed-loop shape the tracked lowering.
 #[test]
 fn population_one_cohort_reproduces_the_static_goldens() {
@@ -739,8 +739,8 @@ fn population_one_cohort_reproduces_the_static_goldens() {
             warmup: spec.warmup,
             cohorts: &cohorts,
         };
-        let run = run_cohorted(&topo, g.seed, 2);
-        let row = golden_row(&run.fleet.aggregate);
+        let run = run_fleet(&topo, g.seed, 2).expect("valid cohort golden topology");
+        let row = golden_row(&run.aggregate);
         assert_eq!(
             row, g.row,
             "{} seed {}: a population-1 cohort drifted from the static pin",
@@ -808,8 +808,8 @@ fn one_shard_tier_reproduces_the_static_goldens() {
             warmup: spec.warmup,
             cohorts: &[],
         };
-        let sharded = run_topology_sharded(&topo, g.seed, 4);
-        let row = golden_row(&sharded.fleet.aggregate);
+        let sharded = run_fleet(&topo, g.seed, 4).expect("valid sharded golden topology");
+        let row = golden_row(&sharded.aggregate);
         assert_eq!(row, g.row, "{} seed {}: a one-shard tier drifted from the static pin", g.name, g.seed);
     }
 }
@@ -839,11 +839,10 @@ fn sharded_runs_match_their_pins() {
     assert!(hot.shards[0][1] > 2 * best_cold, "hot-shard tail must dwarf the clean cold shards");
 }
 
-/// A single-phase schedule over a K-shard tier must be bit-identical to
-/// the static sharded kernel — the phased×sharded unification's central
-/// invariant, checked by re-running every `GOLDEN_SHARDED` row through
-/// the phased path (a static topology's merged schedule is the single
-/// all-covering phase).
+/// A static topology over a K-shard tier reports one all-covering phase
+/// that pools every sample, next to the pinned sharded aggregate and
+/// per-shard stats — checked by re-running every `GOLDEN_SHARDED` row
+/// serially (the pin itself is observed at three workers).
 #[test]
 fn single_phase_schedule_over_a_sharded_tier_reproduces_the_sharded_goldens() {
     let by_name = sharded_cases();
@@ -863,11 +862,11 @@ fn single_phase_schedule_over_a_sharded_tier_reproduces_the_sharded_goldens() {
             warmup: SimDuration::from_ms(6),
             cohorts: &[],
         };
-        let run = run_phased(&topo, g.seed, 3).expect("valid phased sharded topology");
+        let run = run_fleet(&topo, g.seed, 1).expect("valid sharded topology");
         assert_eq!(
-            golden_row(&run.fleet.aggregate),
+            golden_row(&run.aggregate),
             g.row,
-            "{} seed {}: the phased path drifted from the static sharded pin",
+            "{} seed {}: the serial run drifted from the static sharded pin",
             g.name,
             g.seed
         );

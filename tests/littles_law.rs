@@ -4,7 +4,7 @@
 //! at three levels: the 1×1 testbed, pooled multi-node fleets, and the
 //! per-phase regimes of a stepped-load dynamic run.
 
-use tpv::core::runtime::{run_phased, run_topology};
+use tpv::core::runtime::run_fleet;
 use tpv::core::topology::{uniform_fleet, ClientNode, NodeDynamics, TopologySpec};
 use tpv::loadgen::GeneratorSpec;
 use tpv::net::LinkConfig;
@@ -93,7 +93,7 @@ fn fleet_pooling_conserves_littles_law() {
         warmup: SimDuration::from_ms(8),
         cohorts: &[],
     };
-    let fleet = run_topology(&topo, 11);
+    let fleet = run_fleet(&topo, 11, 1).expect("valid topology");
     let agg = &fleet.aggregate;
     let pooled_l = littles_law_concurrency(agg.achieved_qps, agg.avg.as_secs());
     let summed_l: f64 = fleet
@@ -138,7 +138,7 @@ fn stepped_load_phases_obey_littles_law_per_phase() {
         warmup: SimDuration::from_ms(8),
         cohorts: &[],
     };
-    let phased = run_phased(&topo, 29, 1).expect("valid phased topology");
+    let phased = run_fleet(&topo, 29, 1).expect("valid phased topology");
     let low = phased.phase(0).unwrap();
     let high = phased.phase(1).unwrap();
     // Each phase achieves its own offered rate...
@@ -155,7 +155,7 @@ fn stepped_load_phases_obey_littles_law_per_phase() {
     );
     // The whole-run aggregate blends the two regimes: its concurrency
     // sits strictly between the per-phase extremes.
-    let agg = &phased.fleet.aggregate;
+    let agg = &phased.aggregate;
     let l_agg = littles_law_concurrency(agg.achieved_qps, agg.avg.as_secs());
     assert!(l_low < l_agg && l_agg < l_high, "blend {l_agg:.2} outside ({l_low:.2}, {l_high:.2})");
 }

@@ -4,7 +4,8 @@
 //! static topology kernel (same-seed reproducibility, permutation
 //! invariance) survives the phase layer.
 
-use tpv_core::runtime::{run_once, run_phased, run_topology, RunSpec};
+use tpv_core::collect::PerNodeCollector;
+use tpv_core::runtime::{run_collected, run_fleet, run_once, RunSpec};
 use tpv_core::topology::{ClientNode, NodeDynamics, TopologyError, TopologySpec};
 use tpv_hw::{DynamicMachine, MachineConfig};
 use tpv_loadgen::{GeneratorSpec, PhasedRate};
@@ -57,11 +58,8 @@ fn degenerate_single_phase_schedule_is_bit_identical_to_static() {
         .with_rates(vec![1.0])
         .with_links(vec![link]);
     let nodes = [spec.client_node().with_dynamics(dynamics)];
-    let phased = run_phased(&topo(&service, &server, &nodes), 17, 1).expect("valid phased topology");
-    assert_eq!(
-        phased.fleet.aggregate, static_result,
-        "a degenerate schedule must not perturb the static kernel"
-    );
+    let phased = run_fleet(&topo(&service, &server, &nodes), 17, 1).expect("valid phased topology");
+    assert_eq!(phased.aggregate, static_result, "a degenerate schedule must not perturb the static kernel");
     // The whole run is one phase whose stats match the aggregate.
     assert_eq!(phased.phases.len(), 1);
     assert_eq!(phased.phases[0].samples, static_result.samples);
@@ -69,10 +67,11 @@ fn degenerate_single_phase_schedule_is_bit_identical_to_static() {
     assert_eq!(phased.phases[0].p50, static_result.p50);
 }
 
-/// `run_phased` on a static topology is `run_topology` plus one
-/// all-covering phase — same kernel pass, same bits.
+/// `run_fleet` on a static topology reports one all-covering phase next
+/// to the aggregate and per-node results of a plain per-node pass — the
+/// phase lens is a collector, so it cannot move a bit.
 #[test]
-fn run_phased_on_static_topology_matches_run_topology() {
+fn static_topology_has_one_phase_and_matches_run_collected() {
     let service = kv_service();
     let server = MachineConfig::server_baseline();
     let gen = GeneratorSpec::mutilate().with_connections(40);
@@ -88,11 +87,14 @@ fn run_phased_on_static_topology_matches_run_topology() {
         })
         .collect();
     let spec = topo(&service, &server, &nodes);
-    let fleet = run_topology(&spec, 23);
-    let phased = run_phased(&spec, 23, 1).expect("valid phased topology");
-    assert_eq!(phased.fleet, fleet, "phased view must not perturb the fleet result");
-    assert_eq!(phased.phases.len(), 1, "static topology has one merged phase");
-    assert_eq!(phased.phases[0].samples, fleet.aggregate.samples);
+    let mut per_node = PerNodeCollector::new(nodes.len());
+    let aggregate = run_collected(&spec, 23, &mut per_node);
+    let fleet = run_fleet(&spec, 23, 1).expect("valid topology");
+    assert_eq!(fleet.aggregate, aggregate, "the phase lens must not perturb the aggregate");
+    let node_results: Vec<_> = fleet.nodes.iter().map(|n| n.result.clone()).collect();
+    assert_eq!(node_results, per_node.into_results(), "the phase lens must not perturb the nodes");
+    assert_eq!(fleet.phases.len(), 1, "static topology has one merged phase");
+    assert_eq!(fleet.phases[0].samples, aggregate.samples);
 }
 
 /// A mid-run machine decay (HP -> LP) is visible as a latency regime
@@ -115,7 +117,7 @@ fn two_phase_machine_flip_shows_a_regime_change() {
         100_000.0,
     )
     .with_dynamics(dynamics)];
-    let phased = run_phased(&topo(&service, &server, &nodes), 5, 1).expect("valid phased topology");
+    let phased = run_fleet(&topo(&service, &server, &nodes), 5, 1).expect("valid phased topology");
     assert_eq!(phased.phases.len(), 2);
     let before = phased.phase(0).unwrap();
     let after = phased.phase(1).unwrap();
@@ -129,7 +131,7 @@ fn two_phase_machine_flip_shows_a_regime_change() {
     assert!(after.avg > before.avg);
     // The whole-run per-node result blends both regimes and reports the
     // deep wakes only the decayed half can produce.
-    let node = &phased.fleet.nodes[0].result;
+    let node = &phased.nodes[0].result;
     assert!(node.client_wakes[2] + node.client_wakes[3] > 0);
 }
 
@@ -149,7 +151,7 @@ fn stepped_load_tracks_the_multipliers() {
     )
     .with_dynamics(dynamics)];
     let spec = topo(&service, &server, &nodes);
-    let phased = run_phased(&spec, 9, 1).expect("valid phased topology");
+    let phased = run_fleet(&spec, 9, 1).expect("valid phased topology");
     let low = phased.phase(0).unwrap();
     let high = phased.phase(1).unwrap();
     assert!((low.achieved_qps / 40_000.0 - 1.0).abs() < 0.1, "low phase {}", low.achieved_qps);
@@ -157,7 +159,7 @@ fn stepped_load_tracks_the_multipliers() {
     // The reported target is the time-weighted offered load. Phase 0
     // covers [6ms, 30ms) of the 54ms window, phase 1 covers [30ms, 60ms).
     let expected = 80_000.0 * (0.5 * 24.0 + 2.0 * 30.0) / 54.0;
-    let agg = &phased.fleet.aggregate;
+    let agg = &phased.aggregate;
     assert!((agg.target_qps / expected - 1.0).abs() < 1e-9, "target {}", agg.target_qps);
     assert!((agg.achieved_qps / agg.target_qps - 1.0).abs() < 0.1);
 }
@@ -180,16 +182,16 @@ fn dynamic_fleets_are_permutation_invariant() {
     ];
     let run_order = |order: &[usize]| {
         let nodes: Vec<ClientNode> = order.iter().map(|&i| base[i].clone()).collect();
-        run_phased(&topo(&service, &server, &nodes), 31, 1).expect("valid phased topology")
+        run_fleet(&topo(&service, &server, &nodes), 31, 1).expect("valid phased topology")
     };
     let fwd = run_order(&[0, 1, 2]);
     let rev = run_order(&[2, 1, 0]);
-    assert_eq!(fwd.fleet.aggregate, rev.fleet.aggregate, "aggregate must ignore declaration order");
+    assert_eq!(fwd.aggregate, rev.aggregate, "aggregate must ignore declaration order");
     assert_eq!(fwd.phases, rev.phases, "per-phase stats must ignore declaration order");
     for label in ["decay", "steady", "surge"] {
         assert_eq!(
-            fwd.fleet.node(label).unwrap().result,
-            rev.fleet.node(label).unwrap().result,
+            fwd.node(label).unwrap().result,
+            rev.node(label).unwrap().result,
             "node '{label}' must be order-independent"
         );
     }
@@ -224,11 +226,11 @@ fn dynamic_runs_are_deterministic_per_seed() {
     )
     .with_dynamics(dynamics)];
     let spec = topo(&service, &server, &nodes);
-    let a = run_phased(&spec, 42, 1).expect("valid phased topology");
-    let b = run_phased(&spec, 42, 1).expect("valid phased topology");
+    let a = run_fleet(&spec, 42, 1).expect("valid phased topology");
+    let b = run_fleet(&spec, 42, 1).expect("valid phased topology");
     assert_eq!(a, b);
-    let c = run_phased(&spec, 43, 1).expect("valid phased topology");
-    assert_ne!(a.fleet.aggregate, c.fleet.aggregate);
+    let c = run_fleet(&spec, 43, 1).expect("valid phased topology");
+    assert_ne!(a.aggregate, c.aggregate);
 }
 
 /// A phased rate on a closed-loop generator is rejected with a typed
@@ -248,7 +250,7 @@ fn phased_rate_on_closed_loop_is_rejected() {
         10_000.0,
     )
     .with_dynamics(dynamics)];
-    let err = run_phased(&topo(&service, &server, &nodes), 1, 1).unwrap_err();
+    let err = run_fleet(&topo(&service, &server, &nodes), 1, 1).unwrap_err();
     assert_eq!(err, TopologyError::PhasedRateClosedLoop { label: "closed".into() });
     assert!(err.to_string().contains("require an open-loop generator"), "{err}");
 }
@@ -277,7 +279,7 @@ fn non_finite_phase_rates_are_rejected() {
     };
 
     let nan_nodes = build(vec![1.0, f64::NAN]);
-    let err = run_phased(&topo(&service, &server, &nan_nodes), 1, 1).unwrap_err();
+    let err = run_fleet(&topo(&service, &server, &nan_nodes), 1, 1).unwrap_err();
     assert!(
         matches!(
             err,
@@ -289,7 +291,7 @@ fn non_finite_phase_rates_are_rejected() {
     assert!(err.to_string().contains("NaN"), "{err}");
 
     let negative_nodes = build(vec![-0.5, 2.0]);
-    let err = run_phased(&topo(&service, &server, &negative_nodes), 1, 1).unwrap_err();
+    let err = run_fleet(&topo(&service, &server, &negative_nodes), 1, 1).unwrap_err();
     assert_eq!(
         err,
         TopologyError::NonFinitePhaseRate { label: "poisoned".into(), phase: 0, multiplier: -0.5 }
@@ -297,12 +299,12 @@ fn non_finite_phase_rates_are_rejected() {
     assert!(err.to_string().contains("-0.5"), "{err}");
 
     let inf_nodes = build(vec![1.0, f64::INFINITY]);
-    let err = run_phased(&topo(&service, &server, &inf_nodes), 1, 1).unwrap_err();
+    let err = run_fleet(&topo(&service, &server, &inf_nodes), 1, 1).unwrap_err();
     assert!(matches!(err, TopologyError::NonFinitePhaseRate { phase: 1, .. }), "{err:?}");
 
     // A well-formed plan through the same seam still validates.
     let fine_nodes = build(vec![0.5, 2.0]);
-    assert!(run_phased(&topo(&service, &server, &fine_nodes), 1, 1).is_ok());
+    assert!(run_fleet(&topo(&service, &server, &fine_nodes), 1, 1).is_ok());
 }
 
 /// The merged schedule is the union of node schedules, and per-phase
@@ -324,7 +326,7 @@ fn merged_schedule_unions_node_boundaries() {
     let spec = topo(&service, &server, &nodes);
     let merged = spec.merged_schedule();
     assert_eq!(merged.boundaries(), &[SimTime::from_ms(20), SimTime::from_ms(40)]);
-    let phased = run_phased(&spec, 3, 1).expect("valid phased topology");
+    let phased = run_fleet(&spec, 3, 1).expect("valid phased topology");
     assert_eq!(phased.phases.len(), 3);
     assert!(phased.phases.iter().all(|p| p.samples > 0));
 }

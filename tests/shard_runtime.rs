@@ -8,13 +8,9 @@
 
 use tpv_core::collect::{Collector, EventCountCollector, MergeCollector, PerNodeCollector, PhaseCollector};
 use tpv_core::engine::{fingerprint_topology, Engine, JobPlan};
-use tpv_core::runtime::{
-    run_collected, run_phased, run_sharded_collected_hedged_with, run_topology, run_topology_sharded,
-    PhasedFleetResult,
-};
+use tpv_core::runtime::{run_collected, run_fleet, run_sharded_collected_hedged_with};
 use tpv_core::topology::{
-    ClientNode, FleetResult, NodeDynamics, NodeResult, ShardPolicy, ShardSpec, ShardedFleetResult,
-    TopologySpec,
+    ClientNode, FleetResult, NodeDynamics, NodeResult, ShardPolicy, ShardSpec, TopologySpec,
 };
 use tpv_core::PinPolicy;
 use tpv_hw::MachineConfig;
@@ -62,9 +58,15 @@ fn topo<'a>(
     }
 }
 
-/// [`run_phased`] on up to `workers` threads pinned round-robin: the
-/// same per-node and per-phase collectors, through the pin-taking kernel.
-fn pinned_phased(spec: &TopologySpec<'_>, seed: u64, workers: usize) -> PhasedFleetResult {
+/// [`run_fleet`] on a topology these tests build valid.
+fn fleet(spec: &TopologySpec<'_>, seed: u64, workers: usize) -> FleetResult {
+    run_fleet(spec, seed, workers).expect("valid topology")
+}
+
+/// [`run_fleet`] on up to `workers` threads pinned round-robin: the same
+/// per-node and per-phase collectors, through the pin-taking kernel
+/// (these topologies have no cohorts).
+fn pinned_fleet(spec: &TopologySpec<'_>, seed: u64, workers: usize) -> FleetResult {
     let n = spec.nodes.len();
     let window = (SimTime::ZERO + spec.warmup, SimTime::ZERO + spec.duration);
     let schedule = spec.merged_schedule();
@@ -78,13 +80,7 @@ fn pinned_phased(spec: &TopologySpec<'_>, seed: u64, workers: usize) -> PhasedFl
         .zip(per_node.into_results())
         .map(|(node, result)| NodeResult { label: node.label.clone(), result })
         .collect();
-    PhasedFleetResult { fleet: FleetResult { aggregate, nodes }, shards, phases: phases.into_stats() }
-}
-
-/// [`run_topology_sharded`] pinned round-robin (see [`pinned_phased`]).
-fn pinned_sharded(spec: &TopologySpec<'_>, seed: u64, workers: usize) -> ShardedFleetResult {
-    let run = pinned_phased(spec, seed, workers);
-    ShardedFleetResult { fleet: run.fleet, shards: run.shards }
+    FleetResult { aggregate, nodes, shards, phases: phases.into_stats(), cohorts: Vec::new() }
 }
 
 #[test]
@@ -94,21 +90,23 @@ fn serial_and_parallel_shard_execution_are_bit_identical() {
     let nodes = mixed_fleet();
     let shards = ShardSpec::uniform(server, 4);
     let spec = topo(&service, &server, &nodes, Some(&shards));
-    let serial = run_topology_sharded(&spec, 11, 1);
+    let serial = fleet(&spec, 11, 1);
     for workers in [2, 4, 8, 64] {
-        let parallel = run_topology_sharded(&spec, 11, workers);
+        let parallel = fleet(&spec, 11, workers);
         assert_eq!(serial, parallel, "{workers} workers drifted from serial execution");
     }
-    // The serial single-collector kernel (`run_collected` via
-    // `run_topology`) must agree with the partition-merged path too.
-    let fleet = run_topology(&spec, 11);
-    assert_eq!(serial.fleet, fleet, "run_topology disagrees with run_topology_sharded");
+    // The serial single-collector kernel (`run_collected`) must agree
+    // with the partition-merged path too.
+    let mut per_node = PerNodeCollector::new(nodes.len());
+    assert_eq!(serial.aggregate, run_collected(&spec, 11, &mut per_node), "run_collected disagrees");
+    let node_results: Vec<_> = serial.nodes.iter().map(|n| n.result.clone()).collect();
+    assert_eq!(node_results, per_node.into_results(), "run_collected per-node results disagree");
     // Shape: every node appears on exactly one shard.
     let mut seen: Vec<usize> = serial.shards.iter().flat_map(|s| s.nodes.iter().copied()).collect();
     seen.sort_unstable();
     assert_eq!(seen, (0..nodes.len()).collect::<Vec<_>>());
     let pooled: u64 = serial.shards.iter().map(|s| s.result.samples).sum();
-    assert_eq!(serial.fleet.aggregate.samples, pooled, "shard breakdowns must pool to the aggregate");
+    assert_eq!(serial.aggregate.samples, pooled, "shard breakdowns must pool to the aggregate");
 }
 
 #[test]
@@ -126,19 +124,19 @@ fn shard_enumeration_order_is_presentation_not_physics() {
         machines: vec![slow, fast],
         policy: ShardPolicy::Explicit(assignment.iter().map(|&s| 1 - s).collect()),
     };
-    let a = run_topology_sharded(&topo(&service, &server, &nodes, Some(&forward)), 7, 4);
-    let b = run_topology_sharded(&topo(&service, &server, &nodes, Some(&swapped)), 7, 4);
+    let a = fleet(&topo(&service, &server, &nodes, Some(&forward)), 7, 4);
+    let b = fleet(&topo(&service, &server, &nodes, Some(&swapped)), 7, 4);
     // Per-node results are invariant under the relabeling...
     for label in nodes.iter().map(|n| &n.label) {
         assert_eq!(
-            a.fleet.node(label).unwrap().result,
-            b.fleet.node(label).unwrap().result,
+            a.node(label).unwrap().result,
+            b.node(label).unwrap().result,
             "{label} differs under shard enumeration permutation"
         );
     }
     // ...the aggregate is bit-identical (float merges happen in
     // canonical content order, not enumeration order)...
-    assert_eq!(a.fleet.aggregate, b.fleet.aggregate);
+    assert_eq!(a.aggregate, b.aggregate);
     // ...and the shard breakdowns swap along with the enumeration.
     assert_eq!(a.shards[0].result, b.shards[1].result);
     assert_eq!(a.shards[1].result, b.shards[0].result);
@@ -153,7 +151,7 @@ fn node_to_shard_assignment_travels_with_the_nodes() {
     let assignment = shards.assign(base.len());
     let spec_a =
         ShardSpec { machines: shards.machines.clone(), policy: ShardPolicy::Explicit(assignment.clone()) };
-    let a = run_topology_sharded(&topo(&service, &server, &base, Some(&spec_a)), 21, 4);
+    let a = fleet(&topo(&service, &server, &base, Some(&spec_a)), 21, 4);
     // Permute the declaration order and permute the explicit assignment
     // identically: every node keeps its shard, so every per-node result
     // and the aggregate must be unchanged.
@@ -163,15 +161,15 @@ fn node_to_shard_assignment_travels_with_the_nodes() {
         machines: shards.machines.clone(),
         policy: ShardPolicy::Explicit(order.iter().map(|&i| assignment[i]).collect()),
     };
-    let b = run_topology_sharded(&topo(&service, &server, &permuted, Some(&spec_b)), 21, 4);
+    let b = fleet(&topo(&service, &server, &permuted, Some(&spec_b)), 21, 4);
     for label in base.iter().map(|n| &n.label) {
         assert_eq!(
-            a.fleet.node(label).unwrap().result,
-            b.fleet.node(label).unwrap().result,
+            a.node(label).unwrap().result,
+            b.node(label).unwrap().result,
             "{label} differs under node permutation"
         );
     }
-    assert_eq!(a.fleet.aggregate, b.fleet.aggregate);
+    assert_eq!(a.aggregate, b.aggregate);
 }
 
 #[test]
@@ -179,10 +177,10 @@ fn one_shard_tier_is_the_unsharded_kernel() {
     let service = kv_service();
     let server = MachineConfig::server_baseline();
     let nodes = mixed_fleet();
-    let unsharded = run_topology(&topo(&service, &server, &nodes, None), 5);
+    let unsharded = fleet(&topo(&service, &server, &nodes, None), 5, 1);
     let one = ShardSpec::uniform(server, 1);
-    let sharded = run_topology_sharded(&topo(&service, &server, &nodes, Some(&one)), 5, 4);
-    assert_eq!(sharded.fleet, unsharded, "K=1 must be bit-identical to the unsharded kernel");
+    let sharded = fleet(&topo(&service, &server, &nodes, Some(&one)), 5, 4);
+    assert_eq!(sharded, unsharded, "K=1 must be bit-identical to the unsharded kernel");
     assert_eq!(sharded.shards.len(), 1);
     assert_eq!(sharded.shards[0].result.samples, unsharded.aggregate.samples);
 }
@@ -197,9 +195,13 @@ fn empty_shards_are_inert() {
     // exactly as in the 3-shard tier.
     let wide = ShardSpec::uniform(server, 8);
     let narrow = ShardSpec::uniform(server, 3);
-    let a = run_topology_sharded(&topo(&service, &server, &nodes, Some(&wide)), 9, 4);
-    let b = run_topology_sharded(&topo(&service, &server, &nodes, Some(&narrow)), 9, 4);
-    assert_eq!(a.fleet, b.fleet, "idle shards must not perturb loaded ones");
+    let a = fleet(&topo(&service, &server, &nodes, Some(&wide)), 9, 4);
+    let b = fleet(&topo(&service, &server, &nodes, Some(&narrow)), 9, 4);
+    assert_eq!(
+        (&a.aggregate, &a.nodes, &a.phases),
+        (&b.aggregate, &b.nodes, &b.phases),
+        "idle shards must not perturb loaded ones"
+    );
     for idle in &a.shards[3..] {
         assert_eq!(idle.result.samples, 0);
         assert!(idle.nodes.is_empty());
@@ -225,8 +227,8 @@ fn hot_shard_policy_skews_the_per_shard_tail() {
         .collect();
     let uniform = ShardSpec::uniform(server, 4);
     let hot = ShardSpec::uniform(server, 4).with_policy(ShardPolicy::HotShard { hot: 1, share: 0.5 });
-    let u = run_topology_sharded(&topo(&service, &server, &nodes, Some(&uniform)), 13, 4);
-    let h = run_topology_sharded(&topo(&service, &server, &nodes, Some(&hot)), 13, 4);
+    let u = fleet(&topo(&service, &server, &nodes, Some(&uniform)), 13, 4);
+    let h = fleet(&topo(&service, &server, &nodes, Some(&hot)), 13, 4);
     // The hot backend serves half the fleet on one machine: its tail
     // must exceed the cold shards' and widen the per-shard spread well
     // beyond the uniform tier's.
@@ -261,11 +263,11 @@ fn work_stealing_and_pinning_are_schedule_invariant_under_hot_shard_skew() {
         .collect();
     let hot = ShardSpec::uniform(server, 4).with_policy(ShardPolicy::HotShard { hot: 1, share: 0.5 });
     let spec = topo(&service, &server, &nodes, Some(&hot));
-    let serial = run_topology_sharded(&spec, 29, 1);
+    let serial = fleet(&spec, 29, 1);
     for workers in [2, 3, 4, 8] {
-        let stolen = run_topology_sharded(&spec, 29, workers);
+        let stolen = fleet(&spec, 29, workers);
         assert_eq!(serial, stolen, "{workers}-worker stolen schedule drifted from serial");
-        let pinned = pinned_sharded(&spec, 29, workers);
+        let pinned = pinned_fleet(&spec, 29, workers);
         assert_eq!(serial, pinned, "{workers}-worker pinned schedule drifted from serial");
     }
 }
@@ -372,14 +374,14 @@ fn engine_execute_sharded_is_parallelism_invariant() {
     let plan = JobPlan::new(17, &[fingerprint_topology(&spec)], 3).shuffled(99);
     let execute = |engine: Engine| {
         let shard_workers = engine.shard_workers(&plan);
-        engine.execute_jobs(&plan, |job| run_topology_sharded(&spec, job.seed, shard_workers))
+        engine.execute_jobs(&plan, |job| fleet(&spec, job.seed, shard_workers))
     };
     let serial = execute(Engine::serial());
     let parallel = execute(Engine::with_workers(8));
     assert_eq!(serial, parallel, "engine scheduling must not change sharded results");
     assert_eq!(serial.len(), 3);
-    let direct: Vec<(usize, usize, ShardedFleetResult)> =
-        plan.jobs().iter().map(|j| (j.cell, j.run, run_topology_sharded(&spec, j.seed, 1))).collect();
+    let direct: Vec<(usize, usize, FleetResult)> =
+        plan.jobs().iter().map(|j| (j.cell, j.run, fleet(&spec, j.seed, 1))).collect();
     let mut direct_sorted = direct;
     direct_sorted.sort_by_key(|&(c, r, _)| (c, r));
     assert_eq!(serial, direct_sorted, "engine jobs must equal direct sharded runs");
@@ -419,24 +421,28 @@ fn phased_serial_and_parallel_shard_execution_are_bit_identical() {
     let nodes = phased_fleet();
     let shards = ShardSpec::uniform(server, 4);
     let spec = topo(&service, &server, &nodes, Some(&shards));
-    let serial = run_phased(&spec, 19, 1).expect("valid phased topology");
+    let serial = fleet(&spec, 19, 1);
     assert_eq!(serial.phases.len(), 2, "the merged schedule has two phases");
     assert!(serial.phases.iter().all(|p| p.samples > 0));
     for workers in [2, 3, 4, 8] {
-        let parallel = run_phased(&spec, 19, workers).expect("valid phased topology");
+        let parallel = fleet(&spec, 19, workers);
         assert_eq!(serial, parallel, "{workers}-worker phased schedule drifted from serial");
-        let pinned = pinned_phased(&spec, 19, workers);
+        let pinned = pinned_fleet(&spec, 19, workers);
         assert_eq!(serial, pinned, "{workers}-worker pinned phased schedule drifted from serial");
     }
-    // The phased view is the sharded kernel plus a phase lens: the fleet
-    // and per-shard breakdowns must match the static sharded entry point
-    // on the same (dynamic) topology, bit for bit.
-    let static_view = run_topology_sharded(&spec, 19, 4);
-    assert_eq!(serial.fleet, static_view.fleet, "phased view must not perturb the fleet result");
-    assert_eq!(serial.shards, static_view.shards, "phased view must not perturb the shard breakdown");
+    // The phase lens is only a collector: a pass collecting per node
+    // alone must give the same aggregate, nodes and shards, bit for bit.
+    let (aggregate, shards, per_node) =
+        run_sharded_collected_hedged_with(&spec, 19, 4, PinPolicy::Off, None, |_, _| {
+            PerNodeCollector::new(nodes.len())
+        });
+    assert_eq!(serial.aggregate, aggregate, "the phase lens must not perturb the aggregate");
+    assert_eq!(serial.shards, shards, "the phase lens must not perturb the shard breakdown");
+    let node_results: Vec<_> = serial.nodes.iter().map(|n| n.result.clone()).collect();
+    assert_eq!(node_results, per_node.into_results(), "the phase lens must not perturb the nodes");
     // Phases partition the window: per-phase counts pool to the aggregate.
     let pooled: u64 = serial.phases.iter().map(|p| p.samples).sum();
-    assert_eq!(pooled, serial.fleet.aggregate.samples, "phase buckets must partition the window");
+    assert_eq!(pooled, serial.aggregate.samples, "phase buckets must partition the window");
 }
 
 #[test]
@@ -456,16 +462,14 @@ fn phased_shard_enumeration_order_is_presentation_not_physics() {
         machines: vec![slow, fast],
         policy: ShardPolicy::Explicit(assignment.iter().map(|&s| 1 - s).collect()),
     };
-    let a =
-        run_phased(&topo(&service, &server, &nodes, Some(&forward)), 7, 4).expect("valid phased topology");
-    let b =
-        run_phased(&topo(&service, &server, &nodes, Some(&swapped)), 7, 4).expect("valid phased topology");
+    let a = fleet(&topo(&service, &server, &nodes, Some(&forward)), 7, 4);
+    let b = fleet(&topo(&service, &server, &nodes, Some(&swapped)), 7, 4);
     assert_eq!(a.phases, b.phases, "per-phase stats differ under shard enumeration permutation");
-    assert_eq!(a.fleet.aggregate, b.fleet.aggregate);
+    assert_eq!(a.aggregate, b.aggregate);
     for label in nodes.iter().map(|n| &n.label) {
         assert_eq!(
-            a.fleet.node(label).unwrap().result,
-            b.fleet.node(label).unwrap().result,
+            a.node(label).unwrap().result,
+            b.node(label).unwrap().result,
             "{label} differs under shard enumeration permutation"
         );
     }
@@ -482,21 +486,20 @@ fn phased_node_permutation_is_presentation_not_physics() {
     let assignment = shards.assign(base.len());
     let spec_a =
         ShardSpec { machines: shards.machines.clone(), policy: ShardPolicy::Explicit(assignment.clone()) };
-    let a = run_phased(&topo(&service, &server, &base, Some(&spec_a)), 21, 4).expect("valid phased topology");
+    let a = fleet(&topo(&service, &server, &base, Some(&spec_a)), 21, 4);
     let order = [5usize, 2, 7, 0, 3, 6, 1, 4];
     let permuted: Vec<ClientNode> = order.iter().map(|&i| base[i].clone()).collect();
     let spec_b = ShardSpec {
         machines: shards.machines.clone(),
         policy: ShardPolicy::Explicit(order.iter().map(|&i| assignment[i]).collect()),
     };
-    let b =
-        run_phased(&topo(&service, &server, &permuted, Some(&spec_b)), 21, 4).expect("valid phased topology");
+    let b = fleet(&topo(&service, &server, &permuted, Some(&spec_b)), 21, 4);
     assert_eq!(a.phases, b.phases, "per-phase stats must ignore node declaration order");
-    assert_eq!(a.fleet.aggregate, b.fleet.aggregate);
+    assert_eq!(a.aggregate, b.aggregate);
     for label in base.iter().map(|n| &n.label) {
         assert_eq!(
-            a.fleet.node(label).unwrap().result,
-            b.fleet.node(label).unwrap().result,
+            a.node(label).unwrap().result,
+            b.node(label).unwrap().result,
             "{label} differs under node permutation"
         );
     }
@@ -507,15 +510,13 @@ fn phased_one_shard_tier_is_the_unsharded_phased_kernel() {
     let service = kv_service();
     let server = MachineConfig::server_baseline();
     let nodes = phased_fleet();
-    let unsharded = run_phased(&topo(&service, &server, &nodes, None), 5, 1).expect("valid phased topology");
+    let unsharded = fleet(&topo(&service, &server, &nodes, None), 5, 1);
     let one = ShardSpec::uniform(server, 1);
-    let sharded =
-        run_phased(&topo(&service, &server, &nodes, Some(&one)), 5, 4).expect("valid phased topology");
-    assert_eq!(sharded.fleet, unsharded.fleet, "K=1 must be bit-identical to the unsharded phased kernel");
-    assert_eq!(sharded.phases, unsharded.phases, "K=1 per-phase stats must match the unsharded kernel");
+    let sharded = fleet(&topo(&service, &server, &nodes, Some(&one)), 5, 4);
+    assert_eq!(sharded, unsharded, "K=1 must be bit-identical to the unsharded phased kernel");
     assert_eq!(sharded.shards.len(), 1);
     // Worker count on an unsharded phased topology is a no-op too.
-    let wide = run_phased(&topo(&service, &server, &nodes, None), 5, 8).expect("valid phased topology");
+    let wide = fleet(&topo(&service, &server, &nodes, None), 5, 8);
     assert_eq!(wide, unsharded);
 }
 

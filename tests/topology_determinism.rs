@@ -2,7 +2,7 @@
 //! per-node randomness means a fleet's declaration order is presentation,
 //! not physics.
 
-use tpv_core::runtime::{run_once, run_topology, RunSpec};
+use tpv_core::runtime::{run_fleet, run_once, RunSpec};
 use tpv_core::topology::{ClientNode, TopologySpec};
 use tpv_hw::MachineConfig;
 use tpv_loadgen::GeneratorSpec;
@@ -55,7 +55,7 @@ fn run_with_order(order: &[usize], seed: u64) -> tpv_core::topology::FleetResult
         warmup: SimDuration::from_ms(5),
         cohorts: &[],
     };
-    run_topology(&topo, seed)
+    run_fleet(&topo, seed, 1).expect("valid topology")
 }
 
 #[test]
@@ -96,7 +96,7 @@ fn identical_configs_with_distinct_labels_are_independent_machines() {
         warmup: SimDuration::from_ms(5),
         cohorts: &[],
     };
-    let fleet = run_topology(&topo, 3);
+    let fleet = run_fleet(&topo, 3, 1).expect("valid topology");
     let a = &fleet.node("twin-a").unwrap().result;
     let b = &fleet.node("twin-b").unwrap().result;
     // Independent randomness: equal configuration must not mean equal
@@ -124,7 +124,7 @@ fn replica_nodes_with_equal_labels_are_also_independent() {
         warmup: SimDuration::from_ms(5),
         cohorts: &[],
     };
-    let fleet = run_topology(&topo, 4);
+    let fleet = run_fleet(&topo, 4, 1).expect("valid topology");
     assert_ne!(
         fleet.nodes[0].result, fleet.nodes[1].result,
         "replica disambiguation must keep duplicate declarations independent"
@@ -159,7 +159,7 @@ fn single_node_topology_is_run_once() {
         warmup: spec.warmup,
         cohorts: &[],
     };
-    let fleet = run_topology(&topo, 77);
+    let fleet = run_fleet(&topo, 77, 1).expect("valid topology");
     assert_eq!(fleet.aggregate, solo);
 }
 

@@ -3,12 +3,15 @@
 //! line from a thousand-cell sweep identifies the broken cell without a
 //! debugger. Historically `EmptyWindow` printed no numbers at all —
 //! this table pins each arm's payload into its message. Also checks
-//! that loads too high to pace are rejected by `validate` instead of
+//! that loads too high to pace, malformed shard tiers and mismatched
+//! dynamics plans are rejected by `validate` and `run_fleet` instead of
 //! panicking inside the kernel.
 
-use tpv_core::runtime::run_phased;
-use tpv_core::topology::{uniform_fleet, ClientNode, NodeDynamics, TopologyError, TopologySpec};
-use tpv_hw::MachineConfig;
+use tpv_core::runtime::run_fleet;
+use tpv_core::topology::{
+    uniform_fleet, ClientNode, NodeDynamics, ShardPolicy, ShardSpec, TopologyError, TopologySpec,
+};
+use tpv_hw::{DynamicMachine, MachineConfig};
 use tpv_loadgen::{GeneratorSpec, PhasedRate};
 use tpv_net::LinkConfig;
 use tpv_services::kv::KvConfig;
@@ -66,6 +69,28 @@ fn every_display_arm_prints_the_values_it_rejects() {
             TopologyError::UnschedulableLoad { label: "surge".into(), phase: Some(1), qps: f64::INFINITY },
             vec!["'surge'".into(), "phase 1".into(), "inf".into()],
         ),
+        (
+            TopologyError::PlanScheduleMismatch { label: "drift".into(), plan: "rate" },
+            vec!["'drift'".into(), "rate plan".into(), "phase schedule".into()],
+        ),
+        (
+            TopologyError::LinkCountMismatch { label: "wired".into(), links: 1, phases: 3 },
+            vec!["'wired'".into(), "1 links".into(), "3 phases".into()],
+        ),
+        (TopologyError::EmptyShardTier, vec!["at least one shard".into()]),
+        (
+            TopologyError::ShardOutOfRange { node: None, shard: 9, shards: 2 },
+            vec!["hot shard 9".into(), "K = 2".into()],
+        ),
+        (
+            TopologyError::ShardOutOfRange { node: Some(2), shard: 5, shards: 4 },
+            vec!["node 2".into(), "shard 5".into(), "K = 4".into()],
+        ),
+        (TopologyError::HotShardShare { share: 1.5 }, vec!["1.5".into(), "(0, 1]".into()]),
+        (
+            TopologyError::AssignmentLength { assigned: 2, nodes: 4 },
+            vec!["got 2".into(), "4 nodes".into(), "one shard per node".into()],
+        ),
     ];
     for (err, needles) in cases {
         let message = err.to_string();
@@ -110,15 +135,19 @@ fn fleet_topo<'a>(
     }
 }
 
-fn memcached_pair(total_qps: f64) -> Vec<ClientNode> {
+fn memcached_fleet(total_qps: f64, count: usize) -> Vec<ClientNode> {
     uniform_fleet(
         "agent",
         MachineConfig::high_performance(),
         GeneratorSpec::mutilate(),
         LinkConfig::cloudlab_lan(),
         total_qps,
-        2,
+        count,
     )
+}
+
+fn memcached_pair(total_qps: f64) -> Vec<ClientNode> {
+    memcached_fleet(total_qps, 2)
 }
 
 /// An offered load whose per-connection gap rounds to zero nanoseconds
@@ -135,11 +164,11 @@ fn unschedulable_base_loads_are_rejected() {
         let expected =
             TopologyError::UnschedulableLoad { label: "agent0".into(), phase: None, qps: nodes[0].qps };
         assert_eq!(topo.validate(), Err(expected.clone()), "total qps {total_qps}");
-        assert_eq!(run_phased(&topo, 1, 1).unwrap_err(), expected, "total qps {total_qps}");
+        assert_eq!(run_fleet(&topo, 1, 1).unwrap_err(), expected, "total qps {total_qps}");
     }
     // The same fleet at a schedulable load still validates and runs.
     let nodes = memcached_pair(20_000.0);
-    assert!(run_phased(&fleet_topo(&service, &server, &nodes), 1, 1).is_ok());
+    assert!(run_fleet(&fleet_topo(&service, &server, &nodes), 1, 1).is_ok());
 }
 
 /// A finite, positive phase multiplier that pushes one phase's load past
@@ -162,8 +191,92 @@ fn unschedulable_phase_loads_are_rejected() {
     let expected =
         TopologyError::UnschedulableLoad { label: "agent0".into(), phase: Some(1), qps: nodes[0].qps * 1e10 };
     assert_eq!(topo.validate(), Err(expected.clone()));
-    assert_eq!(run_phased(&topo, 1, 1).unwrap_err(), expected);
+    assert_eq!(run_fleet(&topo, 1, 1).unwrap_err(), expected);
 
     let nodes = rated(vec![0.5, 2.0]);
-    assert!(run_phased(&fleet_topo(&service, &server, &nodes), 1, 1).is_ok());
+    assert!(run_fleet(&fleet_topo(&service, &server, &nodes), 1, 1).is_ok());
+}
+
+/// A shard tier that cannot host the fleet — no machines, a hot or
+/// explicitly assigned shard past the tier, a hot share outside
+/// `(0, 1]`, an explicit assignment of the wrong length — is a typed
+/// error from `validate` and `run_fleet`, not a panic in the kernel.
+#[test]
+fn malformed_shard_tiers_are_rejected() {
+    let service = kv_service();
+    let server = MachineConfig::server_baseline();
+    let nodes = memcached_fleet(20_000.0, 4);
+    let pair = ShardSpec::uniform(server, 2);
+    let cases = [
+        (ShardSpec { machines: Vec::new(), policy: ShardPolicy::RoundRobin }, TopologyError::EmptyShardTier),
+        (
+            pair.clone().with_policy(ShardPolicy::HotShard { hot: 9, share: 0.5 }),
+            TopologyError::ShardOutOfRange { node: None, shard: 9, shards: 2 },
+        ),
+        (
+            pair.clone().with_policy(ShardPolicy::HotShard { hot: 0, share: 0.0 }),
+            TopologyError::HotShardShare { share: 0.0 },
+        ),
+        (
+            pair.clone().with_policy(ShardPolicy::HotShard { hot: 1, share: 1.5 }),
+            TopologyError::HotShardShare { share: 1.5 },
+        ),
+        (
+            pair.clone().with_policy(ShardPolicy::Explicit(vec![0, 1])),
+            TopologyError::AssignmentLength { assigned: 2, nodes: 4 },
+        ),
+        (
+            pair.clone().with_policy(ShardPolicy::Explicit(vec![0, 1, 2, 0])),
+            TopologyError::ShardOutOfRange { node: Some(2), shard: 2, shards: 2 },
+        ),
+    ];
+    for (tier, expected) in cases {
+        let mut topo = fleet_topo(&service, &server, &nodes);
+        topo.shards = Some(&tier);
+        assert_eq!(topo.validate(), Err(expected.clone()), "{:?}", tier.policy);
+        assert_eq!(run_fleet(&topo, 1, 2).unwrap_err(), expected, "{:?}", tier.policy);
+    }
+    // NaN fails the share check too (and never equals itself).
+    let nan = pair.clone().with_policy(ShardPolicy::HotShard { hot: 0, share: f64::NAN });
+    let mut topo = fleet_topo(&service, &server, &nodes);
+    topo.shards = Some(&nan);
+    assert!(matches!(run_fleet(&topo, 1, 2), Err(TopologyError::HotShardShare { share }) if share.is_nan()));
+    // A well-formed tier over the same fleet runs.
+    let good = pair.with_policy(ShardPolicy::Explicit(vec![0, 1, 1, 0]));
+    topo.shards = Some(&good);
+    assert_eq!(run_fleet(&topo, 1, 2).expect("valid tier").shards.len(), 2);
+}
+
+/// Dynamics assembled field by field can carry a machine or rate plan
+/// over another schedule, or the wrong number of links; `validate` and
+/// `run_fleet` name the node and the plan instead of panicking.
+#[test]
+fn mismatched_dynamics_plans_are_rejected() {
+    let service = kv_service();
+    let server = MachineConfig::server_baseline();
+    let schedule = PhaseSchedule::new(vec![SimTime::from_ms(15)]);
+    let other = PhaseSchedule::new(vec![SimTime::from_ms(10)]);
+    let hp = MachineConfig::high_performance();
+    let bare = NodeDynamics::new(schedule.clone());
+    let cases = [
+        (
+            NodeDynamics { machine: Some(DynamicMachine::new(other.clone(), vec![hp, hp])), ..bare.clone() },
+            TopologyError::PlanScheduleMismatch { label: "agent0".into(), plan: "machine" },
+        ),
+        (
+            NodeDynamics { rate: Some(PhasedRate::new(other, vec![1.0, 2.0])), ..bare.clone() },
+            TopologyError::PlanScheduleMismatch { label: "agent0".into(), plan: "rate" },
+        ),
+        (
+            NodeDynamics { links: Some(vec![LinkConfig::cloudlab_lan()]), ..bare },
+            TopologyError::LinkCountMismatch { label: "agent0".into(), links: 1, phases: 2 },
+        ),
+    ];
+    for (dynamics, expected) in cases {
+        let nodes: Vec<ClientNode> =
+            memcached_pair(20_000.0).into_iter().map(|n| n.with_dynamics(dynamics.clone())).collect();
+        let topo = fleet_topo(&service, &server, &nodes);
+        assert_eq!(topo.validate(), Err(expected.clone()));
+        assert_eq!(run_fleet(&topo, 1, 1).unwrap_err(), expected);
+    }
 }
