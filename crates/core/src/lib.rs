@@ -57,6 +57,6 @@ pub use experiment::{Benchmark, Experiment, ExperimentResults, ServerScenario};
 pub use pin::PinPolicy;
 pub use runtime::{run_fleet, run_once, run_traced, RunResult, RunSpec, RunTrace};
 pub use topology::{
-    uniform_fleet, ClientNode, CohortResult, CohortSpec, FleetResult, NodeDynamics, NodeResult,
+    uniform_fleet, ClientNode, CohortResult, CohortSpec, FleetResult, NodeDynamics, NodeResult, SigmaOwner,
     TopologyError, TopologySpec,
 };

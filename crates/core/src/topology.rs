@@ -74,9 +74,10 @@ use std::borrow::Cow;
 use std::fmt;
 
 use tpv_hw::{DynamicMachine, MachineConfig};
-use tpv_loadgen::{GeneratorSpec, LoopMode, PhasedRate};
+use tpv_loadgen::{ArrivalKind, GeneratorSpec, LoopMode, PhasedRate};
 use tpv_net::LinkConfig;
 use tpv_services::ServiceConfig;
+use tpv_sim::dist::usable_sigma;
 use tpv_sim::{PhaseSchedule, SimDuration, SimTime};
 
 use crate::collect::PhaseStats;
@@ -474,6 +475,20 @@ pub enum TopologyError {
         /// Phases in the node's schedule.
         phases: usize,
     },
+    /// A machine's [`tpv_hw::env::VariabilityProfile`] sigma, or a
+    /// node's [`ArrivalKind::LogNormal`] sigma, that is negative or not
+    /// finite. At run time it would panic in a sampler's constructor,
+    /// abort on an unbounded allocation, or silently switch its noise
+    /// source off.
+    InvalidSigma {
+        /// The node, server or shard whose machine or generator carries
+        /// it.
+        owner: SigmaOwner,
+        /// The `VariabilityProfile` field name, or `"arrival_sigma"`.
+        field: &'static str,
+        /// The rejected sigma.
+        value: f64,
+    },
     /// A [`ShardSpec`] with no shard machines.
     EmptyShardTier,
     /// A shard index the tier does not have.
@@ -548,6 +563,9 @@ impl fmt::Display for TopologyError {
                 f,
                 "node '{label}': dynamics need one link per phase, got {links} links for {phases} phases"
             ),
+            TopologyError::InvalidSigma { owner, field, value } => {
+                write!(f, "{owner}: {field} must be finite and non-negative, got {value}")
+            }
             TopologyError::EmptyShardTier => write!(f, "a server tier needs at least one shard"),
             TopologyError::ShardOutOfRange { node, shard, shards } => match node {
                 Some(i) => write!(f, "node {i} assigned to shard {shard}, out of range (K = {shards})"),
@@ -565,6 +583,42 @@ impl fmt::Display for TopologyError {
 }
 
 impl std::error::Error for TopologyError {}
+
+/// Where a [`TopologyError::InvalidSigma`] sits in its spec.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SigmaOwner {
+    /// A client node's static machine or generator (`phase: None`), or
+    /// one phase of its machine plan.
+    Node {
+        /// The node's label.
+        label: String,
+        /// The machine plan's phase.
+        phase: Option<usize>,
+    },
+    /// The single-tier server machine.
+    Server,
+    /// The machine of the shard with this index.
+    Shard(usize),
+}
+
+impl fmt::Display for SigmaOwner {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SigmaOwner::Node { label, phase: None } => write!(f, "node '{label}'"),
+            SigmaOwner::Node { label, phase: Some(p) } => write!(f, "node '{label}' phase {p}"),
+            SigmaOwner::Server => write!(f, "server"),
+            SigmaOwner::Shard(i) => write!(f, "shard {i}"),
+        }
+    }
+}
+
+/// Rejects `machine`'s first unusable variability sigma, naming `owner`.
+fn check_sigmas(machine: &MachineConfig, owner: impl FnOnce() -> SigmaOwner) -> Result<(), TopologyError> {
+    match machine.variability.invalid_sigma() {
+        Some((field, value)) => Err(TopologyError::InvalidSigma { owner: owner(), field, value }),
+        None => Ok(()),
+    }
+}
 
 /// Where a lowered node came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -931,8 +985,24 @@ impl TopologySpec<'_> {
                     qps: node.qps,
                 });
             }
+            let owner = |phase| SigmaOwner::Node { label: node.label.clone(), phase };
+            check_sigmas(&node.machine, || owner(None))?;
+            if let ArrivalKind::LogNormal(sigma) = node.generator.arrival {
+                if !usable_sigma(sigma) {
+                    return Err(TopologyError::InvalidSigma {
+                        owner: owner(None),
+                        field: "arrival_sigma",
+                        value: sigma,
+                    });
+                }
+            }
             if let Some(dy) = &node.dynamics {
                 dy.validate(&node.label)?;
+                if let Some(plan) = &dy.machine {
+                    for phase in 0..plan.schedule().phase_count() {
+                        check_sigmas(plan.config(phase), || owner(Some(phase)))?;
+                    }
+                }
                 if dy.schedule.phase_count() > u16::MAX as usize {
                     return Err(TopologyError::TooManyPhases {
                         label: node.label.clone(),
@@ -974,7 +1044,12 @@ impl TopologySpec<'_> {
         if self.warmup >= self.duration {
             return Err(TopologyError::EmptyWindow { warmup: self.warmup, duration: self.duration });
         }
-        self.shards.map_or(Ok(()), |shards| shards.validate(layout.len()))
+        check_sigmas(self.server, || SigmaOwner::Server)?;
+        let Some(shards) = self.shards else { return Ok(()) };
+        for (i, machine) in shards.machines.iter().enumerate() {
+            check_sigmas(machine, || SigmaOwner::Shard(i))?;
+        }
+        shards.validate(layout.len())
     }
 
     /// Number of kernel-executed nodes after cohort lowering.

@@ -201,12 +201,18 @@ impl CoreResource {
                 None => idle_gap,
             });
 
-            // C-state exit.
+            // C-state exit. A zero exit latency (C0's) scales to zero
+            // whatever the jitter, so its draw is consumed, not transformed.
+            let exit_latency = self.config.cstate_table.exit_latency(state);
             let exit_jitter = match &self.cache.wake_jitter {
+                Some(dist) if exit_latency.is_zero() => {
+                    dist.consume(rng);
+                    1.0
+                }
                 Some(dist) => dist.sample(rng),
                 None => 1.0,
             };
-            let exit = self.config.cstate_table.exit_latency(state).scale(exit_jitter);
+            let exit = exit_latency.scale(exit_jitter);
 
             // DVFS ramp: a stall, plus slower execution of this work item.
             let dvfs = self.config.dvfs.wake_cost(&self.config.spec, idle_gap, self.env.dvfs_bias);
@@ -511,6 +517,145 @@ mod tests {
         }
         assert!(core.wakes_by_state()[3] > 0, "post-switch wakes come from deep states");
         assert_eq!(core.items(), items_before + 50);
+    }
+
+    /// The wake path as written before draws whose value cannot change
+    /// the result were consumed rather than transformed: every idle wake
+    /// transforms both LogNormal draws, whatever state it lands in.
+    struct AlwaysTransform {
+        fifo: FifoResource,
+        config: MachineConfig,
+        env: RunEnvironment,
+        idle_ewma: Option<SimDuration>,
+        wakes_by_state: [u64; 4],
+        idle_by_state: [SimDuration; 4],
+        total_wake_time: SimDuration,
+    }
+
+    impl AlwaysTransform {
+        fn new(config: &MachineConfig, env: &RunEnvironment) -> Self {
+            AlwaysTransform {
+                fifo: FifoResource::new(),
+                config: *config,
+                env: *env,
+                idle_ewma: None,
+                wakes_by_state: [0; 4],
+                idle_by_state: [SimDuration::ZERO; 4],
+                total_wake_time: SimDuration::ZERO,
+            }
+        }
+
+        fn acquire(
+            &mut self,
+            now: SimTime,
+            work: SimDuration,
+            rng: &mut SimRng,
+            socket_idle: Option<SimDuration>,
+        ) -> CoreGrant {
+            let vp = self.config.variability;
+            let mut wake = SimDuration::ZERO;
+            let mut state = CState::C0;
+            let mut stretch = self.config.work_scale(4, &self.env);
+            let idle_gap =
+                if self.fifo.is_idle_at(now) { now.since(self.fifo.busy_until()) } else { SimDuration::ZERO };
+            if !idle_gap.is_zero() {
+                let prediction_noise = if vp.prediction_sigma > 0.0 {
+                    LogNormal::with_mean(1.0, vp.prediction_sigma).sample(rng)
+                } else {
+                    1.0
+                };
+                let history = self.idle_ewma.unwrap_or(idle_gap);
+                let basis = socket_idle.map_or(history, |s| history.min(s));
+                let predicted = basis.scale(self.env.governor_bias * prediction_noise / RESIDENCY_MARGIN);
+                state = self.config.cstates.select_state(&self.config.cstate_table, predicted);
+                self.idle_ewma = Some(match self.idle_ewma {
+                    Some(prev) => SimDuration::from_ns(
+                        (IDLE_EWMA_ALPHA * idle_gap.as_ns() as f64
+                            + (1.0 - IDLE_EWMA_ALPHA) * prev.as_ns() as f64) as u64,
+                    ),
+                    None => idle_gap,
+                });
+                let exit_jitter = if vp.wake_jitter_sigma > 0.0 {
+                    LogNormal::with_mean(1.0, vp.wake_jitter_sigma).sample(rng)
+                } else {
+                    1.0
+                };
+                let exit = self.config.cstate_table.exit_latency(state).scale(exit_jitter);
+                let dvfs = self.config.dvfs.wake_cost(&self.config.spec, idle_gap, self.env.dvfs_bias);
+                stretch *= dvfs.slowdown_factor();
+                let uncore = self.config.uncore.wake_penalty(idle_gap);
+                let sched = self.config.thread_wake_cost.scale(dvfs.slowdown_factor().min(2.0));
+                wake = (exit + dvfs.stall + uncore + sched).scale(self.env.wake_bias);
+                self.wakes_by_state[state_index(state)] += 1;
+                self.idle_by_state[state_index(state)] += idle_gap;
+                self.total_wake_time += wake;
+            }
+            let grant = self.fifo.offer(now, wake + work.scale(stretch));
+            CoreGrant {
+                start: grant.start,
+                end: grant.end,
+                wake_latency: wake,
+                cstate: state,
+                queue_wait: grant.queue_wait,
+            }
+        }
+    }
+
+    /// Consuming instead of transforming is invisible: over random mixes
+    /// of busy and idle acquires, with and without a socket hint and
+    /// across a mid-run reconfiguration, every grant, every wake
+    /// statistic and the RNG's stream position equal the always-transform
+    /// reference's, bit for bit.
+    #[test]
+    fn consumed_draws_match_the_always_transform_path_bit_for_bit() {
+        let lp = MachineConfig::low_power();
+        let server = MachineConfig::server_baseline();
+        let configs = [
+            lp,
+            MachineConfig::high_performance(),
+            server,
+            server.with_cstates(CStatePolicy::UpToC1E),
+            lp.with_cstates(CStatePolicy::PollIdle),
+        ];
+        for (c, config) in configs.iter().enumerate() {
+            for seed in 0..4u64 {
+                let mut script = SimRng::seed_from_u64(1000 * c as u64 + seed);
+                let env = config.draw_environment(&mut script);
+                let next = configs[(c + 1 + seed as usize) % configs.len()];
+                let next_env = next.draw_environment(&mut script);
+                let mut core = CoreResource::new(config, &env);
+                let mut reference = AlwaysTransform::new(config, &env);
+                let mut rng = SimRng::seed_from_u64(seed);
+                let mut ref_rng = rng.clone();
+                let mut now = SimTime::ZERO;
+                for step in 0..2_000 {
+                    if step == 1_000 {
+                        core.reconfigure(&next, &next_env);
+                        reference.config = next;
+                        reference.env = next_env;
+                    }
+                    // A third of the acquires land while the core is busy
+                    // (no gap); the rest after an idle gap of 1 ns to ~34 ms.
+                    let busy_until = core.busy_until();
+                    if script.next_below(3) == 0 && busy_until > now {
+                        now += SimDuration::from_ns(script.next_below(busy_until.since(now).as_ns() + 1));
+                    } else {
+                        let octave = 1u64 << script.next_below(25);
+                        now = now.max(busy_until) + SimDuration::from_ns(octave + script.next_below(octave));
+                    }
+                    let work = SimDuration::from_ns(500 + script.next_below(50_000));
+                    let hint =
+                        script.next_bool(0.5).then(|| SimDuration::from_ns(script.next_below(2_000_000)));
+                    let got = core.acquire_with_hint(now, work, &mut rng, hint);
+                    let want = reference.acquire(now, work, &mut ref_rng, hint);
+                    assert_eq!(got, want, "config {c} seed {seed} step {step}");
+                }
+                assert_eq!(core.wakes_by_state(), reference.wakes_by_state, "config {c} seed {seed}");
+                assert_eq!(core.idle_time_by_state(), reference.idle_by_state, "config {c} seed {seed}");
+                assert_eq!(core.total_wake_time(), reference.total_wake_time, "config {c} seed {seed}");
+                assert_eq!(rng.next_u64(), ref_rng.next_u64(), "config {c} seed {seed}: stream position");
+            }
+        }
     }
 
     #[test]

@@ -8,14 +8,23 @@
 //! draws; the experiment harness redraws it for every run.
 
 use serde::{Deserialize, Serialize};
-use tpv_sim::dist::{LogNormal, Normal, Sampler};
+use tpv_sim::dist::{usable_sigma, LogNormal, Normal, Sampler};
 use tpv_sim::SimRng;
 
 /// Magnitudes of run-to-run and wake-to-wake variation for a machine
 /// configuration.
 ///
-/// All sigmas are log-space standard deviations of log-normal factors
-/// centred at 1.0 (so 0.0 disables that source entirely).
+/// Two kinds of sigma, each centred on a factor of 1.0:
+///
+/// * `prediction_sigma`, `wake_jitter_sigma` and `thermal_sigma` are
+///   log-space standard deviations of log-normal factors with mean 1;
+/// * `governor_bias_sigma`, `dvfs_bias_sigma` and `wake_bias_sigma` are
+///   standard deviations of a Normal around 1, clamped to `[0.05, 3]`
+///   ([`RunEnvironment::draw`]).
+///
+/// 0.0 disables a source entirely. A negative or non-finite sigma is
+/// rejected by [`VariabilityProfile::invalid_sigma`], which topology
+/// validation runs on every machine it names.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct VariabilityProfile {
     /// Per-run bias of the idle governor's residency prediction. Large on
@@ -51,6 +60,23 @@ impl VariabilityProfile {
             thermal_sigma: 0.0,
             wake_bias_sigma: 0.0,
         }
+    }
+
+    /// The first sigma that is negative or not finite, as `(field name,
+    /// value)`; `None` when every sigma is usable. Such a value would
+    /// panic in a sampler's constructor, or — compared with `> 0` —
+    /// silently switch its noise source off.
+    pub fn invalid_sigma(&self) -> Option<(&'static str, f64)> {
+        [
+            ("governor_bias_sigma", self.governor_bias_sigma),
+            ("prediction_sigma", self.prediction_sigma),
+            ("wake_jitter_sigma", self.wake_jitter_sigma),
+            ("dvfs_bias_sigma", self.dvfs_bias_sigma),
+            ("thermal_sigma", self.thermal_sigma),
+            ("wake_bias_sigma", self.wake_bias_sigma),
+        ]
+        .into_iter()
+        .find(|&(_, sigma)| !usable_sigma(sigma))
     }
 }
 

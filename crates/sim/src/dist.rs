@@ -230,6 +230,13 @@ impl Sampler for Normal {
     }
 }
 
+/// Whether `sigma` is a usable spread: finite and non-negative (0 turns
+/// its noise source off). The one rule behind the [`LogNormal`]
+/// constructors' asserts and topology validation's sigma checks.
+pub fn usable_sigma(sigma: f64) -> bool {
+    sigma.is_finite() && sigma >= 0.0
+}
+
 /// Log-normal: `exp(Normal(mu, sigma))`.
 ///
 /// Used for right-skewed per-run interference — exactly the shape that
@@ -247,10 +254,7 @@ impl LogNormal {
     ///
     /// Panics if `sigma` is negative or either parameter is non-finite.
     pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(
-            mu.is_finite() && sigma.is_finite() && sigma >= 0.0,
-            "bad lognormal parameters ({mu}, {sigma})"
-        );
+        assert!(mu.is_finite() && usable_sigma(sigma), "bad lognormal parameters ({mu}, {sigma})");
         LogNormal { mu, sigma }
     }
 
@@ -259,9 +263,12 @@ impl LogNormal {
     ///
     /// # Panics
     ///
-    /// Panics if `mean <= 0` or `sigma < 0`.
+    /// Panics if `mean <= 0`, `sigma < 0` or either is non-finite.
     pub fn with_mean(mean: f64, sigma: f64) -> Self {
-        assert!(mean > 0.0 && sigma >= 0.0, "bad lognormal mean/sigma ({mean}, {sigma})");
+        assert!(
+            mean.is_finite() && mean > 0.0 && usable_sigma(sigma),
+            "bad lognormal mean/sigma ({mean}, {sigma})"
+        );
         LogNormal { mu: fast_ln(mean) - sigma * sigma / 2.0, sigma }
     }
 
@@ -272,12 +279,31 @@ impl LogNormal {
     pub fn from_units(&self, a: f64, b: f64) -> f64 {
         fast_exp(self.mu + self.sigma * Normal::standard_from_units(a, b))
     }
+
+    /// Advances `rng` past one [`sample`](Sampler::sample) without
+    /// transforming it, leaving the stream exactly where `sample` leaves
+    /// it. For a caller that knows the variate cannot change its result
+    /// (a jitter that multiplies a zero latency) — the draw is consumed,
+    /// not transformed.
+    #[inline]
+    pub fn consume(&self, rng: &mut SimRng) {
+        LogNormal::units(rng);
+    }
+
+    /// The uniforms one variate takes: the single place both
+    /// [`sample`](Sampler::sample) and [`consume`](Self::consume) draw
+    /// them from.
+    #[inline]
+    fn units(rng: &mut SimRng) -> (f64, f64) {
+        let a = rng.next_f64();
+        let b = rng.next_f64();
+        (a, b)
+    }
 }
 
 impl Sampler for LogNormal {
     fn sample(&self, rng: &mut SimRng) -> f64 {
-        let a = rng.next_f64();
-        let b = rng.next_f64();
+        let (a, b) = LogNormal::units(rng);
         self.from_units(a, b)
     }
 }
@@ -604,6 +630,34 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(7);
         for _ in 0..1_000 {
             assert!(ln.sample(&mut rng) > 0.0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bad lognormal mean/sigma")]
+    fn lognormal_with_mean_rejects_a_non_finite_sigma() {
+        let _ = LogNormal::with_mean(1.0, f64::INFINITY);
+    }
+
+    #[test]
+    fn lognormal_consume_leaves_the_stream_where_sample_does() {
+        let ln = LogNormal::with_mean(1.0, 0.7);
+        for seed in 0..64 {
+            let mut sampled = SimRng::seed_from_u64(seed);
+            let mut consumed = sampled.clone();
+            for _ in 0..3 {
+                ln.sample(&mut sampled);
+                ln.consume(&mut consumed);
+            }
+            assert_eq!(sampled.next_u64(), consumed.next_u64(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn usable_sigma_is_finite_and_non_negative() {
+        assert!(usable_sigma(0.0) && usable_sigma(1.8));
+        for bad in [-0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!usable_sigma(bad), "{bad}");
         }
     }
 

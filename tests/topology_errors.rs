@@ -3,16 +3,16 @@
 //! line from a thousand-cell sweep identifies the broken cell without a
 //! debugger. Historically `EmptyWindow` printed no numbers at all —
 //! this table pins each arm's payload into its message. Also checks
-//! that loads too high to pace, malformed shard tiers and mismatched
-//! dynamics plans are rejected by `validate` and `run_fleet` instead of
-//! panicking inside the kernel.
+//! that loads too high to pace, malformed shard tiers, mismatched
+//! dynamics plans and unusable sigmas are rejected by `validate` and
+//! `run_fleet` instead of panicking inside the kernel.
 
 use tpv_core::runtime::run_fleet;
 use tpv_core::topology::{
-    uniform_fleet, ClientNode, NodeDynamics, ShardPolicy, ShardSpec, TopologyError, TopologySpec,
+    uniform_fleet, ClientNode, NodeDynamics, ShardPolicy, ShardSpec, SigmaOwner, TopologyError, TopologySpec,
 };
 use tpv_hw::{DynamicMachine, MachineConfig};
-use tpv_loadgen::{GeneratorSpec, PhasedRate};
+use tpv_loadgen::{ArrivalKind, GeneratorSpec, PhasedRate};
 use tpv_net::LinkConfig;
 use tpv_services::kv::KvConfig;
 use tpv_services::{ServiceConfig, ServiceKind};
@@ -90,6 +90,42 @@ fn every_display_arm_prints_the_values_it_rejects() {
         (
             TopologyError::AssignmentLength { assigned: 2, nodes: 4 },
             vec!["got 2".into(), "4 nodes".into(), "one shard per node".into()],
+        ),
+        (
+            TopologyError::InvalidSigma {
+                owner: SigmaOwner::Node { label: "lp".into(), phase: None },
+                field: "thermal_sigma",
+                value: f64::NAN,
+            },
+            vec!["node 'lp':".into(), "thermal_sigma".into(), "NaN".into(), "finite and non-negative".into()],
+        ),
+        (
+            TopologyError::InvalidSigma {
+                owner: SigmaOwner::Node { label: "decay".into(), phase: Some(1) },
+                field: "wake_jitter_sigma",
+                value: -0.5,
+            },
+            vec!["node 'decay' phase 1".into(), "wake_jitter_sigma".into(), "-0.5".into()],
+        ),
+        (
+            TopologyError::InvalidSigma { owner: SigmaOwner::Server, field: "prediction_sigma", value: -1.0 },
+            vec!["server".into(), "prediction_sigma".into(), "-1".into()],
+        ),
+        (
+            TopologyError::InvalidSigma {
+                owner: SigmaOwner::Shard(3),
+                field: "governor_bias_sigma",
+                value: f64::INFINITY,
+            },
+            vec!["shard 3".into(), "governor_bias_sigma".into(), "inf".into()],
+        ),
+        (
+            TopologyError::InvalidSigma {
+                owner: SigmaOwner::Node { label: "bursty".into(), phase: None },
+                field: "arrival_sigma",
+                value: f64::NEG_INFINITY,
+            },
+            vec!["node 'bursty'".into(), "arrival_sigma".into(), "-inf".into()],
         ),
     ];
     for (err, needles) in cases {
@@ -279,4 +315,106 @@ fn mismatched_dynamics_plans_are_rejected() {
         assert_eq!(topo.validate(), Err(expected.clone()));
         assert_eq!(run_fleet(&topo, 1, 1).unwrap_err(), expected);
     }
+}
+
+/// `err` is the `InvalidSigma` naming `owner` and `field`, carrying
+/// `value` bit for bit (NaN included, which never equals itself).
+fn assert_invalid_sigma(err: TopologyError, owner: &SigmaOwner, field: &str, value: f64) {
+    match &err {
+        TopologyError::InvalidSigma { owner: o, field: fd, value: v }
+            if o == owner && *fd == field && v.to_bits() == value.to_bits() => {}
+        _ => panic!("expected InvalidSigma {{ {owner:?}, {field}, {value} }}, got {err:?}"),
+    }
+}
+
+/// A sigma that is negative or not finite — on a node's arrival
+/// process, its machine, a phase of its machine plan, the server or a
+/// shard — is a typed error from `validate` and `run_fleet`. Before it
+/// was checked, an infinite arrival sigma aborted on an unbounded
+/// allocation, NaN or negative ones panicked in a sampler constructor,
+/// and `prediction_sigma`/`wake_jitter_sigma` ran silently switched off.
+#[test]
+fn unusable_sigmas_are_rejected() {
+    let service = kv_service();
+    let good_server = MachineConfig::server_baseline();
+    let agent1 = SigmaOwner::Node { label: "agent1".into(), phase: None };
+
+    let arrival = |sigma: f64| {
+        let mut nodes = memcached_pair(20_000.0);
+        nodes[1].generator.arrival = ArrivalKind::LogNormal(sigma);
+        nodes
+    };
+    let machine = |set: fn(&mut MachineConfig)| {
+        let mut nodes = memcached_pair(20_000.0);
+        set(&mut nodes[1].machine);
+        nodes
+    };
+    let node_cases: Vec<(Vec<ClientNode>, &str, f64)> = vec![
+        (arrival(f64::INFINITY), "arrival_sigma", f64::INFINITY),
+        (arrival(-1.0), "arrival_sigma", -1.0),
+        (arrival(f64::NAN), "arrival_sigma", f64::NAN),
+        (machine(|m| m.variability.thermal_sigma = f64::NAN), "thermal_sigma", f64::NAN),
+        (
+            machine(|m| m.variability.governor_bias_sigma = f64::INFINITY),
+            "governor_bias_sigma",
+            f64::INFINITY,
+        ),
+        (machine(|m| m.variability.prediction_sigma = f64::NAN), "prediction_sigma", f64::NAN),
+        (machine(|m| m.variability.wake_jitter_sigma = -0.5), "wake_jitter_sigma", -0.5),
+        (machine(|m| m.variability.dvfs_bias_sigma = -2.0), "dvfs_bias_sigma", -2.0),
+        (
+            machine(|m| m.variability.wake_bias_sigma = f64::NEG_INFINITY),
+            "wake_bias_sigma",
+            f64::NEG_INFINITY,
+        ),
+    ];
+    for (nodes, field, value) in node_cases {
+        let topo = fleet_topo(&service, &good_server, &nodes);
+        assert_invalid_sigma(topo.validate().unwrap_err(), &agent1, field, value);
+        assert_invalid_sigma(run_fleet(&topo, 1, 1).unwrap_err(), &agent1, field, value);
+    }
+
+    // One phase of a machine plan.
+    let schedule = PhaseSchedule::new(vec![SimTime::from_ms(15)]);
+    let lp = MachineConfig::low_power();
+    let mut hot = lp;
+    hot.variability.thermal_sigma = -0.1;
+    let nodes: Vec<ClientNode> = memcached_pair(20_000.0)
+        .into_iter()
+        .map(|n| n.with_dynamics(NodeDynamics::new(schedule.clone()).with_machines(vec![lp, hot])))
+        .collect();
+    let topo = fleet_topo(&service, &good_server, &nodes);
+    let phase1 = SigmaOwner::Node { label: "agent0".into(), phase: Some(1) };
+    assert_invalid_sigma(topo.validate().unwrap_err(), &phase1, "thermal_sigma", -0.1);
+    assert_invalid_sigma(run_fleet(&topo, 1, 1).unwrap_err(), &phase1, "thermal_sigma", -0.1);
+
+    // The server, and one shard of a tier.
+    let mut bad_server = good_server;
+    bad_server.variability.prediction_sigma = f64::NAN;
+    let nodes = memcached_pair(20_000.0);
+    let topo = fleet_topo(&service, &bad_server, &nodes);
+    assert_invalid_sigma(topo.validate().unwrap_err(), &SigmaOwner::Server, "prediction_sigma", f64::NAN);
+    assert_invalid_sigma(
+        run_fleet(&topo, 1, 1).unwrap_err(),
+        &SigmaOwner::Server,
+        "prediction_sigma",
+        f64::NAN,
+    );
+
+    let tier = ShardSpec { machines: vec![good_server, bad_server], policy: ShardPolicy::RoundRobin };
+    let mut topo = fleet_topo(&service, &good_server, &nodes);
+    topo.shards = Some(&tier);
+    assert_invalid_sigma(topo.validate().unwrap_err(), &SigmaOwner::Shard(1), "prediction_sigma", f64::NAN);
+    assert_invalid_sigma(
+        run_fleet(&topo, 1, 2).unwrap_err(),
+        &SigmaOwner::Shard(1),
+        "prediction_sigma",
+        f64::NAN,
+    );
+
+    // Zero disables a source and is accepted, the arrival sigma included.
+    let mut quiet = memcached_pair(20_000.0);
+    quiet[1].machine.variability = tpv_hw::env::VariabilityProfile::none();
+    quiet[1].generator.arrival = ArrivalKind::LogNormal(0.0);
+    assert!(run_fleet(&fleet_topo(&service, &good_server, &quiet), 1, 1).is_ok());
 }
