@@ -76,7 +76,7 @@ use std::fmt;
 use tpv_hw::{DynamicMachine, MachineConfig};
 use tpv_loadgen::{ArrivalKind, GeneratorSpec, LoopMode, PhasedRate};
 use tpv_net::LinkConfig;
-use tpv_services::ServiceConfig;
+use tpv_services::{ServiceConfig, ServiceKind};
 use tpv_sim::dist::usable_sigma;
 use tpv_sim::{PhaseSchedule, SimDuration, SimTime};
 
@@ -489,6 +489,17 @@ pub enum TopologyError {
         /// The rejected sigma.
         value: f64,
     },
+    /// A service config field its service cannot be built from (a
+    /// memcached pool with no workers, or an empty keyspace). At run time
+    /// it would panic while building the service.
+    InvalidServiceConfig {
+        /// The service's report name.
+        service: &'static str,
+        /// The config field name.
+        field: &'static str,
+        /// The rejected value.
+        value: u64,
+    },
     /// A [`ShardSpec`] with no shard machines.
     EmptyShardTier,
     /// A shard index the tier does not have.
@@ -565,6 +576,9 @@ impl fmt::Display for TopologyError {
             ),
             TopologyError::InvalidSigma { owner, field, value } => {
                 write!(f, "{owner}: {field} must be finite and non-negative, got {value}")
+            }
+            TopologyError::InvalidServiceConfig { service, field, value } => {
+                write!(f, "{service}: {field} must be at least 1, got {value}")
             }
             TopologyError::EmptyShardTier => write!(f, "a server tier needs at least one shard"),
             TopologyError::ShardOutOfRange { node, shard, shards } => match node {
@@ -1044,6 +1058,15 @@ impl TopologySpec<'_> {
         if self.warmup >= self.duration {
             return Err(TopologyError::EmptyWindow { warmup: self.warmup, duration: self.duration });
         }
+        if let ServiceKind::Memcached(kv) = self.service.kind {
+            if let Some((field, value)) = kv.invalid_field() {
+                return Err(TopologyError::InvalidServiceConfig {
+                    service: self.service.kind.name(),
+                    field,
+                    value,
+                });
+            }
+        }
         check_sigmas(self.server, || SigmaOwner::Server)?;
         let Some(shards) = self.shards else { return Ok(()) };
         for (i, machine) in shards.machines.iter().enumerate() {
@@ -1416,7 +1439,6 @@ mod tests {
 
     fn kv() -> ServiceConfig {
         use tpv_services::kv::KvConfig;
-        use tpv_services::ServiceKind;
         ServiceConfig::without_interference(ServiceKind::Memcached(KvConfig {
             preload_keys: 100,
             ..KvConfig::default()

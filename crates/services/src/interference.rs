@@ -102,11 +102,11 @@ impl RunInterference {
         RunInterference { per_worker: vec![Vec::new(); workers], cursor: vec![0; workers] }
     }
 
-    /// Pops every spike on `worker` due at or before `now`, returning the
-    /// raw `(time, cpu)` pairs. Most requests find nothing due, so the
-    /// caller can defer computing its collision factor until this
+    /// Pops every spike on `worker` due at or before `now`, returning its
+    /// unscaled `(time, cpu)` pairs. Most requests find nothing due, so
+    /// the caller can defer computing its collision factor until this
     /// returns non-empty (see `WorkerPool::execute`).
-    pub fn due_spikes_raw(&mut self, worker: usize, now: SimTime) -> Vec<(SimTime, SimDuration)> {
+    pub fn due_spikes(&mut self, worker: usize, now: SimTime) -> Vec<(SimTime, SimDuration)> {
         let spikes = &self.per_worker[worker];
         let cur = &mut self.cursor[worker];
         let start = *cur;
@@ -114,25 +114,6 @@ impl RunInterference {
             *cur += 1;
         }
         spikes[start..*cur].to_vec()
-    }
-
-    /// Pops every spike on `worker` due at or before `now`, returning the
-    /// `(time, effective_cpu)` pairs. `collision_factor` in `[0,1]` scales
-    /// the spike's effective cost (utilisation-dependent migration).
-    pub fn due_spikes(
-        &mut self,
-        worker: usize,
-        now: SimTime,
-        collision_factor: f64,
-    ) -> Vec<(SimTime, SimDuration)> {
-        let f = collision_factor.clamp(0.0, 1.0);
-        self.due_spikes_raw(worker, now)
-            .into_iter()
-            .filter_map(|(t, len)| {
-                let eff = len.scale(f);
-                (!eff.is_zero()).then_some((t, eff))
-            })
-            .collect()
     }
 
     /// Total number of spikes drawn for the run.
@@ -186,25 +167,18 @@ mod tests {
             (SimTime::from_us(50), SimDuration::from_us(200)),
             (SimTime::from_us(90), SimDuration::from_us(300)),
         ];
-        let due = ri.due_spikes(0, SimTime::from_us(60), 1.0);
-        assert_eq!(due.len(), 2);
-        assert_eq!(due[0].0, SimTime::from_us(10));
+        let due = ri.due_spikes(0, SimTime::from_us(60));
+        assert_eq!(
+            due,
+            [
+                (SimTime::from_us(10), SimDuration::from_us(100)),
+                (SimTime::from_us(50), SimDuration::from_us(200)),
+            ]
+        );
         // Already-delivered spikes do not repeat.
-        let again = ri.due_spikes(0, SimTime::from_us(60), 1.0);
+        let again = ri.due_spikes(0, SimTime::from_us(60));
         assert!(again.is_empty());
         // Worker 1 has none.
-        assert!(ri.due_spikes(1, SimTime::from_us(60), 1.0).is_empty());
-    }
-
-    #[test]
-    fn collision_factor_scales_cost() {
-        let mut ri = RunInterference::empty(1);
-        ri.per_worker[0] = vec![(SimTime::from_us(1), SimDuration::from_us(1000))];
-        let due = ri.due_spikes(0, SimTime::from_us(5), 0.25);
-        assert_eq!(due[0].1, SimDuration::from_us(250));
-        // Zero collision factor drops the spike entirely.
-        let mut ri2 = RunInterference::empty(1);
-        ri2.per_worker[0] = vec![(SimTime::from_us(1), SimDuration::from_us(1000))];
-        assert!(ri2.due_spikes(0, SimTime::from_us(5), 0.0).is_empty());
+        assert!(ri.due_spikes(1, SimTime::from_us(60)).is_empty());
     }
 }

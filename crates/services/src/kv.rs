@@ -16,11 +16,15 @@
 //!
 //! The [`EtcWorkload`] reproduces the published ETC characteristics
 //! (Atikoglu et al., SIGMETRICS '12): GEV key sizes, generalized-Pareto
-//! value sizes, ~30:1 GET:SET ratio, Zipf-like key popularity.
+//! value sizes, ~30:1 GET:SET ratio, Zipf-like key popularity. Key sizes
+//! are drawn, so every stream stays where the full model puts it, but
+//! consumed rather than transformed: no part of the timing model reads
+//! them. A descriptor carries its popularity uniform raw, and the key is
+//! resolved only when the sampled store touch reads it.
 
 use tpv_hw::{MachineConfig, RunEnvironment};
 use tpv_net::StackCosts;
-use tpv_sim::dist::{GeneralizedPareto, Gev, Normal, Sampler, Zipf};
+use tpv_sim::dist::{GeneralizedPareto, Normal, Sampler, Zipf};
 use tpv_sim::{SimDuration, SimRng, SimTime};
 
 use crate::fasthash::FxHashMap;
@@ -187,7 +191,6 @@ impl KvStore {
 /// The Facebook ETC workload model (Atikoglu et al., SIGMETRICS '12).
 #[derive(Debug, Clone)]
 pub struct EtcWorkload {
-    key_size: Gev,
     value_size: GeneralizedPareto,
     popularity: Zipf,
     keys: u64,
@@ -205,7 +208,6 @@ impl EtcWorkload {
     pub fn new(keys: u64) -> Self {
         assert!(keys > 0, "ETC needs a non-empty keyspace");
         EtcWorkload {
-            key_size: Gev::new(30.7984, 8.20449, 0.078688),
             value_size: etc_value_size(),
             popularity: Zipf::new(keys.min(1_000_000) as usize, 0.99),
             keys,
@@ -213,13 +215,23 @@ impl EtcWorkload {
         }
     }
 
-    /// Draws the next request's descriptor.
+    /// Draws the next request's descriptor: four uniforms, in the order
+    /// op, popularity, key size, value size. The popularity uniform is
+    /// kept raw (resolve it with [`key_of`](Self::key_of)); the key-size
+    /// uniform is consumed, not transformed, since nothing reads a key
+    /// size.
     pub fn next_descriptor(&self, rng: &mut SimRng) -> RequestDescriptor {
         let op = if rng.next_bool(self.get_ratio) { KvOp::Get } else { KvOp::Set };
-        let key = self.popularity.sample_rank(rng) as u64 % self.keys;
-        let key_size = self.key_size.sample(rng).clamp(1.0, 250.0) as u32;
+        let key_unit = rng.next_f64();
+        rng.next_u64(); // the GEV key size's one uniform
         let value_size = value_bytes(self.value_size.sample(rng));
-        RequestDescriptor::Kv { op, key, key_size, value_size }
+        RequestDescriptor::Kv { op, key_unit, value_size }
+    }
+
+    /// The key a descriptor's raw popularity uniform names: its Zipf rank
+    /// folded onto the keyspace.
+    pub fn key_of(&self, unit: f64) -> u64 {
+        self.popularity.rank_from_unit(unit) as u64 % self.keys
     }
 }
 
@@ -246,6 +258,17 @@ impl Default for KvConfig {
             mean_get_service: SimDuration::from_us(8),
             fidelity: 16,
         }
+    }
+}
+
+impl KvConfig {
+    /// The first field [`KvService::new`] cannot build from, as `(field
+    /// name, value)`: the pool needs a worker and the ETC workload a
+    /// non-empty keyspace. `None` when the config is usable.
+    pub fn invalid_field(&self) -> Option<(&'static str, u64)> {
+        [("workers", self.workers as u64), ("preload_keys", self.preload_keys)]
+            .into_iter()
+            .find(|&(_, value)| value == 0)
     }
 }
 
@@ -304,8 +327,8 @@ impl KvService {
         arrival: SimTime,
         rng: &mut SimRng,
     ) -> ServiceCompletion {
-        let (op, key, value_size) = match desc {
-            RequestDescriptor::Kv { op, key, value_size, .. } => (*op, *key, *value_size),
+        let (op, key_unit, value_size) = match *desc {
+            RequestDescriptor::Kv { op, key_unit, value_size } => (op, key_unit, value_size),
             other => panic!("KvService got a non-KV request: {other:?}"),
         };
 
@@ -319,6 +342,7 @@ impl KvService {
             self.requests.is_multiple_of(fidelity)
         };
         let stored_size = if sampled {
+            let key = self.workload.key_of(key_unit);
             match op {
                 KvOp::Get => self.store.get(key).map(|v| v.size).unwrap_or(0),
                 KvOp::Set => {
@@ -363,6 +387,7 @@ impl KvService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpv_sim::dist::Gev;
 
     fn service(server: &MachineConfig, seed: u64) -> (KvService, SimRng) {
         let mut rng = SimRng::seed_from_u64(seed);
@@ -502,24 +527,54 @@ mod tests {
         assert!((s.hit_ratio() - 2.0 / 3.0).abs() < 1e-12);
     }
 
+    /// `next_descriptor` as it was before descriptors went lazy: the
+    /// Zipf key searched and the GEV key size transformed on every draw.
+    fn eager_descriptor(w: &EtcWorkload, rng: &mut SimRng) -> (KvOp, u64, u32) {
+        let op = if rng.next_bool(w.get_ratio) { KvOp::Get } else { KvOp::Set };
+        let key = w.popularity.sample_rank(rng) as u64 % w.keys;
+        let _key_size = Gev::new(30.7984, 8.20449, 0.078688).sample(rng).clamp(1.0, 250.0) as u32;
+        let value_size = value_bytes(etc_value_size().sample(rng));
+        (op, key, value_size)
+    }
+
+    #[test]
+    fn lazy_descriptors_match_eager_draws() {
+        // Keyspaces from a single key to past the Zipf table's 1M-rank
+        // cap, which spans all three tiers of the rank search.
+        for (seed, keys) in [(1u64, 1u64), (2, 1_000), (3, 100_000), (4, 1_500_000)] {
+            let w = EtcWorkload::new(keys);
+            let mut eager_rng = SimRng::seed_from_u64(seed);
+            let mut lazy_rng = eager_rng.clone();
+            for step in 0..5_000 {
+                let (op, key, value_size) = eager_descriptor(&w, &mut eager_rng);
+                match w.next_descriptor(&mut lazy_rng) {
+                    RequestDescriptor::Kv { op: lazy_op, key_unit, value_size: lazy_size } => {
+                        assert_eq!(lazy_op, op, "seed {seed} step {step}: op");
+                        assert_eq!(w.key_of(key_unit), key, "seed {seed} step {step}: key");
+                        assert_eq!(lazy_size, value_size, "seed {seed} step {step}: value size");
+                    }
+                    other => panic!("unexpected descriptor {other:?}"),
+                }
+            }
+            assert_eq!(lazy_rng.next_u64(), eager_rng.next_u64(), "seed {seed}: draw counts differ");
+        }
+    }
+
     #[test]
     fn etc_descriptors_have_published_shape() {
         let w = EtcWorkload::new(10_000);
         let mut rng = SimRng::seed_from_u64(1);
         let n = 20_000;
         let mut gets = 0u32;
-        let mut key_sizes = Vec::new();
         let mut value_sizes = Vec::new();
         for _ in 0..n {
             match w.next_descriptor(&mut rng) {
-                RequestDescriptor::Kv { op, key, key_size, value_size } => {
-                    assert!(key < 10_000);
-                    assert!((1..=250).contains(&key_size));
+                RequestDescriptor::Kv { op, key_unit, value_size } => {
+                    assert!(w.key_of(key_unit) < 10_000);
                     assert!(value_size >= 1);
                     if op == KvOp::Get {
                         gets += 1;
                     }
-                    key_sizes.push(key_size as f64);
                     value_sizes.push(value_size as f64);
                 }
                 other => panic!("unexpected descriptor {other:?}"),
@@ -528,9 +583,9 @@ mod tests {
         // GET ratio ≈ 30/31 ≈ 0.968.
         let ratio = gets as f64 / n as f64;
         assert!((ratio - 0.968).abs() < 0.01, "GET ratio {ratio}");
-        // ETC medians: keys in the 20-40 B range, values a few hundred B.
-        let km = tpv_stats_median(&key_sizes);
-        assert!((25.0..40.0).contains(&km), "median key size {km}");
+        // ETC values: a median of a few hundred B. (Key sizes are
+        // consumed, not transformed; `tpv_sim::dist` checks the GEV
+        // key-size shape.)
         let vm = tpv_stats_median(&value_sizes);
         assert!((100.0..400.0).contains(&vm), "median value size {vm}");
     }
@@ -548,8 +603,8 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(2);
         let mut counts = vec![0u32; 1_000];
         for _ in 0..50_000 {
-            if let RequestDescriptor::Kv { key, .. } = w.next_descriptor(&mut rng) {
-                counts[key as usize] += 1;
+            if let RequestDescriptor::Kv { key_unit, .. } = w.next_descriptor(&mut rng) {
+                counts[w.key_of(key_unit) as usize] += 1;
             }
         }
         let top10: u32 = {
@@ -577,7 +632,7 @@ mod tests {
     #[test]
     fn sets_cost_more_than_gets() {
         let (mut svc, mut rng) = service(&MachineConfig::server_baseline(), 4);
-        let mk = |op| RequestDescriptor::Kv { op, key: 5, key_size: 30, value_size: 300 };
+        let mk = |op| RequestDescriptor::Kv { op, key_unit: 0.5, value_size: 300 };
         // Use well-separated arrivals on the same conn so no queueing.
         let mut get_total = SimDuration::ZERO;
         let mut set_total = SimDuration::ZERO;

@@ -25,10 +25,10 @@ pub enum RequestDescriptor {
     Kv {
         /// Operation type.
         op: KvOp,
-        /// Key identity (popularity-ranked).
-        key: u64,
-        /// Key size in bytes (ETC: GEV-distributed).
-        key_size: u32,
+        /// The raw `[0, 1)` popularity uniform the key is drawn from;
+        /// [`EtcWorkload::key_of`](crate::kv::EtcWorkload::key_of)
+        /// resolves it to a key.
+        key_unit: f64,
         /// Value size in bytes (ETC: generalized-Pareto-distributed).
         value_size: u32,
     },
@@ -44,22 +44,6 @@ pub enum RequestDescriptor {
     },
     /// A synthetic-service request.
     Synthetic,
-}
-
-impl RequestDescriptor {
-    /// Approximate request payload size on the wire, for stack-cost
-    /// scaling.
-    pub fn request_bytes(&self) -> usize {
-        match self {
-            RequestDescriptor::Kv { op, key_size, value_size, .. } => match op {
-                KvOp::Get => *key_size as usize + 24,
-                KvOp::Set => *key_size as usize + *value_size as usize + 32,
-            },
-            RequestDescriptor::Search { .. } => 64 * 4 + 32, // a feature vector
-            RequestDescriptor::Timeline { .. } => 64,
-            RequestDescriptor::Synthetic => 32,
-        }
-    }
 }
 
 /// Identity of a request's origin in a multi-node topology: which client
@@ -175,17 +159,5 @@ mod tests {
         // Keys are stable: same identity, same key.
         let k = NodeConn { node_key: 42, conn: 3 };
         assert_eq!(k.affinity_key(), k.affinity_key());
-    }
-
-    #[test]
-    fn request_sizes_reflect_payloads() {
-        let get = RequestDescriptor::Kv { op: KvOp::Get, key: 1, key_size: 30, value_size: 300 };
-        let set = RequestDescriptor::Kv { op: KvOp::Set, key: 1, key_size: 30, value_size: 300 };
-        assert!(set.request_bytes() > get.request_bytes());
-        assert_eq!(get.request_bytes(), 54);
-        let q = RequestDescriptor::Search { query_id: 0 };
-        assert!(q.request_bytes() > 200);
-        assert!(RequestDescriptor::Synthetic.request_bytes() < 64);
-        assert_eq!(RequestDescriptor::Timeline { user: 3 }.request_bytes(), 64);
     }
 }

@@ -166,7 +166,7 @@ impl WorkerPool {
         // spike only costs sibling contention, not a full blockage.
         // Spikes are sparse, so the collision `powf` is only paid when
         // one is actually due.
-        let due = self.interference.due_spikes_raw(worker, arrival);
+        let due = self.interference.due_spikes(worker, arrival);
         if !due.is_empty() {
             let logical_share = if smt_on { 0.75 } else { 1.0 };
             // x^1.5 as x·√x: both operations are IEEE-exact, so this is

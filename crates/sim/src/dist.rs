@@ -8,7 +8,8 @@
 //! * [`Exponential`] — open-loop Poisson inter-arrival times (§II, §IV-B).
 //! * [`Normal`] / [`LogNormal`] — service-time jitter and per-run drift.
 //! * [`GeneralizedPareto`] / [`Gev`] — Facebook ETC value/key sizes
-//!   (Atikoglu et al., SIGMETRICS'12), used by the Memcached workload.
+//!   (Atikoglu et al., SIGMETRICS'12). The Memcached workload transforms
+//!   value sizes and consumes, without transforming, the key-size draw.
 //! * [`Zipf`] — key popularity.
 //! * [`Pareto`] — heavy-tailed interference.
 //! * [`Deterministic`], [`Uniform`], [`Empirical`] — building blocks.
@@ -493,7 +494,15 @@ impl Zipf {
 
     /// Draws a rank in `[0, n)` (0-based; rank 0 is the most popular).
     pub fn sample_rank(&self, rng: &mut SimRng) -> usize {
-        let u = rng.next_f64();
+        self.rank_from_unit(rng.next_f64())
+    }
+
+    /// The inverse-CDF transform of one raw `[0, 1)` uniform (as drawn
+    /// by [`SimRng::next_f64`]) into a rank. Pure — a caller may keep
+    /// the uniform and resolve the rank only when something reads it
+    /// (the ETC workload's lazily keyed descriptors).
+    #[inline]
+    pub fn rank_from_unit(&self, u: f64) -> usize {
         let n = self.cdf.len();
         // `partition_point(p < u)` is the first index with cdf >= u —
         // exactly what inverting a strictly increasing CDF needs. A
@@ -752,6 +761,7 @@ mod tests {
             for _ in 0..2_000 {
                 let got = z.sample_rank(&mut rng);
                 let u = reference_rng.next_f64();
+                assert_eq!(z.rank_from_unit(u), got, "n={n} s={s} u={u}");
                 let expect = match cdf.binary_search_by(|p| p.partial_cmp(&u).unwrap()) {
                     Ok(i) => i,
                     Err(i) => i.min(n - 1),

@@ -4,8 +4,9 @@
 //! debugger. Historically `EmptyWindow` printed no numbers at all —
 //! this table pins each arm's payload into its message. Also checks
 //! that loads too high to pace, malformed shard tiers, mismatched
-//! dynamics plans and unusable sigmas are rejected by `validate` and
-//! `run_fleet` instead of panicking inside the kernel.
+//! dynamics plans, unusable sigmas and unbuildable service configs are
+//! rejected by `validate` and `run_fleet` instead of panicking inside the
+//! kernel.
 
 use tpv_core::runtime::run_fleet;
 use tpv_core::topology::{
@@ -76,6 +77,10 @@ fn every_display_arm_prints_the_values_it_rejects() {
         (
             TopologyError::LinkCountMismatch { label: "wired".into(), links: 1, phases: 3 },
             vec!["'wired'".into(), "1 links".into(), "3 phases".into()],
+        ),
+        (
+            TopologyError::InvalidServiceConfig { service: "memcached", field: "preload_keys", value: 0 },
+            vec!["memcached".into(), "preload_keys".into(), "at least 1".into(), "got 0".into()],
         ),
         (TopologyError::EmptyShardTier, vec!["at least one shard".into()]),
         (
@@ -417,4 +422,30 @@ fn unusable_sigmas_are_rejected() {
     quiet[1].machine.variability = tpv_hw::env::VariabilityProfile::none();
     quiet[1].generator.arrival = ArrivalKind::LogNormal(0.0);
     assert!(run_fleet(&fleet_topo(&service, &good_server, &quiet), 1, 1).is_ok());
+}
+
+/// A memcached config its service cannot be built from — no workers, or
+/// no preloaded keys (an empty ETC keyspace) — is a typed error from
+/// `validate` and `run_fleet`. Before it was checked, both passed
+/// `validate` and `run_fleet` panicked while building the service.
+#[test]
+fn unbuildable_service_configs_are_rejected() {
+    let server = MachineConfig::server_baseline();
+    let nodes = memcached_pair(20_000.0);
+    let cases = [
+        (KvConfig { workers: 0, ..KvConfig::default() }, "workers"),
+        (KvConfig { preload_keys: 0, ..KvConfig::default() }, "preload_keys"),
+        (KvConfig { workers: 0, preload_keys: 0, ..KvConfig::default() }, "workers"),
+    ];
+    for (kv, field) in cases {
+        let service = ServiceConfig::without_interference(ServiceKind::Memcached(kv));
+        let topo = fleet_topo(&service, &server, &nodes);
+        let expected = TopologyError::InvalidServiceConfig { service: "memcached", field, value: 0 };
+        assert_eq!(topo.validate(), Err(expected.clone()), "{kv:?}");
+        assert_eq!(run_fleet(&topo, 1, 1).unwrap_err(), expected, "{kv:?}");
+    }
+    // One worker and one key is the smallest config that builds and runs.
+    let tiny = KvConfig { workers: 1, preload_keys: 1, ..KvConfig::default() };
+    let service = ServiceConfig::without_interference(ServiceKind::Memcached(tiny));
+    assert!(run_fleet(&fleet_topo(&service, &server, &nodes), 1, 1).is_ok());
 }
