@@ -8,6 +8,14 @@
 //! against). The kernel is generic over the collector, so the null case
 //! monomorphizes to empty inlined hooks.
 //!
+//! Every [`RunResult`] the kernel reports — the aggregate, each shard's,
+//! each node's and each cohort's — is built by one crate-private `Pool`:
+//! a latency histogram, summed wake/send/truncation counters, and each
+//! member node's energy and offered load kept whole. Pools merge in the
+//! runner's canonical partition order. Only the histogram's Welford
+//! state (mean, standard deviation) depends on that order; the per-node
+//! floats are summed in sorted order when the result is built.
+//!
 //! # Example
 //!
 //! A [`PerNodeCollector`] splits the aggregate into per-node latency
@@ -173,21 +181,106 @@ impl MergeCollector for EventCountCollector {
     }
 }
 
-/// Accumulates one latency histogram per client node and folds each
-/// node's end-of-run statistics into a per-node [`RunResult`].
+/// The pooled measurements of a set of client nodes, and the one place a
+/// [`RunResult`] is assembled: the kernel's per-partition pool and
+/// whole-run aggregate, [`PerNodeCollector`]'s per-node results and
+/// [`PerCohortCollector`]'s rollups are all pools.
+///
+/// Integer counters add exactly. Each node's energy and offered load
+/// are kept whole and summed in sorted order by [`Pool::result`], so
+/// those floats are a function of the pool's node multiset. Only the
+/// histogram's Welford state (mean, standard deviation) depends on the
+/// merge order, which is why pools merge in the runner's canonical
+/// partition order.
+#[derive(Debug, Default)]
+pub(crate) struct Pool {
+    hist: LatencyHistogram,
+    wakes: [u64; 4],
+    sends: tpv_loadgen::SendStats,
+    truncated: u64,
+    energies: Vec<f64>,
+    targets: Vec<f64>,
+}
+
+impl Pool {
+    /// Records one in-window latency.
+    #[inline]
+    pub(crate) fn record(&mut self, latency: SimDuration) {
+        self.hist.record(latency);
+    }
+
+    /// Adds one finished node's end-of-run counters.
+    pub(crate) fn add_node(&mut self, stats: &NodeStats) {
+        self.add_counts(stats.wakes, stats.sends, stats.truncated_inflight);
+        self.energies.push(stats.energy_core_secs);
+        self.targets.push(stats.target_qps);
+    }
+
+    /// Folds `other` in: the histogram in call order (callers merge in
+    /// canonical order), everything else order-independently.
+    pub(crate) fn merge(&mut self, other: &Pool) {
+        self.hist.merge(&other.hist);
+        self.add_counts(other.wakes, other.sends, other.truncated);
+        self.energies.extend_from_slice(&other.energies);
+        self.targets.extend_from_slice(&other.targets);
+    }
+
+    fn add_counts(&mut self, wakes: [u64; 4], sends: tpv_loadgen::SendStats, truncated: u64) {
+        for (acc, w) in self.wakes.iter_mut().zip(wakes) {
+            *acc += w;
+        }
+        self.sends.late_sends += sends.late_sends;
+        self.sends.total_sends += sends.total_sends;
+        self.sends.total_slip += sends.total_slip;
+        self.truncated += truncated;
+    }
+
+    /// The pooled [`RunResult`] over a measurement window of length
+    /// `measured`.
+    pub(crate) fn result(&self, measured: SimDuration) -> RunResult {
+        let (hist, sends, sent) = (&self.hist, self.sends, self.sends.total_sends);
+        RunResult {
+            avg: hist.mean(),
+            p50: hist.median(),
+            p99: hist.percentile(99.0),
+            max: hist.max(),
+            std_dev: hist.std_dev(),
+            samples: hist.count(),
+            achieved_qps: hist.count() as f64 / measured.as_secs(),
+            target_qps: stable_sum(&self.targets),
+            late_send_fraction: if sent == 0 { 0.0 } else { sends.late_sends as f64 / sent as f64 },
+            mean_send_slip: if sent == 0 { SimDuration::ZERO } else { sends.total_slip / sent },
+            client_wakes: self.wakes,
+            client_energy_core_secs: stable_sum(&self.energies),
+            truncated_inflight: self.truncated,
+        }
+    }
+}
+
+/// Order-independent f64 accumulation: float addition is not
+/// associative, so summing per-node values in declaration order would
+/// leak the fleet's declaration order into pooled results. Summing in
+/// sorted order makes the total a function of the value *multiset*. A
+/// single value other than `-0.0` sums to itself bit-exactly, and no
+/// value to `0.0`.
+fn stable_sum(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted.iter().fold(0.0, |acc, v| acc + v)
+}
+
+/// Accumulates one `Pool` per client node and turns each into a
+/// per-node [`RunResult`] when the node finishes.
 #[derive(Debug)]
 pub struct PerNodeCollector {
-    hists: Vec<LatencyHistogram>,
+    pools: Vec<Pool>,
     results: Vec<Option<RunResult>>,
 }
 
 impl PerNodeCollector {
     /// A collector for a topology of `nodes` client nodes.
     pub fn new(nodes: usize) -> Self {
-        PerNodeCollector {
-            hists: (0..nodes).map(|_| LatencyHistogram::new()).collect(),
-            results: vec![None; nodes],
-        }
+        PerNodeCollector { pools: (0..nodes).map(|_| Pool::default()).collect(), results: vec![None; nodes] }
     }
 
     /// The per-node results, in node declaration order.
@@ -205,11 +298,10 @@ impl MergeCollector for PerNodeCollector {
     /// most one shard's collector carries any given node.
     fn merge(&mut self, other: Self) {
         assert_eq!(self.results.len(), other.results.len(), "collectors cover different fleets");
-        for (i, (result, hist)) in other.results.into_iter().zip(other.hists).enumerate() {
+        for (i, result) in other.results.into_iter().enumerate() {
             if result.is_some() {
                 assert!(self.results[i].is_none(), "node {i} finished on two shards");
                 self.results[i] = result;
-                self.hists[i] = hist;
             }
         }
     }
@@ -217,44 +309,30 @@ impl MergeCollector for PerNodeCollector {
 
 impl Collector for PerNodeCollector {
     fn on_latency(&mut self, node: usize, _stamp: SimTime, measured: SimDuration) {
-        self.hists[node].record(measured);
+        self.pools[node].record(measured);
     }
 
     fn on_node_done(&mut self, node: usize, stats: &NodeStats) {
-        self.results[node] = Some(RunResult::from_histogram(
-            &self.hists[node],
-            stats.measured,
-            stats.target_qps,
-            stats.sends,
-            stats.wakes,
-            stats.energy_core_secs,
-            stats.truncated_inflight,
-        ));
+        let mut pool = std::mem::take(&mut self.pools[node]);
+        pool.add_node(stats);
+        self.results[node] = Some(pool.result(stats.measured));
     }
 }
 
-/// Accumulates one latency histogram and one statistics block per
-/// *cohort* of a cohort-compressed fleet — the collection behind
-/// [`crate::runtime::run_fleet`]'s cohort rollups.
+/// Accumulates one `Pool` per *cohort* of a cohort-compressed fleet —
+/// the collection behind [`crate::runtime::run_fleet`]'s cohort rollups.
 ///
 /// Node indices are mapped to cohorts through the lowered fleet's
 /// cohort map (see
 /// [`TopologySpec::layout`](crate::topology::TopologySpec)); explicit
 /// nodes map to no cohort and are simply skipped, so the collector's
-/// footprint is `O(cohorts)`, flat in the modeled population. Per-node
-/// float contributions (offered load, energy) are buffered and folded
-/// with a canonical-order stable sum at the end, so a cohort whose
-/// members span shards yields bit-identical results serial vs
-/// sharded-parallel.
+/// footprint is `O(cohorts)`, flat in the modeled population. A cohort
+/// whose members span shards folds their pools in canonical partition
+/// order, so its rollup is bit-identical serial vs sharded-parallel.
 #[derive(Debug)]
 pub struct PerCohortCollector {
     cohort_of: Vec<Option<usize>>,
-    hists: Vec<LatencyHistogram>,
-    wakes: Vec<[u64; 4]>,
-    energies: Vec<Vec<f64>>,
-    sends: Vec<tpv_loadgen::SendStats>,
-    truncated: Vec<u64>,
-    targets: Vec<Vec<f64>>,
+    pools: Vec<Pool>,
 }
 
 impl PerCohortCollector {
@@ -267,101 +345,39 @@ impl PerCohortCollector {
     /// Panics if any mapped cohort index is out of range.
     pub fn new(cohort_of: Vec<Option<usize>>, cohorts: usize) -> Self {
         assert!(cohort_of.iter().flatten().all(|&c| c < cohorts), "cohort map points past the cohort list");
-        PerCohortCollector {
-            cohort_of,
-            hists: (0..cohorts).map(|_| LatencyHistogram::new()).collect(),
-            wakes: vec![[0; 4]; cohorts],
-            energies: vec![Vec::new(); cohorts],
-            sends: vec![
-                tpv_loadgen::SendStats {
-                    late_sends: 0,
-                    total_sends: 0,
-                    total_slip: SimDuration::ZERO,
-                };
-                cohorts
-            ],
-            truncated: vec![0; cohorts],
-            targets: vec![Vec::new(); cohorts],
-        }
+        PerCohortCollector { cohort_of, pools: (0..cohorts).map(|_| Pool::default()).collect() }
     }
 
     /// One pooled [`RunResult`] per cohort, in cohort declaration order,
-    /// over the measurement window `measured`. Float accumulations
-    /// (offered load, energy) are folded in canonical order, so the
-    /// result does not depend on which shard finished first.
+    /// over the measurement window `measured`.
     pub fn into_results(self, measured: SimDuration) -> Vec<RunResult> {
-        self.hists
-            .iter()
-            .zip(&self.targets)
-            .zip(&self.energies)
-            .zip(&self.sends)
-            .zip(&self.wakes)
-            .zip(&self.truncated)
-            .map(|(((((hist, targets), energies), sends), wakes), truncated)| {
-                RunResult::from_histogram(
-                    hist,
-                    measured,
-                    crate::topology::stable_sum(targets.clone()),
-                    *sends,
-                    *wakes,
-                    crate::topology::stable_sum(energies.clone()),
-                    *truncated,
-                )
-            })
-            .collect()
+        self.pools.iter().map(|pool| pool.result(measured)).collect()
     }
 }
 
 impl Collector for PerCohortCollector {
     fn on_latency(&mut self, node: usize, _stamp: SimTime, measured: SimDuration) {
         if let Some(c) = self.cohort_of[node] {
-            self.hists[c].record(measured);
+            self.pools[c].record(measured);
         }
     }
 
     fn on_node_done(&mut self, node: usize, stats: &NodeStats) {
-        let Some(c) = self.cohort_of[node] else { return };
-        for (w, s) in self.wakes[c].iter_mut().zip(stats.wakes) {
-            *w += s;
+        if let Some(c) = self.cohort_of[node] {
+            self.pools[c].add_node(stats);
         }
-        self.energies[c].push(stats.energy_core_secs);
-        self.sends[c].late_sends += stats.sends.late_sends;
-        self.sends[c].total_sends += stats.sends.total_sends;
-        self.sends[c].total_slip += stats.sends.total_slip;
-        self.truncated[c] += stats.truncated_inflight;
-        self.targets[c].push(stats.target_qps);
     }
 }
 
 impl MergeCollector for PerCohortCollector {
-    /// Folds the next shard's cohort partials into `self`. Shards
+    /// Folds the next shard's cohort pools into `self`. Shards
     /// partition the fleet but a cohort's members can span shards, so —
     /// unlike [`PerNodeCollector`] — merging accumulates rather than
-    /// moves; the runner's canonical partition order keeps the float
-    /// folds canonical.
+    /// moves.
     fn merge(&mut self, other: Self) {
         assert_eq!(self.cohort_of, other.cohort_of, "collectors cover different fleets");
-        for (mine, theirs) in self.hists.iter_mut().zip(&other.hists) {
+        for (mine, theirs) in self.pools.iter_mut().zip(&other.pools) {
             mine.merge(theirs);
-        }
-        for (mine, theirs) in self.wakes.iter_mut().zip(other.wakes) {
-            for (w, s) in mine.iter_mut().zip(theirs) {
-                *w += s;
-            }
-        }
-        for (mine, theirs) in self.energies.iter_mut().zip(other.energies) {
-            mine.extend_from_slice(&theirs);
-        }
-        for (mine, theirs) in self.sends.iter_mut().zip(other.sends) {
-            mine.late_sends += theirs.late_sends;
-            mine.total_sends += theirs.total_sends;
-            mine.total_slip += theirs.total_slip;
-        }
-        for (mine, theirs) in self.truncated.iter_mut().zip(other.truncated) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self.targets.iter_mut().zip(other.targets) {
-            mine.extend_from_slice(&theirs);
         }
     }
 }
@@ -631,11 +647,6 @@ pub struct WindowedObserver {
 }
 
 impl WindowedObserver {
-    /// An observer for an unsharded topology of `nodes` client nodes.
-    pub fn new(nodes: usize) -> Self {
-        WindowedObserver::for_partition(nodes, 0, 0)
-    }
-
     /// A per-shard observer for the partition with declaration index
     /// `shard` — pass `|shard, key| WindowedObserver::for_partition(n,
     /// key, shard)` as the collector factory of
@@ -886,7 +897,7 @@ mod tests {
     fn windowed_observer_empty_window_yields_zero_rows() {
         // First-boundary edge case: the window closed before anything
         // recorded. The observation must be well-formed zeros, not a panic.
-        let obs = WindowedObserver::new(2);
+        let obs = WindowedObserver::for_partition(2, 0, 0);
         let (nodes, shards) = obs.into_windows(SimDuration::from_ms(10));
         assert_eq!(nodes.len(), 2);
         for n in &nodes {
@@ -904,7 +915,7 @@ mod tests {
     fn windowed_observer_single_sample_p99_is_that_sample() {
         // One sample in the window: the percentile clamps to the exact
         // observed value, not a bucket bound past it.
-        let mut obs = WindowedObserver::new(1);
+        let mut obs = WindowedObserver::for_partition(1, 0, 0);
         obs.on_latency(0, SimTime::from_ms(1), SimDuration::from_us(137));
         let (nodes, shards) = obs.into_windows(SimDuration::from_ms(10));
         assert_eq!(nodes[0].samples, 1);
@@ -953,7 +964,7 @@ mod tests {
         );
         pair.on_latency(0, SimTime::from_ms(1), SimDuration::from_us(70));
         let (per_node, phases) = pair;
-        assert_eq!(per_node.hists[0].count(), 1);
+        assert_eq!(per_node.pools[0].hist.count(), 1);
         assert_eq!(phases.into_stats()[0].samples, 1);
     }
 }

@@ -87,13 +87,13 @@
 use tpv_hw::MachineConfig;
 use tpv_loadgen::{ArrivalProcess, ClientSide, GapBuffer, GeneratorSpec, LoopMode, PointOfMeasurement};
 use tpv_net::{Connection, Link, LinkConfig};
-use tpv_services::request::StageCtx;
+use tpv_services::request::{StageCtx, StageOutcome};
 use tpv_services::{NodeConn, RequestDescriptor, ServiceConfig, ServiceInstance};
-use tpv_sim::{EventQueue, HotColdSlab, LatencyHistogram, SimDuration, SimRng, SimTime};
+use tpv_sim::{EventQueue, HotColdSlab, SimDuration, SimRng, SimTime};
 
 use crate::collect::{
     Collector, MergeCollector, NodeStats, NullCollector, PerCohortCollector, PerNodeCollector,
-    PhaseCollector, TraceCollector,
+    PhaseCollector, Pool, TraceCollector,
 };
 use crate::pin::PinPolicy;
 use crate::topology::{
@@ -169,46 +169,6 @@ impl RunResult {
     /// p99 latency in microseconds (report convenience).
     pub fn p99_us(&self) -> f64 {
         self.p99.as_us()
-    }
-
-    /// Assembles a result from a latency histogram plus the client-side
-    /// counters — the one place the histogram-derived metrics and the
-    /// zero-send guards are defined, shared by the kernel's aggregate
-    /// epilogue and [`crate::collect::PerNodeCollector`]'s per-node
-    /// breakdowns so the two cannot drift apart.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_histogram(
-        hist: &LatencyHistogram,
-        measured: SimDuration,
-        target_qps: f64,
-        sends: tpv_loadgen::SendStats,
-        wakes: [u64; 4],
-        energy_core_secs: f64,
-        truncated_inflight: u64,
-    ) -> RunResult {
-        RunResult {
-            avg: hist.mean(),
-            p50: hist.median(),
-            p99: hist.percentile(99.0),
-            max: hist.max(),
-            std_dev: hist.std_dev(),
-            samples: hist.count(),
-            achieved_qps: hist.count() as f64 / measured.as_secs(),
-            target_qps,
-            late_send_fraction: if sends.total_sends == 0 {
-                0.0
-            } else {
-                sends.late_sends as f64 / sends.total_sends as f64
-            },
-            mean_send_slip: if sends.total_sends == 0 {
-                SimDuration::ZERO
-            } else {
-                sends.total_slip / sends.total_sends
-            },
-            client_wakes: wakes,
-            client_energy_core_secs: energy_core_secs,
-            truncated_inflight,
-        }
     }
 }
 
@@ -619,96 +579,17 @@ fn build_partitions<'a>(
     plans
 }
 
-/// Everything one partition's sub-simulation produced: the pooled
-/// latency histogram plus the client-side counters of its member nodes.
-/// Merging outcomes (in canonical plan order) reproduces the single-loop
-/// epilogue exactly.
-struct PartitionOutcome {
-    hist: LatencyHistogram,
-    late_sends: u64,
-    total_sends: u64,
-    total_slip: SimDuration,
-    wakes: [u64; 4],
-    energies: Vec<f64>,
-    truncated: u64,
-    /// Order-independent sum of the member nodes' effective loads.
-    target_qps: f64,
-}
-
-impl PartitionOutcome {
-    fn empty() -> Self {
-        PartitionOutcome {
-            hist: LatencyHistogram::new(),
-            late_sends: 0,
-            total_sends: 0,
-            total_slip: SimDuration::ZERO,
-            wakes: [0; 4],
-            energies: Vec::new(),
-            truncated: 0,
-            target_qps: 0.0,
-        }
+/// Merges partition pools — given in [`build_partitions`]' canonical
+/// plan order — into the whole-run aggregate. A single partition merges
+/// into an empty histogram, which is bit-exact, keeping the unsharded
+/// path byte-identical to the historical single-loop epilogue; the
+/// aggregate's offered load pools every lowered node's effective load.
+fn finish_run(topo: &TopologySpec<'_>, pools: &[Pool]) -> RunResult {
+    let mut all = Pool::default();
+    for pool in pools {
+        all.merge(pool);
     }
-
-    /// This partition's pooled measurements as a [`RunResult`] — the
-    /// per-shard breakdown of a sharded run.
-    fn shard_run_result(&self, measured: SimDuration) -> RunResult {
-        RunResult::from_histogram(
-            &self.hist,
-            measured,
-            self.target_qps,
-            tpv_loadgen::SendStats {
-                late_sends: self.late_sends,
-                total_sends: self.total_sends,
-                total_slip: self.total_slip,
-            },
-            self.wakes,
-            crate::topology::stable_sum(self.energies.clone()),
-            self.truncated,
-        )
-    }
-}
-
-/// Merges partition outcomes — given in [`build_partitions`]' canonical
-/// plan order — into the whole-run aggregate. Integer counters sum
-/// exactly; float aggregates (histogram mean/variance, energy) merge in
-/// that order, respectively via `stable_sum`, so the result is
-/// independent of shard enumeration and execution order. A single
-/// partition merges into an empty histogram, which is bit-exact, keeping
-/// the unsharded path byte-identical to the historical single-loop
-/// epilogue.
-fn finish_run(topo: &TopologySpec<'_>, outcomes: &[PartitionOutcome]) -> RunResult {
-    let measured_dur = topo.duration - topo.warmup;
-    let mut hist = LatencyHistogram::new();
-    let mut wakes = [0u64; 4];
-    let mut energies: Vec<f64> = Vec::new();
-    let mut late_sends = 0u64;
-    let mut total_sends = 0u64;
-    let mut total_slip = SimDuration::ZERO;
-    let mut truncated = 0u64;
-    for o in outcomes {
-        hist.merge(&o.hist);
-        for (acc, w) in wakes.iter_mut().zip(o.wakes) {
-            *acc += w;
-        }
-        energies.extend_from_slice(&o.energies);
-        late_sends += o.late_sends;
-        total_sends += o.total_sends;
-        total_slip += o.total_slip;
-        truncated += o.truncated;
-    }
-    RunResult::from_histogram(
-        &hist,
-        measured_dur,
-        // Time-averaged over any phased rates; bit-identical to
-        // `total_qps` for static topologies.
-        topo.offered_qps(),
-        tpv_loadgen::SendStats { late_sends, total_sends, total_slip },
-        wakes,
-        // Order-independent: permuting the fleet declaration must not
-        // perturb the aggregate through float non-associativity.
-        crate::topology::stable_sum(energies),
-        truncated,
-    )
+    all.result(topo.duration - topo.warmup)
 }
 
 /// The topology kernel: executes one run, feeding observations to
@@ -728,25 +609,26 @@ pub fn run_collected<C: Collector>(topo: &TopologySpec<'_>, seed: u64, collector
     let layout = topo.layout();
     let master = SimRng::seed_from_u64(seed);
     let plans = build_partitions(topo, layout.nodes(), &master);
-    let outcomes: Vec<PartitionOutcome> =
+    let pools: Vec<Pool> =
         plans.iter().map(|plan| run_partition(topo, plan, &master, None, collector)).collect();
-    finish_run(topo, &outcomes)
+    finish_run(topo, &pools)
 }
 
 /// Executes one partition's sub-simulation: the member nodes against the
 /// partition's backend, through a private event queue, slab and service
-/// instance. Collector hooks receive **global** node indices.
+/// instance, returning the pool of its member nodes. Collector hooks
+/// receive **global** node indices.
 fn run_partition<C: Collector>(
     topo: &TopologySpec<'_>,
     part: &PartitionPlan<'_>,
     global_master: &SimRng,
     hedge_plan: Option<&crate::control::HedgePlan>,
     collector: &mut C,
-) -> PartitionOutcome {
+) -> Pool {
     if part.members.is_empty() {
         // A shard with no assigned nodes serves nothing; its streams are
         // never consumed, so adding shards cannot perturb loaded ones.
-        return PartitionOutcome::empty();
+        return Pool::default();
     }
     let master = &part.master;
     let mut service_rng = master.fork(3);
@@ -854,7 +736,7 @@ fn run_partition<C: Collector>(
         }
     }
 
-    let mut hist = LatencyHistogram::new();
+    let mut pool = Pool::default();
 
     // Dispatch in tie-run batches: `pop_batch` drains every event sharing
     // the earliest timestamp in one call, amortizing the queue's per-pop
@@ -896,40 +778,23 @@ fn run_partition<C: Collector>(
                         }
                     }
                 }
-                Event::ServerArrival { req } => {
+                Event::ServerArrival { req } | Event::ServiceStage { req } => {
                     let r = *requests.hot(req);
-                    let key = NodeConn { node_key: states[r.node as usize].node_key, conn: r.conn };
-                    let outcome =
-                        service.admit(key.affinity_key(), &requests.cold(req).desc, now, &mut service_rng);
-                    match outcome {
-                        tpv_services::request::StageOutcome::Done(done) => {
-                            let st = &mut states[r.node as usize];
-                            let raw = done.response_wire + st.link.one_way(&mut st.net_rng);
-                            let nic = st.link.coalesce(st.conns[r.conn as usize].deliver_to_client(raw));
-                            queue.schedule(nic, Event::ClientDelivery { req });
-                        }
-                        tpv_services::request::StageOutcome::Continue { at, stage, ctx } => {
-                            let slot = requests.cold_mut(req);
-                            slot.stage = stage;
-                            slot.ctx = ctx;
-                            queue.schedule(at, Event::ServiceStage { req });
-                        }
-                    }
-                }
-                Event::ServiceStage { req } => {
-                    let r = *requests.hot(req);
-                    let key = NodeConn { node_key: states[r.node as usize].node_key, conn: r.conn };
+                    let key =
+                        NodeConn { node_key: states[r.node as usize].node_key, conn: r.conn }.affinity_key();
                     let c = requests.cold(req);
-                    let outcome =
-                        service.resume(key.affinity_key(), &c.desc, c.stage, c.ctx, now, &mut service_rng);
+                    let outcome = match event {
+                        Event::ServerArrival { .. } => service.admit(key, &c.desc, now, &mut service_rng),
+                        _ => service.resume(key, &c.desc, c.stage, c.ctx, now, &mut service_rng),
+                    };
                     match outcome {
-                        tpv_services::request::StageOutcome::Done(done) => {
+                        StageOutcome::Done(done) => {
                             let st = &mut states[r.node as usize];
                             let raw = done.response_wire + st.link.one_way(&mut st.net_rng);
                             let nic = st.link.coalesce(st.conns[r.conn as usize].deliver_to_client(raw));
                             queue.schedule(nic, Event::ClientDelivery { req });
                         }
-                        tpv_services::request::StageOutcome::Continue { at, stage, ctx } => {
+                        StageOutcome::Continue { at, stage, ctx } => {
                             let slot = requests.cold_mut(req);
                             slot.stage = stage;
                             slot.ctx = ctx;
@@ -980,7 +845,7 @@ fn run_partition<C: Collector>(
                             }
                         }
                         st.inflight_measured -= 1;
-                        hist.record(measured);
+                        pool.record(measured);
                         collector.on_latency(global[r.node as usize], r.stamp, measured);
                     }
                     if st.loop_mode == LoopMode::Closed {
@@ -999,37 +864,20 @@ fn run_partition<C: Collector>(
 
     // Whatever is left in flight was cut off by the drain horizon and is
     // missing from the histogram (right-censored tail).
-    let measured_dur = topo.duration - topo.warmup;
-    let mut outcome = PartitionOutcome::empty();
-    let mut targets: Vec<f64> = Vec::with_capacity(states.len());
+    let measured = topo.duration - topo.warmup;
     for (node, st) in states.iter().enumerate() {
-        let sends = st.client.send_stats();
-        let node_wakes = st.client.wakes_by_state();
-        let node_energy = st.client.energy_core_secs(window_end);
-        for (acc, w) in outcome.wakes.iter_mut().zip(node_wakes) {
-            *acc += w;
-        }
-        outcome.energies.push(node_energy);
-        outcome.late_sends += sends.late_sends;
-        outcome.total_sends += sends.total_sends;
-        outcome.total_slip += sends.total_slip;
-        outcome.truncated += st.inflight_measured;
-        targets.push(st.target_qps);
-        collector.on_node_done(
-            global[node],
-            &NodeStats {
-                wakes: node_wakes,
-                energy_core_secs: node_energy,
-                sends,
-                truncated_inflight: st.inflight_measured,
-                target_qps: st.target_qps,
-                measured: measured_dur,
-            },
-        );
+        let stats = NodeStats {
+            wakes: st.client.wakes_by_state(),
+            energy_core_secs: st.client.energy_core_secs(window_end),
+            sends: st.client.send_stats(),
+            truncated_inflight: st.inflight_measured,
+            target_qps: st.target_qps,
+            measured,
+        };
+        pool.add_node(&stats);
+        collector.on_node_done(global[node], &stats);
     }
-    outcome.hist = hist;
-    outcome.target_qps = crate::topology::stable_sum(targets);
-    outcome
+    pool
 }
 
 /// The collector-generic parallel sharded kernel behind [`run_fleet`]
@@ -1080,13 +928,12 @@ where
     let master = SimRng::seed_from_u64(seed);
     let plans = build_partitions(topo, layout.nodes(), &master);
     let workers = workers.clamp(1, plans.len());
-    let per_shard: Vec<(PartitionOutcome, C)> = if workers <= 1 {
+    let per_shard: Vec<(Pool, C)> = if workers <= 1 {
         plans
             .iter()
             .map(|plan| {
                 let mut collector = make(plan.shard, plan.key);
-                let outcome = run_partition(topo, plan, &master, hedge, &mut collector);
-                (outcome, collector)
+                (run_partition(topo, plan, &master, hedge, &mut collector), collector)
             })
             .collect()
     } else {
@@ -1121,7 +968,7 @@ where
             seeded[w].push_back(s);
         }
         let queues: Vec<Mutex<VecDeque<usize>>> = seeded.into_iter().map(Mutex::new).collect();
-        let out: Mutex<Vec<(usize, PartitionOutcome, C)>> = Mutex::new(Vec::with_capacity(plans.len()));
+        let out: Mutex<Vec<(usize, Pool, C)>> = Mutex::new(Vec::with_capacity(plans.len()));
         std::thread::scope(|scope| {
             for w in 0..workers {
                 let queues = &queues;
@@ -1148,38 +995,34 @@ where
                         let Some(s) = task else { break };
                         let plan = &plans[s];
                         let mut collector = make(plan.shard, plan.key);
-                        let outcome = run_partition(topo, plan, master, hedge, &mut collector);
-                        out.lock().expect("shard results poisoned").push((s, outcome, collector));
+                        let pool = run_partition(topo, plan, master, hedge, &mut collector);
+                        out.lock().expect("shard results poisoned").push((s, pool, collector));
                     }
                 });
             }
         });
         let mut collected = out.into_inner().expect("shard results poisoned");
         collected.sort_by_key(|&(s, _, _)| s);
-        collected.into_iter().map(|(_, outcome, collector)| (outcome, collector)).collect()
+        collected.into_iter().map(|(_, pool, collector)| (pool, collector)).collect()
     };
 
     let measured = topo.duration - topo.warmup;
-    let mut outcomes: Vec<PartitionOutcome> = Vec::with_capacity(per_shard.len());
-    let mut merged: Option<C> = None;
-    for (outcome, collector) in per_shard {
-        outcomes.push(outcome);
-        match &mut merged {
-            None => merged = Some(collector),
-            Some(acc) => acc.merge(collector),
-        }
-    }
-    let mut shards: Vec<ShardResult> = outcomes
+    let (pools, collectors): (Vec<Pool>, Vec<C>) = per_shard.into_iter().unzip();
+    let merged = collectors.into_iter().reduce(|mut acc, collector| {
+        acc.merge(collector);
+        acc
+    });
+    let mut shards: Vec<ShardResult> = pools
         .iter()
         .zip(&plans)
-        .map(|(outcome, plan)| ShardResult {
+        .map(|(pool, plan)| ShardResult {
             shard: plan.shard,
-            result: outcome.shard_run_result(measured),
+            result: pool.result(measured),
             nodes: plan.members.iter().map(|&(i, _, _)| i).collect(),
         })
         .collect();
     shards.sort_by_key(|s| s.shard);
-    let aggregate = finish_run(topo, &outcomes);
+    let aggregate = finish_run(topo, &pools);
     (aggregate, shards, merged.expect("at least one partition"))
 }
 

@@ -76,7 +76,7 @@ use std::fmt;
 use tpv_hw::{DynamicMachine, MachineConfig};
 use tpv_loadgen::{ArrivalKind, GeneratorSpec, LoopMode, PhasedRate};
 use tpv_net::LinkConfig;
-use tpv_services::{ServiceConfig, ServiceKind};
+use tpv_services::ServiceConfig;
 use tpv_sim::dist::usable_sigma;
 use tpv_sim::{PhaseSchedule, SimDuration, SimTime};
 
@@ -407,8 +407,8 @@ pub enum TopologyError {
         label: String,
     },
     /// A phased rate multiplier that is not finite and positive — NaN
-    /// or an infinity would poison [`TopologySpec::offered_qps`] (and
-    /// every mean-multiplier fold) silently, a non-positive one models
+    /// or an infinity would poison the node's offered load (and every
+    /// mean-multiplier fold) silently, a non-positive one models
     /// no load. Constructors reject these, but a deserialized or
     /// hand-assembled plan bypasses them.
     NonFinitePhaseRate {
@@ -489,9 +489,12 @@ pub enum TopologyError {
         /// The rejected sigma.
         value: f64,
     },
-    /// A service config field its service cannot be built from (a
-    /// memcached pool with no workers, or an empty keyspace). At run time
-    /// it would panic while building the service.
+    /// A service config field its service cannot be built from (see
+    /// [`tpv_services::ServiceKind::invalid_field`]): a worker pool with
+    /// no workers, an empty keyspace, dataset or graph, a zero LSH shape
+    /// or more LSH planes than a signature holds. At run time most of
+    /// these panic while building the service; a zero-dimensional
+    /// HDSearch dataset builds, but has no features to search.
     InvalidServiceConfig {
         /// The service's report name.
         service: &'static str,
@@ -499,6 +502,9 @@ pub enum TopologyError {
         field: &'static str,
         /// The rejected value.
         value: u64,
+        /// The largest value the service builds from (`u64::MAX` for a
+        /// plain count; the smallest is always 1).
+        max: u64,
     },
     /// A [`ShardSpec`] with no shard machines.
     EmptyShardTier,
@@ -577,8 +583,11 @@ impl fmt::Display for TopologyError {
             TopologyError::InvalidSigma { owner, field, value } => {
                 write!(f, "{owner}: {field} must be finite and non-negative, got {value}")
             }
-            TopologyError::InvalidServiceConfig { service, field, value } => {
+            TopologyError::InvalidServiceConfig { service, field, value, max: u64::MAX } => {
                 write!(f, "{service}: {field} must be at least 1, got {value}")
+            }
+            TopologyError::InvalidServiceConfig { service, field, value, max } => {
+                write!(f, "{service}: {field} must be in 1..={max}, got {value}")
             }
             TopologyError::EmptyShardTier => write!(f, "a server tier needs at least one shard"),
             TopologyError::ShardOutOfRange { node, shard, shards } => match node {
@@ -911,16 +920,6 @@ pub struct TopologySpec<'a> {
     pub cohorts: &'a [CohortSpec],
 }
 
-/// Order-independent f64 accumulation: float addition is not
-/// associative, so naively summing per-node values in declaration order
-/// would leak the fleet's declaration order into aggregate results.
-/// Summing in sorted order makes the total a function of the value
-/// *multiset*. A single value sums to itself bit-exactly.
-pub(crate) fn stable_sum(mut values: Vec<f64>) -> f64 {
-    values.sort_by(f64::total_cmp);
-    values.iter().sum()
-}
-
 impl TopologySpec<'_> {
     /// Lowers the cohorts into the flat node list the kernel executes:
     /// explicit nodes first, then per cohort (in declaration order) its
@@ -1032,7 +1031,7 @@ impl TopologySpec<'_> {
                 }
                 // `PhasedRate::new` rejects these, but a deserialized or
                 // hand-assembled plan bypasses it — and one NaN
-                // multiplier poisons `offered_qps` and every
+                // multiplier poisons the offered load and every
                 // mean-multiplier fold silently.
                 if let Some(rate) = &dy.rate {
                     for phase in 0..rate.schedule().phase_count() {
@@ -1058,14 +1057,13 @@ impl TopologySpec<'_> {
         if self.warmup >= self.duration {
             return Err(TopologyError::EmptyWindow { warmup: self.warmup, duration: self.duration });
         }
-        if let ServiceKind::Memcached(kv) = self.service.kind {
-            if let Some((field, value)) = kv.invalid_field() {
-                return Err(TopologyError::InvalidServiceConfig {
-                    service: self.service.kind.name(),
-                    field,
-                    value,
-                });
-            }
+        if let Some((field, value, max)) = self.service.kind.invalid_field() {
+            return Err(TopologyError::InvalidServiceConfig {
+                service: self.service.kind.name(),
+                field,
+                value,
+                max,
+            });
         }
         check_sigmas(self.server, || SigmaOwner::Server)?;
         let Some(shards) = self.shards else { return Ok(()) };
@@ -1085,32 +1083,6 @@ impl TopologySpec<'_> {
     /// [`TopologySpec::lowered_node_count`], not with this.
     pub fn modeled_clients(&self) -> u64 {
         self.nodes.len() as u64 + self.cohorts.iter().map(|c| u64::from(c.population)).sum::<u64>()
-    }
-
-    /// Total *base* offered load across the (lowered) fleet
-    /// (order-independent), ignoring any phased rate plans. Cohorts
-    /// contribute `population × qps`.
-    pub fn total_qps(&self) -> f64 {
-        stable_sum(self.layout().nodes().iter().map(|n| n.qps).collect())
-    }
-
-    /// Effective offered load across the fleet over the measurement
-    /// window: each lowered node's base load weighted by its
-    /// time-averaged rate multiplier. Bit-identical to
-    /// [`TopologySpec::total_qps`] when no node carries a rate plan.
-    pub fn offered_qps(&self) -> f64 {
-        let start = SimTime::ZERO + self.warmup;
-        let end = SimTime::ZERO + self.duration;
-        stable_sum(
-            self.layout()
-                .nodes()
-                .iter()
-                .map(|n| match &n.dynamics {
-                    Some(dy) => n.qps * dy.mean_rate_multiplier(start, end),
-                    None => n.qps,
-                })
-                .collect(),
-        )
     }
 
     /// The union of every node's phase boundaries — the finest schedule
@@ -1438,7 +1410,7 @@ mod tests {
     }
 
     fn kv() -> ServiceConfig {
-        use tpv_services::kv::KvConfig;
+        use tpv_services::{kv::KvConfig, ServiceKind};
         ServiceConfig::without_interference(ServiceKind::Memcached(KvConfig {
             preload_keys: 100,
             ..KvConfig::default()
@@ -1486,7 +1458,7 @@ mod tests {
         // The spec-level aggregates see the full modeled population.
         assert_eq!(topo.modeled_clients(), 6);
         assert_eq!(topo.lowered_node_count(), 4);
-        assert_eq!(topo.total_qps(), 11_000.0);
+        assert_eq!(layout.nodes().iter().map(|n| n.qps).sum::<f64>(), 11_000.0);
         assert!(topo.validate().is_ok());
     }
 

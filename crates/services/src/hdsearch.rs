@@ -30,6 +30,10 @@ pub type Vector = Vec<f32>;
 /// fixed-size array the compiler keeps in registers.
 const LANES: usize = 8;
 
+/// Most hyperplanes one table can have: a signature is one `u64` bit
+/// per plane.
+pub const MAX_PLANES: usize = 63;
+
 /// One LSH table: random hyperplanes + hash buckets.
 #[derive(Debug)]
 struct LshTable {
@@ -154,10 +158,11 @@ impl LshIndex {
     ///
     /// # Panics
     ///
-    /// Panics on an empty dataset, zero tables/planes/shards, or planes > 63.
+    /// Panics on an empty dataset, zero tables/planes/shards, or more
+    /// than [`MAX_PLANES`] planes.
     pub fn build(data: Vec<Vector>, tables: usize, planes: usize, shards: usize, rng: &mut SimRng) -> Self {
         assert!(!data.is_empty(), "LSH needs data");
-        assert!(tables > 0 && planes > 0 && planes <= 63, "bad LSH shape");
+        assert!(tables > 0 && planes > 0 && planes <= MAX_PLANES, "bad LSH shape");
         assert!(shards > 0, "need at least one shard");
         let dim = data[0].len();
         assert!(data.iter().all(|v| v.len() == dim), "inconsistent vector dimensionality");
@@ -298,6 +303,25 @@ impl Default for HdSearchConfig {
             profile_queries: 256,
             tier_hop: SimDuration::from_us(12),
         }
+    }
+}
+
+impl HdSearchConfig {
+    /// The first field [`HdSearchService::new`] cannot build from (see
+    /// [`crate::ServiceKind::invalid_field`]): the index needs data,
+    /// dimensions, tables, shards and 1 to [`MAX_PLANES`] planes, and
+    /// each worker pool a worker.
+    pub fn invalid_field(&self) -> Option<(&'static str, u64, u64)> {
+        let count = |field, value: usize| (field, value as u64, u64::MAX);
+        crate::service::first_invalid([
+            count("dataset_size", self.dataset_size),
+            count("dim", self.dim),
+            count("tables", self.tables),
+            ("planes", self.planes as u64, MAX_PLANES as u64),
+            count("shards", self.shards),
+            count("midtier_workers", self.midtier_workers),
+            count("bucket_workers", self.bucket_workers),
+        ])
     }
 }
 

@@ -262,13 +262,14 @@ impl Default for KvConfig {
 }
 
 impl KvConfig {
-    /// The first field [`KvService::new`] cannot build from, as `(field
-    /// name, value)`: the pool needs a worker and the ETC workload a
-    /// non-empty keyspace. `None` when the config is usable.
-    pub fn invalid_field(&self) -> Option<(&'static str, u64)> {
-        [("workers", self.workers as u64), ("preload_keys", self.preload_keys)]
-            .into_iter()
-            .find(|&(_, value)| value == 0)
+    /// The first field [`KvService::new`] cannot build from (see
+    /// [`crate::ServiceKind::invalid_field`]): the pool needs a worker
+    /// and the ETC workload a non-empty keyspace.
+    pub fn invalid_field(&self) -> Option<(&'static str, u64, u64)> {
+        crate::service::first_invalid([
+            ("workers", self.workers as u64, u64::MAX),
+            ("preload_keys", self.preload_keys, u64::MAX),
+        ])
     }
 }
 

@@ -33,6 +33,27 @@ impl ServiceKind {
             ServiceKind::Synthetic(_) => "synthetic",
         }
     }
+
+    /// The first config field the service cannot be built from, as
+    /// `(field name, value, max)`: each checked field must lie in
+    /// `1..=max`, where `max` is `u64::MAX` for a plain count. `None`
+    /// when the config is usable.
+    pub fn invalid_field(&self) -> Option<(&'static str, u64, u64)> {
+        match self {
+            ServiceKind::Memcached(c) => c.invalid_field(),
+            ServiceKind::HdSearch(c) => c.invalid_field(),
+            ServiceKind::SocialNetwork(c) => c.invalid_field(),
+            ServiceKind::Synthetic(c) => c.invalid_field(),
+        }
+    }
+}
+
+/// The first of `fields`, each `(name, value, max)`, whose value lies
+/// outside `1..=max`.
+pub(crate) fn first_invalid<const N: usize>(
+    fields: [(&'static str, u64, u64); N],
+) -> Option<(&'static str, u64, u64)> {
+    fields.into_iter().find(|&(_, value, max)| value == 0 || value > max)
 }
 
 /// Service + environment parameters for a run.

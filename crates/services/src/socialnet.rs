@@ -147,6 +147,15 @@ impl Default for SocialConfig {
     }
 }
 
+impl SocialConfig {
+    /// The first field [`SocialNetworkService::new`] cannot build from
+    /// (see [`crate::ServiceKind::invalid_field`]): the graph needs a
+    /// user.
+    pub fn invalid_field(&self) -> Option<(&'static str, u64, u64)> {
+        crate::service::first_invalid([("users", u64::from(self.users), u64::MAX)])
+    }
+}
+
 /// The Social Network application instance for one run.
 #[derive(Debug)]
 pub struct SocialNetworkService {

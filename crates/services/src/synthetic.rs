@@ -39,6 +39,12 @@ impl SyntheticConfig {
     pub fn with_delay(delay: SimDuration) -> Self {
         SyntheticConfig { added_delay: delay, ..SyntheticConfig::default() }
     }
+
+    /// The first field [`SyntheticService::new`] cannot build from (see
+    /// [`crate::ServiceKind::invalid_field`]): the pool needs a worker.
+    pub fn invalid_field(&self) -> Option<(&'static str, u64, u64)> {
+        crate::service::first_invalid([("workers", self.workers as u64, u64::MAX)])
+    }
 }
 
 /// The synthetic service instance for one run.

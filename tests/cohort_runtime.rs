@@ -9,14 +9,16 @@
 //! identity against every static golden row.
 
 use tpv_core::collect::EventCountCollector;
-use tpv_core::runtime::{run_collected, run_fleet};
-use tpv_core::topology::{ClientNode, CohortSpec, FleetResult, ShardPolicy, ShardSpec, TopologySpec};
+use tpv_core::runtime::{run_collected, run_fleet, RunResult};
+use tpv_core::topology::{
+    ClientNode, CohortSpec, FleetResult, NodeDynamics, ShardPolicy, ShardSpec, TopologySpec,
+};
 use tpv_hw::MachineConfig;
 use tpv_loadgen::GeneratorSpec;
 use tpv_net::LinkConfig;
 use tpv_services::kv::KvConfig;
 use tpv_services::{ServiceConfig, ServiceKind};
-use tpv_sim::SimDuration;
+use tpv_sim::{PhaseSchedule, SimDuration, SimTime};
 
 /// [`run_fleet`] on a topology these tests build valid.
 fn fleet(spec: &TopologySpec<'_>, seed: u64, workers: usize) -> FleetResult {
@@ -234,4 +236,58 @@ fn tracked_members_expose_exact_drilldown_next_to_the_pool() {
     assert_eq!(run.cohorts[0].result.samples, member_samples);
     assert_eq!(run.aggregate.samples, member_samples + run.nodes[0].result.samples,);
     assert_eq!(run.cohort("lp"), Some(&run.cohorts[0]));
+}
+
+/// Every view of one `run_fleet` pass accounts for the aggregate's
+/// books exactly: its samples, client wakes and truncated requests are
+/// the sums over the nodes and over the shards (its samples also over
+/// the phases), and its offered load and energy are the sorted sums of
+/// the per-node values, bit for bit. Pins the invariant that lets one
+/// pool type build every result, independently of the golden tables.
+#[test]
+fn fleet_views_balance_the_books() {
+    let service = kv_service();
+    let server = MachineConfig::server_baseline();
+    let phases = || NodeDynamics::new(PhaseSchedule::new(vec![SimTime::from_ms(20)]));
+    let explicit = [
+        template("decay", false, 6_000.0).with_dynamics(
+            phases().with_machines(vec![MachineConfig::high_performance(), MachineConfig::low_power()]),
+        ),
+        template("surge", false, 5_000.0).with_dynamics(phases().with_rates(vec![0.7, 1.4])),
+        template("flat", true, 4_000.0),
+    ];
+    let cohorts = [
+        CohortSpec::new(template("lp-pool", true, 2_500.0), 24).with_tracked(2),
+        CohortSpec::new(template("hp-pool", false, 4_000.0), 16).with_tracked(1),
+    ];
+    let shards = ShardSpec::uniform(server, 3);
+    let spec = topo(&service, &server, &explicit, &cohorts, Some(&shards));
+    let sorted_sum = |mut values: Vec<f64>| {
+        values.sort_by(f64::total_cmp);
+        values.iter().sum::<f64>()
+    };
+    for workers in [1, 3] {
+        let run = fleet(&spec, 29, workers);
+        let total = &run.aggregate;
+        assert_eq!(run.phases.len(), 2, "the merged schedule has two phases");
+        assert_eq!(run.cohorts.len(), 2);
+        assert!(total.samples > 0 && total.client_wakes.iter().sum::<u64>() > 0);
+        let nodes: Vec<&RunResult> = run.nodes.iter().map(|n| &n.result).collect();
+        let shards: Vec<&RunResult> = run.shards.iter().map(|s| &s.result).collect();
+        for (view, parts) in [("nodes", &nodes), ("shards", &shards)] {
+            let samples: u64 = parts.iter().map(|r| r.samples).sum();
+            assert_eq!(total.samples, samples, "{workers} workers: samples over {view}");
+            let truncated: u64 = parts.iter().map(|r| r.truncated_inflight).sum();
+            assert_eq!(total.truncated_inflight, truncated, "{workers} workers: truncations over {view}");
+            let wakes =
+                parts.iter().fold([0u64; 4], |acc, r| std::array::from_fn(|i| acc[i] + r.client_wakes[i]));
+            assert_eq!(total.client_wakes, wakes, "{workers} workers: wakes over {view}");
+        }
+        let phase_samples: u64 = run.phases.iter().map(|p| p.samples).sum();
+        assert_eq!(total.samples, phase_samples, "{workers} workers: samples over phases");
+        let targets = sorted_sum(nodes.iter().map(|r| r.target_qps).collect());
+        assert_eq!(total.target_qps.to_bits(), targets.to_bits(), "{workers} workers: offered load");
+        let energy = sorted_sum(nodes.iter().map(|r| r.client_energy_core_secs).collect());
+        assert_eq!(total.client_energy_core_secs.to_bits(), energy.to_bits(), "{workers} workers: energy");
+    }
 }

@@ -256,7 +256,7 @@ fn phased_rate_on_closed_loop_is_rejected() {
 }
 
 /// A rate plan carrying a non-finite or non-positive multiplier is
-/// rejected with a typed error before it can poison `offered_qps()` and
+/// rejected with a typed error before it can poison the offered load and
 /// every mean-multiplier fold with NaN. `PhasedRate::new` panics on
 /// these, so the hole is plans built through the unchecked
 /// (deserialization-shaped) seam.

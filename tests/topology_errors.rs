@@ -15,7 +15,10 @@ use tpv_core::topology::{
 use tpv_hw::{DynamicMachine, MachineConfig};
 use tpv_loadgen::{ArrivalKind, GeneratorSpec, PhasedRate};
 use tpv_net::LinkConfig;
+use tpv_services::hdsearch::{HdSearchConfig, MAX_PLANES};
 use tpv_services::kv::KvConfig;
+use tpv_services::socialnet::SocialConfig;
+use tpv_services::synthetic::SyntheticConfig;
 use tpv_services::{ServiceConfig, ServiceKind};
 use tpv_sim::{PhaseSchedule, SimDuration, SimTime};
 
@@ -79,8 +82,17 @@ fn every_display_arm_prints_the_values_it_rejects() {
             vec!["'wired'".into(), "1 links".into(), "3 phases".into()],
         ),
         (
-            TopologyError::InvalidServiceConfig { service: "memcached", field: "preload_keys", value: 0 },
+            TopologyError::InvalidServiceConfig {
+                service: "memcached",
+                field: "preload_keys",
+                value: 0,
+                max: u64::MAX,
+            },
             vec!["memcached".into(), "preload_keys".into(), "at least 1".into(), "got 0".into()],
+        ),
+        (
+            TopologyError::InvalidServiceConfig { service: "hdsearch", field: "planes", value: 64, max: 63 },
+            vec!["hdsearch".into(), "planes".into(), "1..=63".into(), "got 64".into()],
         ),
         (TopologyError::EmptyShardTier, vec!["at least one shard".into()]),
         (
@@ -424,26 +436,44 @@ fn unusable_sigmas_are_rejected() {
     assert!(run_fleet(&fleet_topo(&service, &good_server, &quiet), 1, 1).is_ok());
 }
 
-/// A memcached config its service cannot be built from — no workers, or
-/// no preloaded keys (an empty ETC keyspace) — is a typed error from
-/// `validate` and `run_fleet`. Before it was checked, both passed
+/// A service config its service cannot be built from — a pool with no
+/// workers, an empty keyspace, dataset or graph, a zero LSH shape, or
+/// more planes than a signature holds — is a typed error from
+/// `validate` and `run_fleet`. Before it was checked, each passed
 /// `validate` and `run_fleet` panicked while building the service.
 #[test]
 fn unbuildable_service_configs_are_rejected() {
     let server = MachineConfig::server_baseline();
     let nodes = memcached_pair(20_000.0);
+    let kv = KvConfig::default();
+    let hd = HdSearchConfig::default();
+    let count = |field, value| (field, value, u64::MAX);
     let cases = [
-        (KvConfig { workers: 0, ..KvConfig::default() }, "workers"),
-        (KvConfig { preload_keys: 0, ..KvConfig::default() }, "preload_keys"),
-        (KvConfig { workers: 0, preload_keys: 0, ..KvConfig::default() }, "workers"),
+        (ServiceKind::Memcached(KvConfig { workers: 0, ..kv }), count("workers", 0)),
+        (ServiceKind::Memcached(KvConfig { preload_keys: 0, ..kv }), count("preload_keys", 0)),
+        (ServiceKind::Memcached(KvConfig { workers: 0, preload_keys: 0, ..kv }), count("workers", 0)),
+        (
+            ServiceKind::Synthetic(SyntheticConfig { workers: 0, ..SyntheticConfig::default() }),
+            count("workers", 0),
+        ),
+        (ServiceKind::HdSearch(HdSearchConfig { dataset_size: 0, ..hd }), count("dataset_size", 0)),
+        (ServiceKind::HdSearch(HdSearchConfig { dim: 0, ..hd }), count("dim", 0)),
+        (ServiceKind::HdSearch(HdSearchConfig { tables: 0, ..hd }), count("tables", 0)),
+        (ServiceKind::HdSearch(HdSearchConfig { planes: 0, ..hd }), ("planes", 0, 63)),
+        (ServiceKind::HdSearch(HdSearchConfig { planes: MAX_PLANES + 1, ..hd }), ("planes", 64, 63)),
+        (ServiceKind::HdSearch(HdSearchConfig { shards: 0, ..hd }), count("shards", 0)),
+        (ServiceKind::HdSearch(HdSearchConfig { midtier_workers: 0, ..hd }), count("midtier_workers", 0)),
+        (ServiceKind::HdSearch(HdSearchConfig { bucket_workers: 0, ..hd }), count("bucket_workers", 0)),
+        (ServiceKind::SocialNetwork(SocialConfig { users: 0, ..SocialConfig::default() }), count("users", 0)),
     ];
-    for (kv, field) in cases {
-        let service = ServiceConfig::without_interference(ServiceKind::Memcached(kv));
+    for (kind, (field, value, max)) in cases {
+        let service = ServiceConfig::without_interference(kind);
         let topo = fleet_topo(&service, &server, &nodes);
-        let expected = TopologyError::InvalidServiceConfig { service: "memcached", field, value: 0 };
-        assert_eq!(topo.validate(), Err(expected.clone()), "{kv:?}");
-        assert_eq!(run_fleet(&topo, 1, 1).unwrap_err(), expected, "{kv:?}");
+        let expected = TopologyError::InvalidServiceConfig { service: kind.name(), field, value, max };
+        assert_eq!(topo.validate(), Err(expected.clone()), "{kind:?}");
+        assert_eq!(run_fleet(&topo, 1, 1).unwrap_err(), expected, "{kind:?}");
     }
+    assert_eq!(ServiceKind::HdSearch(HdSearchConfig { planes: MAX_PLANES, ..hd }).invalid_field(), None);
     // One worker and one key is the smallest config that builds and runs.
     let tiny = KvConfig { workers: 1, preload_keys: 1, ..KvConfig::default() };
     let service = ServiceConfig::without_interference(ServiceKind::Memcached(tiny));
