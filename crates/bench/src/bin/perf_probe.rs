@@ -23,7 +23,7 @@
 //! * `diurnal_8` — an 8-node fleet under a 6-step diurnal rate plan:
 //!   the phased kernel with per-phase collection. With `--shards K`
 //!   (K > 1) the same fleet fans out over a uniform K-shard tier, so
-//!   the probe times the phased×sharded path — work-stealing dispatch
+//!   the probe times the phased×sharded path — pooled partition dispatch
 //!   plus canonical-order per-phase merges — instead of the
 //!   single-stream kernel.
 //! * `fleet_256` — 256 nodes over a 16-shard server tier: the sharded
@@ -127,17 +127,14 @@ struct Options {
     summary: Option<PathBuf>,
     /// Required fleet_256 parallel speedup (capped by 0.7 × workers).
     min_shard_speedup: f64,
-    /// Pin shard workers round-robin over cores (and smoke-check that
-    /// pinned and unpinned executions are bit-identical).
-    pin: bool,
+    /// `--pin`: pin shard workers round-robin over cores (and
+    /// smoke-check that pinned and unpinned executions are
+    /// bit-identical).
+    pin: PinPolicy,
     /// Shard count for `diurnal_8`: K > 1 runs the phased fleet over a
     /// K-shard tier through the canonical-order per-phase merge path.
     shards: usize,
 }
-
-/// Shard count `diurnal_8` reads (the scenario matrix is `fn` pointers,
-/// so the knob travels out of band). Set once in `main` from `--shards`.
-static DIURNAL_SHARDS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(1);
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
@@ -150,7 +147,7 @@ fn parse_args() -> Result<Options, String> {
         write_baseline: false,
         summary: None,
         min_shard_speedup: 3.0,
-        pin: false,
+        pin: PinPolicy::Off,
         shards: 1,
     };
     let mut explicit_trials = None;
@@ -181,7 +178,7 @@ fn parse_args() -> Result<Options, String> {
                     return Err("--shards must be positive".to_string());
                 }
             }
-            "--pin" => opts.pin = true,
+            "--pin" => opts.pin = PinPolicy::RoundRobin,
             "--write-baseline" => opts.write_baseline = true,
             "--summary" => opts.summary = Some(PathBuf::from(args.next().ok_or("--summary needs a path")?)),
             "--min-shard-speedup" => {
@@ -317,7 +314,7 @@ fn ab_ns_per_block_draw(
 /// consume the same number of uniforms per draw as the production path
 /// (1, or 2 for the Box–Muller pair), so the RNG overhead cancels and
 /// the ratio isolates the transcendental kernels.
-fn samplers(trials: usize, _pin: PinPolicy) -> ScenarioReport {
+fn samplers(opts: &Options) -> ScenarioReport {
     use std::hint::black_box;
     use tpv_sim::dist::{Exponential, GeneralizedPareto, Gev, LogNormal, Normal, Pareto, Sampler, Zipf};
 
@@ -394,7 +391,7 @@ fn samplers(trials: usize, _pin: PinPolicy) -> ScenarioReport {
     // The gated leg: one pass over every production sampler. events =
     // total draws, so events/sec is the aggregate sampler draw rate.
     const FAMILIES: u64 = 7;
-    time_scenario("samplers", trials, || {
+    time_scenario("samplers", opts.trials, || {
         let mut rng = tpv_sim::SimRng::seed_from_u64(SEED);
         let mut acc = 0.0;
         for _ in 0..SAMPLER_DRAWS {
@@ -420,7 +417,7 @@ const SETUP_ROUNDS: usize = 9;
 /// scenarios' 10K-key probe store. Prints the per-configuration median
 /// over [`SETUP_ROUNDS`] constructions; the gated leg builds one of each,
 /// so events/sec is service constructions per second.
-fn service_setup(trials: usize, _pin: PinPolicy) -> ScenarioReport {
+fn service_setup(opts: &Options) -> ScenarioReport {
     use std::hint::black_box;
     use tpv_hw::RunEnvironment;
     use tpv_services::hdsearch::HdSearchConfig;
@@ -454,7 +451,7 @@ fn service_setup(trials: usize, _pin: PinPolicy) -> ScenarioReport {
     }
     println!();
 
-    time_scenario("service_setup", trials, || {
+    time_scenario("service_setup", opts.trials, || {
         for (_, config) in &configs {
             build(config, SEED);
         }
@@ -474,7 +471,7 @@ fn counted_run<C: Collector>(topo: &TopologySpec<'_>, extra: C) -> (u64, u64) {
     (collector.0.events(), result.samples)
 }
 
-fn static_1x1(trials: usize, _pin: PinPolicy) -> ScenarioReport {
+fn static_1x1(opts: &Options) -> ScenarioReport {
     let service = memcached();
     let server = MachineConfig::server_baseline();
     let nodes = [ClientNode::new(
@@ -493,10 +490,10 @@ fn static_1x1(trials: usize, _pin: PinPolicy) -> ScenarioReport {
         warmup: SimDuration::from_ms(6),
         cohorts: &[],
     };
-    time_scenario("static_1x1", trials, || counted_run(&topo, tpv_core::collect::NullCollector))
+    time_scenario("static_1x1", opts.trials, || counted_run(&topo, tpv_core::collect::NullCollector))
 }
 
-fn fleet_16(trials: usize, _pin: PinPolicy) -> ScenarioReport {
+fn fleet_16(opts: &Options) -> ScenarioReport {
     let service = memcached();
     let server = MachineConfig::server_baseline();
     let nodes = uniform_fleet(
@@ -516,10 +513,10 @@ fn fleet_16(trials: usize, _pin: PinPolicy) -> ScenarioReport {
         warmup: SimDuration::from_ms(6),
         cohorts: &[],
     };
-    time_scenario("fleet_16", trials, || counted_run(&topo, tpv_core::collect::NullCollector))
+    time_scenario("fleet_16", opts.trials, || counted_run(&topo, tpv_core::collect::NullCollector))
 }
 
-fn diurnal_8(trials: usize, pin: PinPolicy) -> ScenarioReport {
+fn diurnal_8(opts: &Options) -> ScenarioReport {
     let service = memcached();
     let server = MachineConfig::server_baseline();
     let duration = SimDuration::from_ms(60);
@@ -539,7 +536,7 @@ fn diurnal_8(trials: usize, pin: PinPolicy) -> ScenarioReport {
     // `--shards K` (K > 1) fans the same phased fleet out over a
     // uniform K-shard tier, timing the canonical-order per-phase merge
     // path instead of the single-stream kernel.
-    let shards = DIURNAL_SHARDS.load(std::sync::atomic::Ordering::Relaxed);
+    let shards = opts.shards;
     let tier = (shards > 1).then(|| ShardSpec::uniform(server, shards));
     let topo = TopologySpec {
         shards: tier.as_ref(),
@@ -551,11 +548,11 @@ fn diurnal_8(trials: usize, pin: PinPolicy) -> ScenarioReport {
         cohorts: &[],
     };
     let window = (SimTime::ZERO + topo.warmup, SimTime::ZERO + topo.duration);
-    time_scenario("diurnal_8", trials, || {
+    time_scenario("diurnal_8", opts.trials, || {
         if shards > 1 {
             let schedule = topo.merged_schedule();
             let (result, _per_shard, collector) =
-                run_sharded_collected_hedged_with(&topo, SEED, shard_workers(), pin, None, |_, _| {
+                run_sharded_collected_hedged_with(&topo, SEED, shard_workers(), opts.pin, None, |_, _| {
                     (EventCountCollector::new(), PhaseCollector::new(schedule.clone(), window.0, window.1))
                 });
             (collector.0.events(), result.samples)
@@ -606,7 +603,7 @@ fn dual_timed(parallel: ScenarioReport, serial: ScenarioReport) -> ScenarioRepor
     }
 }
 
-fn fleet_256(trials: usize, pin: PinPolicy) -> ScenarioReport {
+fn fleet_256(opts: &Options) -> ScenarioReport {
     let service = memcached();
     let server = MachineConfig::server_baseline();
     let shards = ShardSpec::uniform(server, 16);
@@ -628,7 +625,7 @@ fn fleet_256(trials: usize, pin: PinPolicy) -> ScenarioReport {
         cohorts: &[],
     };
     let workers = shard_workers();
-    if pin != PinPolicy::Off {
+    if opts.pin != PinPolicy::Off {
         // The pinning smoke: core affinity is a throughput knob, never
         // a results knob. Compare the *full* sharded result structures,
         // not just work counters, before any timed leg runs pinned.
@@ -639,7 +636,7 @@ fn fleet_256(trials: usize, pin: PinPolicy) -> ScenarioReport {
                 });
             (aggregate, shards, per_node.into_results())
         };
-        assert_eq!(full(PinPolicy::Off), full(pin), "fleet_256: pinned execution drifted from unpinned");
+        assert_eq!(full(PinPolicy::Off), full(opts.pin), "fleet_256: pinned execution drifted from unpinned");
         println!("ok    fleet_256: pinned run bit-identical to unpinned ({workers} workers)");
     }
     let probe = |workers: usize, pin: PinPolicy| {
@@ -649,8 +646,8 @@ fn fleet_256(trials: usize, pin: PinPolicy) -> ScenarioReport {
             });
         (counter.events(), result.samples)
     };
-    let parallel = time_scenario("fleet_256", trials, || probe(workers, pin));
-    let serial = time_scenario("fleet_256", trials, || probe(1, PinPolicy::Off));
+    let parallel = time_scenario("fleet_256", opts.trials, || probe(workers, opts.pin));
+    let serial = time_scenario("fleet_256", opts.trials, || probe(1, PinPolicy::Off));
     dual_timed(parallel, serial)
 }
 
@@ -663,7 +660,7 @@ fn fleet_256(trials: usize, pin: PinPolicy) -> ScenarioReport {
 /// where the kernel lets `tpv_bench::rss::reset_peak` open them, else
 /// the monotonic process-lifetime readings (which is why it still runs
 /// *after* `fleet_256` in the matrix).
-fn fleet_1m(trials: usize, pin: PinPolicy) -> ScenarioReport {
+fn fleet_1m(opts: &Options) -> ScenarioReport {
     let service = memcached();
     let server = MachineConfig::server_baseline();
     let shards = ShardSpec::uniform(server, 16);
@@ -702,8 +699,8 @@ fn fleet_1m(trials: usize, pin: PinPolicy) -> ScenarioReport {
         (counter.events(), result.samples)
     };
     let workers = shard_workers();
-    let parallel = time_scenario("fleet_1m", trials, || probe(workers, pin));
-    let serial = time_scenario("fleet_1m", trials, || probe(1, PinPolicy::Off));
+    let parallel = time_scenario("fleet_1m", opts.trials, || probe(workers, opts.pin));
+    let serial = time_scenario("fleet_1m", opts.trials, || probe(1, PinPolicy::Off));
     dual_timed(parallel, serial)
 }
 
@@ -723,7 +720,7 @@ fn main() -> ExitCode {
         if opts.quick { ", --quick" } else { "" }
     );
 
-    type ScenarioFn = fn(usize, PinPolicy) -> ScenarioReport;
+    type ScenarioFn = fn(&Options) -> ScenarioReport;
     // Order matters: without per-scenario RSS windows (see below),
     // fleet_1m's flat-memory gate compares its monotonic VmHWM reading
     // against the one taken right after fleet_256.
@@ -743,8 +740,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let pin = if opts.pin { PinPolicy::RoundRobin } else { PinPolicy::Off };
-    DIURNAL_SHARDS.store(opts.shards, std::sync::atomic::Ordering::Relaxed);
     if opts.shards > 1 {
         println!("diurnal_8 fans out over a uniform {}-shard tier (--shards)\n", opts.shards);
     }
@@ -761,7 +756,7 @@ fn main() -> ExitCode {
             if rss_windowed {
                 tpv_bench::rss::reset_peak();
             }
-            let mut report = run(opts.trials, pin);
+            let mut report = run(&opts);
             report.peak_rss_kb = tpv_bench::rss::peak_rss_kb();
             report
         })

@@ -89,9 +89,9 @@ impl StudyCtx {
     ) -> Vec<Vec<ControlResult>> {
         let fingerprints: Vec<u64> =
             cells.iter().map(|(spec, policy)| fingerprint_control(spec, policy.name())).collect();
-        self.run_cells(&fingerprints, runs, seed, |cell, seed, _| {
+        self.run_cells(&fingerprints, runs, seed, |cell, seed, shard_workers| {
             let (spec, policy) = cells[cell];
-            Controller::new(spec, policy).run(seed, 1)
+            Controller::new(spec, policy).run(seed, shard_workers)
         })
     }
 

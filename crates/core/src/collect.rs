@@ -128,7 +128,7 @@ pub trait Collector {
 /// canonical `(shard_key, shard_index)` order — the order the runner
 /// fixes once, when it builds the partitions — so an implementation can
 /// fold float state eagerly and still be independent of shard
-/// enumeration, worker count and steal schedule. Shards observe
+/// enumeration, worker count and schedule. Shards observe
 /// disjoint node sets, so merging by node index is order-insensitive
 /// outright.
 pub trait MergeCollector: Collector {
@@ -517,7 +517,7 @@ pub struct PhaseStats {
 /// [`MergeCollector`] in the runner's canonical partition order — the
 /// order the aggregate merges in too — so the per-phase Welford state
 /// (mean/CoV) is bit-identical whatever the shard enumeration, worker
-/// count or steal schedule.
+/// count or schedule.
 #[derive(Debug)]
 pub struct PhaseCollector {
     schedule: PhaseSchedule,
@@ -633,7 +633,7 @@ pub struct ShardWindow {
 /// partition the fleet, like [`PerNodeCollector`]); per-shard histograms
 /// are kept whole, one `(shard, histogram)` row per partition, and never
 /// cross-merged, so nothing in the observation depends on fold order,
-/// worker count or steal schedule. That is what lets a
+/// worker count or schedule. That is what lets a
 /// [`crate::control::MitigationPolicy`] treat the observation as a pure
 /// function of the run.
 #[derive(Debug)]

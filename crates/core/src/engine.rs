@@ -12,14 +12,15 @@
 //!   where it sits in a sweep, execution order cannot change any result,
 //!   and the same cell appearing in two different experiments (a shared
 //!   baseline across figures, a sub-sweep re-run) draws identical seeds.
-//! * [`Engine`] executes a plan either serially or on a self-scheduling
-//!   pool of scoped threads (`std::thread::scope` — no external
-//!   dependencies). Results are reassembled in `(cell, run)` order, so
-//!   serial, parallel and shuffled execution are bit-identical. The
-//!   scheduling core ([`Engine::execute_jobs`]) is payload-generic:
-//!   cached single-client cells ([`Engine::execute`]) and any fleet
-//!   entry point of [`crate::runtime`] ride the same pool, the latter
-//!   handing leftover workers to the shards inside each run
+//! * [`Engine`] executes a plan on the crate's one thread pool
+//!   (`run_indexed`: scoped threads claiming the next task from a shared
+//!   counter — no external dependencies), the same pool the sharded
+//!   kernel runs its partitions on. Results are reassembled in
+//!   `(cell, run)` order, so serial, parallel and shuffled execution are
+//!   bit-identical. The scheduling core ([`Engine::execute_jobs`]) is
+//!   payload-generic: cached single-client cells ([`Engine::execute`])
+//!   and any fleet entry point of [`crate::runtime`] ride the same pool,
+//!   the latter handing leftover workers to the shards inside each run
 //!   ([`Engine::shard_workers`]).
 //! * [`RunCache`] memoizes results keyed by a [`RunSpec`] fingerprint and
 //!   seed. Identical jobs shared across experiments — the paper's
@@ -52,6 +53,7 @@ use std::sync::{Arc, Mutex};
 
 use tpv_sim::SimRng;
 
+use crate::pin::PinPolicy;
 use crate::runtime::{run_once, RunResult, RunSpec};
 use crate::topology::TopologySpec;
 
@@ -222,44 +224,40 @@ pub fn fingerprint_control(spec: &crate::control::ControlSpec, policy: &str) -> 
     fnv64_debug(&(spec, policy))
 }
 
-/// How an [`Engine`] schedules jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Parallelism {
-    /// In-order on the calling thread.
-    Serial,
-    /// Self-scheduling pool of `n` scoped worker threads.
-    Workers(usize),
-}
-
-/// The executor: runs a [`JobPlan`], optionally in parallel, optionally
-/// through a shared [`RunCache`].
+/// The executor: runs a [`JobPlan`] on a pool of `workers` threads,
+/// optionally through a shared [`RunCache`].
 ///
 /// Determinism contract: for a fixed plan and specs, [`Engine::execute`]
-/// returns bit-identical results whatever the parallelism, job order or
+/// returns bit-identical results whatever the worker count, job order or
 /// cache temperature — the paper's "same seed ⇒ same measurement"
 /// property survives every execution strategy.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Engine {
-    parallelism: Option<Parallelism>,
+    workers: usize,
     cache: Option<Arc<RunCache>>,
+}
+
+impl Default for Engine {
+    fn default() -> Self {
+        Engine::new()
+    }
 }
 
 impl Engine {
     /// An engine using every available core.
     pub fn new() -> Self {
-        Engine::default()
+        Engine::with_workers(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4))
     }
 
     /// An engine that executes jobs in plan order on the calling thread.
     pub fn serial() -> Self {
-        Engine { parallelism: Some(Parallelism::Serial), ..Engine::default() }
+        Engine::with_workers(1)
     }
 
     /// An engine with an explicit worker count (`1` behaves like
     /// [`Engine::serial`]).
     pub fn with_workers(workers: usize) -> Self {
-        let p = if workers <= 1 { Parallelism::Serial } else { Parallelism::Workers(workers) };
-        Engine { parallelism: Some(p), ..Engine::default() }
+        Engine { workers: workers.max(1), cache: None }
     }
 
     /// Attaches a shared run cache.
@@ -273,20 +271,6 @@ impl Engine {
         self.cache.as_ref()
     }
 
-    /// The worker budget this engine was configured with (before being
-    /// capped by a particular plan's job count).
-    fn requested_workers(&self) -> usize {
-        match self.parallelism {
-            Some(Parallelism::Serial) => 1,
-            Some(Parallelism::Workers(n)) => n,
-            None => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
-        }
-    }
-
-    fn effective_workers(&self, jobs: usize) -> usize {
-        self.requested_workers().min(jobs.max(1))
-    }
-
     /// The worker budget left for the shards *inside* each run of
     /// `plan`: the job pool takes as many workers as the plan has jobs,
     /// and whatever is left over parallelizes each run's shards — a plan
@@ -295,14 +279,14 @@ impl Engine {
     /// shards serially. Pass it as the `workers` of a sharded entry point
     /// of [`crate::runtime`]; results are bit-identical at any split.
     pub fn shard_workers(&self, plan: &JobPlan) -> usize {
-        let outer = self.effective_workers(plan.jobs().len());
-        (self.requested_workers() / outer).max(1)
+        let outer = self.workers.min(plan.jobs().len().max(1));
+        (self.workers / outer).max(1)
     }
 
-    /// Runs an arbitrary per-job function over every job of `plan` —
-    /// serially or on the self-scheduling pool — and returns
-    /// `(cell, run, result)` triples sorted in `(cell, run)` order,
-    /// independent of scheduling.
+    /// Runs an arbitrary per-job function over every job of `plan` on
+    /// the worker pool (`run_indexed`) and returns `(cell, run,
+    /// result)` triples sorted in `(cell, run)` order, independent of
+    /// scheduling.
     ///
     /// This is the engine's scheduling core; [`Engine::execute`] (cached
     /// `RunSpec` jobs) is a thin layer over it. Use it directly for fleet
@@ -317,30 +301,10 @@ impl Engine {
         F: Fn(&Job) -> R + Sync,
     {
         let jobs = plan.jobs();
-        let workers = self.effective_workers(jobs.len());
-        let mut results: Vec<(usize, usize, R)> = if workers <= 1 {
-            jobs.iter().map(|job| (job.cell, job.run, run(job))).collect()
-        } else {
-            let out = Mutex::new(Vec::with_capacity(jobs.len()));
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let (out, next, run) = (&out, &next, &run);
-                    scope.spawn(move || {
-                        loop {
-                            // Self-scheduling queue: each worker claims the
-                            // next unclaimed job, so long cells cannot idle
-                            // the pool.
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(job) = jobs.get(i) else { break };
-                            let r = run(job);
-                            out.lock().expect("engine results poisoned").push((job.cell, job.run, r));
-                        }
-                    });
-                }
-            });
-            out.into_inner().expect("engine results poisoned")
-        };
+        let mut results = run_indexed(jobs.len(), self.workers, PinPolicy::Off, |i| {
+            let job = &jobs[i];
+            (job.cell, job.run, run(job))
+        });
         results.sort_by_key(|&(cell, run, _)| (cell, run));
         results
     }
@@ -372,6 +336,51 @@ impl Engine {
         }
         result
     }
+}
+
+/// The workspace's one thread pool: runs `task(i)` for every `i` in
+/// `0..tasks` on `min(workers, tasks)` scoped threads and returns the
+/// results in index order, whatever the schedule.
+///
+/// Each worker claims the next unclaimed index from one shared counter,
+/// so a long task cannot idle the pool. Worker `w` calls
+/// `pin.apply(w)` once at thread start. With one worker the tasks run in
+/// index order on the calling thread, which is never pinned. A panicking
+/// task re-raises its own payload on the calling thread.
+pub(crate) fn run_indexed<R, F>(tasks: usize, workers: usize, pin: PinPolicy, task: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let workers = workers.min(tasks);
+    if workers <= 1 {
+        return (0..tasks).map(task).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let (next, task) = (&next, &task);
+                scope.spawn(move || {
+                    pin.apply(w);
+                    let mut claimed = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= tasks {
+                            return claimed;
+                        }
+                        claimed.push((i, task(i)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -498,6 +507,50 @@ mod tests {
         let mut sorted = coords.clone();
         sorted.sort_unstable();
         assert_eq!(coords, sorted, "results must arrive in (cell, run) order");
+    }
+
+    #[test]
+    fn pool_runs_every_index_once_and_returns_index_order() {
+        for tasks in [0, 1, 17] {
+            for workers in 1..=8 {
+                let runs: Vec<AtomicUsize> = (0..tasks).map(|_| AtomicUsize::new(0)).collect();
+                let out = run_indexed(tasks, workers, PinPolicy::Off, |i| {
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                    i * 10
+                });
+                let expected: Vec<usize> = (0..tasks).map(|i| i * 10).collect();
+                assert_eq!(out, expected, "{tasks} tasks on {workers} workers: results out of index order");
+                for (i, n) in runs.iter().enumerate() {
+                    assert_eq!(n.load(Ordering::Relaxed), 1, "{tasks} tasks on {workers} workers: task {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pool_returns_index_order_when_task_zero_finishes_last() {
+        const TASKS: usize = 17;
+        for workers in 1..=8 {
+            let finished = AtomicUsize::new(0);
+            let out = run_indexed(TASKS, workers, PinPolicy::Off, |i| {
+                if i == 0 && workers > 1 {
+                    // The long task: it outlasts every other task, which
+                    // the other workers drain meanwhile.
+                    while finished.load(Ordering::Acquire) < TASKS - 1 {
+                        std::thread::yield_now();
+                    }
+                }
+                finished.fetch_add(1, Ordering::Release);
+                i
+            });
+            assert_eq!(out, (0..TASKS).collect::<Vec<_>>(), "{workers} workers: results out of index order");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "task 3 failed")]
+    fn pool_reraises_a_task_panic() {
+        run_indexed(8, 4, PinPolicy::Off, |i| assert!(i != 3, "task {i} failed"));
     }
 
     #[test]

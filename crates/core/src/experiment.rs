@@ -119,7 +119,6 @@ pub struct Experiment {
     duration: SimDuration,
     warmup: SimDuration,
     seed: u64,
-    parallel: bool,
     shuffle_order: bool,
 }
 
@@ -142,21 +141,19 @@ impl Experiment {
                 duration: SimDuration::from_ms(200),
                 warmup: SimDuration::from_ms(20),
                 seed: 0xC1DE,
-                parallel: true,
                 shuffle_order: false,
             },
         }
     }
 
-    /// Executes every cell of the matrix on a fresh [`Engine`] honouring
-    /// the builder's `parallel` flag.
+    /// Executes every cell of the matrix on a fresh [`Engine`] using
+    /// every available core.
     ///
     /// # Panics
     ///
     /// Panics if no client, server or QPS point was configured.
     pub fn run(&self) -> ExperimentResults {
-        let engine = if self.parallel { Engine::new() } else { Engine::serial() };
-        self.run_with(&engine)
+        self.run_with(&Engine::new())
     }
 
     /// Executes every cell of the matrix through the given engine.
@@ -276,13 +273,6 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Enables or disables parallel cell execution (on by default;
-    /// results are identical either way).
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.inner.parallel = parallel;
-        self
-    }
-
     /// Randomizes job execution order (OrderSage-style). Because seeds
     /// are bound to (cell, run) pairs, this cannot change results in the
     /// simulator — the flag exists to document and test that property.
@@ -379,11 +369,9 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_agree() {
-        let mut exp = tiny_experiment();
-        exp.parallel = true;
-        let par = exp.run();
-        exp.parallel = false;
-        let seq = exp.run();
+        let exp = tiny_experiment();
+        let par = exp.run_with(&Engine::with_workers(4));
+        let seq = exp.run_with(&Engine::serial());
         for (a, b) in par.cells().iter().zip(seq.cells()) {
             assert_eq!(a.samples, b.samples, "cell {} differs", a.key());
         }

@@ -95,6 +95,7 @@ use crate::collect::{
     Collector, MergeCollector, NodeStats, NullCollector, PerCohortCollector, PerNodeCollector,
     PhaseCollector, Pool, TraceCollector,
 };
+use crate::engine::run_indexed;
 use crate::pin::PinPolicy;
 use crate::topology::{
     node_stream_keys, ClientNode, CohortResult, FleetResult, NodeDynamics, NodeResult, ShardResult,
@@ -882,8 +883,8 @@ fn run_partition<C: Collector>(
 
 /// The collector-generic parallel sharded kernel behind [`run_fleet`]
 /// and the mitigation controller ([`crate::control::Controller`]): the
-/// topology's partitions run on up to `workers` scoped threads (the
-/// work-stealing pool below), pinned per `pin`, every partition with its
+/// topology's partitions run on up to `workers` threads of the engine's
+/// pool, pinned per `pin`, every partition with its
 /// own collector `make(shard, shard_key)`. The per-shard collectors are
 /// folded through [`MergeCollector::merge`] in the canonical plan order
 /// of `build_partitions`, so a collector folding float state needs no
@@ -927,84 +928,13 @@ where
     let layout = topo.layout();
     let master = SimRng::seed_from_u64(seed);
     let plans = build_partitions(topo, layout.nodes(), &master);
-    let workers = workers.clamp(1, plans.len());
-    let per_shard: Vec<(Pool, C)> = if workers <= 1 {
-        plans
-            .iter()
-            .map(|plan| {
-                let mut collector = make(plan.shard, plan.key);
-                (run_partition(topo, plan, &master, hedge, &mut collector), collector)
-            })
-            .collect()
-    } else {
-        use std::collections::VecDeque;
-        use std::sync::Mutex;
-
-        // Work stealing over the shard sub-simulations. A `HotShard`
-        // tier concentrates most of the fleet in one partition; the old
-        // self-scheduling queue handed shards out in declaration order,
-        // so whichever worker drew the hot shard ran long while the
-        // others drained the cheap tail and idled. Two measures fix
-        // that: (1) seed the per-worker deques LPT-greedy — shards
-        // sorted by estimated cost (offered QPS, the event-count driver)
-        // go each to the least-loaded worker, so the hot shard starts
-        // immediately on a dedicated worker — and (2) let idle workers
-        // steal from the back of their neighbours' deques, so estimation
-        // error moves work instead of idling a core. No task is ever
-        // *created* after seeding, so a worker that finds every deque
-        // empty can safely exit. Results still carry their plan index
-        // and merge in canonical plan order below — the steal schedule
-        // cannot leak into a single bit of the output.
-        let cost = |s: usize| plans[s].members.iter().map(|&(_, node, _)| node.qps).sum::<f64>();
-        let mut order: Vec<usize> = (0..plans.len()).collect();
-        order.sort_by(|&a, &b| cost(b).total_cmp(&cost(a)).then(a.cmp(&b)));
-        let mut loads = vec![0.0f64; workers];
-        let mut seeded: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for s in order {
-            let w = (0..workers)
-                .min_by(|&a, &b| loads[a].total_cmp(&loads[b]).then(a.cmp(&b)))
-                .expect("workers >= 2 here");
-            loads[w] += cost(s).max(1.0);
-            seeded[w].push_back(s);
-        }
-        let queues: Vec<Mutex<VecDeque<usize>>> = seeded.into_iter().map(Mutex::new).collect();
-        let out: Mutex<Vec<(usize, Pool, C)>> = Mutex::new(Vec::with_capacity(plans.len()));
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let queues = &queues;
-                let out = &out;
-                let plans = &plans;
-                let master = &master;
-                let make = &make;
-                scope.spawn(move || {
-                    pin.apply(w);
-                    loop {
-                        // Own deque first (front — the LPT order), then
-                        // round-robin over victims (back — the cheap
-                        // tail, minimizing contention with the owner).
-                        let mut task = queues[w].lock().expect("shard deque poisoned").pop_front();
-                        if task.is_none() {
-                            for off in 1..workers {
-                                let v = (w + off) % workers;
-                                task = queues[v].lock().expect("shard deque poisoned").pop_back();
-                                if task.is_some() {
-                                    break;
-                                }
-                            }
-                        }
-                        let Some(s) = task else { break };
-                        let plan = &plans[s];
-                        let mut collector = make(plan.shard, plan.key);
-                        let pool = run_partition(topo, plan, master, hedge, &mut collector);
-                        out.lock().expect("shard results poisoned").push((s, pool, collector));
-                    }
-                });
-            }
-        });
-        let mut collected = out.into_inner().expect("shard results poisoned");
-        collected.sort_by_key(|&(s, _, _)| s);
-        collected.into_iter().map(|(_, pool, collector)| (pool, collector)).collect()
-    };
+    // The pool returns results in task order, which is plan order here,
+    // so the merge below is canonical whatever the schedule.
+    let per_shard = run_indexed(plans.len(), workers, pin, |s| {
+        let plan = &plans[s];
+        let mut collector = make(plan.shard, plan.key);
+        (run_partition(topo, plan, &master, hedge, &mut collector), collector)
+    });
 
     let measured = topo.duration - topo.warmup;
     let (pools, collectors): (Vec<Pool>, Vec<C>) = per_shard.into_iter().unzip();

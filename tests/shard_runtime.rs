@@ -242,10 +242,10 @@ fn hot_shard_policy_skews_the_per_shard_tail() {
 #[test]
 fn work_stealing_and_pinning_are_schedule_invariant_under_hot_shard_skew() {
     // A HotShard tier is the worst case for the worker pool: one shard
-    // carries half the fleet, so LPT seeding leaves most workers
-    // underloaded and the steal path actually fires. Whatever the
-    // worker count, the stolen schedule — and a core-pinned one — must
-    // reproduce the serial execution bit for bit: scheduling is
+    // carries half the fleet, so its worker runs long while the others
+    // drain the cheap shards, and partitions finish out of plan order.
+    // Whatever the worker count, that schedule — and a core-pinned one —
+    // must reproduce the serial execution bit for bit: scheduling is
     // presentation, not physics.
     let service = kv_service();
     let server = MachineConfig::server_baseline();
@@ -265,8 +265,8 @@ fn work_stealing_and_pinning_are_schedule_invariant_under_hot_shard_skew() {
     let spec = topo(&service, &server, &nodes, Some(&hot));
     let serial = fleet(&spec, 29, 1);
     for workers in [2, 3, 4, 8] {
-        let stolen = fleet(&spec, 29, workers);
-        assert_eq!(serial, stolen, "{workers}-worker stolen schedule drifted from serial");
+        let pooled = fleet(&spec, 29, workers);
+        assert_eq!(serial, pooled, "{workers}-worker pooled schedule drifted from serial");
         let pinned = pinned_fleet(&spec, 29, workers);
         assert_eq!(serial, pinned, "{workers}-worker pinned schedule drifted from serial");
     }
@@ -522,9 +522,9 @@ fn phased_one_shard_tier_is_the_unsharded_phased_kernel() {
 
 #[test]
 fn phase_boundary_event_counts_merge_exactly_under_hot_shard_skew() {
-    // The hot shard carries half the fleet, so the steal path fires and
-    // partitions finish out of order; the per-phase buckets must still
-    // merge to exactly the serial collector's counts and stats.
+    // The hot shard carries half the fleet, so partitions finish out of
+    // plan order; the per-phase buckets must still merge to exactly the
+    // serial collector's counts and stats.
     let service = kv_service();
     let server = MachineConfig::server_baseline();
     let boundary = SimTime::from_ms(20);
