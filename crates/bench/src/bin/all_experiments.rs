@@ -1,9 +1,11 @@
 //! Runs the complete regeneration suite — every table and figure — as an
 //! **in-process** driver over the study registry. One engine (and one run
 //! cache) is shared across all artefacts, so baseline cells that recur in
-//! several figures execute once. Respects the same `TPV_RUNS` /
-//! `TPV_RUN_SECS` / `TPV_SEED` environment variables as the individual
-//! binaries.
+//! several figures execute once. Like the individual binaries, it is a
+//! driver: it alone reads the `TPV_RUNS` / `TPV_RUN_SECS` / `TPV_SEED`
+//! environment variables (a rejected value, such as `TPV_RUNS=0`, exits
+//! with status 2 before any study runs) and writes each study's CSVs
+//! under `results/`.
 //!
 //! Usage: `all_experiments [--all] [--list]`
 //!
@@ -17,7 +19,7 @@
 
 use std::time::Instant;
 
-use tpv_bench::study::{registry, StudyCtx, StudyKind};
+use tpv_bench::study::{registry, Scale, StudyCtx, StudyKind};
 use tpv_core::engine::CacheStats;
 
 fn kind_name(kind: StudyKind) -> &'static str {
@@ -43,7 +45,7 @@ fn main() {
         return;
     }
     let include_extensions = args.iter().any(|a| a == "--all");
-    let ctx = StudyCtx::new();
+    let ctx = StudyCtx::new(Scale::from_env());
     let mut ran = 0usize;
     let mut failures: Vec<&'static str> = Vec::new();
     let mut last = CacheStats::default();
@@ -61,7 +63,7 @@ fn main() {
         // One panicking study must not abort the rest of the suite
         // (matching the isolation of the old per-binary driver).
         let started = Instant::now();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (study.run)(&ctx)));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| study.run_to_results(&ctx)));
         let wall_s = started.elapsed().as_secs_f64();
         match outcome {
             Ok(()) => ran += 1,
@@ -73,7 +75,7 @@ fn main() {
         // Per-study report: how much of this artefact was replayed from
         // cells earlier studies already executed, and its wall time
         // (stdout only — never part of a CSV or fingerprint).
-        if let Some(cache) = ctx.cache() {
+        if let Some(cache) = ctx.engine.cache() {
             let now = cache.stats();
             let hits = now.hits - last.hits;
             let misses = now.misses - last.misses;
@@ -87,7 +89,7 @@ fn main() {
         }
     }
     println!("\n================================================================");
-    if let Some(cache) = ctx.cache() {
+    if let Some(cache) = ctx.engine.cache() {
         let stats = cache.stats();
         let total = stats.hits + stats.misses;
         let pct = if total > 0 { 100.0 * stats.hits as f64 / total as f64 } else { 0.0 };

@@ -1,7 +1,7 @@
-//! Thin wrapper: regenerates the `ext_phased_shards` artefact via the
-//! study registry (see `tpv_bench::study`). Respects `TPV_RUNS` /
-//! `TPV_RUN_SECS` / `TPV_SEED`; run `all_experiments` for the whole
-//! suite with a shared run cache.
+//! Thin wrapper: regenerates the `ext_phased_shards` artefact via the study
+//! registry (see `tpv_bench::study`). As a driver it reads `TPV_RUNS` /
+//! `TPV_RUN_SECS` / `TPV_SEED` and writes the CSVs under `results/`;
+//! run `all_experiments` for the whole suite with a shared run cache.
 
 fn main() {
     tpv_bench::study::run_by_name("ext_phased_shards");

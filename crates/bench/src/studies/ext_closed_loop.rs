@@ -12,7 +12,7 @@
 //! (it sits inside the request loop), so the LP client both measures
 //! higher latency and achieves lower load.
 
-use crate::{banner, env_duration, env_runs, env_seed};
+use crate::banner;
 use tpv_core::experiment::{Benchmark, Experiment, ServerScenario};
 use tpv_core::report::{Csv, MarkdownTable};
 use tpv_hw::MachineConfig;
@@ -21,11 +21,12 @@ use tpv_sim::SimDuration;
 use crate::study::StudyCtx;
 
 /// Renders this artefact through the context engine.
-pub(crate) fn run(ctx: &StudyCtx) {
-    let runs = env_runs(20);
-    let duration = env_duration(500);
+pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
+    let runs = ctx.runs(20);
+    let duration = ctx.duration(500);
     banner("Extension: closed-loop generator (LP vs HP clients)", runs, duration);
 
+    let mut csvs = Vec::new();
     for think_us in [0u64, 100] {
         let mut bench = Benchmark::memcached();
         bench.generator = bench.generator.closed_loop(SimDuration::from_us(think_us));
@@ -38,7 +39,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
             .qps(&[100_000.0])
             .runs(runs)
             .run_duration(duration)
-            .seed(env_seed() + think_us)
+            .seed(ctx.seed() + think_us)
             .build()
             .run_with(&ctx.engine);
 
@@ -76,6 +77,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
             "closed-loop throughput penalty of the untuned client: {:.1}%\n",
             (1.0 - achieved["LP"] / achieved["HP"]) * 100.0
         );
-        crate::write_csv(&format!("ext_closed_loop_{think_us}us.cssv").replace(".cssv", ".csv"), &csv);
+        csvs.push((format!("ext_closed_loop_{think_us}us.csv"), csv));
     }
+    csvs
 }

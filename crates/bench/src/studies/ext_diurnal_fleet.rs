@@ -22,8 +22,8 @@ use tpv_loadgen::{GeneratorSpec, PhasedRate};
 use tpv_net::LinkConfig;
 use tpv_stats::desc;
 
+use crate::banner;
 use crate::study::StudyCtx;
-use crate::{banner, env_duration, env_runs, env_seed};
 
 const FLEET: usize = 8;
 const TOTAL_QPS: f64 = 200_000.0;
@@ -31,9 +31,9 @@ const STEPS: usize = 6;
 const AMPLITUDE: f64 = 0.6;
 
 /// Renders this artefact through the context engine.
-pub(crate) fn run(ctx: &StudyCtx) {
-    let runs = env_runs(15);
-    let duration = env_duration(400);
+pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
+    let runs = ctx.runs(15);
+    let duration = ctx.duration(400);
     banner("Extension: diurnal fleet — stepped time-varying load, per-phase regimes", runs, duration);
     println!(
         "{FLEET}-node HP memcached fleet, {:.0}K QPS base; one diurnal cycle in {STEPS} steps, amplitude {AMPLITUDE}.\n",
@@ -67,7 +67,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
         warmup,
         cohorts: &[],
     };
-    let per_cell = ctx.run_topology_cells(&[topo], runs, env_seed());
+    let per_cell = ctx.run_topology_cells(&[topo], runs);
     let samples = &per_cell[0];
 
     let mut table = MarkdownTable::new(&[
@@ -126,7 +126,6 @@ pub(crate) fn run(ctx: &StudyCtx) {
         ]);
     }
     println!("{}", table.render());
-    crate::write_csv("ext_diurnal_fleet.csv", &csv);
 
     let whole_run: Vec<f64> = samples.iter().map(|r| r.aggregate.p99.as_us()).collect();
     let peak_p99 = median_of(&|p| p.p99.as_us(), peak.0);
@@ -139,4 +138,5 @@ pub(crate) fn run(ctx: &StudyCtx) {
         trough.1,
         desc::median(&whole_run),
     );
+    vec![("ext_diurnal_fleet.csv".into(), csv)]
 }

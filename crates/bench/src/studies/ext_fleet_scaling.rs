@@ -18,16 +18,16 @@ use tpv_hw::MachineConfig;
 use tpv_loadgen::GeneratorSpec;
 use tpv_net::LinkConfig;
 
+use crate::banner;
 use crate::study::StudyCtx;
-use crate::{banner, env_duration, env_runs, env_seed};
 
 const NODE_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 const TOTAL_QPS: f64 = 200_000.0;
 
 /// Renders this artefact through the context engine.
-pub(crate) fn run(ctx: &StudyCtx) {
-    let runs = env_runs(15);
-    let duration = env_duration(400);
+pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
+    let runs = ctx.runs(15);
+    let duration = ctx.duration(400);
     banner("Extension: fleet scaling — one load, 1..16 client nodes", runs, duration);
     println!(
         "memcached, {:.0}K QPS total across HP nodes; 160 connections split evenly.\n",
@@ -62,7 +62,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
             cohorts: &[],
         })
         .collect();
-    let per_cell = ctx.run_topology_cells(&topos, runs, env_seed());
+    let per_cell = ctx.run_topology_cells(&topos, runs);
 
     let mut table = MarkdownTable::new(&[
         "nodes",
@@ -116,7 +116,6 @@ pub(crate) fn run(ctx: &StudyCtx) {
         ]);
     }
     println!("{}", table.render());
-    crate::write_csv("ext_fleet_scaling.csv", &csv);
 
     let drift = avg_range.1 / avg_range.0;
     println!(
@@ -126,4 +125,5 @@ pub(crate) fn run(ctx: &StudyCtx) {
         if drift < 1.10 { "within run-to-run noise" } else { "beyond run-to-run noise" },
         if drift < 1.10 { "not" } else { "itself" },
     );
+    vec![("ext_fleet_scaling.csv".into(), csv)]
 }

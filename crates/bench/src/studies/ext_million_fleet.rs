@@ -26,8 +26,8 @@ use tpv_hw::MachineConfig;
 use tpv_loadgen::GeneratorSpec;
 use tpv_net::LinkConfig;
 
+use crate::banner;
 use crate::study::StudyCtx;
-use crate::{banner, env_duration, env_runs, env_seed};
 
 const COHORTS: usize = 16;
 const POPULATION: u32 = 62_500;
@@ -54,9 +54,9 @@ fn cohorts() -> Vec<CohortSpec> {
 }
 
 /// Renders this artefact through the context engine.
-pub(crate) fn run(ctx: &StudyCtx) {
-    let runs = env_runs(5);
-    let duration = env_duration(150);
+pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
+    let runs = ctx.runs(5);
+    let duration = ctx.duration(150);
     let cohorts = cohorts();
     let tier = ShardSpec::uniform(MachineConfig::server_baseline(), SHARDS);
     let service = tpv_core::experiment::Benchmark::memcached().service;
@@ -83,7 +83,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
     );
     assert!(topo.modeled_clients() >= 1_000_000, "study must model at least a million clients");
 
-    let per_cell = ctx.run_topology_cells(&[topo], runs, env_seed());
+    let per_cell = ctx.run_topology_cells(&[topo], runs);
     let samples = &per_cell[0];
 
     let mut table = MarkdownTable::new(&["cohort", "class", "population", "samples", "p50 (us)", "p99 (us)"]);
@@ -124,7 +124,6 @@ pub(crate) fn run(ctx: &StudyCtx) {
         ]);
     }
     println!("{}", table.render());
-    crate::write_csv("ext_million_fleet.csv", &csv);
 
     let worst_lp = lp_p99.iter().copied().fold(f64::MIN, f64::max);
     let best_hp = hp_p99.iter().copied().fold(f64::MAX, f64::min);
@@ -136,4 +135,5 @@ pub(crate) fn run(ctx: &StudyCtx) {
          {} nodes.",
         cohorts.len() * 3
     );
+    vec![("ext_million_fleet.csv".into(), csv)]
 }

@@ -41,8 +41,8 @@ use tpv_net::LinkConfig;
 use tpv_sim::SimDuration;
 use tpv_stats::desc;
 
+use crate::banner;
 use crate::study::StudyCtx;
-use crate::{banner, env_duration, env_runs, env_seed};
 
 const FLEET: usize = 16;
 const SHARDS: usize = 4;
@@ -94,9 +94,9 @@ fn policies() -> Vec<Box<dyn MitigationPolicy + Sync>> {
 }
 
 /// Renders this artefact through the context engine.
-pub(crate) fn run(ctx: &StudyCtx) {
-    let runs = env_runs(5);
-    let horizon = env_duration(120);
+pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
+    let runs = ctx.runs(5);
+    let horizon = ctx.duration(120);
     banner(
         "Extension: closed-loop mitigation — policies vs baseline on an LP-contaminated diurnal fleet",
         runs,
@@ -114,7 +114,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
     let policies = policies();
     let cells: Vec<(&ControlSpec, &(dyn MitigationPolicy + Sync))> =
         policies.iter().map(|p| (&spec, p.as_ref())).collect();
-    let per_cell = ctx.run_control_cells(&cells, runs, env_seed());
+    let per_cell = ctx.run_control_cells(&cells, runs);
 
     // Windows 1.. are the ones a decision could influence; window 0 is
     // the common observation prelude (identical across policies by
@@ -194,7 +194,6 @@ pub(crate) fn run(ctx: &StudyCtx) {
         }
     }
     println!("{}", table.render());
-    crate::write_csv("ext_mitigation.csv", &csv);
 
     let best = (1..per_cell.len())
         .min_by(|&a, &b| spreads[a].total_cmp(&spreads[b]))
@@ -213,4 +212,5 @@ pub(crate) fn run(ctx: &StudyCtx) {
         spreads[best] < baseline_spread,
         "at least one mitigation policy must reduce the fleet p99 spread"
     );
+    vec![("ext_mitigation.csv".into(), csv)]
 }

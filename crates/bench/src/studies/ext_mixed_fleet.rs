@@ -24,8 +24,8 @@ use tpv_hw::MachineConfig;
 use tpv_loadgen::GeneratorSpec;
 use tpv_net::LinkConfig;
 
+use crate::banner;
 use crate::study::StudyCtx;
-use crate::{banner, env_duration, env_runs, env_seed};
 
 const FLEET: usize = 8;
 const TOTAL_QPS: f64 = 200_000.0;
@@ -47,9 +47,9 @@ fn fleet_with_bad(bad: usize) -> Vec<ClientNode> {
 }
 
 /// Renders this artefact through the context engine.
-pub(crate) fn run(ctx: &StudyCtx) {
-    let runs = env_runs(15);
-    let duration = env_duration(400);
+pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
+    let runs = ctx.runs(15);
+    let duration = ctx.duration(400);
     banner("Extension: mixed fleet — how many bad clients corrupt the aggregate?", runs, duration);
     println!(
         "{FLEET}-node memcached fleet, {:.0}K QPS total; LP nodes are the paper's untuned client.\n",
@@ -72,7 +72,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
             cohorts: &[],
         })
         .collect();
-    let per_cell = ctx.run_topology_cells(&topos, runs, env_seed());
+    let per_cell = ctx.run_topology_cells(&topos, runs);
 
     let mut table = MarkdownTable::new(&[
         "bad nodes",
@@ -148,7 +148,6 @@ pub(crate) fn run(ctx: &StudyCtx) {
         ]);
     }
     println!("{}", table.render());
-    crate::write_csv("ext_mixed_fleet.csv", &csv);
 
     match corruption_threshold {
         Some(bad) => println!(
@@ -160,4 +159,5 @@ pub(crate) fn run(ctx: &StudyCtx) {
              (unexpected — check scale parameters)."
         ),
     }
+    vec![("ext_mixed_fleet.csv".into(), csv)]
 }

@@ -24,44 +24,26 @@
 
 use tpv_core::analysis::Summary;
 use tpv_core::report::{Csv, MarkdownTable};
-use tpv_core::topology::{ClientNode, NodeDynamics, ShardPolicy, ShardSpec, TopologySpec};
-use tpv_hw::{CStatePolicy, DynamicMachine, FreqDriver, FreqGovernor, MachineConfig, UncoreMode};
+use tpv_core::topology::{ClientNode, NodeDynamics, TopologySpec};
+use tpv_hw::{DynamicMachine, MachineConfig};
 use tpv_loadgen::{GeneratorSpec, PhasedRate};
 use tpv_net::LinkConfig;
 use tpv_stats::desc;
 
+use super::ext_sharded_fleet::{tier, HOT_SHARE, SHARDS};
+use super::ext_turbo_decay::exhausted;
+use crate::banner;
 use crate::study::StudyCtx;
-use crate::{banner, env_duration, env_runs, env_seed};
 
 const FLEET: usize = 32;
-const SHARDS: usize = 8;
 const PHASES: usize = 6;
 const TOTAL_QPS: f64 = 640_000.0;
 const AMPLITUDE: f64 = 0.5;
-const HOT_SHARE: f64 = 0.4;
-
-/// What an HP client becomes once its turbo/power budget is spent —
-/// the same capped fallback `ext_turbo_decay` models.
-fn exhausted(base: MachineConfig) -> MachineConfig {
-    base.with_turbo(false)
-        .with_dvfs(FreqDriver::IntelPstate, FreqGovernor::Powersave)
-        .with_cstates(CStatePolicy::UpToC6)
-        .with_uncore(UncoreMode::Dynamic)
-}
-
-fn tier(hot: bool) -> ShardSpec {
-    let spec = ShardSpec::uniform(MachineConfig::server_baseline(), SHARDS);
-    if hot {
-        spec.with_policy(ShardPolicy::HotShard { hot: 0, share: HOT_SHARE })
-    } else {
-        spec
-    }
-}
 
 /// Renders this artefact through the context engine.
-pub(crate) fn run(ctx: &StudyCtx) {
-    let runs = env_runs(9);
-    let duration = env_duration(240);
+pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
+    let runs = ctx.runs(9);
+    let duration = ctx.duration(240);
     banner(
         "Extension: phased × sharded — 6-phase diurnal + mid-run turbo decay over an 8-shard tier",
         runs,
@@ -119,7 +101,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
             cohorts: &[],
         })
         .collect();
-    let per_cell = ctx.run_topology_cells(&cells, runs, env_seed());
+    let per_cell = ctx.run_topology_cells(&cells, runs);
     let tiers = ["uniform", "hot"];
 
     // When: the pooled per-phase regimes, side by side per tier.
@@ -211,7 +193,6 @@ pub(crate) fn run(ctx: &StudyCtx) {
         node_table.row(&[class.to_string(), format!("{:.1}", summary.p99_median_us())]);
     }
     println!("{}", node_table.render());
-    crate::write_csv("ext_phased_shards.csv", &csv);
 
     let verdict = if spreads[1] > spreads[0] { "amplifies" } else { "absorbs" };
     println!(
@@ -220,4 +201,5 @@ pub(crate) fn run(ctx: &StudyCtx) {
          alone, decides whether a load swing reaches the tail.",
         spreads[0], spreads[1]
     );
+    vec![("ext_phased_shards.csv".into(), csv)]
 }

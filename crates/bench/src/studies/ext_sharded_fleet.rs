@@ -26,13 +26,13 @@ use tpv_hw::MachineConfig;
 use tpv_loadgen::GeneratorSpec;
 use tpv_net::LinkConfig;
 
+use crate::banner;
 use crate::study::StudyCtx;
-use crate::{banner, env_duration, env_runs, env_seed};
 
-const SHARDS: usize = 8;
+pub(super) const SHARDS: usize = 8;
 const FLEET: usize = 32;
 const TOTAL_QPS: f64 = 400_000.0;
-const HOT_SHARE: f64 = 0.4;
+pub(super) const HOT_SHARE: f64 = 0.4;
 
 /// A 32-node fleet; with `lp_per_shard`, nodes 0..8 are LP — exactly one
 /// per shard under round-robin routing.
@@ -51,7 +51,9 @@ fn fleet(lp_per_shard: bool) -> Vec<ClientNode> {
         .collect()
 }
 
-fn tier(hot: bool) -> ShardSpec {
+/// The 8-shard backend tier, round-robin or with a hot shard 0; the
+/// tiers `ext_phased_shards` also runs.
+pub(super) fn tier(hot: bool) -> ShardSpec {
     let spec = ShardSpec::uniform(MachineConfig::server_baseline(), SHARDS);
     if hot {
         spec.with_policy(ShardPolicy::HotShard { hot: 0, share: HOT_SHARE })
@@ -61,9 +63,9 @@ fn tier(hot: bool) -> ShardSpec {
 }
 
 /// Renders this artefact through the context engine.
-pub(crate) fn run(ctx: &StudyCtx) {
-    let runs = env_runs(10);
-    let duration = env_duration(300);
+pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
+    let runs = ctx.runs(10);
+    let duration = ctx.duration(300);
     banner(
         "Extension: sharded server tier — per-shard p99 under uniform vs hot-shard routing",
         runs,
@@ -97,7 +99,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
             cohorts: &[],
         })
         .collect();
-    let per_cell = ctx.run_topology_cells(&topos, runs, env_seed());
+    let per_cell = ctx.run_topology_cells(&topos, runs);
 
     let mut table = MarkdownTable::new(&[
         "routing / fleet",
@@ -157,7 +159,6 @@ pub(crate) fn run(ctx: &StudyCtx) {
         ]);
     }
     println!("{}", table.render());
-    crate::write_csv("ext_sharded_fleet.csv", &csv);
 
     let clean = spreads[0].1;
     let hot = spreads[2].1;
@@ -169,4 +170,5 @@ pub(crate) fn run(ctx: &StudyCtx) {
          configuration skew is indistinguishable from backend imbalance until the per-node \
          breakdown names the culprits."
     );
+    vec![("ext_sharded_fleet.csv".into(), csv)]
 }

@@ -9,7 +9,7 @@
 //! speedup each client would publish — the spread *is* the configuration
 //! risk the paper warns about.
 
-use crate::{banner, env_duration, env_runs, env_seed};
+use crate::banner;
 use tpv_core::analysis::compare;
 use tpv_core::experiment::{Benchmark, Experiment, ServerScenario};
 use tpv_core::report::{Csv, MarkdownTable};
@@ -18,9 +18,9 @@ use tpv_hw::{CStatePolicy, FreqDriver, FreqGovernor, MachineConfig};
 use crate::study::StudyCtx;
 
 /// Renders this artefact through the context engine.
-pub(crate) fn run(ctx: &StudyCtx) {
-    let runs = env_runs(15);
-    let duration = env_duration(400);
+pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
+    let runs = ctx.runs(15);
+    let duration = ctx.duration(400);
     banner("Extension: Section VI space exploration (SMT study under client grid)", runs, duration);
 
     let lp = MachineConfig::low_power();
@@ -38,7 +38,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
         .qps(&[400_000.0])
         .runs(runs)
         .run_duration(duration)
-        .seed(env_seed());
+        .seed(ctx.seed());
     for (label, cfg) in &clients {
         builder = builder.client_labelled(*label, *cfg);
     }
@@ -66,7 +66,6 @@ pub(crate) fn run(ctx: &StudyCtx) {
         ]);
     }
     println!("{}", table.render());
-    crate::write_csv("ext_space_exploration.csv", &csv);
 
     let lo = speedups.iter().cloned().fold(f64::INFINITY, f64::min);
     let hi = speedups.iter().cloned().fold(0.0f64, f64::max);
@@ -75,4 +74,5 @@ pub(crate) fn run(ctx: &StudyCtx) {
          client configuration — the spread is the reproducibility risk of \
          unreported client hardware."
     );
+    vec![("ext_space_exploration.csv".into(), csv)]
 }

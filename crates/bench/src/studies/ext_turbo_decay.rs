@@ -25,8 +25,8 @@ use tpv_net::LinkConfig;
 use tpv_sim::{PhaseSchedule, SimTime};
 use tpv_stats::desc;
 
+use crate::banner;
 use crate::study::StudyCtx;
-use crate::{banner, env_duration, env_runs, env_seed};
 
 const FLEET: usize = 8;
 const DECAYED: usize = 2;
@@ -35,8 +35,9 @@ const TOTAL_QPS: f64 = 200_000.0;
 /// What an HP client becomes once its turbo/power budget is spent: turbo
 /// gone, the governor back in powersave with deep idle re-armed and the
 /// uncore allowed to ramp — the platform's capped fallback, not a
-/// generator restart.
-fn exhausted(base: MachineConfig) -> MachineConfig {
+/// generator restart. `ext_phased_shards` decays its nodes to the same
+/// fallback.
+pub(super) fn exhausted(base: MachineConfig) -> MachineConfig {
     base.with_turbo(false)
         .with_dvfs(FreqDriver::IntelPstate, FreqGovernor::Powersave)
         .with_cstates(CStatePolicy::UpToC6)
@@ -44,9 +45,9 @@ fn exhausted(base: MachineConfig) -> MachineConfig {
 }
 
 /// Renders this artefact through the context engine.
-pub(crate) fn run(ctx: &StudyCtx) {
-    let runs = env_runs(15);
-    let duration = env_duration(400);
+pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
+    let runs = ctx.runs(15);
+    let duration = ctx.duration(400);
     banner("Extension: turbo decay — power budget exhausts mid-run on 2 of 8 nodes", runs, duration);
     let decay_at = SimTime::ZERO + duration / 2;
     println!(
@@ -84,7 +85,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
         warmup,
         cohorts: &[],
     };
-    let samples = &ctx.run_topology_cells(&[topo], runs, env_seed())[0];
+    let samples = &ctx.run_topology_cells(&[topo], runs)[0];
 
     // When: the pooled per-phase regimes around the boundary.
     let mut phase_table = MarkdownTable::new(&["phase", "window", "p50 (us)", "p99 (us)", "CoV"]);
@@ -148,7 +149,6 @@ pub(crate) fn run(ctx: &StudyCtx) {
         ]);
     }
     println!("{}", node_table.render());
-    crate::write_csv("ext_turbo_decay.csv", &csv);
 
     let degradation = phase_p99.last().unwrap() / phase_p99.first().unwrap();
     println!(
@@ -156,4 +156,5 @@ pub(crate) fn run(ctx: &StudyCtx) {
          per-node breakdown pins it on the {DECAYED} decayed nodes — per-phase metrics say *when*, \
          per-node metrics say *who*."
     );
+    vec![("ext_turbo_decay.csv".into(), csv)]
 }

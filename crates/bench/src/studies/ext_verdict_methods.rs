@@ -6,7 +6,7 @@
 //! decisions under both rules and reports where they disagree — a check
 //! that the paper's conclusions are not an artefact of its decision rule.
 
-use crate::{avg_samples, banner, env_duration, env_runs, env_seed};
+use crate::{avg_samples, banner};
 use tpv_core::analysis::compare;
 use tpv_core::report::{Csv, MarkdownTable};
 use tpv_core::scenarios::{memcached_c1e_study, MEMCACHED_QPS};
@@ -15,12 +15,12 @@ use tpv_stats::mann_whitney_u;
 use crate::study::StudyCtx;
 
 /// Renders this artefact through the context engine.
-pub(crate) fn run(ctx: &StudyCtx) {
-    let runs = env_runs(30);
-    let duration = env_duration(500);
+pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
+    let runs = ctx.runs(30);
+    let duration = ctx.duration(500);
     banner("Extension: CI-overlap vs Mann-Whitney verdicts (C1E study)", runs, duration);
 
-    let results = memcached_c1e_study(&MEMCACHED_QPS, runs, duration, env_seed()).run_with(&ctx.engine);
+    let results = memcached_c1e_study(&MEMCACHED_QPS, runs, duration, ctx.seed()).run_with(&ctx.engine);
 
     let mut table = MarkdownTable::new(&[
         "client",
@@ -68,10 +68,10 @@ pub(crate) fn run(ctx: &StudyCtx) {
         }
     }
     println!("{}", table.render());
-    crate::write_csv("ext_verdict_methods.csv", &csv);
     println!(
         "the two decision rules agree on {agreements}/{total} cells \
          (Mann-Whitney is more sensitive: it detects distribution shifts \
          the median-CI rule misses)."
     );
+    vec![("ext_verdict_methods.csv".into(), csv)]
 }

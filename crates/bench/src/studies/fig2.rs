@@ -9,16 +9,16 @@ use tpv_core::analysis::compare;
 use tpv_core::report::{Csv, MarkdownTable};
 use tpv_core::scenarios::{memcached_smt_study, MEMCACHED_QPS};
 
+use crate::banner;
 use crate::study::StudyCtx;
-use crate::{banner, env_duration, env_runs, env_seed};
 
 /// Renders Figure 2 through the context's engine.
-pub(crate) fn run(ctx: &StudyCtx) {
-    let runs = env_runs(30);
-    let duration = env_duration(500);
+pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
+    let runs = ctx.runs(30);
+    let duration = ctx.duration(500);
     banner("Figure 2: Memcached SMT study (LP/HP clients)", runs, duration);
 
-    let results = memcached_smt_study(&MEMCACHED_QPS, runs, duration, env_seed()).run_with(&ctx.engine);
+    let results = memcached_smt_study(&MEMCACHED_QPS, runs, duration, ctx.seed()).run_with(&ctx.engine);
 
     let mut table = MarkdownTable::new(&[
         "QPS",
@@ -92,7 +92,6 @@ pub(crate) fn run(ctx: &StudyCtx) {
         ]);
     }
     println!("{}", table.render());
-    crate::write_csv("fig2_memcached_smt.csv", &csv);
 
     // Finding 1 shape checks (reported, not fatal).
     let min_gap = lp_gaps.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -103,4 +102,5 @@ pub(crate) fn run(ctx: &StudyCtx) {
     if max_gap < 1.5 {
         eprintln!("[shape warning] LP/HP gap below the paper's band");
     }
+    vec![("fig2_memcached_smt.csv".into(), csv)]
 }

@@ -2,7 +2,7 @@
 //! Memcached service latency with LP and HP clients — the paper's
 //! conflicting-conclusions study (Finding 2).
 
-use crate::{banner, env_duration, env_runs, env_seed};
+use crate::banner;
 use tpv_core::analysis::{compare, conclusions_conflict};
 use tpv_core::report::{Csv, MarkdownTable};
 use tpv_core::scenarios::{memcached_c1e_study, MEMCACHED_QPS};
@@ -10,12 +10,12 @@ use tpv_core::scenarios::{memcached_c1e_study, MEMCACHED_QPS};
 use crate::study::StudyCtx;
 
 /// Renders this artefact through the context engine.
-pub(crate) fn run(ctx: &StudyCtx) {
-    let runs = env_runs(30);
-    let duration = env_duration(500);
+pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
+    let runs = ctx.runs(30);
+    let duration = ctx.duration(500);
     banner("Figure 3: Memcached C1E study (LP/HP clients)", runs, duration);
 
-    let results = memcached_c1e_study(&MEMCACHED_QPS, runs, duration, env_seed()).run_with(&ctx.engine);
+    let results = memcached_c1e_study(&MEMCACHED_QPS, runs, duration, ctx.seed()).run_with(&ctx.engine);
 
     let mut table = MarkdownTable::new(&[
         "QPS",
@@ -95,7 +95,6 @@ pub(crate) fn run(ctx: &StudyCtx) {
         ]);
     }
     println!("{}", table.render());
-    crate::write_csv("fig3_memcached_c1e.csv", &csv);
 
     println!(
         "\nFinding 2: HP sees a C1E slowdown of {:.1}% at 10K QPS (paper: up to 19%), \
@@ -107,4 +106,5 @@ pub(crate) fn run(ctx: &StudyCtx) {
     if hp_low_load_slowdown < 1.02 {
         eprintln!("[shape warning] HP C1E slowdown at 10K below the paper's band");
     }
+    vec![("fig3_memcached_c1e.csv".into(), csv)]
 }

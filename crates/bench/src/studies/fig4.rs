@@ -2,7 +2,7 @@
 //! latency with LP and HP clients — the high-response-time service where
 //! client choice stops mattering (Finding 3).
 
-use crate::{banner, env_duration, env_runs, env_seed};
+use crate::banner;
 use tpv_core::analysis::compare;
 use tpv_core::report::{Csv, MarkdownTable};
 use tpv_core::scenarios::{hdsearch_c1e_study, hdsearch_smt_study, HDSEARCH_QPS};
@@ -10,13 +10,13 @@ use tpv_core::scenarios::{hdsearch_c1e_study, hdsearch_smt_study, HDSEARCH_QPS};
 use crate::study::StudyCtx;
 
 /// Renders this artefact through the context engine.
-pub(crate) fn run(ctx: &StudyCtx) {
-    let runs = env_runs(20);
-    let duration = env_duration(1500);
+pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
+    let runs = ctx.runs(20);
+    let duration = ctx.duration(1500);
     banner("Figure 4: HDSearch SMT + C1E studies (LP/HP clients)", runs, duration);
 
-    let smt = hdsearch_smt_study(&HDSEARCH_QPS, runs, duration, env_seed()).run_with(&ctx.engine);
-    let c1e = hdsearch_c1e_study(&HDSEARCH_QPS, runs, duration, env_seed() + 1).run_with(&ctx.engine);
+    let smt = hdsearch_smt_study(&HDSEARCH_QPS, runs, duration, ctx.seed()).run_with(&ctx.engine);
+    let c1e = hdsearch_c1e_study(&HDSEARCH_QPS, runs, duration, ctx.seed() + 1).run_with(&ctx.engine);
 
     let mut table = MarkdownTable::new(&[
         "QPS",
@@ -92,7 +92,6 @@ pub(crate) fn run(ctx: &StudyCtx) {
         ]);
     }
     println!("{}", table.render());
-    crate::write_csv("fig4_hdsearch.csv", &csv);
 
     let lo = gaps.iter().cloned().fold(f64::INFINITY, f64::min);
     let hi = gaps.iter().cloned().fold(0.0f64, f64::max);
@@ -104,4 +103,5 @@ pub(crate) fn run(ctx: &StudyCtx) {
     if hi > 1.35 {
         eprintln!("[shape warning] HDSearch LP/HP gap larger than the paper's band");
     }
+    vec![("fig4_hdsearch.csv".into(), csv)]
 }

@@ -2,20 +2,20 @@
 //! time for Memcached and HDSearch under LP/HP clients and SMT on/off —
 //! the variance-crossover evidence behind Finding 4.
 
-use crate::{banner, env_duration, env_runs, env_seed};
+use crate::banner;
 use tpv_core::report::{Csv, MarkdownTable};
 use tpv_core::scenarios::{hdsearch_smt_study, memcached_smt_study, HDSEARCH_QPS, MEMCACHED_QPS};
 
 use crate::study::StudyCtx;
 
 /// Renders this artefact through the context engine.
-pub(crate) fn run(ctx: &StudyCtx) {
-    let runs = env_runs(30);
-    let duration = env_duration(500);
+pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
+    let runs = ctx.runs(30);
+    let duration = ctx.duration(500);
     banner("Figure 5: stddev of average response time (Memcached, HDSearch)", runs, duration);
 
     println!("-- (a) Memcached --\n");
-    let mem = memcached_smt_study(&MEMCACHED_QPS, runs, duration, env_seed()).run_with(&ctx.engine);
+    let mem = memcached_smt_study(&MEMCACHED_QPS, runs, duration, ctx.seed()).run_with(&ctx.engine);
     let mut table = MarkdownTable::new(&["QPS", "LP-SMToff", "LP-SMTon", "HP-SMToff", "HP-SMTon"]);
     let mut csv =
         Csv::new(&["benchmark", "qps", "lp_smtoff_us", "lp_smton_us", "hp_smtoff_us", "hp_smton_us"]);
@@ -57,7 +57,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
     println!("{}", table.render());
 
     println!("-- (b) HDSearch --\n");
-    let hd = hdsearch_smt_study(&HDSEARCH_QPS, runs.min(20), env_duration(1500), env_seed() + 1)
+    let hd = hdsearch_smt_study(&HDSEARCH_QPS, runs.min(20), ctx.duration(1500), ctx.seed() + 1)
         .run_with(&ctx.engine);
     let mut table_b = MarkdownTable::new(&["QPS", "LP-SMToff", "LP-SMTon", "HP-SMToff", "HP-SMTon"]);
     for &q in &HDSEARCH_QPS {
@@ -84,7 +84,6 @@ pub(crate) fn run(ctx: &StudyCtx) {
         ]);
     }
     println!("{}", table_b.render());
-    crate::write_csv("fig5_stddev.csv", &csv);
 
     println!(
         "\nFinding 4 crossover: at 10K QPS LP stddev {lp_low:.1}us vs HP {hp_low:.1}us (LP noisier); \
@@ -93,4 +92,5 @@ pub(crate) fn run(ctx: &StudyCtx) {
     if lp_low <= hp_low {
         eprintln!("[shape warning] LP should be noisier than HP at low load");
     }
+    vec![("fig5_stddev.csv".into(), csv)]
 }

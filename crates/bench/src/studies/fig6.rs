@@ -1,19 +1,19 @@
 //! Regenerates **Figure 6**: LP/HP clients on the Social Network
 //! application (read-user-timeline) — the multi-service case of Finding 3.
 
-use crate::{banner, env_duration, env_runs, env_seed};
+use crate::banner;
 use tpv_core::report::{Csv, MarkdownTable};
 use tpv_core::scenarios::{socialnet_study, SOCIALNET_QPS};
 
 use crate::study::StudyCtx;
 
 /// Renders this artefact through the context engine.
-pub(crate) fn run(ctx: &StudyCtx) {
-    let runs = env_runs(20);
-    let duration = env_duration(4000);
+pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
+    let runs = ctx.runs(20);
+    let duration = ctx.duration(4000);
     banner("Figure 6: Social Network (read-user-timeline), LP vs HP", runs, duration);
 
-    let results = socialnet_study(&SOCIALNET_QPS, runs, duration, env_seed()).run_with(&ctx.engine);
+    let results = socialnet_study(&SOCIALNET_QPS, runs, duration, ctx.seed()).run_with(&ctx.engine);
 
     let mut table = MarkdownTable::new(&[
         "QPS",
@@ -56,7 +56,6 @@ pub(crate) fn run(ctx: &StudyCtx) {
         ]);
     }
     println!("{}", table.render());
-    crate::write_csv("fig6_socialnet.csv", &csv);
 
     let mean_avg_ratio = avg_ratios.iter().sum::<f64>() / avg_ratios.len() as f64;
     let mean_p99_ratio = p99_ratios.iter().sum::<f64>() / p99_ratios.len() as f64;
@@ -67,4 +66,5 @@ pub(crate) fn run(ctx: &StudyCtx) {
     if mean_avg_ratio > 1.20 {
         eprintln!("[shape warning] Social Network LP/HP gap larger than the paper's band");
     }
+    vec![("fig6_socialnet.csv".into(), csv)]
 }

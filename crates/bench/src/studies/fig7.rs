@@ -4,7 +4,7 @@
 //! Panels: (a)/(b) LP/HP ratios vs added delay per QPS, (c)–(f) absolute
 //! avg/p99 at 5K and 20K QPS.
 
-use crate::{banner, env_duration, env_runs, env_seed};
+use crate::banner;
 use tpv_core::report::{Csv, MarkdownTable};
 use tpv_core::scenarios::{synthetic_study, SYNTHETIC_DELAYS_US, SYNTHETIC_QPS};
 use tpv_sim::SimDuration;
@@ -12,10 +12,10 @@ use tpv_sim::SimDuration;
 use crate::study::StudyCtx;
 
 /// Renders this artefact through the context engine.
-pub(crate) fn run(ctx: &StudyCtx) {
+pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
     // §V-B: "the results presented in this section are the average of 20 runs".
-    let runs = env_runs(20);
-    let duration = env_duration(500);
+    let runs = ctx.runs(20);
+    let duration = ctx.duration(500);
     banner("Figure 7: synthetic-service sensitivity (delay 0-400us x 5K-20K QPS)", runs, duration);
 
     let mut table = MarkdownTable::new(&[
@@ -47,7 +47,7 @@ pub(crate) fn run(ctx: &StudyCtx) {
             &SYNTHETIC_QPS,
             runs,
             duration,
-            env_seed() + delay_us,
+            ctx.seed() + delay_us,
         );
         let results = exp.run_with(&ctx.engine);
         for &q in &SYNTHETIC_QPS {
@@ -84,7 +84,6 @@ pub(crate) fn run(ctx: &StudyCtx) {
         }
     }
     println!("{}", table.render());
-    crate::write_csv("fig7_synthetic.csv", &csv);
 
     println!(
         "\nFinding 3 (sensitivity): at 20K QPS the LP/HP average ratio falls from \
@@ -94,4 +93,5 @@ pub(crate) fn run(ctx: &StudyCtx) {
     if ratio_at_zero_20k < 1.5 || ratio_at_400_20k > 1.15 {
         eprintln!("[shape warning] synthetic convergence outside the paper's band");
     }
+    vec![("fig7_synthetic.csv".into(), csv)]
 }

@@ -2,21 +2,18 @@
 //! configurations (six scenarios × seven QPS points, 50 runs each at
 //! paper scale).
 
-use crate::{avg_samples, banner, env_duration, env_runs, env_seed};
+use crate::{avg_samples, banner};
 use tpv_core::report::Csv;
-use tpv_core::scenarios::{memcached_c1e_study, memcached_smt_study, MEMCACHED_QPS};
+use tpv_core::scenarios::MEMCACHED_QPS;
 use tpv_stats::shapiro_wilk;
 
 use crate::study::StudyCtx;
 
 /// Renders this artefact through the context engine.
-pub(crate) fn run(ctx: &StudyCtx) {
-    let runs = env_runs(50);
-    let duration = env_duration(400);
+pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
+    let runs = ctx.runs(50);
+    let duration = ctx.duration(400);
     banner("Figure 8: Shapiro-Wilk p-values across Section V-A configurations", runs, duration);
-
-    let smt = memcached_smt_study(&MEMCACHED_QPS, runs, duration, env_seed()).run_with(&ctx.engine);
-    let c1e = memcached_c1e_study(&MEMCACHED_QPS, runs, duration, env_seed() + 1).run_with(&ctx.engine);
 
     let mut csv = Csv::new(&["config", "qps", "p_value", "passes_alpha_0_05"]);
     let mut total = 0usize;
@@ -25,18 +22,11 @@ pub(crate) fn run(ctx: &StudyCtx) {
     let header: Vec<String> =
         MEMCACHED_QPS.iter().map(|&q| format!("{:>8}", format!("{}K", q as u64 / 1000))).collect();
     println!("config        | {}", header.join(" "));
-    let configs: Vec<(&str, &tpv_core::ExperimentResults, &str, &str)> = vec![
-        ("LP-SMToff", &smt, "LP", "SMToff"),
-        ("LP-SMTon", &smt, "LP", "SMTon"),
-        ("HP-SMToff", &smt, "HP", "SMToff"),
-        ("HP-SMTon", &smt, "HP", "SMTon"),
-        ("LP-C1Eon", &c1e, "LP", "C1Eon"),
-        ("HP-C1Eon", &c1e, "HP", "C1Eon"),
-    ];
-    for (name, results, client, server) in configs {
+    for config in super::section_va_cells(ctx, runs, duration).chunks(MEMCACHED_QPS.len()) {
+        let name = format!("{}-{}", config[0].client_label, config[0].server_label);
         let mut row = format!("{name:<13} |");
-        for &q in &MEMCACHED_QPS {
-            let cell = results.cell(client, server, q).unwrap();
+        for cell in config {
+            let q = cell.qps;
             let xs = avg_samples(cell);
             let p = shapiro_wilk(&xs).map(|r| r.p_value).unwrap_or(0.0);
             total += 1;
@@ -44,12 +34,11 @@ pub(crate) fn run(ctx: &StudyCtx) {
                 passing += 1;
             }
             row.push_str(&format!(" {p:>8.1e}"));
-            csv.row(&[name.to_string(), format!("{q}"), format!("{p:.6e}"), format!("{}", p >= 0.05)]);
+            csv.row(&[name.clone(), format!("{q}"), format!("{p:.6e}"), format!("{}", p >= 0.05)]);
         }
         println!("{row}");
     }
     println!("\n(threshold: p = 0.05, the red dashed line of Fig. 8)");
-    crate::write_csv("fig8_shapiro.csv", &csv);
 
     let frac = passing as f64 / total as f64;
     println!(
@@ -60,4 +49,5 @@ pub(crate) fn run(ctx: &StudyCtx) {
     if !(0.25..=0.85).contains(&frac) {
         eprintln!("[shape warning] normality fraction far from the paper's ~50%");
     }
+    vec![("fig8_shapiro.csv".into(), csv)]
 }

@@ -2,7 +2,7 @@
 //! times for the HP-SMToff 400K configuration — the right-skewed,
 //! queueing-dominated distribution that fails normality testing.
 
-use crate::{avg_samples, banner, env_duration, env_runs, env_seed};
+use crate::{avg_samples, banner};
 use tpv_core::report::{frequency_chart, Csv};
 use tpv_core::scenarios::memcached_smt_study;
 use tpv_stats::desc::skewness;
@@ -11,12 +11,12 @@ use tpv_stats::shapiro_wilk;
 use crate::study::StudyCtx;
 
 /// Renders this artefact through the context engine.
-pub(crate) fn run(ctx: &StudyCtx) {
-    let runs = env_runs(50);
-    let duration = env_duration(400);
+pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
+    let runs = ctx.runs(50);
+    let duration = ctx.duration(400);
     banner("Figure 9: frequency chart for HP-SMToff @ 400K QPS", runs, duration);
 
-    let results = memcached_smt_study(&[400_000.0], runs, duration, env_seed()).run_with(&ctx.engine);
+    let results = memcached_smt_study(&[400_000.0], runs, duration, ctx.seed()).run_with(&ctx.engine);
     let cell = results.cell("HP", "SMToff", 400_000.0).unwrap();
     let xs = avg_samples(cell);
 
@@ -36,9 +36,9 @@ pub(crate) fn run(ctx: &StudyCtx) {
     for (i, x) in xs.iter().enumerate() {
         csv.row(&[format!("{i}"), format!("{x:.3}")]);
     }
-    crate::write_csv("fig9_histogram.csv", &csv);
 
     if skew < 0.0 {
         eprintln!("[shape warning] distribution should be right-skewed");
     }
+    vec![("fig9_histogram.csv".into(), csv)]
 }

@@ -6,7 +6,7 @@ use tpv_core::survey;
 use crate::study::StudyCtx;
 
 /// Renders Table I (static survey data; the engine is unused).
-pub(crate) fn run(_ctx: &StudyCtx) {
+pub(crate) fn run(_ctx: &StudyCtx) -> Vec<(String, Csv)> {
     println!("== Table I: Hardware characterization in previous work ==\n");
     let mut table = MarkdownTable::new(&["Characterization", "Publications"]);
     let counts = survey::table_i_counts();
@@ -25,7 +25,7 @@ pub(crate) fn run(_ctx: &StudyCtx) {
     for (c, n) in &counts {
         csv.row(&[c.to_string(), n.to_string()]);
     }
-    crate::write_csv("table1_survey.csv", &csv);
 
     assert_eq!(total, 20, "survey must cover 20 publications");
+    vec![("table1_survey.csv".into(), csv)]
 }

@@ -6,7 +6,7 @@ use tpv_hw::MachineConfig;
 use crate::study::StudyCtx;
 
 /// Renders Table II (static configuration data; the engine is unused).
-pub(crate) fn run(_ctx: &StudyCtx) {
+pub(crate) fn run(_ctx: &StudyCtx) -> Vec<(String, Csv)> {
     println!("== Table II: Client- and server-side hardware configurations ==\n");
     let lp = MachineConfig::low_power();
     let hp = MachineConfig::high_performance();
@@ -39,10 +39,10 @@ pub(crate) fn run(_ctx: &StudyCtx) {
         csv.row(&[knob.to_string(), a.clone(), b.clone(), c.clone()]);
     }
     println!("{}", table.render());
-    crate::write_csv("table2_configs.csv", &csv);
 
     // Paper fidelity checks.
     assert_eq!(lp.cstates.to_string(), "C0,C1,C1E,C6");
     assert_eq!(hp.cstates.to_string(), "off");
     assert_eq!(srv.cstates.to_string(), "C0,C1");
+    vec![("table2_configs.csv".into(), csv)]
 }

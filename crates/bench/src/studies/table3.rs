@@ -7,7 +7,7 @@ use tpv_core::scenarios;
 use crate::study::StudyCtx;
 
 /// Renders Table III (static taxonomy data; the engine is unused).
-pub(crate) fn run(_ctx: &StudyCtx) {
+pub(crate) fn run(_ctx: &StudyCtx) -> Vec<(String, Csv)> {
     println!("== Table III: Scenarios tested in Section V ==\n");
     let mut table = MarkdownTable::new(&[
         "Workload Generator Design",
@@ -42,5 +42,5 @@ pub(crate) fn run(_ctx: &StudyCtx) {
         csv.row(&[design, pom, client, resp, risk, s.sections.to_string()]);
     }
     println!("{}", table.render());
-    crate::write_csv("table3_scenarios.csv", &csv);
+    vec![("table3_scenarios.csv".into(), csv)]
 }

@@ -2,71 +2,56 @@
 //! confidence (parametric Eq. 3 vs CONFIRM) and Shapiro–Wilk results, for
 //! the six §V-A scenarios across the QPS sweep.
 
-use crate::{banner, env_duration, env_runs, env_seed};
+use crate::banner;
 use tpv_core::analysis::iteration_estimate;
 use tpv_core::report::{Csv, MarkdownTable};
-use tpv_core::scenarios::{memcached_c1e_study, memcached_smt_study, MEMCACHED_QPS};
 use tpv_sim::SimRng;
 
 use crate::study::StudyCtx;
 
 /// Renders this artefact through the context engine.
-pub(crate) fn run(ctx: &StudyCtx) {
-    let runs = env_runs(50);
-    let duration = env_duration(400);
+pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
+    let runs = ctx.runs(50);
+    let duration = ctx.duration(400);
     banner("Table IV: iterations to gain statistical confidence (1% error, 95% level)", runs, duration);
-
-    let smt = memcached_smt_study(&MEMCACHED_QPS, runs, duration, env_seed()).run_with(&ctx.engine);
-    let c1e = memcached_c1e_study(&MEMCACHED_QPS, runs, duration, env_seed() + 1).run_with(&ctx.engine);
 
     let mut table = MarkdownTable::new(&["Configuration", "QPS", "Parametric", "CONFIRM", "Shapiro-Wilk"]);
     let mut csv = Csv::new(&["config", "qps", "parametric", "confirm", "shapiro"]);
-    let mut rng = SimRng::seed_from_u64(env_seed() ^ 0x7ab1e4);
-
-    let configs: Vec<(&str, &tpv_core::ExperimentResults, &str, &str)> = vec![
-        ("LP-SMToff", &smt, "LP", "SMToff"),
-        ("LP-SMTon", &smt, "LP", "SMTon"),
-        ("HP-SMToff", &smt, "HP", "SMToff"),
-        ("HP-SMTon", &smt, "HP", "SMTon"),
-        ("LP-C1Eon", &c1e, "LP", "C1Eon"),
-        ("HP-C1Eon", &c1e, "HP", "C1Eon"),
-    ];
+    let mut rng = SimRng::seed_from_u64(ctx.seed() ^ 0x7ab1e4);
 
     let mut lp_low_iters = 0usize;
     let mut hp_low_iters = usize::MAX;
-    for (name, results, client, server) in configs {
-        for &q in &MEMCACHED_QPS {
-            let summary = results.cell(client, server, q).unwrap().summary();
-            let est = iteration_estimate(&summary, &mut rng);
-            let shapiro = match est.shapiro_pass {
-                Some(true) => "pass",
-                Some(false) => "fail",
-                None => "n/a",
-            };
-            if name == "LP-SMToff" && q == 10_000.0 {
-                lp_low_iters = est.parametric;
-            }
-            if name == "HP-SMToff" && q == 10_000.0 {
-                hp_low_iters = est.parametric;
-            }
-            table.row(&[
-                name.to_string(),
-                format!("{}K", q as u64 / 1000),
-                est.parametric.to_string(),
-                est.confirm.to_string(),
-                shapiro.to_string(),
-            ]);
-            csv.row(&[
-                name.to_string(),
-                format!("{q}"),
-                est.parametric.to_string(),
-                est.confirm.to_string(),
-                shapiro.to_string(),
-            ]);
+    for cell in super::section_va_cells(ctx, runs, duration) {
+        let name = format!("{}-{}", cell.client_label, cell.server_label);
+        let q = cell.qps;
+        let est = iteration_estimate(&cell.summary(), &mut rng);
+        let shapiro = match est.shapiro_pass {
+            Some(true) => "pass",
+            Some(false) => "fail",
+            None => "n/a",
+        };
+        if name == "LP-SMToff" && q == 10_000.0 {
+            lp_low_iters = est.parametric;
         }
+        if name == "HP-SMToff" && q == 10_000.0 {
+            hp_low_iters = est.parametric;
+        }
+        table.row(&[
+            name.clone(),
+            format!("{}K", q as u64 / 1000),
+            est.parametric.to_string(),
+            est.confirm.to_string(),
+            shapiro.to_string(),
+        ]);
+        csv.row(&[
+            name,
+            format!("{q}"),
+            est.parametric.to_string(),
+            est.confirm.to_string(),
+            shapiro.to_string(),
+        ]);
     }
     println!("{}", table.render());
-    crate::write_csv("table4_iterations.csv", &csv);
 
     println!(
         "\nFinding 4: at 10K QPS the LP client needs {lp_low_iters} iterations (paper: 288) \
@@ -75,4 +60,5 @@ pub(crate) fn run(ctx: &StudyCtx) {
     if lp_low_iters < 20 * hp_low_iters {
         eprintln!("[shape warning] LP should need far more iterations than HP at low load");
     }
+    vec![("table4_iterations.csv".into(), csv)]
 }

@@ -2,19 +2,23 @@
 //! experiment as a named, in-process runnable.
 //!
 //! A [`Study`] bundles an identifier (matching the historical binary
-//! name), a human title and a renderer function. The per-artefact
-//! binaries are thin wrappers over [`run_by_name`], and the
-//! `all_experiments` driver iterates [`registry`] **in one process**, so
+//! name), a human title and a renderer function. A renderer is a pure
+//! function of its [`StudyCtx`]: it reads its runs, run length and seed
+//! from the context's [`Scale`], prints its markdown and returns its
+//! CSVs. Only the two drivers read the `TPV_*` environment variables
+//! ([`Scale::from_env`]) and write files ([`Study::run_to_results`]):
+//! the thin per-artefact binaries through [`run_by_name`], and
+//! `all_experiments`, which iterates [`registry`] **in one process**, so
 //! every study routes through a single [`Engine`] whose [`RunCache`]
 //! deduplicates the baseline cells shared across figures (seeds are
 //! content-addressed — see `tpv_core::engine`).
 
-use std::sync::Arc;
-
 use tpv_core::control::{ControlResult, ControlSpec, Controller, MitigationPolicy};
 use tpv_core::engine::{fingerprint_control, fingerprint_topology, Engine, JobPlan, RunCache};
+use tpv_core::report::Csv;
 use tpv_core::runtime::run_fleet;
 use tpv_core::topology::{FleetResult, TopologySpec};
+use tpv_sim::SimDuration;
 
 use crate::studies;
 
@@ -29,27 +33,86 @@ pub enum StudyKind {
     Extension,
 }
 
+/// How large a study runs and from which master seed: the three inputs
+/// the `TPV_RUNS` / `TPV_RUN_SECS` / `TPV_SEED` variables set. `None`
+/// leaves a study its own scaled default.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Scale {
+    /// Runs per cell (`TPV_RUNS`).
+    pub runs: Option<usize>,
+    /// Simulated seconds per run (`TPV_RUN_SECS`; fractions allowed).
+    pub run_secs: Option<f64>,
+    /// Master seed (`TPV_SEED`, default 2024).
+    pub seed: u64,
+}
+
+impl Scale {
+    /// Parses the three variables' values. An unparsable value, or a
+    /// run length that is not positive, leaves the default; the seed
+    /// defaults to 2024.
+    ///
+    /// # Errors
+    ///
+    /// A zero run count: no cell can be summarized from no runs.
+    pub fn parse(runs: Option<&str>, run_secs: Option<&str>, seed: Option<&str>) -> Result<Scale, String> {
+        match runs.and_then(|v| v.parse().ok()) {
+            Some(0) => Err("TPV_RUNS=0: every cell needs at least one run".into()),
+            runs => Ok(Scale {
+                runs,
+                run_secs: run_secs.and_then(|v| v.parse().ok()).filter(|&secs: &f64| secs > 0.0),
+                seed: seed.and_then(|v| v.parse().ok()).unwrap_or(2024),
+            }),
+        }
+    }
+
+    /// [`Scale::parse`] over the process environment: what the drivers
+    /// run at. A rejected scale is printed in one line and the process
+    /// exits with status 2, before any study runs.
+    pub fn from_env() -> Scale {
+        let var = |name| std::env::var(name).ok();
+        Scale::parse(var("TPV_RUNS").as_deref(), var("TPV_RUN_SECS").as_deref(), var("TPV_SEED").as_deref())
+            .unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(2)
+            })
+    }
+}
+
 /// Execution context handed to every study renderer.
 pub struct StudyCtx {
     /// The engine every experiment routes through. Sharing one context
     /// across studies shares its run cache.
     pub engine: Engine,
+    /// The scale and seed every study reads.
+    pub scale: Scale,
 }
 
 impl StudyCtx {
-    /// A parallel engine with a fresh run cache.
-    pub fn new() -> Self {
-        StudyCtx { engine: Engine::new().with_cache(RunCache::new()) }
+    /// A parallel engine with a fresh run cache, at `scale`.
+    pub fn new(scale: Scale) -> Self {
+        StudyCtx { engine: Engine::new().with_cache(RunCache::new()), scale }
     }
 
-    /// The engine's cache (always present for contexts built here).
-    pub fn cache(&self) -> Option<&Arc<RunCache>> {
-        self.engine.cache()
+    /// Runs per cell: the scale's, or the study's `default`.
+    pub fn runs(&self, default: usize) -> usize {
+        self.scale.runs.unwrap_or(default)
     }
 
-    /// Executes `runs` seeded fleet runs of every topology cell through
-    /// the context engine and regroups the results per cell — the fleet
-    /// counterpart of `Experiment::run_with`. Each job is one
+    /// Simulated time per run: the scale's, or the study's default in
+    /// milliseconds.
+    pub fn duration(&self, default_ms: u64) -> SimDuration {
+        self.scale.run_secs.map_or(SimDuration::from_ms(default_ms), SimDuration::from_secs_f64)
+    }
+
+    /// The master seed.
+    pub fn seed(&self) -> u64 {
+        self.scale.seed
+    }
+
+    /// Executes `runs` fleet runs of every topology cell, seeded off the
+    /// context's master seed, through the context engine and regroups
+    /// the results per cell — the fleet counterpart of
+    /// `Experiment::run_with`. Each job is one
     /// [`run_fleet`] on the engine's leftover budget for the shards
     /// inside one run ([`Engine::shard_workers`]), so results are
     /// bit-identical at any worker split.
@@ -60,17 +123,12 @@ impl StudyCtx {
     /// cell panics with its [`tpv_core::topology::TopologyError`] —
     /// `all_experiments` isolates study panics, so it reports the typed
     /// error without aborting the rest of the suite.
-    pub fn run_topology_cells(
-        &self,
-        topos: &[TopologySpec<'_>],
-        runs: usize,
-        seed: u64,
-    ) -> Vec<Vec<FleetResult>> {
+    pub fn run_topology_cells(&self, topos: &[TopologySpec<'_>], runs: usize) -> Vec<Vec<FleetResult>> {
         for topo in topos {
             topo.validate().unwrap_or_else(|e| panic!("{e}"));
         }
         let fingerprints: Vec<u64> = topos.iter().map(fingerprint_topology).collect();
-        self.run_cells(&fingerprints, runs, seed, |cell, seed, shard_workers| {
+        self.run_cells(&fingerprints, runs, |cell, seed, shard_workers| {
             run_fleet(&topos[cell], seed, shard_workers).expect("cell validated before execution")
         })
     }
@@ -85,25 +143,25 @@ impl StudyCtx {
         &self,
         cells: &[(&ControlSpec, &(dyn MitigationPolicy + Sync))],
         runs: usize,
-        seed: u64,
     ) -> Vec<Vec<ControlResult>> {
         let fingerprints: Vec<u64> =
             cells.iter().map(|(spec, policy)| fingerprint_control(spec, policy.name())).collect();
-        self.run_cells(&fingerprints, runs, seed, |cell, seed, shard_workers| {
+        self.run_cells(&fingerprints, runs, |cell, seed, shard_workers| {
             let (spec, policy) = cells[cell];
             Controller::new(spec, policy).run(seed, shard_workers)
         })
     }
 
-    /// Plans `runs` jobs per content-addressed cell, executes them on the
-    /// context engine as `run(cell, seed, shard_workers)` and regroups
-    /// the results per cell, in run order.
-    fn run_cells<R, F>(&self, fingerprints: &[u64], runs: usize, seed: u64, run: F) -> Vec<Vec<R>>
+    /// Plans `runs` jobs per content-addressed cell off the context's
+    /// master seed, executes them on the context engine as `run(cell,
+    /// seed, shard_workers)` and regroups the results per cell, in run
+    /// order.
+    fn run_cells<R, F>(&self, fingerprints: &[u64], runs: usize, run: F) -> Vec<Vec<R>>
     where
         R: Send,
         F: Fn(usize, u64, usize) -> R + Sync,
     {
-        let plan = JobPlan::new(seed, fingerprints, runs);
+        let plan = JobPlan::new(self.seed(), fingerprints, runs);
         let shard_workers = self.engine.shard_workers(&plan);
         let mut per_cell: Vec<Vec<R>> = fingerprints.iter().map(|_| Vec::with_capacity(runs)).collect();
         for (cell, _, result) in self.engine.execute_jobs(&plan, |job| run(job.cell, job.seed, shard_workers))
@@ -111,12 +169,6 @@ impl StudyCtx {
             per_cell[cell].push(result);
         }
         per_cell
-    }
-}
-
-impl Default for StudyCtx {
-    fn default() -> Self {
-        StudyCtx::new()
     }
 }
 
@@ -128,8 +180,23 @@ pub struct Study {
     pub title: &'static str,
     /// Artefact classification.
     pub kind: StudyKind,
-    /// Builds, executes (through `ctx.engine`) and prints the artefact.
-    pub run: fn(&StudyCtx),
+    /// Builds, executes (through `ctx.engine`) and prints the artefact,
+    /// and returns its CSVs as `(file name, document)` pairs.
+    pub run: fn(&StudyCtx) -> Vec<(String, Csv)>,
+}
+
+impl Study {
+    /// Renders the study on `ctx` and writes its CSVs under
+    /// [`results_dir`](crate::results_dir), one `[csv] <path>` line each.
+    pub fn run_to_results(&self, ctx: &StudyCtx) {
+        for (name, csv) in (self.run)(ctx) {
+            let path = crate::results_dir().join(name);
+            match csv.write_to(&path) {
+                Ok(()) => println!("\n[csv] {}", path.display()),
+                Err(e) => eprintln!("[csv] failed to write {}: {e}", path.display()),
+            }
+        }
+    }
 }
 
 /// Every study, in the paper's presentation order (extensions and
@@ -283,7 +350,8 @@ pub fn find(name: &str) -> Option<Study> {
     registry().into_iter().find(|s| s.name == name)
 }
 
-/// Runs one study on a fresh cached context — the entry point of the
+/// Runs one study on a fresh cached context at the environment's scale
+/// ([`Scale::from_env`]) and writes its CSVs — the entry point of the
 /// thin per-artefact binaries.
 ///
 /// # Panics
@@ -291,8 +359,7 @@ pub fn find(name: &str) -> Option<Study> {
 /// Panics if `name` is not in the registry.
 pub fn run_by_name(name: &str) {
     let study = find(name).unwrap_or_else(|| panic!("unknown study '{name}'"));
-    let ctx = StudyCtx::new();
-    (study.run)(&ctx);
+    study.run_to_results(&StudyCtx::new(Scale::from_env()));
 }
 
 #[cfg(test)]
@@ -326,5 +393,35 @@ mod tests {
         }
         assert_eq!(find("ext_diurnal_fleet").unwrap().kind, StudyKind::Extension);
         assert_eq!(find("ext_turbo_decay").unwrap().kind, StudyKind::Extension);
+    }
+
+    #[test]
+    fn scale_parse_rejects_zero_runs_and_defaults_what_it_cannot_read() {
+        let defaults = Scale { runs: None, run_secs: None, seed: 2024 };
+        assert_eq!(Scale::parse(None, None, None), Ok(defaults));
+        assert_eq!(
+            Scale::parse(Some("3"), Some("0.05"), Some("7")),
+            Ok(Scale { runs: Some(3), run_secs: Some(0.05), seed: 7 })
+        );
+        assert!(Scale::parse(Some("0"), None, None).unwrap_err().contains("TPV_RUNS=0"));
+        assert!(Scale::parse(Some("0"), Some("0.05"), Some("7")).is_err());
+        // Unparsable values and non-positive run lengths fall back.
+        for (runs, secs, seed) in
+            [("garbage", "garbage", "garbage"), ("-1", "0", "-7"), ("1.5", "-0.5", "2024.0"), ("", "NaN", "")]
+        {
+            assert_eq!(
+                Scale::parse(Some(runs), Some(secs), Some(seed)),
+                Ok(defaults),
+                "{runs} {secs} {seed}"
+            );
+        }
+        // A fractional run length is kept whole.
+        let ctx = StudyCtx::new(Scale::parse(Some("2"), Some("1.25"), None).unwrap());
+        assert_eq!(
+            (ctx.runs(30), ctx.duration(500), ctx.seed()),
+            (2, SimDuration::from_secs_f64(1.25), 2024)
+        );
+        let ctx = StudyCtx::new(defaults);
+        assert_eq!((ctx.runs(30), ctx.duration(500)), (30, SimDuration::from_ms(500)));
     }
 }
