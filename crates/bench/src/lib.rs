@@ -16,7 +16,7 @@
 //! Studies print markdown and return their CSVs; the drivers write
 //! them under `results/`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use tpv_core::experiment::Cell;
 use tpv_sim::SimDuration;
@@ -27,11 +27,12 @@ pub(crate) mod studies;
 pub mod study;
 
 /// `results/` directory next to the workspace root (created on demand).
+/// The root is fixed when the crate is compiled, so a binary writes
+/// there from any working directory.
 pub fn results_dir() -> PathBuf {
-    let base = std::env::var("CARGO_MANIFEST_DIR").map(PathBuf::from).unwrap_or_default();
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
     // crates/bench -> workspace root.
-    let root = base.parent().and_then(|p| p.parent()).map(PathBuf::from).unwrap_or(base);
-    root.join("results")
+    manifest.ancestors().nth(2).unwrap_or(manifest).join("results")
 }
 
 /// Standard header every binary prints.

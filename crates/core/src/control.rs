@@ -61,6 +61,7 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use tpv_hw::MachineConfig;
 use tpv_services::ServiceConfig;
@@ -69,7 +70,7 @@ use tpv_sim::{SimDuration, SimRng, SimTime};
 use crate::collect::{ShardWindow, WindowedObserver};
 use crate::pin::PinPolicy;
 use crate::runtime::{run_sharded_collected_hedged_with, RunResult};
-use crate::topology::{ClientNode, ShardPolicy, ShardSpec, TopologySpec};
+use crate::topology::{ClientNode, ShardPolicy, ShardSpec, TopologyError, TopologySpec};
 
 /// How one node hedges: when a primary response overruns `deadline`, an
 /// analytic duplicate is issued to a replica on `backend` and the
@@ -408,27 +409,68 @@ pub struct ControlSpec {
     pub warmup: SimDuration,
 }
 
+/// Why [`ControlSpec::validate`] rejects a spec. [`Controller::run`]
+/// panics with this error's message.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ControlError {
+    /// The fleet has no nodes.
+    EmptyFleet,
+    /// `windows` is zero.
+    NoWindows,
+    /// `window` is zero.
+    ZeroWindow,
+    /// `warmup` is not shorter than one window.
+    WarmupTooLong,
+    /// The shard tier rejects the fleet.
+    Shards(TopologyError),
+    /// Two nodes share this label.
+    DuplicateLabel(String),
+}
+
+impl fmt::Display for ControlError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ControlError::EmptyFleet => write!(f, "a controlled run needs at least one node"),
+            ControlError::NoWindows => write!(f, "a controlled run needs at least one window"),
+            ControlError::ZeroWindow => write!(f, "control windows must be positive"),
+            ControlError::WarmupTooLong => write!(f, "warmup must be shorter than one window"),
+            ControlError::Shards(e) => write!(f, "{e}"),
+            ControlError::DuplicateLabel(label) => {
+                write!(f, "duplicate node label {label:?} — labels address actions")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ControlError {}
+
 impl ControlSpec {
     /// Checks the spec; the controller calls this once per run.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an empty fleet, duplicate labels, a zero window, zero
-    /// windows, `warmup >= window`, or a shard spec that rejects the
-    /// fleet.
-    pub fn validate(&self) {
-        assert!(!self.nodes.is_empty(), "a controlled run needs at least one node");
-        assert!(self.windows > 0, "a controlled run needs at least one window");
-        assert!(!self.window.is_zero(), "control windows must be positive");
-        assert!(self.warmup < self.window, "warmup must be shorter than one window");
-        if let Err(e) = self.shards.validate(self.nodes.len()) {
-            panic!("{e}");
+    /// An empty fleet, zero windows, a zero window, `warmup >= window`,
+    /// a shard spec that rejects the fleet, or a duplicate label.
+    pub fn validate(&self) -> Result<(), ControlError> {
+        if self.nodes.is_empty() {
+            return Err(ControlError::EmptyFleet);
         }
+        if self.windows == 0 {
+            return Err(ControlError::NoWindows);
+        }
+        if self.window.is_zero() {
+            return Err(ControlError::ZeroWindow);
+        }
+        if self.warmup >= self.window {
+            return Err(ControlError::WarmupTooLong);
+        }
+        self.shards.validate(self.nodes.len()).map_err(ControlError::Shards)?;
         let mut labels: Vec<&str> = self.nodes.iter().map(|n| n.label.as_str()).collect();
         labels.sort_unstable();
-        labels.windows(2).for_each(|pair| {
-            assert_ne!(pair[0], pair[1], "duplicate node label {:?} — labels address actions", pair[0]);
-        });
+        match labels.windows(2).find(|pair| pair[0] == pair[1]) {
+            Some(pair) => Err(ControlError::DuplicateLabel(pair[0].to_string())),
+            None => Ok(()),
+        }
     }
 
     /// Total simulated time a controlled run covers.
@@ -560,7 +602,9 @@ impl<'a> Controller<'a> {
     /// or an out-of-range shard.
     pub fn run(&self, seed: u64, workers: usize) -> ControlResult {
         let spec = self.spec;
-        spec.validate();
+        if let Err(e) = spec.validate() {
+            panic!("{e}");
+        }
         let index: BTreeMap<&str, usize> =
             spec.nodes.iter().enumerate().map(|(i, n)| (n.label.as_str(), i)).collect();
         let mut working: Vec<Working> = spec
@@ -840,5 +884,57 @@ mod tests {
         a.set("b", spec(30));
         assert_eq!(a.len(), 2);
         assert_eq!(a.get("b"), Some(&spec(30)));
+    }
+
+    fn small_spec() -> ControlSpec {
+        let node = |label: &str| {
+            ClientNode::new(
+                label,
+                MachineConfig::high_performance(),
+                tpv_loadgen::GeneratorSpec::mutilate(),
+                tpv_net::LinkConfig::cloudlab_lan(),
+                10_000.0,
+            )
+        };
+        ControlSpec {
+            service: ServiceConfig::new(tpv_services::ServiceKind::Memcached(Default::default())),
+            shards: ShardSpec::uniform(MachineConfig::server_baseline(), 2),
+            nodes: vec![node("a"), node("b")],
+            window: SimDuration::from_ms(10),
+            windows: 2,
+            warmup: SimDuration::from_ms(2),
+        }
+    }
+
+    /// Each malformed spec gets its own variant, whose message is the
+    /// one `Controller::run` panics with.
+    #[test]
+    fn validate_reports_typed_errors() {
+        assert_eq!(small_spec().validate(), Ok(()));
+        let rejected = |edit: fn(&mut ControlSpec)| {
+            let mut spec = small_spec();
+            edit(&mut spec);
+            spec.validate().unwrap_err()
+        };
+        let empty = rejected(|s| s.nodes.clear());
+        assert_eq!(empty, ControlError::EmptyFleet);
+        assert_eq!(empty.to_string(), "a controlled run needs at least one node");
+        assert_eq!(rejected(|s| s.windows = 0), ControlError::NoWindows);
+        assert_eq!(rejected(|s| s.window = SimDuration::ZERO), ControlError::ZeroWindow);
+        assert_eq!(rejected(|s| s.warmup = s.window), ControlError::WarmupTooLong);
+        let shards = rejected(|s| s.shards = s.shards.clone().with_policy(ShardPolicy::Explicit(vec![0])));
+        let ControlError::Shards(inner) = &shards else { panic!("{shards:?}") };
+        assert_eq!(shards.to_string(), inner.to_string());
+        let duplicate = rejected(|s| s.nodes[1].label = "a".to_string());
+        assert_eq!(duplicate, ControlError::DuplicateLabel("a".to_string()));
+        assert_eq!(duplicate.to_string(), "duplicate node label \"a\" — labels address actions");
+    }
+
+    #[test]
+    #[should_panic(expected = "warmup must be shorter than one window")]
+    fn run_panics_with_the_validation_message() {
+        let mut spec = small_spec();
+        spec.warmup = spec.window;
+        Controller::new(&spec, &DoNothing).run(1, 1);
     }
 }

@@ -49,8 +49,9 @@ pub use collect::{
     PhaseStats, ShardWindow, TraceCollector, WindowedObserver,
 };
 pub use control::{
-    AdmissionThrottle, ControlResult, ControlSpec, Controller, DoNothing, HedgePlan, HedgeRequests,
-    HedgeSpec, MitigationAction, MitigationPolicy, RemediateNode, RerouteHotShard, WindowObservation,
+    AdmissionThrottle, ControlError, ControlResult, ControlSpec, Controller, DoNothing, HedgePlan,
+    HedgeRequests, HedgeSpec, MitigationAction, MitigationPolicy, RemediateNode, RerouteHotShard,
+    WindowObservation,
 };
 pub use engine::{CacheStats, Engine, Job, JobPlan, RunCache};
 pub use experiment::{Benchmark, Experiment, ExperimentResults, ServerScenario};

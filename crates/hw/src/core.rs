@@ -14,8 +14,10 @@ use tpv_sim::dist::{LogNormal, Sampler};
 use tpv_sim::{FifoResource, SimDuration, SimRng, SimTime};
 
 use crate::cstate::CState;
+use crate::dvfs::DvfsWakeCost;
 use crate::env::RunEnvironment;
 use crate::machine::MachineConfig;
+use crate::uncore::UncoreMode;
 
 /// Outcome of placing one piece of work on a core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,6 +83,19 @@ struct AcquireCache {
     prediction_noise: Option<LogNormal>,
     /// C-state exit jitter (`None` when `wake_jitter_sigma == 0`).
     wake_jitter: Option<LogNormal>,
+    /// Whether the policy allows any state below C0 (not `idle=poll`).
+    sleeps: bool,
+    /// `select_state(ZERO)`: the state a zero prediction selects, and
+    /// under `idle=poll` the state every prediction selects.
+    zero_state: CState,
+    /// `governor.drops_frequency_when_idle()`: if not, every wake's
+    /// `wake_cost` is `NONE`.
+    drops_clock: bool,
+    /// `thread_wake_cost.scale(1.0)`: the scheduler wake at a steady
+    /// clock, `NONE`'s slowdown.
+    steady_sched: SimDuration,
+    /// Whether the uncore ramps (`Dynamic`); a `Fixed` one adds nothing.
+    uncore_ramps: bool,
 }
 
 impl AcquireCache {
@@ -92,6 +107,11 @@ impl AcquireCache {
                 .then(|| LogNormal::with_mean(1.0, vp.prediction_sigma)),
             wake_jitter: (vp.wake_jitter_sigma > 0.0)
                 .then(|| LogNormal::with_mean(1.0, vp.wake_jitter_sigma)),
+            sleeps: config.cstates.deepest() != CState::C0,
+            zero_state: config.cstates.select_state(&config.cstate_table, SimDuration::ZERO),
+            drops_clock: config.dvfs.governor.drops_frequency_when_idle(),
+            steady_sched: config.thread_wake_cost.scale(DvfsWakeCost::NONE.slowdown_factor().min(2.0)),
+            uncore_ramps: config.uncore != UncoreMode::Fixed,
         }
     }
 }
@@ -180,17 +200,28 @@ impl CoreResource {
             // periods (the menu governor's "typical interval"), optionally
             // capped by package-level idleness, with per-run learned bias
             // and per-decision noise.
-            let prediction_noise = match &self.cache.prediction_noise {
-                Some(dist) => dist.sample(rng),
-                None => 1.0,
-            };
             let history = self.idle_ewma.unwrap_or(idle_gap);
             let basis = match socket_idle {
                 Some(s) => history.min(s),
                 None => history,
             };
-            let predicted = basis.scale(self.env.governor_bias * prediction_noise / RESIDENCY_MARGIN);
-            state = self.config.cstates.select_state(&self.config.cstate_table, predicted);
+            // A zero basis predicts zero whatever the noise, and under
+            // `idle=poll` every prediction selects C0: there the noise
+            // cannot choose the state, so its draw is consumed, not
+            // transformed.
+            state = if self.cache.sleeps && !basis.is_zero() {
+                let prediction_noise = match &self.cache.prediction_noise {
+                    Some(dist) => dist.sample(rng),
+                    None => 1.0,
+                };
+                let predicted = basis.scale(self.env.governor_bias * prediction_noise / RESIDENCY_MARGIN);
+                self.config.cstates.select_state(&self.config.cstate_table, predicted)
+            } else {
+                if let Some(dist) = &self.cache.prediction_noise {
+                    dist.consume(rng);
+                }
+                self.cache.zero_state
+            };
             // Update the governor's history with the idle period that
             // actually happened.
             self.idle_ewma = Some(match self.idle_ewma {
@@ -215,17 +246,26 @@ impl CoreResource {
             let exit = exit_latency.scale(exit_jitter);
 
             // DVFS ramp: a stall, plus slower execution of this work item.
-            let dvfs = self.config.dvfs.wake_cost(&self.config.spec, idle_gap, self.env.dvfs_bias);
-            stretch *= dvfs.slowdown_factor();
+            // The OS wake path (interrupt → scheduler → context switch)
+            // executes at the ramping frequency. A governor that keeps
+            // the clock up costs `NONE`: no stall, no stretch.
+            let (dvfs_stall, sched) = if self.cache.drops_clock {
+                let dvfs = self.config.dvfs.wake_cost(&self.config.spec, idle_gap, self.env.dvfs_bias);
+                let slowdown = dvfs.slowdown_factor();
+                stretch *= slowdown;
+                (dvfs.stall, self.config.thread_wake_cost.scale(slowdown.min(2.0)))
+            } else {
+                (SimDuration::ZERO, self.cache.steady_sched)
+            };
 
             // Uncore ramp.
-            let uncore = self.config.uncore.wake_penalty(idle_gap);
+            let uncore = if self.cache.uncore_ramps {
+                self.config.uncore.wake_penalty(idle_gap)
+            } else {
+                SimDuration::ZERO
+            };
 
-            // OS wake path (interrupt → scheduler → context switch),
-            // executed at the ramping frequency.
-            let sched = self.config.thread_wake_cost.scale(dvfs.slowdown_factor().min(2.0));
-
-            wake = (exit + dvfs.stall + uncore + sched).scale(self.env.wake_bias);
+            wake = (exit + dvfs_stall + uncore + sched).scale(self.env.wake_bias);
             self.wakes_by_state[state_index(state)] += 1;
             self.idle_by_state[state_index(state)] += idle_gap;
             self.total_wake_time += wake;
@@ -520,12 +560,15 @@ mod tests {
     }
 
     /// The wake path as written before draws whose value cannot change
-    /// the result were consumed rather than transformed: every idle wake
-    /// transforms both LogNormal draws, whatever state it lands in.
+    /// the result were consumed rather than transformed and before the
+    /// per-config invariants were hoisted: every idle wake transforms
+    /// both LogNormal draws, whatever state it lands in, and prices the
+    /// DVFS and uncore ramps afresh.
     struct AlwaysTransform {
         fifo: FifoResource,
         config: MachineConfig,
         env: RunEnvironment,
+        active_cores: u32,
         idle_ewma: Option<SimDuration>,
         wakes_by_state: [u64; 4],
         idle_by_state: [SimDuration; 4],
@@ -538,6 +581,7 @@ mod tests {
                 fifo: FifoResource::new(),
                 config: *config,
                 env: *env,
+                active_cores: 4,
                 idle_ewma: None,
                 wakes_by_state: [0; 4],
                 idle_by_state: [SimDuration::ZERO; 4],
@@ -555,7 +599,7 @@ mod tests {
             let vp = self.config.variability;
             let mut wake = SimDuration::ZERO;
             let mut state = CState::C0;
-            let mut stretch = self.config.work_scale(4, &self.env);
+            let mut stretch = self.config.work_scale(self.active_cores, &self.env);
             let idle_gap =
                 if self.fifo.is_idle_at(now) { now.since(self.fifo.busy_until()) } else { SimDuration::ZERO };
             if !idle_gap.is_zero() {
@@ -601,21 +645,26 @@ mod tests {
         }
     }
 
-    /// Consuming instead of transforming is invisible: over random mixes
-    /// of busy and idle acquires, with and without a socket hint and
-    /// across a mid-run reconfiguration, every grant, every wake
-    /// statistic and the RNG's stream position equal the always-transform
-    /// reference's, bit for bit.
+    /// Consuming instead of transforming, and the hoisted invariants,
+    /// are invisible: over random mixes of busy and idle acquires, with
+    /// no socket hint, a zero one or a positive one, across every
+    /// governor, both uncore modes, a mid-run occupancy change and a
+    /// mid-run reconfiguration, every grant, every wake statistic and
+    /// the RNG's stream position equal the always-transform reference's,
+    /// bit for bit.
     #[test]
     fn consumed_draws_match_the_always_transform_path_bit_for_bit() {
+        use crate::dvfs::{FreqDriver, FreqGovernor};
         let lp = MachineConfig::low_power();
         let server = MachineConfig::server_baseline();
         let configs = [
             lp,
             MachineConfig::high_performance(),
             server,
-            server.with_cstates(CStatePolicy::UpToC1E),
+            server.with_cstates(CStatePolicy::UpToC1E).with_uncore(UncoreMode::Dynamic),
             lp.with_cstates(CStatePolicy::PollIdle),
+            lp.with_dvfs(FreqDriver::IntelPstate, FreqGovernor::Ondemand),
+            server.with_dvfs(FreqDriver::AcpiCpufreq, FreqGovernor::Powersave),
         ];
         for (c, config) in configs.iter().enumerate() {
             for seed in 0..4u64 {
@@ -629,6 +678,11 @@ mod tests {
                 let mut ref_rng = rng.clone();
                 let mut now = SimTime::ZERO;
                 for step in 0..2_000 {
+                    if step == 500 || step == 1_500 {
+                        let active = script.next_below(12) as u32;
+                        core.set_active_cores_estimate(active);
+                        reference.active_cores = active.max(1);
+                    }
                     if step == 1_000 {
                         core.reconfigure(&next, &next_env);
                         reference.config = next;
@@ -644,8 +698,12 @@ mod tests {
                         now = now.max(busy_until) + SimDuration::from_ns(octave + script.next_below(octave));
                     }
                     let work = SimDuration::from_ns(500 + script.next_below(50_000));
-                    let hint =
-                        script.next_bool(0.5).then(|| SimDuration::from_ns(script.next_below(2_000_000)));
+                    // Half the acquires carry a socket hint, a quarter of
+                    // those exactly zero (a busy socket).
+                    let hint = script.next_bool(0.5).then(|| match script.next_below(4) {
+                        0 => SimDuration::ZERO,
+                        _ => SimDuration::from_ns(script.next_below(2_000_000)),
+                    });
                     let got = core.acquire_with_hint(now, work, &mut rng, hint);
                     let want = reference.acquire(now, work, &mut ref_rng, hint);
                     assert_eq!(got, want, "config {c} seed {seed} step {step}");
