@@ -14,7 +14,9 @@
 //! * `service_setup` — per-run set-up microbench: µs per
 //!   `ServiceInstance::new` for the default memcached (100K-key
 //!   preload), HDSearch and Social Network configurations, printed per
-//!   service; the gated quantity is service constructions per second.
+//!   service, plus HDSearch's dataset draw and LSH index build on their
+//!   own (print-only); the gated quantity is service constructions per
+//!   second.
 //! * `static_1x1` — the paper's testbed: one HP memcached client at
 //!   100K QPS (the `run_once` fast path).
 //! * `fleet_16` — a 16-node HP fleet, 100K QPS per node: the
@@ -415,12 +417,13 @@ const SETUP_ROUNDS: usize = 9;
 /// default memcached (100K-key preload), HDSearch and Social Network
 /// configurations, the services' own defaults rather than the kernel
 /// scenarios' 10K-key probe store. Prints the per-configuration median
-/// over [`SETUP_ROUNDS`] constructions; the gated leg builds one of each,
+/// over [`SETUP_ROUNDS`] constructions, then HDSearch's dataset draw and
+/// index build timed apart; the gated leg builds one of each service,
 /// so events/sec is service constructions per second.
 fn service_setup(opts: &Options) -> ScenarioReport {
     use std::hint::black_box;
     use tpv_hw::RunEnvironment;
-    use tpv_services::hdsearch::HdSearchConfig;
+    use tpv_services::hdsearch::{clustered_dataset, HdSearchConfig, LshIndex, CLUSTERS};
     use tpv_services::socialnet::SocialConfig;
     use tpv_services::ServiceInstance;
 
@@ -449,6 +452,25 @@ fn service_setup(opts: &Options) -> ScenarioReport {
             .collect();
         println!("| {name} | {:.0} |", tpv_stats::desc::median(&us));
     }
+    // HDSearch's two largest set-up phases on their own, at the default
+    // shape: drawing the clustered dataset and building the LSH index
+    // over it. Print-only.
+    let hd = HdSearchConfig::default();
+    let (mut dataset_us, mut index_us) = (Vec::new(), Vec::new());
+    for round in 0..SETUP_ROUNDS as u64 {
+        let mut rng = tpv_sim::SimRng::seed_from_u64(SEED + round);
+        let started = Instant::now();
+        let data = clustered_dataset(hd.dataset_size, hd.dim, CLUSTERS, &mut rng);
+        dataset_us.push(started.elapsed().as_secs_f64() * 1e6);
+        let started = Instant::now();
+        // Bound so that its drop (dataset and buckets) falls after the
+        // timer is read.
+        let index = black_box(LshIndex::build(data, hd.tables, hd.planes, hd.shards, &mut rng));
+        index_us.push(started.elapsed().as_secs_f64() * 1e6);
+        drop(index);
+    }
+    println!("| hdsearch dataset | {:.0} |", tpv_stats::desc::median(&dataset_us));
+    println!("| hdsearch index | {:.0} |", tpv_stats::desc::median(&index_us));
     println!();
 
     time_scenario("service_setup", opts.trials, || {

@@ -36,9 +36,14 @@
 //! [`box_muller`] is the one unit-domain kernel: for raw uniforms
 //! `a, b ∈ [0, 1)` (its precondition, `debug_assert`ed) it returns the
 //! bits of `(-2.0 * fast_ln(1.0 - a)).sqrt() * fast_sincos(TAU * b).1`
-//! from the same polynomial cores, without guards or data-dependent
-//! branches, so a loop over a block of uniform pairs is straight-line
-//! code. Every normal variate in the simulator goes through it.
+//! from the same polynomial cores, without guards, data-dependent
+//! branches or int↔float conversions: the `ln` exponent is read as a
+//! float from the exponent bits placed under 2⁵², and `round` is
+//! `(y + 2⁵²) − 2⁵²` (ties to even) plus one on an exact tie below, with
+//! the cosine quadrant in the low mantissa bits of `n + 2⁵²`. A loop
+//! over a block of uniform pairs is therefore straight-line code that
+//! packs into SSE2 lanes. Every normal variate in the simulator goes
+//! through it.
 //!
 //! Every polynomial is evaluated in **Estrin form** — a fixed, pinned
 //! expression tree, so the bits are as deterministic as Horner's, but
@@ -82,6 +87,11 @@ const PIO2_LO: f64 = 6.077_100_506_506_192_249_32e-11;
 
 /// 2/π, for the sincos quadrant reduction.
 const FRAC_2_PI: f64 = std::f64::consts::FRAC_2_PI;
+
+/// 2⁵², the smallest `f64` whose ulp is 1: adding it to a number in
+/// `[0, 2⁵²)` rounds that number to an integer (ties to even), which
+/// the sum then holds in its low mantissa bits.
+const TWO_52: f64 = 4_503_599_627_370_496.0;
 
 /// `2^k` for `k ∈ [-1022, 1023]`, built directly from exponent bits —
 /// exact, no rounding, no libm.
@@ -189,14 +199,14 @@ pub fn fast_ln(x: f64) -> f64 {
         m *= 0.5;
         e += 1;
     }
-    ln_bracketed(m, e)
+    ln_bracketed(m, e as f64)
 }
 
-/// `ln(m · 2^e)` for a mantissa `m` bracketed into `[√2/2, √2)`: the
-/// polynomial core [`fast_ln`] and [`box_muller`] share, so each
-/// coefficient exists once.
+/// `ln(m · 2^e)` for a mantissa `m` bracketed into `[√2/2, √2)` and an
+/// integral exponent `e`: the polynomial core [`fast_ln`] and
+/// [`box_muller`] share, so each coefficient exists once.
 #[inline]
-fn ln_bracketed(m: f64, e: i64) -> f64 {
+fn ln_bracketed(m: f64, e: f64) -> f64 {
     let t = (m - 1.0) / (m + 1.0);
     let t2 = t * t;
     // atanh series: ln m = 2t·(1 + t²/3 + t⁴/5 + … + t¹⁴/15), in Estrin
@@ -210,8 +220,7 @@ fn ln_bracketed(m: f64, e: i64) -> f64 {
     let q45 = 1.0 / 9.0 + t2 * (1.0 / 11.0);
     let q67 = 1.0 / 13.0 + t2 * (1.0 / 15.0);
     let s = (q01 + t4 * q23) + t8 * (q45 + t4 * q67);
-    let ef = e as f64;
-    (2.0 * t * s + ef * LN2_LO) + ef * LN2_HI
+    (2.0 * t * s + e * LN2_LO) + e * LN2_HI
 }
 
 /// Deterministic simultaneous `(sin x, cos x)`.
@@ -304,11 +313,19 @@ pub fn fast_pow(x: f64, y: f64) -> f64 {
 /// `1 − a` is a normal number in `[2⁻⁵³, 1]` and `2π·b·2/π` lies in
 /// `[0, 4]`, so the kernel needs none of the general functions' guards
 /// and has no data-dependent branch: the `ln` mantissa bracket is a
-/// select, `round` is a truncation plus one when the fraction is
-/// ≥ 0.5 (exact for non-negative arguments), and the cosine quadrant
-/// is a select plus a sign-bit xor. A loop over a block of pairs is
-/// therefore straight-line code the compiler may pack into vector
-/// lanes; every lane still runs the one pinned expression tree.
+/// select, and the cosine quadrant is a select plus a sign-bit xor.
+/// Nor does it convert between integers and floats, which x86-64 does
+/// one scalar at a time below AVX-512. The exponent is the float
+/// `2⁵² + biased exponent`, built from the exponent bits, minus
+/// `2⁵² + 1023`. `round` is `t = (y + 2⁵²) − 2⁵²` (round to nearest,
+/// ties to even) plus one where that left an exact tie below
+/// (`y − t = 0.5`, which happens at `b` = 1/8, 3/8, 5/8 and 7/8), so it
+/// is `f64::round`'s half-up rule on these non-negative arguments. The
+/// quadrant is the low mantissa bits of `n + 2⁵²`. Every step is exact,
+/// so the bits are those of the guarded expression, and a loop over a
+/// block of pairs is straight-line float and bit arithmetic the
+/// compiler packs into SSE2 lanes; every lane still runs the one pinned
+/// expression tree.
 #[inline]
 pub fn box_muller(a: f64, b: f64) -> f64 {
     debug_assert!((0.0..1.0).contains(&a) && (0.0..1.0).contains(&b), "box_muller({a}, {b}) outside [0, 1)");
@@ -317,16 +334,19 @@ pub fn box_muller(a: f64, b: f64) -> f64 {
     let m = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | 0x3ff0_0000_0000_0000);
     let high = m >= std::f64::consts::SQRT_2;
     let m = if high { m * 0.5 } else { m };
-    let e = ((bits >> 52) as i64) - 1023 + i64::from(high);
+    // The sign bit is clear, so `bits >> 52` is the biased exponent.
+    let e = f64::from_bits((bits >> 52) | TWO_52.to_bits()) - (TWO_52 + 1023.0);
+    let e = if high { e + 1.0 } else { e };
     let radius = (-2.0 * ln_bracketed(m, e)).sqrt();
     let x = std::f64::consts::TAU * b;
     let y = x * FRAC_2_PI;
-    let whole = y as i64;
-    let n = whole + i64::from(y - whole as f64 >= 0.5);
-    let (s, c) = sincos_reduced(x, n as f64);
+    let t = (y + TWO_52) - TWO_52;
+    let n = if y - t == 0.5 { t + 1.0 } else { t };
+    let (s, c) = sincos_reduced(x, n);
     // cos(r + n·π/2) is c, −s, −c, s for n mod 4 = 0, 1, 2, 3.
-    let leg = if n & 1 == 0 { c } else { s };
-    let flip = ((n ^ (n >> 1)) & 1) as u64;
+    let q = (n + TWO_52).to_bits();
+    let leg = if q & 1 == 0 { c } else { s };
+    let flip = (q ^ (q >> 1)) & 1;
     radius * f64::from_bits(leg.to_bits() ^ (flip << 63))
 }
 

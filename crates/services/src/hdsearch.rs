@@ -13,6 +13,15 @@
 //! profile measured against the index at startup — so the service-time
 //! distribution is grounded in the real data structure while the
 //! simulation stays cheap per request.
+//!
+//! Every run builds its own dataset and index, so construction is kept
+//! cheap without moving a bit of it: the dataset and hyperplanes are
+//! drawn in blocks of standard normals ([`Normal::fill_standard`]), all
+//! tables' hyperplanes sit in one plane bank that hashes a vector
+//! against every table in one pass over its components and fills each
+//! table's buckets as it goes, and a query's per-shard candidate counts
+//! are popcounts of its candidate bitmap under at most 64 per-shard
+//! masks, built once per index and rotated per bitmap word.
 
 use tpv_hw::{MachineConfig, RunEnvironment};
 use tpv_net::StackCosts;
@@ -26,89 +35,115 @@ use crate::worker_pool::WorkerPool;
 /// A feature vector.
 pub type Vector = Vec<f32>;
 
-/// Hyperplanes per accumulator group in [`LshTable::dots`]: a
-/// fixed-size array the compiler keeps in registers.
+/// Hyperplanes per accumulator group: a fixed-size array the compiler
+/// keeps in registers.
 const LANES: usize = 8;
+
+/// Groups whose sums one pass of [`PlaneBank::signatures`] keeps live.
+const PASS: usize = 4;
 
 /// Most hyperplanes one table can have: a signature is one `u64` bit
 /// per plane.
 pub const MAX_PLANES: usize = 63;
 
-/// One LSH table: random hyperplanes + hash buckets.
+/// Clusters in the dataset [`HdSearchService::new`] draws.
+pub const CLUSTERS: usize = 8;
+
+/// Every LSH table's random hyperplanes in one bank, so one pass over a
+/// vector's components hashes it against every table at once.
 #[derive(Debug)]
-struct LshTable {
-    /// Hyperplane count.
-    planes: usize,
+struct PlaneBank {
     /// Vector dimensionality.
     dim: usize,
-    /// The hyperplanes in groups of [`LANES`], each group transposed:
-    /// entry `g * dim + d` holds component `d` of planes
-    /// `g * LANES .. (g + 1) * LANES`, zero past the last plane.
-    groups: Vec<[f32; LANES]>,
-    buckets: crate::fasthash::FxHashMap<u64, Vec<u32>>,
+    /// Hyperplanes per table.
+    planes: usize,
+    /// Tables.
+    tables: usize,
+    /// The hyperplanes in groups of [`LANES`]: table `t`'s planes fill
+    /// groups `t * per_table ..`, where `per_table = planes.div_ceil(LANES)`,
+    /// in plane order, zero past the table's last plane. Groups come
+    /// [`PASS`] at a time, each pass transposed: entry `p * dim + d`
+    /// holds component `d` of pass `p`'s groups, group after group,
+    /// zero past the last group.
+    passes: Vec<[f32; LANES * PASS]>,
 }
 
-impl LshTable {
-    fn new(hyperplanes: &[Vector]) -> Self {
-        let planes = hyperplanes.len();
-        let dim = hyperplanes.first().map_or(0, Vec::len);
-        let groups = hyperplanes
-            .chunks(LANES)
-            .flat_map(|group| {
-                (0..dim).map(move |d| {
-                    let mut column = [0.0; LANES];
-                    for (slot, plane) in column.iter_mut().zip(group) {
-                        *slot = plane[d];
-                    }
-                    column
-                })
-            })
-            .collect();
-        LshTable { planes, dim, groups, buckets: crate::fasthash::FxHashMap::default() }
-    }
-
-    /// Every plane's dot product with `v`, in the first `planes` slots,
-    /// from one pass over `v` per group of [`LANES`] planes. Each plane
-    /// adds its terms in component order from `Iterator::sum`'s start
-    /// value, so its slot has the bits of
-    /// `plane.iter().zip(v).map(|(a, b)| a * b).sum::<f32>()`. A group's
-    /// sums stay in registers; summing into a runtime-length slice
-    /// instead kept them on the stack, a store-to-load chain per
-    /// component that made hashing ~2x slower (EXPERIMENTS.md, round 7).
-    fn dots(&self, v: &[f32]) -> [f32; 64] {
-        let start = std::iter::empty::<f32>().sum::<f32>();
-        let mut dots = [start; 64];
-        // `chunks_exact` rejects 0; a 0-dimensional table has no groups.
-        for (out, group) in dots.chunks_exact_mut(LANES).zip(self.groups.chunks_exact(self.dim.max(1))) {
-            let mut sums = [start; LANES];
-            for (column, &x) in group.iter().zip(v) {
-                for (sum, &a) in sums.iter_mut().zip(column) {
-                    *sum += a * x;
+impl PlaneBank {
+    /// Draws `tables × planes` random unit hyperplanes of dimension
+    /// `dim`, table by table, plane by plane.
+    fn draw(tables: usize, planes: usize, dim: usize, rng: &mut SimRng) -> Self {
+        let per_table = planes.div_ceil(LANES);
+        let mut passes = vec![[0.0; LANES * PASS]; (tables * per_table).div_ceil(PASS) * dim];
+        let mut normals = vec![0.0; dim];
+        for table in 0..tables {
+            for plane in 0..planes {
+                let group = table * per_table + plane / LANES;
+                let pass = &mut passes[group / PASS * dim..][..dim];
+                for (column, x) in pass.iter_mut().zip(random_unit_vector(&mut normals, rng)) {
+                    column[group % PASS * LANES + plane % LANES] = x;
                 }
             }
-            out.copy_from_slice(&sums);
         }
-        dots
+        PlaneBank { dim, planes, tables, passes }
     }
 
-    /// The signature of `v`: bit `p` set when `v` lies on the
-    /// non-negative side of plane `p`.
-    fn hash(&self, v: &[f32]) -> u64 {
-        let dots = self.dots(v);
-        dots[..self.planes]
-            .iter()
-            .enumerate()
-            .fold(0, |sig, (i, &dot)| if dot >= 0.0 { sig | 1 << i } else { sig })
+    /// Writes every table's signature of `v` into `signatures` (one per
+    /// table): bit `p` is set when `v` lies on the non-negative side of
+    /// plane `p`. Each plane's dot product adds its terms in component
+    /// order from `Iterator::sum`'s start value, so it has the bits of
+    /// `plane.iter().zip(v).map(|(a, b)| a * b).sum::<f32>()`. A pass's
+    /// [`PASS`] × [`LANES`] sums stay in registers ([`pass_sums`]);
+    /// summing into a runtime-length slice instead kept them on the
+    /// stack, a store-to-load chain per component that made hashing ~2x
+    /// slower (EXPERIMENTS.md, round 7).
+    fn signatures(&self, v: &[f32], signatures: &mut [u64]) {
+        let per_table = self.planes.div_ceil(LANES);
+        signatures.fill(0);
+        let groups = self.tables * per_table;
+        for pass in 0..groups.div_ceil(PASS) {
+            let bits = pass_sums(&self.passes[pass * self.dim..][..self.dim], v)
+                .iter()
+                .enumerate()
+                .fold(0u64, |bits, (lane, &dot)| if dot >= 0.0 { bits | 1 << lane } else { bits });
+            for (k, g) in (pass * PASS..groups).take(PASS).enumerate() {
+                signatures[g / per_table] |= (bits >> (k * LANES) & 0xff) << (g % per_table * LANES);
+            }
+        }
+        let planes = (1 << self.planes) - 1;
+        signatures.iter_mut().for_each(|signature| *signature &= planes);
     }
+}
+
+/// The sums of one pass of a [`PlaneBank`]: for each of its
+/// `LANES * PASS` planes, the dot product with `v`, terms added in
+/// component order from `Iterator::sum`'s start value. Out of line, its
+/// 32 sums are 8 SSE registers of packed multiply-adds; inlined into
+/// [`PlaneBank::signatures`], the vectorizer split them to feed the
+/// sign tests lane by lane and shuffled inside the loop.
+#[inline(never)]
+fn pass_sums(columns: &[[f32; LANES * PASS]], v: &[f32]) -> [f32; LANES * PASS] {
+    let mut sums = [std::iter::empty::<f32>().sum::<f32>(); LANES * PASS];
+    for (column, &x) in columns.iter().zip(v) {
+        for (sum, &a) in sums.iter_mut().zip(column) {
+            *sum += a * x;
+        }
+    }
+    sums
 }
 
 /// A multi-table random-hyperplane LSH index over a vector dataset.
 #[derive(Debug)]
 pub struct LshIndex {
-    dim: usize,
-    tables: Vec<LshTable>,
+    bank: PlaneBank,
+    /// Per table: signature → ids, ascending.
+    buckets: Vec<crate::fasthash::FxHashMap<u64, Vec<u32>>>,
     data: Vec<Vector>,
     shards: usize,
+    /// Per-shard masks within a candidate bitmap word, one per offset
+    /// `k < min(shards, 64)`: bit `i` is set when `i % shards == k`.
+    /// In word `r`, offset `k`'s bits are the ids on shard
+    /// `(64 r + k) % shards`.
+    shard_masks: Vec<u64>,
 }
 
 fn squared_distance(a: &[f32], b: &[f32]) -> f32 {
@@ -166,24 +201,23 @@ impl LshIndex {
         assert!(shards > 0, "need at least one shard");
         let dim = data[0].len();
         assert!(data.iter().all(|v| v.len() == dim), "inconsistent vector dimensionality");
-        let mut normals = vec![0.0; dim];
-        let mut signatures = Vec::with_capacity(data.len());
-        let mut built = Vec::with_capacity(tables);
-        for _ in 0..tables {
-            let hyperplanes: Vec<Vector> =
-                (0..planes).map(|_| random_unit_vector(&mut normals, rng)).collect();
-            let mut table = LshTable::new(&hyperplanes);
-            // Hash every vector, then fill the buckets in id order: the
-            // buckets of one interleaved loop, with the hashing in a
-            // tight loop of its own.
-            signatures.clear();
-            signatures.extend(data.iter().map(|v| table.hash(v)));
-            for (id, &h) in signatures.iter().enumerate() {
-                table.buckets.entry(h).or_default().push(id as u32);
+        // Every hyperplane is drawn before any hashing, which draws
+        // nothing, so the stream is that of a table-by-table build.
+        let bank = PlaneBank::draw(tables, planes, dim, rng);
+        let mut buckets: Vec<crate::fasthash::FxHashMap<u64, Vec<u32>>> =
+            (0..tables).map(|_| Default::default()).collect();
+        let mut signatures = vec![0; tables];
+        for (id, v) in data.iter().enumerate() {
+            bank.signatures(v, &mut signatures);
+            for (table, &signature) in buckets.iter_mut().zip(&signatures) {
+                table.entry(signature).or_default().push(id as u32);
             }
-            built.push(table);
         }
-        LshIndex { dim, tables: built, data, shards }
+        let mut shard_masks = vec![0u64; shards.min(64)];
+        for bit in 0..64 {
+            shard_masks[bit % shards] |= 1 << bit;
+        }
+        LshIndex { bank, buckets, data, shards, shard_masks }
     }
 
     /// Number of indexed vectors.
@@ -198,7 +232,7 @@ impl LshIndex {
 
     /// Vector dimensionality.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.bank.dim
     }
 
     /// The shard an indexed vector lives on.
@@ -208,9 +242,11 @@ impl LshIndex {
 
     /// Marks every id in the query's buckets, one bit per indexed vector.
     fn candidate_bitmap(&self, query: &[f32]) -> Vec<u64> {
+        let mut signatures = vec![0; self.buckets.len()];
+        self.bank.signatures(query, &mut signatures);
         let mut seen = vec![0u64; self.data.len().div_ceil(64)];
-        for table in &self.tables {
-            if let Some(bucket) = table.buckets.get(&table.hash(query)) {
+        for (table, signature) in self.buckets.iter().zip(&signatures) {
+            if let Some(bucket) = table.get(signature) {
                 for &id in bucket {
                     seen[id as usize / 64] |= 1 << (id % 64);
                 }
@@ -248,10 +284,24 @@ impl LshIndex {
         scored
     }
 
-    /// Per-shard candidate counts for a query (drives bucket-leg timing).
+    /// Per-shard candidate counts for a query (drives bucket-leg
+    /// timing): each bitmap word's set bits under each shard's mask,
+    /// the masks rotated to the shard of the word's first id. The cost
+    /// is at most 64 popcounts per non-empty word, whatever the shard
+    /// count.
     pub fn shard_candidate_counts(&self, query: &[f32]) -> Vec<u32> {
         let mut counts = vec![0u32; self.shards];
-        for_each_set_bit(&self.candidate_bitmap(query), |id| counts[self.shard_of(id)] += 1);
+        // The shard of the current word's first id, `64 r % shards`.
+        let mut first = 0;
+        for word in self.candidate_bitmap(query) {
+            if word != 0 {
+                let (before, from) = counts.split_at_mut(first);
+                for (count, &mask) in from.iter_mut().chain(before).zip(&self.shard_masks) {
+                    *count += (word & mask).count_ones();
+                }
+            }
+            first = (first + 64) % self.shards;
+        }
         counts
     }
 }
@@ -358,7 +408,7 @@ impl HdSearchService {
         // A fork of the per-run service stream: the dataset changes with
         // the run seed, like every other draw the service makes.
         let mut data_rng = rng.fork(0x4453);
-        let data = clustered_dataset(config.dataset_size, config.dim, 8, &mut data_rng);
+        let data = clustered_dataset(config.dataset_size, config.dim, CLUSTERS, &mut data_rng);
         let index = LshIndex::build(data, config.tables, config.planes, config.shards, &mut data_rng);
         // Measure real per-query candidate counts once. Each query base
         // is a one-point cluster around a fresh centre, drawn as
@@ -569,9 +619,11 @@ mod tests {
     /// Candidates as they were deduplicated before the bitmap: a
     /// `HashSet` over every table's bucket, sorted.
     fn reference_candidates(index: &LshIndex, q: &[f32]) -> Vec<u32> {
+        let mut signatures = vec![0; index.buckets.len()];
+        index.bank.signatures(q, &mut signatures);
         let mut seen = std::collections::HashSet::new();
-        for table in &index.tables {
-            if let Some(bucket) = table.buckets.get(&table.hash(q)) {
+        for (table, signature) in index.buckets.iter().zip(&signatures) {
+            if let Some(bucket) = table.get(signature) {
                 seen.extend(bucket.iter().copied());
             }
         }
@@ -580,28 +632,108 @@ mod tests {
         ids
     }
 
+    /// A plane's dot product with `q` as a per-plane `Iterator::sum`.
+    fn reference_dot(plane: &[f32], q: &[f32]) -> f32 {
+        plane.iter().zip(q).map(|(a, b)| a * b).sum()
+    }
+
+    /// A table's signature of `q` from per-plane `Iterator::sum` dot
+    /// products, the scalar hash the bank replaced.
+    fn reference_signature(planes: &[Vector], q: &[f32]) -> u64 {
+        (0..planes.len()).filter(|&p| reference_dot(&planes[p], q) >= 0.0).fold(0, |sig, p| sig | 1 << p)
+    }
+
+    /// Every plane's dot product with `q` as the bank's passes sum it,
+    /// per table, plane by plane.
+    fn bank_dots(bank: &PlaneBank, q: &[f32]) -> Vec<Vec<f32>> {
+        let per_table = bank.planes.div_ceil(LANES);
+        let sums: Vec<_> = bank.passes.chunks_exact(bank.dim).map(|pass| pass_sums(pass, q)).collect();
+        (0..bank.tables)
+            .map(|table| {
+                (0..bank.planes)
+                    .map(|plane| {
+                        let group = table * per_table + plane / LANES;
+                        sums[group / PASS][group % PASS * LANES + plane % LANES]
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Asserts that the bank's dot products of `q` have the bits of
+    /// per-plane sums over `hyperplanes` (per table) and that its
+    /// signatures equal theirs.
+    fn assert_bank_matches(bank: &PlaneBank, hyperplanes: &[Vec<Vector>], q: &[f32], what: &str) {
+        let mut signatures = vec![0; bank.tables];
+        bank.signatures(q, &mut signatures);
+        let dots = bank_dots(bank, q);
+        for (table, planes) in hyperplanes.iter().enumerate() {
+            for (p, plane) in planes.iter().enumerate() {
+                let want = reference_dot(plane, q);
+                assert_eq!(dots[table][p].to_bits(), want.to_bits(), "{what}: table {table}, plane {p}");
+            }
+            assert_eq!(signatures[table], reference_signature(planes, q), "{what}: table {table}");
+        }
+    }
+
+    /// An index's bank sums every plane's dot product with the bits of a
+    /// per-plane sum, and hashes to the same signatures, over
+    /// hyperplanes drawn table by table from where the build started
+    /// drawing: the dataset, the zero vector and a negated hyperplane,
+    /// at plane counts below, at and above one group.
     #[test]
     fn transposed_dots_match_per_plane_sums() {
-        let mut rng = SimRng::seed_from_u64(10);
         for planes in [5usize, 8, 13] {
+            let mut rng = SimRng::seed_from_u64(10 + planes as u64);
+            let data = clustered_dataset(200, 48, 4, &mut rng);
+            let mut reference_rng = rng.clone();
+            let index = LshIndex::build(data, 3, planes, 2, &mut rng);
             let mut normals = vec![0.0; 48];
-            let hyperplanes: Vec<Vector> =
-                (0..planes).map(|_| random_unit_vector(&mut normals, &mut rng)).collect();
-            let table = LshTable::new(&hyperplanes);
-            let mut queries = clustered_dataset(200, 48, 4, &mut rng);
+            let hyperplanes: Vec<Vec<Vector>> = (0..3)
+                .map(|_| (0..planes).map(|_| random_unit_vector(&mut normals, &mut reference_rng)).collect())
+                .collect();
+            let mut queries = index.data.clone();
             queries.push(vec![0.0; 48]);
-            queries.push(hyperplanes[0].iter().map(|x| -x).collect());
-            for q in &queries {
-                let dots = table.dots(q);
-                let mut sig = 0u64;
-                for (p, plane) in hyperplanes.iter().enumerate() {
-                    let dot: f32 = plane.iter().zip(q).map(|(a, b)| a * b).sum();
-                    assert_eq!(dots[p].to_bits(), dot.to_bits(), "{planes} planes, plane {p}");
-                    if dot >= 0.0 {
-                        sig |= 1 << p;
+            queries.push(hyperplanes[0][0].iter().map(|x| -x).collect());
+            for (i, q) in queries.iter().enumerate() {
+                assert_bank_matches(&index.bank, &hyperplanes, q, &format!("{planes} planes, query {i}"));
+            }
+        }
+    }
+
+    /// The bank's dot products have the bits of per-plane
+    /// `Iterator::sum` dot products, and its signatures their signs,
+    /// for banks whose group count is and is not a multiple of the pass
+    /// width, with the hyperplanes drawn separately in table-by-table
+    /// order. Queries include the zero
+    /// vector, a negated hyperplane and points projected onto each
+    /// table's first plane, whose dot products sit at rounding level
+    /// and so differ in sign under any other summation order.
+    #[test]
+    fn bank_signatures_match_per_plane_sums() {
+        for tables in [1usize, 3, 4, 5, 9] {
+            for planes in [1usize, 3, 8, 13, 63] {
+                for dim in [1usize, 37, 64] {
+                    let seed = (tables * 1000 + planes * 10 + dim) as u64;
+                    let mut rng = SimRng::seed_from_u64(seed);
+                    let bank = PlaneBank::draw(tables, planes, dim, &mut rng.clone());
+                    let mut normals = vec![0.0; dim];
+                    let hyperplanes: Vec<Vec<Vector>> = (0..tables)
+                        .map(|_| (0..planes).map(|_| random_unit_vector(&mut normals, &mut rng)).collect())
+                        .collect();
+                    let mut queries = clustered_dataset(12, dim, 3, &mut rng);
+                    queries.push(vec![0.0; dim]);
+                    queries.push(hyperplanes[tables - 1][planes - 1].iter().map(|x| -x).collect());
+                    for (table, p) in hyperplanes.iter().map(|t| &t[0]).enumerate() {
+                        let v = &queries[table % 12];
+                        let along: f32 = p.iter().zip(v).map(|(a, b)| a * b).sum();
+                        queries.push(v.iter().zip(p).map(|(x, a)| x - along * a).collect());
+                    }
+                    for (i, q) in queries.iter().enumerate() {
+                        let what = format!("{tables}×{planes} planes, dim {dim}, query {i}");
+                        assert_bank_matches(&bank, &hyperplanes, q, &what);
                     }
                 }
-                assert_eq!(table.hash(q), sig, "{planes} planes");
             }
         }
     }
@@ -628,17 +760,45 @@ mod tests {
         }
     }
 
+    /// The popcount shard counts equal a walk over the set bits, for
+    /// shard counts that divide 64 (1, 4, 64), do not (3, 5, 7), exceed
+    /// one word (100, 255, 1001) or exceed the dataset (5003), and
+    /// datasets that end inside a word. One plane per table makes the
+    /// candidate sets large.
+    #[test]
+    fn popcount_shard_counts_match_the_set_bit_walk() {
+        for shards in [1usize, 3, 4, 5, 7, 64, 100, 255, 1001, 5003] {
+            for n in [333usize, 1000, 4100] {
+                let mut rng = SimRng::seed_from_u64((shards * 10_000 + n) as u64);
+                let index = LshIndex::build(clustered_dataset(n, 8, 4, &mut rng), 2, 1, shards, &mut rng);
+                let mut queries = clustered_dataset(10, 8, 2, &mut rng);
+                queries.push(vec![0.0; 8]);
+                for (i, q) in queries.iter().enumerate() {
+                    let mut counts = vec![0u32; shards];
+                    for_each_set_bit(&index.candidate_bitmap(q), |id| counts[index.shard_of(id)] += 1);
+                    assert_eq!(
+                        index.shard_candidate_counts(q),
+                        counts,
+                        "{shards} shards, {n} vectors, query {i}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn hash_then_bucket_keeps_bucket_contents_and_order() {
         for planes in [3usize, 8, 13] {
             let (mut rng, dim) = (SimRng::seed_from_u64(40 + planes as u64), 24);
             let index = LshIndex::build(clustered_dataset(900, dim, 6, &mut rng), 3, planes, 2, &mut rng);
-            for table in &index.tables {
+            let mut signatures = vec![0; 3];
+            for (table, buckets) in index.buckets.iter().enumerate() {
                 let mut interleaved = crate::fasthash::FxHashMap::<u64, Vec<u32>>::default();
                 for (id, v) in index.data.iter().enumerate() {
-                    interleaved.entry(table.hash(v)).or_default().push(id as u32);
+                    index.bank.signatures(v, &mut signatures);
+                    interleaved.entry(signatures[table]).or_default().push(id as u32);
                 }
-                assert_eq!(table.buckets, interleaved, "{planes} planes");
+                assert_eq!(*buckets, interleaved, "{planes} planes, table {table}");
             }
         }
     }
