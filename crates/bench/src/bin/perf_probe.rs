@@ -30,10 +30,10 @@
 //!   single-stream kernel.
 //! * `fleet_256` — 256 nodes over a 16-shard server tier: the sharded
 //!   kernel's scale regime. Timed twice — forced serial and on the
-//!   machine's cores — so the report records the intra-run parallel
-//!   speedup next to the throughput (both executions are bit-identical
-//!   by the kernel's determinism contract; the probe asserts their work
-//!   counters agree).
+//!   machine's cores, alternating trial by trial — so the report
+//!   records the intra-run parallel speedup next to the throughput
+//!   (both executions are bit-identical by the kernel's determinism
+//!   contract; the probe asserts their work counters agree).
 //! * `fleet_1m` — one **million** modeled clients as 16 cohorts of
 //!   62,500 (two tracked representatives each) over the same 16-shard
 //!   tier and the same offered load as `fleet_256`. The cohort layer
@@ -58,20 +58,20 @@
 //! ```text
 //! perf_probe [--quick] [--trials N] [--out PATH] [--scenario NAME]
 //!            [--shards K] [--baseline PATH [--max-regression F]] [--pin]
-//!            [--min-shard-speedup F] [--summary PATH] [--write-baseline]
+//!            [--min-shard-speedup F] [--summary PATH]
 //! ```
 //!
-//! With `--baseline`, the fresh report is compared against the given
-//! `bench_baseline.json`: only a median events/sec slowdown worse than
+//! With `--baseline`, the fresh report is compared against another
+//! probe's report measured in the same session — `support/perf_gate.sh
+//! BASE_REV` builds and runs the base commit's probe for it, as CI
+//! does: only a median events/sec slowdown worse than
 //! `--max-regression` (default 1.5) that is *also* Mann–Whitney
 //! significant across the two trial samples exits non-zero; smaller or
 //! statistically indistinguishable slowdowns and work-counter drift
 //! print warnings. `--scenario NAME` probes one scenario (the
 //! interleaved-A/B workflow: alternate two binaries on one scenario and
-//! compare medians); `--write-baseline` refreshes the checked-in
-//! `bench_baseline.json` in place from this probe's results;
-//! `--summary PATH` writes the markdown delta table CI appends to
-//! `$GITHUB_STEP_SUMMARY`.
+//! compare medians); `--summary PATH` writes the markdown delta table
+//! CI appends to `$GITHUB_STEP_SUMMARY`.
 //!
 //! `--pin` runs the sharded scenarios' parallel legs with round-robin
 //! core pinning ([`PinPolicy::RoundRobin`]) and first asserts a pinned
@@ -88,15 +88,15 @@
 //! the gate binds on the two-sample-bootstrap *CI lower bound* of the
 //! speedup rather than the point estimate, so one lucky parallel trial
 //! cannot carry a failing run. See EXPERIMENTS.md for the schema and
-//! how to refresh the baseline.
+//! the same-session gate.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use tpv_bench::perf::{
-    compare, events_per_sec_ci, iqr_filter, refreshed_baseline, speedup_ci, summary_markdown, BenchReport,
-    RunnerInfo, ScenarioReport, Verdict, SCHEMA,
+    compare, events_per_sec_ci, iqr_filter, speedup_ci, summary_markdown, BenchReport, RunnerInfo,
+    ScenarioReport, Verdict, SCHEMA,
 };
 use tpv_core::collect::{
     Collector, EventCountCollector, PerCohortCollector, PerNodeCollector, PhaseCollector,
@@ -123,8 +123,6 @@ struct Options {
     max_regression: f64,
     /// Run only the scenario with this name.
     scenario: Option<String>,
-    /// Refresh the checked-in baseline in place from this probe.
-    write_baseline: bool,
     /// Write the markdown delta table here.
     summary: Option<PathBuf>,
     /// Required fleet_256 parallel speedup (capped by 0.7 × workers).
@@ -146,7 +144,6 @@ fn parse_args() -> Result<Options, String> {
         baseline: None,
         max_regression: 1.5,
         scenario: None,
-        write_baseline: false,
         summary: None,
         min_shard_speedup: 3.0,
         pin: PinPolicy::Off,
@@ -181,7 +178,6 @@ fn parse_args() -> Result<Options, String> {
                 }
             }
             "--pin" => opts.pin = PinPolicy::RoundRobin,
-            "--write-baseline" => opts.write_baseline = true,
             "--summary" => opts.summary = Some(PathBuf::from(args.next().ok_or("--summary needs a path")?)),
             "--min-shard-speedup" => {
                 let v = args.next().ok_or("--min-shard-speedup needs a value")?;
@@ -197,7 +193,7 @@ fn parse_args() -> Result<Options, String> {
                 println!(
                     "perf_probe [--quick] [--trials N] [--out PATH] [--scenario NAME] [--shards K] \
                      [--baseline PATH [--max-regression F]] [--pin] [--min-shard-speedup F] \
-                     [--summary PATH] [--write-baseline]"
+                     [--summary PATH]"
                 );
                 std::process::exit(0);
             }
@@ -216,51 +212,97 @@ fn parse_args() -> Result<Options, String> {
 /// repeat count that pads short scenarios above the floor.
 const TRIAL_FLOOR_MS: f64 = 50.0;
 
-/// Times `trials` + 1 executions of `run` (the first is a warm-up that
-/// pages in code and allocator arenas *and* calibrates the per-trial
-/// repeat count); `run` returns `(events, requests)`, which must be
-/// identical across trials — the work is deterministic. Recorded walls
-/// are per-run milliseconds after Tukey-fence outlier rejection.
-fn time_scenario(name: &str, trials: usize, mut run: impl FnMut() -> (u64, u64)) -> ScenarioReport {
-    let warm_started = Instant::now();
-    let (events, requests) = run();
-    let warm_ms = warm_started.elapsed().as_secs_f64() * 1e3;
-    let repeats = if warm_ms >= TRIAL_FLOOR_MS {
-        1
-    } else {
-        ((TRIAL_FLOOR_MS / warm_ms.max(0.01)).ceil() as usize).min(256)
-    };
-    let mut wall_ms = Vec::with_capacity(trials);
-    for _ in 0..trials {
+/// Deterministic work counters of one run: `(events, requests)`.
+type Work = (u64, u64);
+
+/// Times one warm-up plus `trials` trials of each leg, one trial of
+/// every leg per round, so host drift over the rounds lands on all legs
+/// alike. The warm-up pages in code and allocator arenas, records the
+/// work every later run must repeat, and calibrates how many runs one
+/// trial takes to clear [`TRIAL_FLOOR_MS`]. Recorded walls are per-run
+/// milliseconds after Tukey-fence outlier rejection.
+fn time_legs<const N: usize>(
+    name: &str,
+    trials: usize,
+    mut legs: [&mut dyn FnMut() -> Work; N],
+) -> [ScenarioReport; N] {
+    let warm = legs.each_mut().map(|run| {
         let started = Instant::now();
-        for _ in 0..repeats {
-            let (e, r) = run();
-            assert_eq!((e, r), (events, requests), "{name}: non-deterministic work counters");
+        let work = run();
+        let warm_ms = started.elapsed().as_secs_f64() * 1e3;
+        let repeats = ((TRIAL_FLOOR_MS / warm_ms.max(0.01)).ceil() as usize).clamp(1, 256);
+        (work, repeats)
+    });
+    let mut walls = [(); N].map(|_| Vec::with_capacity(trials));
+    for _ in 0..trials {
+        for ((run, &(work, repeats)), wall_ms) in legs.iter_mut().zip(&warm).zip(&mut walls) {
+            let started = Instant::now();
+            for _ in 0..repeats {
+                assert_eq!(run(), work, "{name}: non-deterministic work counters");
+            }
+            wall_ms.push(started.elapsed().as_secs_f64() * 1e3 / repeats as f64);
         }
-        wall_ms.push(started.elapsed().as_secs_f64() * 1e3 / repeats as f64);
     }
-    let kept = iqr_filter(&wall_ms);
-    let median = tpv_stats::desc::median(&kept);
-    let cov = tpv_stats::desc::coefficient_of_variation(&kept);
-    let (ci_low, ci_high) = events_per_sec_ci(events, &kept).unwrap_or((0.0, 0.0));
+    std::array::from_fn(|leg| {
+        let ((events, requests), repeats) = warm[leg];
+        let kept = iqr_filter(&walls[leg]);
+        let median = tpv_stats::desc::median(&kept);
+        let (ci_low, ci_high) = events_per_sec_ci(events, &kept).unwrap_or((0.0, 0.0));
+        ScenarioReport {
+            name: name.to_string(),
+            trials,
+            events,
+            requests,
+            wall_ms_median: median,
+            wall_ms_cov: tpv_stats::desc::coefficient_of_variation(&kept),
+            events_per_sec: if median > 0.0 { events as f64 / (median / 1e3) } else { 0.0 },
+            repeats,
+            wall_ms_trials: kept,
+            events_per_sec_ci_low: ci_low,
+            events_per_sec_ci_high: ci_high,
+            ..ScenarioReport::default()
+        }
+    })
+}
+
+/// Times a warm-up plus `trials` trials of `run`.
+fn time_scenario(name: &str, trials: usize, mut run: impl FnMut() -> Work) -> ScenarioReport {
+    let [report] = time_legs(name, trials, [&mut run]);
+    report
+}
+
+/// Times a dual-timed scenario's parallel and serial legs alternately
+/// and folds them into one report entry: the parallel leg's wall
+/// summary, the serial leg's gated throughput (and its trial sample +
+/// events/sec CI, so every downstream statistic tests the same quantity
+/// the ratio gate does — the parallel leg's rate would couple the
+/// regression check to the runner's core count), and the
+/// two-sample-bootstrap CI on the speedup between them.
+fn time_dual(
+    name: &str,
+    trials: usize,
+    mut parallel: impl FnMut() -> Work,
+    mut serial: impl FnMut() -> Work,
+) -> ScenarioReport {
+    let [parallel, serial] = time_legs(name, trials, [&mut parallel, &mut serial]);
+    assert_eq!(
+        (serial.events, serial.requests),
+        (parallel.events, parallel.requests),
+        "serial and parallel shard execution disagree on work counters"
+    );
+    let ci = speedup_ci(&serial.wall_ms_trials, &parallel.wall_ms_trials);
     ScenarioReport {
-        name: name.to_string(),
-        trials,
-        events,
-        requests,
-        wall_ms_median: median,
-        wall_ms_cov: cov,
-        events_per_sec: if median > 0.0 { events as f64 / (median / 1e3) } else { 0.0 },
-        wall_ms_serial: None,
-        speedup_vs_serial: None,
-        repeats,
-        peak_rss_kb: 0,
-        wall_ms_trials: kept,
-        events_per_sec_ci_low: ci_low,
-        events_per_sec_ci_high: ci_high,
-        wall_ms_parallel_trials: Vec::new(),
-        speedup_ci_low: None,
-        speedup_ci_high: None,
+        wall_ms_serial: Some(serial.wall_ms_median),
+        speedup_vs_serial: (parallel.wall_ms_median > 0.0)
+            .then(|| serial.wall_ms_median / parallel.wall_ms_median),
+        events_per_sec: serial.events_per_sec,
+        events_per_sec_ci_low: serial.events_per_sec_ci_low,
+        events_per_sec_ci_high: serial.events_per_sec_ci_high,
+        wall_ms_trials: serial.wall_ms_trials,
+        wall_ms_parallel_trials: parallel.wall_ms_trials.clone(),
+        speedup_ci_low: ci.map(|(low, _)| low),
+        speedup_ci_high: ci.map(|(_, high)| high),
+        ..parallel
     }
 }
 
@@ -590,41 +632,10 @@ fn shard_workers() -> usize {
 }
 
 /// The sharded scale regime: 256 clients over a 16-shard server tier,
-/// 100K QPS per node. Timed twice — forced serial, then on
-/// [`shard_workers`] threads — over the same `(topology, seed)` job;
-/// the kernel's determinism contract makes both legs dispatch the same
-/// events, which the probe asserts.
-/// Folds a dual-timed scenario's two legs into the report entry: the
-/// parallel leg's wall summary, the serial leg's gated throughput (and
-/// its trial sample + events/sec CI, so every downstream statistic
-/// tests the same quantity the ratio gate does — the parallel leg's
-/// rate would couple the regression check to the runner's core count),
-/// and the two-sample-bootstrap CI on the speedup between them.
-fn dual_timed(parallel: ScenarioReport, serial: ScenarioReport) -> ScenarioReport {
-    assert_eq!(
-        (serial.events, serial.requests),
-        (parallel.events, parallel.requests),
-        "serial and parallel shard execution disagree on work counters"
-    );
-    let ci = speedup_ci(&serial.wall_ms_trials, &parallel.wall_ms_trials);
-    ScenarioReport {
-        wall_ms_serial: Some(serial.wall_ms_median),
-        speedup_vs_serial: if parallel.wall_ms_median > 0.0 {
-            Some(serial.wall_ms_median / parallel.wall_ms_median)
-        } else {
-            None
-        },
-        events_per_sec: serial.events_per_sec,
-        events_per_sec_ci_low: serial.events_per_sec_ci_low,
-        events_per_sec_ci_high: serial.events_per_sec_ci_high,
-        wall_ms_trials: serial.wall_ms_trials,
-        wall_ms_parallel_trials: parallel.wall_ms_trials.clone(),
-        speedup_ci_low: ci.map(|(low, _)| low),
-        speedup_ci_high: ci.map(|(_, high)| high),
-        ..parallel
-    }
-}
-
+/// 100K QPS per node. Timed twice — on [`shard_workers`] threads and
+/// forced serial, alternating trial by trial — over the same
+/// `(topology, seed)` job; the kernel's determinism contract makes both
+/// legs dispatch the same events, which the probe asserts.
 fn fleet_256(opts: &Options) -> ScenarioReport {
     let service = memcached();
     let server = MachineConfig::server_baseline();
@@ -668,9 +679,7 @@ fn fleet_256(opts: &Options) -> ScenarioReport {
             });
         (counter.events(), result.samples)
     };
-    let parallel = time_scenario("fleet_256", opts.trials, || probe(workers, opts.pin));
-    let serial = time_scenario("fleet_256", opts.trials, || probe(1, PinPolicy::Off));
-    dual_timed(parallel, serial)
+    time_dual("fleet_256", opts.trials, || probe(workers, opts.pin), || probe(1, PinPolicy::Off))
 }
 
 /// One million modeled clients: 16 cohorts of 62,500 (two tracked
@@ -721,9 +730,7 @@ fn fleet_1m(opts: &Options) -> ScenarioReport {
         (counter.events(), result.samples)
     };
     let workers = shard_workers();
-    let parallel = time_scenario("fleet_1m", opts.trials, || probe(workers, opts.pin));
-    let serial = time_scenario("fleet_1m", opts.trials, || probe(1, PinPolicy::Off));
-    dual_timed(parallel, serial)
+    time_dual("fleet_1m", opts.trials, || probe(workers, opts.pin), || probe(1, PinPolicy::Off))
 }
 
 fn main() -> ExitCode {
@@ -783,28 +790,6 @@ fn main() -> ExitCode {
             report
         })
         .collect();
-
-    println!(
-        "| scenario | events/run | requests/run | median wall (ms) | CoV | repeats | events/sec | peak RSS (kB) | speedup vs serial |"
-    );
-    println!("|---|---|---|---|---|---|---|---|---|");
-    for s in &scenarios {
-        let speedup = match (s.speedup_vs_serial, s.wall_ms_serial) {
-            (Some(sp), Some(serial)) => format!("{sp:.2}x ({serial:.1} ms serial)"),
-            _ => "-".to_string(),
-        };
-        println!(
-            "| {} | {} | {} | {:.2} | {:.3} | {} | {:.2}M | {} | {speedup} |",
-            s.name,
-            s.events,
-            s.requests,
-            s.wall_ms_median,
-            s.wall_ms_cov,
-            s.repeats,
-            s.events_per_sec / 1e6,
-            s.peak_rss_kb
-        );
-    }
 
     let report = BenchReport {
         schema: SCHEMA.to_string(),
@@ -897,6 +882,8 @@ fn main() -> ExitCode {
         },
     };
 
+    let md = summary_markdown(&report, baseline.as_ref().map(|b| (b, opts.max_regression)));
+    println!("\n{md}");
     if let (Some(baseline), Some(path)) = (&baseline, &opts.baseline) {
         println!("\n== baseline comparison ({}, fail below 1/{}x) ==", path.display(), opts.max_regression);
         for verdict in compare(&report, baseline, opts.max_regression) {
@@ -916,28 +903,10 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &opts.summary {
-        let md = summary_markdown(&report, baseline.as_ref().map(|b| (b, opts.max_regression)));
         match std::fs::write(path, md) {
             Ok(()) => println!("[summary] {}", path.display()),
             Err(e) => {
                 eprintln!("perf_probe: failed to write summary {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if opts.write_baseline {
-        let path = tpv_bench::results_dir()
-            .parent()
-            .map(PathBuf::from)
-            .unwrap_or_default()
-            .join("bench_baseline.json");
-        let base = std::fs::read_to_string(&path).ok().and_then(|text| BenchReport::from_json(&text).ok());
-        let refreshed = refreshed_baseline(base, &report);
-        match std::fs::write(&path, refreshed.to_json()) {
-            Ok(()) => println!("[baseline] refreshed {}", path.display()),
-            Err(e) => {
-                eprintln!("perf_probe: failed to refresh baseline {}: {e}", path.display());
                 return ExitCode::FAILURE;
             }
         }

@@ -1,17 +1,21 @@
 //! The machine-readable kernel performance harness behind `perf_probe`.
 //!
-//! A [`BenchReport`] is the stable schema written to `BENCH.json` and
-//! checked in as `bench_baseline.json`: one [`ScenarioReport`] per probe
-//! scenario with the deterministic work counters (events, requests) and
-//! the wall-clock summary (median + CoV over repeated trials, derived
-//! events/sec). The schema is hand-serialized and hand-parsed here — no
-//! registry JSON crate is available offline — and both directions are
-//! round-trip tested, so CI can diff a fresh probe against the baseline
-//! without shelling out to anything.
+//! A [`BenchReport`] is the stable schema written to `BENCH.json`: one
+//! [`ScenarioReport`] per probe scenario with the deterministic work
+//! counters (events, requests) and the wall-clock summary (median + CoV
+//! over repeated trials, derived events/sec). No registry JSON crate is
+//! available offline, so the schema is hand-serialized by
+//! [`BenchReport::to_json`] and read back by [`BenchReport::from_json`],
+//! a line reader for exactly that layout. The reference a report is
+//! gated against is another report measured in the same session — in
+//! CI, the base commit's probe run in the same job
+//! (`support/perf_gate.sh`) — because wall-clock numbers from different
+//! machines or sessions do not compare.
 //!
 //! Versioning: bump [`SCHEMA`] whenever a field changes meaning; the
-//! parser rejects reports from a different schema so a stale baseline
-//! fails loudly instead of comparing apples to oranges.
+//! reader rejects reports from a different schema, so a gate whose two
+//! sides disagree on it fails loudly instead of comparing apples to
+//! oranges.
 //!
 //! Schema 3 hardens the statistics: every scenario carries its per-run
 //! trial wall times (after [`iqr_filter`] outlier rejection) so the
@@ -210,49 +214,59 @@ impl BenchReport {
         out
     }
 
-    /// Parses a report previously written by [`BenchReport::to_json`].
+    /// Reads a report written by [`BenchReport::to_json`].
     ///
-    /// The parser accepts any whitespace layout but requires the schema
-    /// field to match [`SCHEMA`].
+    /// The reader takes exactly that layout: it reads the values off the
+    /// `"key": value` lines in the writer's key order, requires the
+    /// schema field to match [`SCHEMA`], then writes the report back
+    /// and requires every line to come out as it went in. Anything else
+    /// is an `Err` naming the line.
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
-        let value = json::parse(text)?;
-        let obj = value.as_object().ok_or("top level must be an object")?;
-        let schema = json::get_str(obj, "schema")?;
+        let mut fields = json::Fields::new(text);
+        let schema = fields.string("schema")?;
         if schema != SCHEMA {
             return Err(format!("schema mismatch: report is '{schema}', this binary reads '{SCHEMA}'"));
         }
-        let quick = json::get_bool(obj, "quick")?;
-        let runner_obj = json::get(obj, "runner")?.as_object().ok_or("'runner' must be an object")?;
+        let quick = fields.parse("quick")?;
         let runner = RunnerInfo {
-            cpu_model: json::get_str(runner_obj, "cpu_model")?.to_string(),
-            cores: json::get_f64(runner_obj, "cores")? as usize,
-            kernel: json::get_str(runner_obj, "kernel")?.to_string(),
+            cpu_model: fields.string("cpu_model")?,
+            cores: fields.parse("cores")?,
+            kernel: fields.string("kernel")?,
         };
-        let raw = json::get(obj, "scenarios")?.as_array().ok_or("'scenarios' must be an array")?;
-        let mut scenarios = Vec::with_capacity(raw.len());
-        for entry in raw {
-            let s = entry.as_object().ok_or("scenario entries must be objects")?;
+        let mut scenarios = Vec::new();
+        while fields.next_is("name") {
             scenarios.push(ScenarioReport {
-                name: json::get_str(s, "name")?.to_string(),
-                trials: json::get_f64(s, "trials")? as usize,
-                events: json::get_f64(s, "events")? as u64,
-                requests: json::get_f64(s, "requests")? as u64,
-                wall_ms_median: json::get_f64(s, "wall_ms_median")?,
-                wall_ms_cov: json::get_f64(s, "wall_ms_cov")?,
-                events_per_sec: json::get_f64(s, "events_per_sec")?,
-                wall_ms_serial: json::get_opt_f64(s, "wall_ms_serial")?,
-                speedup_vs_serial: json::get_opt_f64(s, "speedup_vs_serial")?,
-                repeats: json::get_f64(s, "repeats")? as usize,
-                peak_rss_kb: json::get_f64(s, "peak_rss_kb")? as u64,
-                wall_ms_trials: json::get_f64_array(s, "wall_ms_trials")?,
-                events_per_sec_ci_low: json::get_f64(s, "events_per_sec_ci_low")?,
-                events_per_sec_ci_high: json::get_f64(s, "events_per_sec_ci_high")?,
-                wall_ms_parallel_trials: json::get_f64_array(s, "wall_ms_parallel_trials")?,
-                speedup_ci_low: json::get_opt_f64(s, "speedup_ci_low")?,
-                speedup_ci_high: json::get_opt_f64(s, "speedup_ci_high")?,
+                name: fields.string("name")?,
+                trials: fields.parse("trials")?,
+                events: fields.parse("events")?,
+                requests: fields.parse("requests")?,
+                wall_ms_median: fields.parse("wall_ms_median")?,
+                wall_ms_cov: fields.parse("wall_ms_cov")?,
+                events_per_sec: fields.parse("events_per_sec")?,
+                wall_ms_serial: fields.opt_f64("wall_ms_serial")?,
+                speedup_vs_serial: fields.opt_f64("speedup_vs_serial")?,
+                repeats: fields.parse("repeats")?,
+                peak_rss_kb: fields.parse("peak_rss_kb")?,
+                wall_ms_trials: fields.f64_list("wall_ms_trials")?,
+                events_per_sec_ci_low: fields.parse("events_per_sec_ci_low")?,
+                events_per_sec_ci_high: fields.parse("events_per_sec_ci_high")?,
+                wall_ms_parallel_trials: fields.f64_list("wall_ms_parallel_trials")?,
+                speedup_ci_low: fields.opt_f64("speedup_ci_low")?,
+                speedup_ci_high: fields.opt_f64("speedup_ci_high")?,
             });
         }
-        Ok(BenchReport { schema: schema.to_string(), quick, runner, scenarios })
+        let report = BenchReport { schema, quick, runner, scenarios };
+        let written = report.to_json();
+        let (want, got): (Vec<&str>, Vec<&str>) = (written.lines().collect(), text.lines().collect());
+        match (0..want.len().max(got.len())).find(|&i| want.get(i) != got.get(i)) {
+            None => Ok(report),
+            Some(i) => Err(format!(
+                "line {}: expected `{}`, got `{}`",
+                i + 1,
+                want.get(i).unwrap_or(&"the end of the report"),
+                got.get(i).unwrap_or(&"the end of the report")
+            )),
+        }
     }
 
     /// The scenario named `name`, if present.
@@ -391,7 +405,8 @@ pub fn speedup_ci(serial_ms: &[f64], parallel_ms: &[f64]) -> Option<(f64, f64)> 
     Some((ratios[lo], ratios[hi]))
 }
 
-/// Compares a fresh report against the checked-in baseline.
+/// Compares a fresh report against a baseline report measured in the
+/// same session (in CI, the base commit's probe run in the same job).
 ///
 /// The contract is deliberately loose — CI runners are noisy, so only a
 /// slowdown worse than `max_regression`× **fails**; anything slower than
@@ -400,8 +415,8 @@ pub fn speedup_ci(serial_ms: &[f64], parallel_ms: &[f64]) -> Option<(f64, f64)> 
 /// be Mann–Whitney significant (α = 0.05) between the two trial samples
 /// to fail — a single wild median on an otherwise overlapping spread
 /// downgrades to a warning. A scenario whose deterministic work counters
-/// (events, requests) differ from the baseline also warns: the baseline
-/// predates a semantic change and should be refreshed.
+/// (events, requests) differ from the baseline also warns: the change
+/// alters what the scenario does, so its speed compares different work.
 pub fn compare(current: &BenchReport, baseline: &BenchReport, max_regression: f64) -> Vec<Verdict> {
     assert!(max_regression >= 1.0, "max_regression is a slowdown factor, got {max_regression}");
     let mut verdicts = Vec::new();
@@ -412,7 +427,7 @@ pub fn compare(current: &BenchReport, baseline: &BenchReport, max_regression: f6
             verdicts.push(Verdict::Warn {
                 scenario: cur.name.clone(),
                 speedup: 0.0,
-                reason: "scenario missing from the baseline (ungated): refresh bench_baseline.json"
+                reason: "scenario missing from the baseline (ungated): the baseline build does not run it"
                     .to_string(),
             });
         }
@@ -437,7 +452,8 @@ pub fn compare(current: &BenchReport, baseline: &BenchReport, max_regression: f6
                 scenario: base.name.clone(),
                 speedup,
                 reason: format!(
-                    "work counters drifted (events {} -> {}, requests {} -> {}): refresh bench_baseline.json",
+                    "work counters drifted (events {} -> {}, requests {} -> {}): the change alters this \
+                     scenario's work",
                     base.events, cur.events, base.requests, cur.requests
                 ),
             });
@@ -445,8 +461,8 @@ pub fn compare(current: &BenchReport, baseline: &BenchReport, max_regression: f6
         if speedup * max_regression < 1.0 {
             // A median beyond the gate fails only when the slowdown is
             // also statistically significant across the retained trials;
-            // with no trial samples on either side (a schema-2-era or
-            // hand-trimmed baseline) the median ratio stands alone.
+            // with fewer than two trial samples on a side (`--trials 1`)
+            // the median ratio stands alone.
             let significance = tpv_stats::mann_whitney_u(&cur.wall_ms_trials, &base.wall_ms_trials);
             match significance {
                 Some(mw) if !mw.differs(0.05) => {
@@ -492,37 +508,32 @@ pub fn compare(current: &BenchReport, baseline: &BenchReport, max_regression: f6
     verdicts
 }
 
-/// The baseline to check in after a refresh: `current`'s scenarios
-/// replace their namesakes in `base` (and append when new), so a
-/// single-scenario probe (`perf_probe --scenario X --write-baseline`)
-/// updates one entry in place instead of clobbering the rest. With no
-/// readable base (first run, or a schema bump) the current report *is*
-/// the baseline — a schema bump therefore needs one full-matrix probe.
-pub fn refreshed_baseline(base: Option<BenchReport>, current: &BenchReport) -> BenchReport {
-    match base {
-        None => current.clone(),
-        Some(mut base) => {
-            base.quick = current.quick;
-            for cur in &current.scenarios {
-                match base.scenarios.iter_mut().find(|s| s.name == cur.name) {
-                    Some(slot) => *slot = cur.clone(),
-                    None => base.scenarios.push(cur.clone()),
-                }
-            }
-            base
-        }
+/// Renders a per-second rate with an SI prefix sized to it, so a slow
+/// scenario (`service_setup` builds a few hundred services per second)
+/// does not print as `0.00M`.
+fn format_rate(per_sec: f64) -> String {
+    if per_sec >= 1e6 {
+        format!("{:.2}M/s", per_sec / 1e6)
+    } else if per_sec >= 1e3 {
+        format!("{:.2}k/s", per_sec / 1e3)
+    } else {
+        format!("{per_sec:.1}/s")
     }
 }
 
-/// Renders the compact markdown delta table CI appends to
+/// Renders the markdown table `perf_probe` prints and CI appends to
 /// `$GITHUB_STEP_SUMMARY`: one row per scenario of `current` with its
-/// deterministic work, throughput, the events/sec delta against the
-/// baseline (when one is given) and the gate verdict.
+/// deterministic work, wall-time summary, throughput, peak RSS, shard
+/// speedup, the events/sec delta against the baseline (when one is
+/// given) and the gate verdict.
 pub fn summary_markdown(current: &BenchReport, baseline: Option<(&BenchReport, f64)>) -> String {
     let mut out = String::new();
     out.push_str("### perf_probe — kernel events/sec vs baseline\n\n");
-    out.push_str("| scenario | events/run | median wall (ms) | events/sec | Δ vs baseline | shard speedup | verdict |\n");
-    out.push_str("|---|---|---|---|---|---|---|\n");
+    out.push_str(
+        "| scenario | events/run | requests/run | median wall (ms) | CoV | repeats | events/sec | peak RSS (kB) \
+         | shard speedup | Δ vs baseline | verdict |\n",
+    );
+    out.push_str("|---|---|---|---|---|---|---|---|---|---|---|\n");
     let verdicts = baseline.map(|(base, max_regression)| compare(current, base, max_regression));
     for s in &current.scenarios {
         let (delta, verdict) = match (&verdicts, baseline) {
@@ -555,96 +566,23 @@ pub fn summary_markdown(current: &BenchReport, baseline: Option<(&BenchReport, f
         };
         let _ = writeln!(
             out,
-            "| {} | {} | {:.2} | {:.2}M | {} | {} | {} |",
+            "| {} | {} | {} | {:.2} | {:.3} | {} | {} | {} | {speedup} | {delta} | {verdict} |",
             s.name,
             s.events,
+            s.requests,
             s.wall_ms_median,
-            s.events_per_sec / 1e6,
-            delta,
-            speedup,
-            verdict
+            s.wall_ms_cov,
+            s.repeats,
+            format_rate(s.events_per_sec),
+            s.peak_rss_kb,
         );
     }
     out
 }
 
-/// A minimal recursive-descent JSON reader — just enough for the
-/// [`BenchReport`] schema (objects, arrays, strings, numbers, booleans).
+/// The report layout's JSON pieces: the writer's renderings of optional
+/// numbers and strings, and [`Fields`], which reads the values back.
 mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// JSON object, insertion-ordered.
-        Object(Vec<(String, Value)>),
-        /// JSON array.
-        Array(Vec<Value>),
-        /// JSON string (escapes resolved for `\"`, `\\`, `\/`, `\n`, `\t`).
-        Str(String),
-        /// JSON number.
-        Num(f64),
-        /// JSON boolean.
-        Bool(bool),
-        /// JSON null.
-        Null,
-    }
-
-    impl Value {
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Object(fields) => Some(fields),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Array(items) => Some(items),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
-        obj.iter().find(|(k, _)| k == key).map(|(_, v)| v).ok_or_else(|| format!("missing key '{key}'"))
-    }
-
-    pub fn get_str<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a str, String> {
-        match get(obj, key)? {
-            Value::Str(s) => Ok(s),
-            other => Err(format!("'{key}' must be a string, got {other:?}")),
-        }
-    }
-
-    pub fn get_f64(obj: &[(String, Value)], key: &str) -> Result<f64, String> {
-        match get(obj, key)? {
-            Value::Num(n) => Ok(*n),
-            other => Err(format!("'{key}' must be a number, got {other:?}")),
-        }
-    }
-
-    pub fn get_f64_array(obj: &[(String, Value)], key: &str) -> Result<Vec<f64>, String> {
-        let items = get(obj, key)?.as_array().ok_or_else(|| format!("'{key}' must be an array"))?;
-        items
-            .iter()
-            .map(|v| match v {
-                Value::Num(n) => Ok(*n),
-                other => Err(format!("'{key}' entries must be numbers, got {other:?}")),
-            })
-            .collect()
-    }
-
-    /// Reads an optional number: `null` (or an absent key) is `None`.
-    /// The absent-key case keeps hand-trimmed reports parseable; the
-    /// schema writer always emits the key.
-    pub fn get_opt_f64(obj: &[(String, Value)], key: &str) -> Result<Option<f64>, String> {
-        match get(obj, key) {
-            Err(_) => Ok(None),
-            Ok(Value::Null) => Ok(None),
-            Ok(Value::Num(n)) => Ok(Some(*n)),
-            Ok(other) => Err(format!("'{key}' must be a number or null, got {other:?}")),
-        }
-    }
-
     /// Renders an optional number as JSON: `null` or a fixed-precision
     /// literal.
     pub fn opt_num(value: Option<f64>, decimals: usize) -> String {
@@ -654,163 +592,105 @@ mod json {
         }
     }
 
-    /// Escapes a string for embedding in a JSON literal (the subset the
-    /// reader above understands: backslash, quote, newline, tab).
+    /// Escapes a string for embedding in a JSON literal: backslash,
+    /// quote, newline and tab, the escapes [`unescape`] undoes.
     pub fn escape(s: &str) -> String {
+        s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n").replace('\t', "\\t")
+    }
+
+    /// Undoes [`escape`]; `None` on any other escape or a bare quote.
+    fn unescape(s: &str) -> Option<String> {
         let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '\\' => out.push_str("\\\\"),
-                '"' => out.push_str("\\\""),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                other => out.push(other),
+        let mut chars = s.chars();
+        while let Some(c) = chars.next() {
+            out.push(match c {
+                '\\' => match chars.next()? {
+                    '\\' => '\\',
+                    '"' => '"',
+                    'n' => '\n',
+                    't' => '\t',
+                    _ => return None,
+                },
+                '"' => return None,
+                other => other,
+            });
+        }
+        Some(out)
+    }
+
+    /// The `"key": value` lines of a report, in order, with their
+    /// 1-based line numbers. Lines that only open or close an object or
+    /// a list carry no value and are skipped: the caller checks the
+    /// layout as a whole.
+    pub struct Fields<'a> {
+        fields: std::iter::Peekable<std::vec::IntoIter<(usize, &'a str, &'a str)>>,
+        lines: usize,
+    }
+
+    impl<'a> Fields<'a> {
+        pub fn new(text: &'a str) -> Fields<'a> {
+            let fields: Vec<_> = text
+                .lines()
+                .enumerate()
+                .filter_map(|(i, line)| {
+                    let (key, value) = line.trim().strip_prefix('"')?.split_once("\": ")?;
+                    let value = value.strip_suffix(',').unwrap_or(value);
+                    (value != "{" && value != "[").then_some((i + 1, key, value))
+                })
+                .collect();
+            Fields { fields: fields.into_iter().peekable(), lines: text.lines().count() }
+        }
+
+        /// Whether the next field is `key`.
+        pub fn next_is(&mut self, key: &str) -> bool {
+            self.fields.peek().is_some_and(|&(_, k, _)| k == key)
+        }
+
+        /// The raw value of the next field, which must be `key`, with
+        /// its line number.
+        fn value(&mut self, key: &str) -> Result<(usize, &'a str), String> {
+            match self.fields.next() {
+                Some((n, k, value)) if k == key => Ok((n, value)),
+                Some((n, k, _)) => Err(format!("line {n}: expected the key \"{key}\", got \"{k}\"")),
+                None => Err(format!("line {}: the report ends before \"{key}\"", self.lines + 1)),
             }
         }
-        out
-    }
 
-    pub fn get_bool(obj: &[(String, Value)], key: &str) -> Result<bool, String> {
-        match get(obj, key)? {
-            Value::Bool(b) => Ok(*b),
-            other => Err(format!("'{key}' must be a boolean, got {other:?}")),
+        /// Reads the field `key` as a number or a boolean.
+        pub fn parse<T: std::str::FromStr>(&mut self, key: &str) -> Result<T, String> {
+            let (n, value) = self.value(key)?;
+            value.parse().map_err(|_| {
+                format!("line {n}: \"{key}\" must be a {}, got `{value}`", std::any::type_name::<T>())
+            })
         }
-    }
 
-    /// Parses one JSON document (trailing whitespace allowed).
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {pos}", b as char))
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b'{') => parse_object(bytes, pos),
-            Some(b'[') => parse_array(bytes, pos),
-            Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-            Some(b't') if bytes[*pos..].starts_with(b"true") => {
-                *pos += 4;
-                Ok(Value::Bool(true))
+        /// Reads the field `key` as a number or `null` (`None`).
+        pub fn opt_f64(&mut self, key: &str) -> Result<Option<f64>, String> {
+            if self.fields.peek().is_some_and(|&(_, _, value)| value == "null") {
+                return self.value(key).map(|_| None);
             }
-            Some(b'f') if bytes[*pos..].starts_with(b"false") => {
-                *pos += 5;
-                Ok(Value::Bool(false))
-            }
-            Some(b'n') if bytes[*pos..].starts_with(b"null") => {
-                *pos += 4;
-                Ok(Value::Null)
-            }
-            Some(_) => parse_number(bytes, pos),
-            None => Err("unexpected end of input".to_string()),
+            self.parse(key).map(Some)
         }
-    }
 
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(bytes, pos, b'{')?;
-        let mut fields = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            let key = parse_string(bytes, pos)?;
-            expect(bytes, pos, b':')?;
-            let value = parse_value(bytes, pos)?;
-            fields.push((key, value));
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+        /// Reads the field `key` as a one-line list of numbers.
+        pub fn f64_list(&mut self, key: &str) -> Result<Vec<f64>, String> {
+            let (n, value) = self.value(key)?;
+            let bad = || format!("line {n}: \"{key}\" must be a list of numbers, got `{value}`");
+            match value.strip_prefix('[').and_then(|v| v.strip_suffix(']')).ok_or_else(bad)? {
+                "" => Ok(Vec::new()),
+                items => items.split(", ").map(|x| x.parse().map_err(|_| bad())).collect(),
             }
         }
-    }
 
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(bytes, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Array(items));
+        /// Reads the field `key` as a string literal.
+        pub fn string(&mut self, key: &str) -> Result<String, String> {
+            let (n, value) = self.value(key)?;
+            value
+                .strip_prefix('"')
+                .and_then(|v| v.strip_suffix('"'))
+                .and_then(unescape)
+                .ok_or_else(|| format!("line {n}: \"{key}\" must be a string, got `{value}`"))
         }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-            }
-        }
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {pos}"));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        while let Some(&b) = bytes.get(*pos) {
-            *pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = bytes.get(*pos).copied().ok_or("unterminated escape")?;
-                    *pos += 1;
-                    out.push(match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        other => return Err(format!("unsupported escape '\\{}'", other as char)),
-                    });
-                }
-                other => out.push(other as char),
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < bytes.len() && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        }
-        let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>().map(Value::Num).map_err(|e| format!("bad number '{text}': {e}"))
     }
 }
 
@@ -823,7 +703,7 @@ mod tests {
             schema: SCHEMA.to_string(),
             quick: true,
             runner: RunnerInfo {
-                cpu_model: "Test CPU \"quoted\" model".to_string(),
+                cpu_model: "Test CPU \"quoted\" model, back\\slash\ttab\nnewline".to_string(),
                 cores: 8,
                 kernel: "6.0.0-test".to_string(),
             },
@@ -868,6 +748,36 @@ mod tests {
                 },
             ],
         }
+    }
+
+    /// Two scenarios cut verbatim from a `perf_probe --quick` report of
+    /// a 2-vCPU Xeon host, as the writer lays it out: `samplers` is
+    /// single-timed (its speedup fields are `null`), `fleet_1m` is
+    /// dual-timed.
+    const REPORT_EXCERPT: &str = include_str!("../tests/data/perf_report_excerpt.json");
+
+    #[test]
+    fn probe_report_excerpt_parses() {
+        let report = BenchReport::from_json(REPORT_EXCERPT).expect("the excerpt parses");
+        assert!(report.quick);
+        assert_eq!(report.runner.cores, 2);
+        let names: Vec<&str> = report.scenarios.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["samplers", "fleet_1m"]);
+        let samplers = report.scenario("samplers").unwrap();
+        assert_eq!((samplers.events, samplers.requests, samplers.repeats), (700_000, 100_000, 2));
+        assert_eq!((samplers.wall_ms_serial, samplers.speedup_ci_low), (None, None));
+        assert!(samplers.wall_ms_parallel_trials.is_empty());
+        let fleet = report.scenario("fleet_1m").unwrap();
+        assert_eq!(fleet.speedup_vs_serial, Some(2.3663));
+        assert_eq!((fleet.speedup_ci_low, fleet.speedup_ci_high), (Some(2.1670), Some(2.4243)));
+        assert_eq!(fleet.wall_ms_trials.len(), 4);
+        assert_eq!(fleet.wall_ms_parallel_trials.len(), 5);
+        // The writer reproduces the excerpt byte for byte.
+        assert_eq!(report.to_json(), REPORT_EXCERPT);
+        // An A/A pair: the report gated against itself.
+        let verdicts = compare(&report, &report, 2.0);
+        assert_eq!(verdicts.len(), 2);
+        assert!(verdicts.iter().all(|v| matches!(v, Verdict::Ok { .. })), "{verdicts:?}");
     }
 
     #[test]
@@ -921,17 +831,6 @@ mod tests {
     }
 
     #[test]
-    fn checked_in_baseline_loads() {
-        let text = include_str!("../../../bench_baseline.json");
-        let baseline = BenchReport::from_json(text).expect("bench_baseline.json parses");
-        for s in &baseline.scenarios {
-            let dual_timed = !s.wall_ms_parallel_trials.is_empty();
-            assert_eq!(s.speedup_ci_low.is_some(), dual_timed, "{}", s.name);
-            assert_eq!(s.speedup_ci_high.is_some(), dual_timed, "{}", s.name);
-        }
-    }
-
-    #[test]
     fn events_per_sec_ci_brackets_the_point_estimate() {
         let walls = [42.1, 42.5, 43.0, 42.4, 42.9, 42.6, 42.3];
         let events = 500_000u64;
@@ -963,50 +862,26 @@ mod tests {
     }
 
     #[test]
-    fn refreshed_baseline_replaces_in_place_and_appends() {
-        let base = sample();
-        let mut current = sample();
-        current.scenarios[0].events_per_sec = 99.0;
-        current.scenarios.remove(1); // a partial (--scenario) probe
-        current.scenarios.push(ScenarioReport {
-            name: "fleet_256".to_string(),
-            trials: 5,
-            events: 10,
-            requests: 10,
-            wall_ms_median: 1.0,
-            wall_ms_cov: 0.0,
-            events_per_sec: 10.0,
-            wall_ms_serial: Some(4.0),
-            speedup_vs_serial: Some(4.0),
-            repeats: 1,
-            peak_rss_kb: 0,
-            wall_ms_trials: vec![1.0, 1.1],
-            ..ScenarioReport::default()
-        });
-        let refreshed = refreshed_baseline(Some(base.clone()), &current);
-        // Replaced in place, untouched entries kept, new ones appended.
-        assert_eq!(refreshed.scenario("static_1x1").unwrap().events_per_sec, 99.0);
-        assert_eq!(
-            refreshed.scenario("fleet_16").unwrap().events_per_sec,
-            base.scenario("fleet_16").unwrap().events_per_sec
-        );
-        assert!(refreshed.scenario("fleet_256").is_some());
-        // No readable base: the current report becomes the baseline.
-        let fresh = refreshed_baseline(None, &current);
-        assert_eq!(fresh, current);
-    }
-
-    #[test]
     fn summary_markdown_renders_deltas_and_verdicts() {
-        let baseline = sample();
+        let mut baseline = sample();
         let mut current = sample();
         current.scenarios[0].events_per_sec *= 1.10;
         current.scenarios[1].events_per_sec /= 3.0;
         for t in &mut current.scenarios[1].wall_ms_trials {
             *t *= 3.0; // a real slowdown: walls stretch with the rate
         }
+        // A set-up scenario runs a few hundred constructions per second.
+        let setup = ScenarioReport {
+            name: "service_setup".to_string(),
+            events_per_sec: 319.4,
+            ..baseline.scenarios[0].clone()
+        };
+        baseline.scenarios.push(setup.clone());
+        current.scenarios.push(setup);
         let md = summary_markdown(&current, Some((&baseline, 2.0)));
         assert!(md.contains("| static_1x1 |"), "{md}");
+        assert!(md.contains("| 11.09M/s |"), "{md}");
+        assert!(md.contains("| 319.4/s |") && !md.contains("0.00M"), "{md}");
         assert!(md.contains("+10.0%"), "{md}");
         assert!(md.contains("✅ ok"), "{md}");
         assert!(md.contains("❌ fail"), "{md}");
@@ -1026,8 +901,39 @@ mod tests {
 
     #[test]
     fn malformed_json_is_rejected_not_panicked() {
-        for bad in ["", "{", "{\"schema\": }", "[1,2", "{\"schema\":\"tpv-perf/1\"} extra"] {
+        for bad in [
+            "",
+            "{",
+            "{\"schema\": }",
+            "[1,2",
+            "{\"schema\":\"tpv-perf/1\"} extra",
+            "{\"schema\": \"tpv-perf/5\"}",
+        ] {
             assert!(BenchReport::from_json(bad).is_err(), "{bad:?} should fail");
+        }
+        // Every truncation of a real report short of its closing brace.
+        let end = REPORT_EXCERPT.trim_end().len() - 1;
+        for cut in (0..end).filter(|&i| REPORT_EXCERPT.is_char_boundary(i)) {
+            assert!(BenchReport::from_json(&REPORT_EXCERPT[..cut]).is_err(), "truncated at byte {cut}");
+        }
+        // A missing key, a value of the wrong kind or a layout the writer
+        // does not produce: each is an error naming the line.
+        let missing: Vec<&str> = REPORT_EXCERPT.lines().filter(|l| !l.contains("\"requests\"")).collect();
+        let err = BenchReport::from_json(&missing.join("\n")).unwrap_err();
+        assert!(err.starts_with("line 14:") && err.contains("\"requests\""), "{err}");
+        for (old, new) in [
+            ("\"events\": 700000", "\"events\": \"700000\""),
+            ("\"events\": 700000", "\"events\": -7"),
+            ("\"wall_ms_median\": 32.6986", "\"wall_ms_median\": fast"),
+            ("\"wall_ms_median\": 32.6986", "\"wall_ms_median\": 32.69860"),
+            ("[32.3871,", "[x,"),
+            ("\"quick\": true", "\"quick\": 1"),
+            ("\"samplers\"", "samplers"),
+            ("\"runner\": {", "\"runner\": ["),
+            ("\n  ]\n}", "\n  ]\n}\n{}"),
+        ] {
+            let err = BenchReport::from_json(&REPORT_EXCERPT.replace(old, new)).expect_err(new);
+            assert!(err.starts_with("line "), "{new}: {err}");
         }
     }
 
@@ -1076,7 +982,7 @@ mod tests {
             "an insignificant breach must warn, not fail: {verdicts:?}"
         );
 
-        // Strip the trial samples (schema-2-era baseline): the median
+        // Strip the trial samples (too few for the test): the median
         // ratio stands alone again and the same breach hard-fails.
         baseline.scenarios[0].wall_ms_trials.clear();
         current.scenarios[0].wall_ms_trials.clear();
