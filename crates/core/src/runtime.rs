@@ -1008,6 +1008,36 @@ mod tests {
     }
 
     #[test]
+    fn huge_preload_runs_to_completion() {
+        // `validate` accepts any non-empty keyspace. The store draws its
+        // preload only as far as reads reach and Zipf ranks stop at 1M,
+        // so a 2^40-key preload (8 TB if filled up front) touches at
+        // most 1M keys.
+        let service = ServiceConfig::without_interference(ServiceKind::Memcached(KvConfig {
+            preload_keys: 1 << 40,
+            ..KvConfig::default()
+        }));
+        let client = MachineConfig::high_performance();
+        let server = MachineConfig::server_baseline();
+        let generator = GeneratorSpec::mutilate();
+        let link = LinkConfig::cloudlab_lan();
+        let spec = base_spec(&service, &client, &server, &generator, &link, 100_000.0);
+        let nodes = [spec.client_node()];
+        let topo = TopologySpec {
+            shards: None,
+            service: &service,
+            server: &server,
+            nodes: &nodes,
+            duration: spec.duration,
+            warmup: spec.warmup,
+            cohorts: &[],
+        };
+        assert_eq!(topo.validate(), Ok(()));
+        let r = run_once(&spec, 1);
+        assert!(r.samples > 3_000, "samples {}", r.samples);
+    }
+
+    #[test]
     fn identical_seed_is_bit_identical() {
         let service = kv_service();
         let client = MachineConfig::low_power();

@@ -9,7 +9,9 @@
 //! * [`KvStore`] — a real, functional sharded hash table. Requests
 //!   actually `get`/`set` against it (hit/miss semantics, value sizes,
 //!   versioning), so the service's behaviour is grounded in real data
-//!   structures rather than a bare latency constant.
+//!   structures rather than a bare latency constant. Its ETC preload is
+//!   drawn on first touch, in stream order, so a run pays for the keys
+//!   its reads reach rather than for the configured keyspace.
 //! * [`KvService`] — the timing layer: each request runs on a worker of a
 //!   [`WorkerPool`] built from the server's [`MachineConfig`], with a
 //!   service-time model derived from the operation and payload sizes.
@@ -64,10 +66,16 @@ const PRELOAD_BLOCK: usize = 8192;
 ///
 /// Keys `0..preload_keys` start resident with ETC value sizes (the
 /// cache-fill-then-read pattern). The preload is kept as the raw
-/// uniforms its values were drawn from, and a value's size is computed
-/// only when a read or write reaches it, so building a store costs one
-/// bulk uniform draw per key rather than a GPD transform and a hash
-/// insert. Writes go to the sharded hash maps, which shadow the preload.
+/// uniforms its values are drawn from, and a value's size is computed
+/// only when a read or write reaches it. The uniforms themselves are
+/// drawn on first touch too: the store owns the stream it was handed
+/// and draws its preload in 8,192-key (64 KiB) blocks, in stream
+/// order, only as far as the highest block a touch has reached. Block
+/// `b` thus always holds the stream's uniforms `8192 * b ..`,
+/// whatever order the keys are touched in, so every value equals an
+/// up-front fill's, while building a store draws nothing and a run pays
+/// only for the blocks its reads reach. Writes go to the sharded hash
+/// maps, which shadow the preload.
 ///
 /// # Example
 ///
@@ -80,8 +88,14 @@ const PRELOAD_BLOCK: usize = 8192;
 /// ```
 #[derive(Debug)]
 pub struct KvStore {
-    /// Raw `[0, 1)` uniforms behind the preloaded keys' value sizes,
-    /// key `k` at `preload[k / PRELOAD_BLOCK][k % PRELOAD_BLOCK]`.
+    /// The stream the preload's uniforms come from, positioned after
+    /// the last drawn block.
+    stream: SimRng,
+    /// Preloaded keys: `0..preload_keys`, drawn or not.
+    preload_keys: usize,
+    /// The drawn blocks of raw `[0, 1)` uniforms behind the preloaded
+    /// keys' value sizes, key `k` at
+    /// `preload[k / PRELOAD_BLOCK][k % PRELOAD_BLOCK]`.
     preload: Vec<Box<[f64]>>,
     value_size: GeneralizedPareto,
     shards: Vec<FxHashMap<u64, StoredValue>>,
@@ -98,8 +112,24 @@ impl KvStore {
     ///
     /// Panics if `shards == 0`.
     pub fn new(shards: usize) -> Self {
+        Self::preloaded(shards, 0, SimRng::seed_from_u64(0))
+    }
+
+    /// A store whose keys `0..keys` are resident at version 0, key `k`
+    /// holding the ETC value size of the `k`-th uniform `stream` draws —
+    /// the same size the `k`-th of `keys` [`GeneralizedPareto::sample`]
+    /// calls on `stream` gives. Nothing is drawn here: the store keeps
+    /// `stream` and draws from it on first touch, at most `keys`
+    /// uniforms over its lifetime.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards == 0`.
+    pub fn preloaded(shards: usize, keys: usize, stream: SimRng) -> Self {
         assert!(shards > 0, "store needs at least one shard");
         KvStore {
+            stream,
+            preload_keys: keys,
             preload: Vec::new(),
             value_size: etc_value_size(),
             shards: (0..shards).map(|_| FxHashMap::default()).collect(),
@@ -109,38 +139,26 @@ impl KvStore {
         }
     }
 
-    /// A store whose keys `0..keys` are resident at version 0, key `k`
-    /// holding the ETC value size of the `k`-th uniform `rng` draws —
-    /// the same size the `k`-th of `keys` [`GeneralizedPareto::sample`]
-    /// calls on `rng` gives. Draws exactly `keys` uniforms.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn preloaded(shards: usize, keys: usize, rng: &mut SimRng) -> Self {
-        let mut store = Self::new(shards);
-        store.preload = (0..keys)
-            .step_by(PRELOAD_BLOCK)
-            .map(|first| {
-                let mut block = vec![0.0; PRELOAD_BLOCK.min(keys - first)].into_boxed_slice();
-                rng.fill_f64(&mut block);
-                block
-            })
-            .collect();
-        store
-    }
-
     fn shard_of(&self, key: u64) -> usize {
         (key.wrapping_mul(0x9e3779b97f4a7c15) >> 33) as usize % self.shards.len()
     }
 
     /// The current value of `key`, without touching the statistics.
-    fn lookup(&self, key: u64) -> Option<StoredValue> {
+    /// Reaching a preloaded key draws its block, and every earlier
+    /// block not yet drawn, first.
+    fn lookup(&mut self, key: u64) -> Option<StoredValue> {
         if let Some(v) = self.shards[self.shard_of(key)].get(&key) {
             return Some(*v);
         }
-        let key = usize::try_from(key).ok()?;
-        let unit = *self.preload.get(key / PRELOAD_BLOCK)?.get(key % PRELOAD_BLOCK)?;
+        let key = usize::try_from(key).ok().filter(|&k| k < self.preload_keys)?;
+        let block = key / PRELOAD_BLOCK;
+        while self.preload.len() <= block {
+            let first = self.preload.len() * PRELOAD_BLOCK;
+            let mut drawn = vec![0.0; PRELOAD_BLOCK.min(self.preload_keys - first)].into_boxed_slice();
+            self.stream.fill_f64(&mut drawn);
+            self.preload.push(drawn);
+        }
+        let unit = self.preload[block][key % PRELOAD_BLOCK];
         Some(StoredValue { size: value_bytes(self.value_size.from_unit(unit)), version: 0 })
     }
 
@@ -169,7 +187,7 @@ impl KvStore {
 
     /// Number of resident keys.
     pub fn len(&self) -> usize {
-        self.preload.iter().map(|block| block.len()).sum::<usize>() + self.extra_keys
+        self.preload_keys + self.extra_keys
     }
 
     /// Whether the store is empty.
@@ -299,9 +317,9 @@ impl KvService {
         let workload = EtcWorkload::new(config.preload_keys);
         // Preload so GETs mostly hit (ETC is a cache-fill-then-read
         // pattern; the paper fills before measuring). One uniform per
-        // key from a child stream; the store transforms them on read.
-        let store =
-            KvStore::preloaded(config.workers.max(1) * 4, config.preload_keys as usize, &mut rng.split());
+        // key from a child stream, which the store draws on first touch
+        // and transforms on read.
+        let store = KvStore::preloaded(config.workers.max(1) * 4, config.preload_keys as usize, rng.split());
         let mut pool = WorkerPool::new(server, env, config.workers, interference, horizon, rng);
         pool.set_contention_coef(0.35); // hash-table walks are memory-bound
         KvService {
@@ -472,21 +490,39 @@ mod tests {
         }
     }
 
+    impl KvStore {
+        /// Preload blocks drawn so far.
+        fn drawn_blocks(&self) -> usize {
+            self.preload.len()
+        }
+    }
+
+    /// A lazy store and the eager fill of the same stream, with `len()`
+    /// and `hit_ratio()` checked before any touch.
+    fn store_pair(seed: u64, keys: u64) -> (KvStore, EagerStore) {
+        let stream = SimRng::seed_from_u64(seed);
+        let eager = EagerStore::filled(keys, &mut stream.clone());
+        let lazy = KvStore::preloaded(3, keys as usize, stream);
+        assert_eq!(lazy.len(), eager.map.len(), "seed {seed}: untouched len");
+        assert_eq!(
+            lazy.hit_ratio().to_bits(),
+            eager.hit_ratio().to_bits(),
+            "seed {seed}: untouched hit ratio"
+        );
+        assert_eq!(lazy.drawn_blocks(), 0, "seed {seed}: building drew");
+        (lazy, eager)
+    }
+
     #[test]
     fn lazy_preload_matches_an_eager_fill() {
-        // Block-sized preloads and ones spanning several blocks check the
-        // block boundaries.
+        // Sizes at and around the block boundaries, and ones spanning
+        // several blocks.
         let block = PRELOAD_BLOCK as u64;
-        for (seed, keys) in [(1u64, 0u64), (2, 1), (3, 257), (4, 2_000), (5, block), (6, 2 * block + 3)] {
-            let mut eager_rng = SimRng::seed_from_u64(seed);
-            let mut lazy_rng = eager_rng.clone();
-            let mut eager = EagerStore::filled(keys, &mut eager_rng);
-            let mut lazy = KvStore::preloaded(3, keys as usize, &mut lazy_rng);
-            assert_eq!(eager_rng.next_u64(), lazy_rng.next_u64(), "preload draw counts differ");
-            assert_eq!(lazy.len(), eager.map.len());
-
+        let sizes = [0u64, 1, 257, 2_000, block - 1, block, block + 1, 2 * block + 3];
+        for (seed, keys) in (1u64..).zip(sizes) {
             // A small keyspace reaching past the preload makes repeated
             // SETs, first SETs of preloaded keys and fresh keys common.
+            let (mut lazy, mut eager) = store_pair(seed, keys);
             let mut ops = SimRng::seed_from_u64(seed ^ 0xabcd);
             for step in 0..20_000 {
                 let key = ops.next_below(keys + 64);
@@ -510,13 +546,75 @@ mod tests {
             for key in 0..keys + 64 {
                 assert_eq!(lazy.get(key), eager.get(key), "seed {seed}: final get({key})");
             }
+
+            // First touches in descending and in shuffled key order, and a
+            // first read of the last preloaded key, all draw the blocks in
+            // stream order.
+            let mut order: Vec<u64> = (0..keys + 8).rev().collect();
+            let (mut lazy, mut eager) = store_pair(seed, keys);
+            if let Some(last) = keys.checked_sub(1) {
+                assert_eq!(lazy.get(last), eager.get(last), "seed {seed}: first get({last})");
+            }
+            for &key in &order {
+                assert_eq!(lazy.get(key), eager.get(key), "seed {seed}: descending get({key})");
+            }
+            for i in (1..order.len()).rev() {
+                order.swap(i, ops.next_index(i + 1));
+            }
+            let (mut lazy, mut eager) = store_pair(seed, keys);
+            for &key in &order {
+                let size = 1 + (key % 977) as u32;
+                assert_eq!(lazy.set(key, size), eager.set(key, size), "seed {seed}: shuffled set({key})");
+            }
+            assert_eq!(lazy.len(), eager.map.len(), "seed {seed}: shuffled len");
+        }
+    }
+
+    #[test]
+    fn preload_draws_only_the_blocks_a_touch_reaches() {
+        let keys = 3 * PRELOAD_BLOCK + 5;
+        let stream = SimRng::seed_from_u64(11);
+        let mut first = KvStore::preloaded(2, keys, stream.clone());
+        first.get(0);
+        assert_eq!(first.drawn_blocks(), 1);
+        let mut last = KvStore::preloaded(2, keys, stream.clone());
+        last.get(keys as u64 - 1);
+        assert_eq!(last.drawn_blocks(), 4);
+        let mut past = KvStore::preloaded(2, keys, stream);
+        assert!(past.get(keys as u64).is_none());
+        past.set(keys as u64 + 1, 9);
+        assert_eq!(past.drawn_blocks(), 0);
+        assert_eq!(past.len(), keys + 1);
+    }
+
+    #[test]
+    fn service_preload_takes_one_draw_of_the_service_stream() {
+        // The service hands its store the first split of its stream, and
+        // building advances that stream by that one draw plus the pool's
+        // draws.
+        let server = MachineConfig::server_baseline();
+        let (mut svc, mut rng) = service(&server, 12);
+        let mut expected_rng = SimRng::seed_from_u64(12);
+        let keys = svc.config.preload_keys;
+        let mut expected = KvStore::preloaded(1, keys as usize, expected_rng.split());
+        WorkerPool::new(
+            &server,
+            &RunEnvironment::neutral(),
+            svc.config.workers,
+            &InterferenceProfile::none(),
+            SimDuration::from_secs(1),
+            &mut expected_rng,
+        );
+        assert_eq!(rng.next_u64(), expected_rng.next_u64(), "service stream draw counts differ");
+        for key in (0..keys).rev() {
+            assert_eq!(svc.store.get(key), expected.get(key), "get({key})");
         }
     }
 
     #[test]
     fn preloaded_key_reads_at_version_zero_and_first_set_bumps_it() {
         let mut rng = SimRng::seed_from_u64(9);
-        let mut s = KvStore::preloaded(2, 2, &mut rng.clone());
+        let mut s = KvStore::preloaded(2, 2, rng.clone());
         let units = [rng.next_f64(), rng.next_f64()];
         let v = s.get(1).expect("preloaded key is resident");
         assert_eq!(v.version, 0);
