@@ -1,7 +1,7 @@
 //! `perf_probe`: times the topology kernel over a fixed scenario matrix
 //! and writes a machine-readable `BENCH.json`.
 //!
-//! Seven scenarios cover the kernel's load-bearing shapes and the
+//! Eight scenarios cover the kernel's load-bearing shapes and the
 //! per-run set-up in front of them:
 //!
 //! * `samplers` — per-distribution sampler microbench: the aggregate
@@ -13,13 +13,15 @@
 //!   `Normal::fill_standard` over whole blocks (print-only, not gated).
 //! * `service_setup` — per-run set-up microbench: µs per
 //!   `ServiceInstance::new` for the default memcached (100K-key store,
-//!   whose preload is drawn on first touch, not here), HDSearch and
-//!   Social Network configurations, printed per service, plus the
-//!   memcached preload drawn in full and HDSearch's dataset draw and
-//!   LSH index build on their own (print-only); the gated quantity is
-//!   service constructions per second.
+//!   whose preload is read by key, never drawn), HDSearch and Social
+//!   Network configurations, printed per service, plus the memcached
+//!   store's random reads at Zipf-drawn keys and HDSearch's dataset draw
+//!   and LSH index build on their own (print-only); the gated quantity
+//!   is service constructions per second.
 //! * `static_1x1` — the paper's testbed: one HP memcached client at
 //!   100K QPS (the `run_once` fast path).
+//! * `lp_1x1` — the same testbed with the LP client, whose C-states and
+//!   DVFS make the wake path the simulator's most expensive one.
 //! * `fleet_16` — a 16-node HP fleet, 100K QPS per node: the
 //!   multi-node hot loop the studies sweep (and the scenario the 1.3x
 //!   speedup target of PR 4 is defined on).
@@ -34,7 +36,8 @@
 //!   machine's cores, alternating trial by trial — so the report
 //!   records the intra-run parallel speedup next to the throughput
 //!   (both executions are bit-identical by the kernel's determinism
-//!   contract; the probe asserts their work counters agree).
+//!   contract; the probe asserts their work counters agree). Its
+//!   scaling gate sizes the trials from their spread (see below).
 //! * `fleet_1m` — one **million** modeled clients as 16 cohorts of
 //!   62,500 (two tracked representatives each) over the same 16-shard
 //!   tier and the same offered load as `fleet_256`. The cohort layer
@@ -88,8 +91,12 @@
 //! parallelism cannot help) is effectively ungated. With enough trials
 //! the gate binds on the two-sample-bootstrap *CI lower bound* of the
 //! speedup rather than the point estimate, so one lucky parallel trial
-//! cannot carry a failing run. See EXPERIMENTS.md for the schema and
-//! the same-session gate.
+//! cannot carry a failing run. `--trials` is then a floor: each leg
+//! runs as many trials as Jain's repetition count
+//! (`tpv_stats::repetitions::jain_sample_size_of`) asks for to resolve the distance
+//! between the point estimate and the bar, up to
+//! `SCALING_TRIALS_CAP`. See EXPERIMENTS.md for the schema and the
+//! same-session gate.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -216,15 +223,18 @@ const TRIAL_FLOOR_MS: f64 = 50.0;
 /// Deterministic work counters of one run: `(events, requests)`.
 type Work = (u64, u64);
 
-/// Times one warm-up plus `trials` trials of each leg, one trial of
-/// every leg per round, so host drift over the rounds lands on all legs
-/// alike. The warm-up pages in code and allocator arenas, records the
-/// work every later run must repeat, and calibrates how many runs one
-/// trial takes to clear [`TRIAL_FLOOR_MS`]. Recorded walls are per-run
-/// milliseconds after Tukey-fence outlier rejection.
+/// Times one warm-up plus at least `trials` trials of each leg, one
+/// trial of every leg per round, so host drift over the rounds lands on
+/// all legs alike; rounds go on while `wanted` (given each leg's walls
+/// so far) asks for more trials per leg. The warm-up pages in code and
+/// allocator arenas, records the work every later run must repeat, and
+/// calibrates how many runs one trial takes to clear
+/// [`TRIAL_FLOOR_MS`]. Recorded walls are per-run milliseconds after
+/// Tukey-fence outlier rejection.
 fn time_legs<const N: usize>(
     name: &str,
     trials: usize,
+    wanted: &dyn Fn(&[Vec<f64>; N]) -> usize,
     mut legs: [&mut dyn FnMut() -> Work; N],
 ) -> [ScenarioReport; N] {
     let warm = legs.each_mut().map(|run| {
@@ -235,7 +245,7 @@ fn time_legs<const N: usize>(
         (work, repeats)
     });
     let mut walls = [(); N].map(|_| Vec::with_capacity(trials));
-    for _ in 0..trials {
+    while walls[0].len() < trials.max(wanted(&walls)) {
         for ((run, &(work, repeats)), wall_ms) in legs.iter_mut().zip(&warm).zip(&mut walls) {
             let started = Instant::now();
             for _ in 0..repeats {
@@ -251,7 +261,7 @@ fn time_legs<const N: usize>(
         let (ci_low, ci_high) = events_per_sec_ci(events, &kept).unwrap_or((0.0, 0.0));
         ScenarioReport {
             name: name.to_string(),
-            trials,
+            trials: walls[leg].len(),
             events,
             requests,
             wall_ms_median: median,
@@ -268,7 +278,7 @@ fn time_legs<const N: usize>(
 
 /// Times a warm-up plus `trials` trials of `run`.
 fn time_scenario(name: &str, trials: usize, mut run: impl FnMut() -> Work) -> ScenarioReport {
-    let [report] = time_legs(name, trials, [&mut run]);
+    let [report] = time_legs(name, trials, &|_| 0, [&mut run]);
     report
 }
 
@@ -278,14 +288,17 @@ fn time_scenario(name: &str, trials: usize, mut run: impl FnMut() -> Work) -> Sc
 /// events/sec CI, so every downstream statistic tests the same quantity
 /// the ratio gate does — the parallel leg's rate would couple the
 /// regression check to the runner's core count), and the
-/// two-sample-bootstrap CI on the speedup between them.
+/// two-sample-bootstrap CI on the speedup between them. `wanted` maps
+/// the `(serial, parallel)` walls so far to the trials per leg to run.
 fn time_dual(
     name: &str,
     trials: usize,
+    wanted: impl Fn(&[f64], &[f64]) -> usize,
     mut parallel: impl FnMut() -> Work,
     mut serial: impl FnMut() -> Work,
 ) -> ScenarioReport {
-    let [parallel, serial] = time_legs(name, trials, [&mut parallel, &mut serial]);
+    let [parallel, serial] =
+        time_legs(name, trials, &|[parallel, serial]| wanted(serial, parallel), [&mut parallel, &mut serial]);
     assert_eq!(
         (serial.events, serial.requests),
         (parallel.events, parallel.requests),
@@ -456,19 +469,23 @@ fn samplers(opts: &Options) -> ScenarioReport {
 /// Constructions per configuration in one `service_setup` table row.
 const SETUP_ROUNDS: usize = 9;
 
+/// Zipf-drawn keys per `memcached store, random read` round.
+const STORE_READS: usize = 8_192;
+
 /// The per-run set-up microbench: µs per `ServiceInstance::new` for the
 /// default memcached (100K-key store), HDSearch and Social Network
 /// configurations, the services' own defaults rather than the kernel
 /// scenarios' 10K-key probe store. Prints the per-configuration median
-/// over [`SETUP_ROUNDS`] constructions, then the memcached preload drawn
-/// in full (a store built and its last key read), HDSearch's dataset
-/// draw and its index build timed apart; the gated leg builds one of
-/// each service, so events/sec is service constructions per second.
+/// over [`SETUP_ROUNDS`] constructions, then the memcached store's cost
+/// per read at Zipf-drawn keys and of its first read, which builds its
+/// random-access table, and HDSearch's dataset draw and its index build
+/// timed apart; the gated leg builds one of each service, so events/sec
+/// is service constructions per second.
 fn service_setup(opts: &Options) -> ScenarioReport {
     use std::hint::black_box;
     use tpv_hw::RunEnvironment;
     use tpv_services::hdsearch::{clustered_dataset, HdSearchConfig, LshIndex, CLUSTERS};
-    use tpv_services::kv::KvStore;
+    use tpv_services::kv::{EtcWorkload, KvStore};
     use tpv_services::socialnet::SocialConfig;
     use tpv_services::ServiceInstance;
 
@@ -497,23 +514,33 @@ fn service_setup(opts: &Options) -> ScenarioReport {
             .collect();
         println!("| {name} | {:.0} |", tpv_stats::desc::median(&us));
     }
-    // The default memcached store, built and then read at its last
-    // preloaded key, which draws every preload block: the draw the
-    // store moved out of construction into its first touches.
-    // Print-only.
+    // The default memcached store read at the keys its service reads,
+    // Zipf-drawn: ns per read once its tables are built, and µs for the
+    // first read of a fresh store, which builds its 32 KiB table (the
+    // process-wide one is built by the first round's, and the median
+    // leaves it out). Print-only.
     let kv = KvConfig::default();
-    let store_us: Vec<f64> = (0..SETUP_ROUNDS as u64)
-        .map(|round| {
-            let stream = tpv_sim::SimRng::seed_from_u64(SEED + round);
-            let started = Instant::now();
-            let mut store = KvStore::preloaded(kv.workers * 4, kv.preload_keys as usize, stream);
-            black_box(store.get(kv.preload_keys - 1));
-            let us = started.elapsed().as_secs_f64() * 1e6;
-            drop(store);
-            us
-        })
-        .collect();
-    println!("| memcached store, all keys | {:.0} |", tpv_stats::desc::median(&store_us));
+    let etc = EtcWorkload::new(kv.preload_keys);
+    let mut picks = tpv_sim::SimRng::seed_from_u64(SEED);
+    let keys: Vec<u64> = (0..STORE_READS).map(|_| etc.key_of(picks.next_f64())).collect();
+    let (mut first_us, mut read_ns) = (Vec::new(), Vec::new());
+    for round in 0..SETUP_ROUNDS as u64 {
+        let stream = tpv_sim::SimRng::seed_from_u64(SEED + round);
+        let mut store = KvStore::preloaded(kv.workers * 4, kv.preload_keys as usize, stream);
+        let started = Instant::now();
+        black_box(store.get(keys[0]));
+        first_us.push(started.elapsed().as_secs_f64() * 1e6);
+        let started = Instant::now();
+        for &key in &keys {
+            black_box(store.get(key));
+        }
+        read_ns.push(started.elapsed().as_secs_f64() * 1e9 / STORE_READS as f64);
+    }
+    println!(
+        "| memcached store, random read | {:.0} ns/read; first read {:.1} |",
+        tpv_stats::desc::median(&read_ns),
+        tpv_stats::desc::median(&first_us)
+    );
     // HDSearch's two largest set-up phases on their own, at the default
     // shape: drawing the clustered dataset and building the LSH index
     // over it. Print-only.
@@ -555,16 +582,13 @@ fn counted_run<C: Collector>(topo: &TopologySpec<'_>, extra: C) -> (u64, u64) {
     (collector.0.events(), result.samples)
 }
 
-fn static_1x1(opts: &Options) -> ScenarioReport {
+/// The paper's testbed: one memcached client on `client` at 100K QPS
+/// (the `run_once` fast path).
+fn one_client(name: &str, client: MachineConfig, opts: &Options) -> ScenarioReport {
     let service = memcached();
     let server = MachineConfig::server_baseline();
-    let nodes = [ClientNode::new(
-        "probe",
-        MachineConfig::high_performance(),
-        GeneratorSpec::mutilate(),
-        LinkConfig::cloudlab_lan(),
-        100_000.0,
-    )];
+    let nodes =
+        [ClientNode::new("probe", client, GeneratorSpec::mutilate(), LinkConfig::cloudlab_lan(), 100_000.0)];
     let topo = TopologySpec {
         shards: None,
         service: &service,
@@ -574,7 +598,15 @@ fn static_1x1(opts: &Options) -> ScenarioReport {
         warmup: SimDuration::from_ms(6),
         cohorts: &[],
     };
-    time_scenario("static_1x1", opts.trials, || counted_run(&topo, tpv_core::collect::NullCollector))
+    time_scenario(name, opts.trials, || counted_run(&topo, tpv_core::collect::NullCollector))
+}
+
+fn static_1x1(opts: &Options) -> ScenarioReport {
+    one_client("static_1x1", MachineConfig::high_performance(), opts)
+}
+
+fn lp_1x1(opts: &Options) -> ScenarioReport {
+    one_client("lp_1x1", MachineConfig::low_power(), opts)
 }
 
 fn fleet_16(opts: &Options) -> ScenarioReport {
@@ -651,6 +683,43 @@ fn shard_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(16)
 }
 
+/// The speedup `fleet_256` must reach: min(`--min-shard-speedup`,
+/// 0.7 × workers).
+fn required_speedup(opts: &Options) -> f64 {
+    opts.min_shard_speedup.min(0.7 * shard_workers() as f64)
+}
+
+/// Most trials per leg the scaling gate runs, whatever the spread.
+const SCALING_TRIALS_CAP: usize = 30;
+
+/// Trials per leg the scaling gate needs to resolve its bar, from the
+/// IQR-filtered walls so far. The bar sits a relative `margin` below
+/// the point speedup. Each leg gets Jain's count (paper Eq. 3) for a
+/// 95% half-width of `margin / 4`: half the margin for the ratio's CI,
+/// over √2 for two legs in quadrature and 1.25 for a median's lower
+/// efficiency than a mean's. The count is at least CONFIRM's smallest
+/// subset (10; smaller samples cannot estimate a non-parametric median
+/// CI reliably) and at most [`SCALING_TRIALS_CAP`]; an ungated run
+/// (`required` 0) asks for none.
+fn scaling_trials(serial: &[f64], parallel: &[f64], required: f64) -> usize {
+    if required <= 0.0 {
+        return 0;
+    }
+    let floor = tpv_stats::repetitions::ConfirmConfig::default().min_subset;
+    let (serial, parallel) = (iqr_filter(serial), iqr_filter(parallel));
+    if serial.len() < 2 || parallel.len() < 2 {
+        return floor;
+    }
+    let margin = 1.0 - required * tpv_stats::desc::median(&parallel) / tpv_stats::desc::median(&serial);
+    if margin <= 0.0 {
+        // No trial count lifts a point at or below the bar.
+        return floor;
+    }
+    let n = [&serial, &parallel]
+        .map(|walls| tpv_stats::repetitions::jain_sample_size_of(walls, 25.0 * margin, 0.95));
+    n[0].max(n[1]).clamp(floor, SCALING_TRIALS_CAP)
+}
+
 /// The sharded scale regime: 256 clients over a 16-shard server tier,
 /// 100K QPS per node. Timed twice — on [`shard_workers`] threads and
 /// forced serial, alternating trial by trial — over the same
@@ -699,7 +768,14 @@ fn fleet_256(opts: &Options) -> ScenarioReport {
             });
         (counter.events(), result.samples)
     };
-    time_dual("fleet_256", opts.trials, || probe(workers, opts.pin), || probe(1, PinPolicy::Off))
+    let required = required_speedup(opts);
+    time_dual(
+        "fleet_256",
+        opts.trials,
+        |serial, parallel| scaling_trials(serial, parallel, required),
+        || probe(workers, opts.pin),
+        || probe(1, PinPolicy::Off),
+    )
 }
 
 /// One million modeled clients: 16 cohorts of 62,500 (two tracked
@@ -750,7 +826,7 @@ fn fleet_1m(opts: &Options) -> ScenarioReport {
         (counter.events(), result.samples)
     };
     let workers = shard_workers();
-    time_dual("fleet_1m", opts.trials, || probe(workers, opts.pin), || probe(1, PinPolicy::Off))
+    time_dual("fleet_1m", opts.trials, |_, _| 0, || probe(workers, opts.pin), || probe(1, PinPolicy::Off))
 }
 
 fn main() -> ExitCode {
@@ -777,6 +853,7 @@ fn main() -> ExitCode {
         ("samplers", samplers),
         ("service_setup", service_setup),
         ("static_1x1", static_1x1),
+        ("lp_1x1", lp_1x1),
         ("fleet_16", fleet_16),
         ("diurnal_8", diurnal_8),
         ("fleet_256", fleet_256),
@@ -853,7 +930,7 @@ fn main() -> ExitCode {
     // the full 3x binds at ≥5 workers.
     if let Some(s) = report.scenario("fleet_256") {
         let workers = shard_workers();
-        let required = opts.min_shard_speedup.min(0.7 * workers as f64);
+        let required = required_speedup(&opts);
         // Bind on the bootstrap CI lower bound when the trial samples
         // support one (>= 2 trials per leg): the gate then asks "is the
         // speedup *confidently* above the bar", so a single lucky
@@ -870,12 +947,14 @@ fn main() -> ExitCode {
             failed = true;
             println!(
                 "\nFAIL  fleet_256: shard speedup {gated:.2}x ({basis}) below the required {required:.2}x \
-                 ({workers} workers, --min-shard-speedup {})",
-                opts.min_shard_speedup
+                 ({workers} workers, {} trials per leg, --min-shard-speedup {})",
+                s.trials, opts.min_shard_speedup
             );
         } else {
             println!(
-                "\nok    fleet_256: shard speedup {gated:.2}x over serial ({basis}; required {required:.2}x on {workers} workers)",
+                "\nok    fleet_256: shard speedup {gated:.2}x over serial ({basis}; required {required:.2}x on \
+                 {workers} workers, {} trials per leg)",
+                s.trials
             );
         }
     }
@@ -937,4 +1016,30 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scaling_trials_follow_the_spread_and_the_margin() {
+        let tight_serial = [200.0, 201.0, 199.0, 200.5, 199.5];
+        let tight_parallel = [100.0, 101.0, 99.0, 100.5, 99.5];
+        let noisy_parallel = [85.0, 115.0, 100.0, 70.0, 130.0];
+        // A 2x point with tight legs resolves a 1.4x bar with the
+        // fewest trials a median CI takes.
+        assert_eq!(scaling_trials(&tight_serial, &tight_parallel, 1.4), 10);
+        // The same point with a 24% CoV leg needs
+        // ⌈(1.96 · 0.237 / 0.075)²⌉ trials, and a bar closer to it more
+        // than the cap.
+        assert_eq!(scaling_trials(&tight_serial, &noisy_parallel, 1.4), 39.min(SCALING_TRIALS_CAP));
+        assert_eq!(scaling_trials(&tight_serial, &noisy_parallel, 1.2), 22);
+        assert_eq!(scaling_trials(&tight_serial, &noisy_parallel, 1.95), SCALING_TRIALS_CAP);
+        // A point at or below the bar, or too few walls, gets the floor;
+        // an ungated run asks for nothing.
+        assert_eq!(scaling_trials(&tight_parallel, &tight_serial, 1.4), 10);
+        assert_eq!(scaling_trials(&tight_serial[..1], &tight_parallel, 1.4), 10);
+        assert_eq!(scaling_trials(&tight_serial, &noisy_parallel, 0.0), 0);
+    }
 }

@@ -10,8 +10,9 @@
 //!   actually `get`/`set` against it (hit/miss semantics, value sizes,
 //!   versioning), so the service's behaviour is grounded in real data
 //!   structures rather than a bare latency constant. Its ETC preload is
-//!   drawn on first touch, in stream order, so a run pays for the keys
-//!   its reads reach rather than for the configured keyspace.
+//!   read straight out of its stream, key `k` at draw `k`, so a run pays
+//!   for the keys its reads reach rather than for the configured
+//!   keyspace.
 //! * [`KvService`] — the timing layer: each request runs on a worker of a
 //!   [`WorkerPool`] built from the server's [`MachineConfig`], with a
 //!   service-time model derived from the operation and payload sizes.
@@ -27,6 +28,7 @@
 use tpv_hw::{MachineConfig, RunEnvironment};
 use tpv_net::StackCosts;
 use tpv_sim::dist::{GeneralizedPareto, Normal, Sampler, Zipf};
+use tpv_sim::rng::IndexedRng;
 use tpv_sim::{SimDuration, SimRng, SimTime};
 
 use crate::fasthash::FxHashMap;
@@ -54,28 +56,17 @@ fn value_bytes(size: f64) -> u32 {
     size.clamp(1.0, 1_000_000.0) as u32
 }
 
-/// Preloaded uniforms per block: 64 KiB, below the C allocator's
-/// default 128 KiB mmap threshold. One 800 KB block per store would be
-/// mmapped, and freeing it raises glibc's dynamic mmap and trim
-/// thresholds; each thread arena may then keep up to twice that much
-/// freed memory, so peak RSS would swing by megabytes with thread
-/// timing.
-const PRELOAD_BLOCK: usize = 8192;
-
 /// A sharded hash-table store — the functional core of the service.
 ///
 /// Keys `0..preload_keys` start resident with ETC value sizes (the
-/// cache-fill-then-read pattern). The preload is kept as the raw
-/// uniforms its values are drawn from, and a value's size is computed
-/// only when a read or write reaches it. The uniforms themselves are
-/// drawn on first touch too: the store owns the stream it was handed
-/// and draws its preload in 8,192-key (64 KiB) blocks, in stream
-/// order, only as far as the highest block a touch has reached. Block
-/// `b` thus always holds the stream's uniforms `8192 * b ..`,
-/// whatever order the keys are touched in, so every value equals an
-/// up-front fill's, while building a store draws nothing and a run pays
-/// only for the blocks its reads reach. Writes go to the sharded hash
-/// maps, which shadow the preload.
+/// cache-fill-then-read pattern). Key `k`'s value size is computed from
+/// the `k`-th uniform of the stream the store was handed, read by
+/// random access ([`IndexedRng`]) whenever a read or write reaches it:
+/// nothing is drawn up front or kept per key, the stream is never
+/// advanced, and every value equals an up-front fill's whatever order
+/// the keys are touched in. A store holds one 32 KiB table from its
+/// first preload read on, for a keyspace of any size. Writes go to the
+/// sharded hash maps, which shadow the preload.
 ///
 /// # Example
 ///
@@ -88,15 +79,11 @@ const PRELOAD_BLOCK: usize = 8192;
 /// ```
 #[derive(Debug)]
 pub struct KvStore {
-    /// The stream the preload's uniforms come from, positioned after
-    /// the last drawn block.
-    stream: SimRng,
-    /// Preloaded keys: `0..preload_keys`, drawn or not.
+    /// The stream behind the preloaded keys' value sizes: key `k`'s
+    /// raw `[0, 1)` uniform is its `k`-th draw.
+    preload: IndexedRng,
+    /// Preloaded keys: `0..preload_keys`.
     preload_keys: usize,
-    /// The drawn blocks of raw `[0, 1)` uniforms behind the preloaded
-    /// keys' value sizes, key `k` at
-    /// `preload[k / PRELOAD_BLOCK][k % PRELOAD_BLOCK]`.
-    preload: Vec<Box<[f64]>>,
     value_size: GeneralizedPareto,
     shards: Vec<FxHashMap<u64, StoredValue>>,
     /// Written keys outside the preload range.
@@ -118,9 +105,8 @@ impl KvStore {
     /// A store whose keys `0..keys` are resident at version 0, key `k`
     /// holding the ETC value size of the `k`-th uniform `stream` draws —
     /// the same size the `k`-th of `keys` [`GeneralizedPareto::sample`]
-    /// calls on `stream` gives. Nothing is drawn here: the store keeps
-    /// `stream` and draws from it on first touch, at most `keys`
-    /// uniforms over its lifetime.
+    /// calls on `stream` gives. Nothing is drawn here or later: the
+    /// store reads each touched key's uniform out of `stream` directly.
     ///
     /// # Panics
     ///
@@ -128,9 +114,8 @@ impl KvStore {
     pub fn preloaded(shards: usize, keys: usize, stream: SimRng) -> Self {
         assert!(shards > 0, "store needs at least one shard");
         KvStore {
-            stream,
+            preload: IndexedRng::new(stream),
             preload_keys: keys,
-            preload: Vec::new(),
             value_size: etc_value_size(),
             shards: (0..shards).map(|_| FxHashMap::default()).collect(),
             extra_keys: 0,
@@ -144,21 +129,14 @@ impl KvStore {
     }
 
     /// The current value of `key`, without touching the statistics.
-    /// Reaching a preloaded key draws its block, and every earlier
-    /// block not yet drawn, first.
     fn lookup(&mut self, key: u64) -> Option<StoredValue> {
         if let Some(v) = self.shards[self.shard_of(key)].get(&key) {
             return Some(*v);
         }
-        let key = usize::try_from(key).ok().filter(|&k| k < self.preload_keys)?;
-        let block = key / PRELOAD_BLOCK;
-        while self.preload.len() <= block {
-            let first = self.preload.len() * PRELOAD_BLOCK;
-            let mut drawn = vec![0.0; PRELOAD_BLOCK.min(self.preload_keys - first)].into_boxed_slice();
-            self.stream.fill_f64(&mut drawn);
-            self.preload.push(drawn);
+        if key >= self.preload_keys as u64 {
+            return None;
         }
-        let unit = self.preload[block][key % PRELOAD_BLOCK];
+        let unit = self.preload.f64_at(key);
         Some(StoredValue { size: value_bytes(self.value_size.from_unit(unit)), version: 0 })
     }
 
@@ -317,8 +295,8 @@ impl KvService {
         let workload = EtcWorkload::new(config.preload_keys);
         // Preload so GETs mostly hit (ETC is a cache-fill-then-read
         // pattern; the paper fills before measuring). One uniform per
-        // key from a child stream, which the store draws on first touch
-        // and transforms on read.
+        // key from a child stream, which the store reads by key and
+        // transforms on read.
         let store = KvStore::preloaded(config.workers.max(1) * 4, config.preload_keys as usize, rng.split());
         let mut pool = WorkerPool::new(server, env, config.workers, interference, horizon, rng);
         pool.set_contention_coef(0.35); // hash-table walks are memory-bound
@@ -490,13 +468,6 @@ mod tests {
         }
     }
 
-    impl KvStore {
-        /// Preload blocks drawn so far.
-        fn drawn_blocks(&self) -> usize {
-            self.preload.len()
-        }
-    }
-
     /// A lazy store and the eager fill of the same stream, with `len()`
     /// and `hit_ratio()` checked before any touch.
     fn store_pair(seed: u64, keys: u64) -> (KvStore, EagerStore) {
@@ -509,16 +480,15 @@ mod tests {
             eager.hit_ratio().to_bits(),
             "seed {seed}: untouched hit ratio"
         );
-        assert_eq!(lazy.drawn_blocks(), 0, "seed {seed}: building drew");
+        assert_eq!(lazy.preload.heap_bytes(), 0, "seed {seed}: building drew");
         (lazy, eager)
     }
 
     #[test]
     fn lazy_preload_matches_an_eager_fill() {
-        // Sizes at and around the block boundaries, and ones spanning
-        // several blocks.
-        let block = PRELOAD_BLOCK as u64;
-        let sizes = [0u64, 1, 257, 2_000, block - 1, block, block + 1, 2 * block + 3];
+        // Sizes from an empty preload to one past the reach of a single
+        // polynomial table entry (64 keys) many times over.
+        let sizes = [0u64, 1, 257, 2_000, 8_191, 8_192, 8_193, 16_387];
         for (seed, keys) in (1u64..).zip(sizes) {
             // A small keyspace reaching past the preload makes repeated
             // SETs, first SETs of preloaded keys and fresh keys common.
@@ -548,8 +518,8 @@ mod tests {
             }
 
             // First touches in descending and in shuffled key order, and a
-            // first read of the last preloaded key, all draw the blocks in
-            // stream order.
+            // first read of the last preloaded key, all read the stream's
+            // draws by key.
             let mut order: Vec<u64> = (0..keys + 8).rev().collect();
             let (mut lazy, mut eager) = store_pair(seed, keys);
             if let Some(last) = keys.checked_sub(1) {
@@ -571,20 +541,23 @@ mod tests {
     }
 
     #[test]
-    fn preload_draws_only_the_blocks_a_touch_reaches() {
-        let keys = 3 * PRELOAD_BLOCK + 5;
+    fn a_built_store_draws_nothing_and_reads_any_key() {
+        // A 2^40-key preload, 8 TB if filled up front: building holds
+        // nothing, and reading its last key holds the 32 KiB table.
+        let keys: usize = 1 << 40;
         let stream = SimRng::seed_from_u64(11);
-        let mut first = KvStore::preloaded(2, keys, stream.clone());
-        first.get(0);
-        assert_eq!(first.drawn_blocks(), 1);
-        let mut last = KvStore::preloaded(2, keys, stream.clone());
-        last.get(keys as u64 - 1);
-        assert_eq!(last.drawn_blocks(), 4);
-        let mut past = KvStore::preloaded(2, keys, stream);
-        assert!(past.get(keys as u64).is_none());
-        past.set(keys as u64 + 1, 9);
-        assert_eq!(past.drawn_blocks(), 0);
-        assert_eq!(past.len(), keys + 1);
+        let mut store = KvStore::preloaded(2, keys, stream.clone());
+        assert_eq!(store.preload.heap_bytes(), 0, "building drew");
+        assert!(store.get(keys as u64).is_none());
+        store.set(keys as u64 + 1, 9);
+        assert_eq!(store.preload.heap_bytes(), 0, "keys past the preload drew");
+        assert_eq!(store.len(), keys + 1);
+        let last = keys as u64 - 1;
+        let mut expected = stream;
+        expected.advance(last);
+        let size = value_bytes(etc_value_size().from_unit(expected.next_f64()));
+        assert_eq!(store.get(last), Some(StoredValue { size, version: 0 }));
+        assert_eq!(store.preload.heap_bytes(), 32 << 10);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! * [`PhaseSchedule`] — deterministic partitions of a run into time
 //!   phases, the substrate of every time-varying machine/load model.
 //! * [`rng`] — a self-contained, seedable, splittable pseudo-random number
-//!   generator (xoshiro256++), implemented here so that simulation results
-//!   are reproducible across platforms and dependency upgrades.
+//!   generator (xoshiro256++) with exact jump-ahead and random access by
+//!   draw index, implemented here so that simulation results are
+//!   reproducible across platforms and dependency upgrades.
 //! * [`dist`] — the statistical distributions used by the workload models
 //!   (exponential, normal, lognormal, Pareto, generalized Pareto, GEV,
 //!   Zipf, …).

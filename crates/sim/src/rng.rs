@@ -12,6 +12,35 @@
 //!   simulation component (arrival process, service times, network jitter,
 //!   per-run environment drift, …) owns a private generator and adding a
 //!   consumer never perturbs another component's stream.
+//! * [`SimRng::advance`] and [`IndexedRng`] — exact jump-ahead and random
+//!   access into a stream.
+//!
+//! # Jumping ahead
+//!
+//! xoshiro256's state update `T` is linear over GF(2), so the state
+//! before draw `k` is `p_k(T)·s₀` with `p_k = xᵏ mod P`, where `P` is the
+//! degree-256 characteristic polynomial of `T`. Berlekamp–Massey finds
+//! `P` once per process from 512 bits of one state sequence, and the
+//! tests pin it against the `JUMP` and `LONG_JUMP` constants of the
+//! reference `jump()` (`x^(2¹²⁸)` and `x^(2¹⁹²)` mod `P`). Two tables make
+//! a jump cheap:
+//!
+//! * a process-wide table of `x^(64·d) mod P` for `d < 2048` (64 KiB,
+//!   built once in ~0.6 ms), so `xᵏ mod P` for `k < 2¹⁷` is one lookup
+//!   and fewer than 64 shifts; a larger `k` squares its way up from
+//!   there (one product mod `P`, ~2.5 µs, per doubling);
+//! * per [`IndexedRng`], the XORs of each group of four states
+//!   `T^i·s₀` (32 KiB, built on the first read in ~4 µs), so applying a
+//!   polynomial to `s₀` is 64 four-bit lookups and XORs. The table
+//!   holds the states `T^i·s₀` for `i < 256` themselves, so the first
+//!   256 draws are one lookup each.
+//!
+//! A read at `k < 2¹⁷` thus costs ~0.1 µs whatever `k` is (64 lookups,
+//! then fewer than 64 state steps from `T^(k − k mod 64)·s₀`), and
+//! [`SimRng::advance`], which has no per-stream table, applies the
+//! polynomial with the reference's 256 steps instead (~0.2 µs).
+
+use std::sync::OnceLock;
 
 /// The SplitMix64 generator, used for seeding and stream derivation.
 ///
@@ -81,22 +110,42 @@ impl SimRng {
     /// Returns the next 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[0].wrapping_add(self.s[3]).rotate_left(23).wrapping_add(self.s[0]);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
+        let result = output(&self.s);
+        step(&mut self.s);
         result
     }
 
     /// A uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        // Standard 53-bit mantissa technique.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
+    }
+
+    /// Moves the stream `n` draws ahead in O(log n), exactly as `n` calls
+    /// of [`next_u64`](Self::next_u64) would (see the module docs).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use tpv_sim::SimRng;
+    /// let mut stepped = SimRng::seed_from_u64(3);
+    /// for _ in 0..1_000 {
+    ///     stepped.next_u64();
+    /// }
+    /// let mut jumped = SimRng::seed_from_u64(3);
+    /// jumped.advance(1_000);
+    /// assert_eq!(jumped.next_u64(), stepped.next_u64());
+    /// ```
+    pub fn advance(&mut self, n: u64) {
+        let poly = JumpTable::get().x_pow(n);
+        let mut acc = [0u64; 4];
+        for bit in 0..256 {
+            if poly[bit / 64] >> (bit % 64) & 1 == 1 {
+                xor_into(&mut acc, &self.s);
+            }
+            step(&mut self.s);
+        }
+        self.s = acc;
     }
 
     /// Fills `out` with uniform `[0, 1)` draws, bit-identical to calling
@@ -184,6 +233,255 @@ impl SimRng {
             let j = self.next_index(i + 1);
             slice.swap(i, j);
         }
+    }
+}
+
+/// The xoshiro256++ output of a state.
+#[inline(always)]
+fn output(s: &[u64; 4]) -> u64 {
+    s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0])
+}
+
+/// The xoshiro256 state update `T`, linear over GF(2).
+#[inline(always)]
+fn step(s: &mut [u64; 4]) {
+    let t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = s[3].rotate_left(45);
+}
+
+/// A 64-bit output as a uniform in `[0, 1)`: its top 53 bits as the
+/// mantissa.
+#[inline(always)]
+fn unit_f64(x: u64) -> f64 {
+    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+#[inline(always)]
+fn xor_into(acc: &mut [u64; 4], v: &[u64; 4]) {
+    for (a, b) in acc.iter_mut().zip(v) {
+        *a ^= b;
+    }
+}
+
+/// A polynomial over GF(2) of degree below 256, the coefficient of `xⁱ`
+/// at bit `i % 64` of word `i / 64`.
+type Poly = [u64; 4];
+
+/// Powers `x^(64·d) mod P` in the table, `d < POWERS`: `xᵏ mod P` for
+/// `k < 64 · POWERS = 2¹⁷` is a lookup and fewer than 64 shifts.
+const POWERS: usize = 2048;
+
+/// The characteristic polynomial `P` of the state update, and the
+/// powers `x^(64·d) mod P` for `d < POWERS`.
+struct JumpTable {
+    /// `P − x²⁵⁶`.
+    low: Poly,
+    powers: Box<[Poly]>,
+}
+
+impl JumpTable {
+    /// The process-wide table, built on first use.
+    fn get() -> &'static JumpTable {
+        static TABLE: OnceLock<JumpTable> = OnceLock::new();
+        TABLE.get_or_init(|| {
+            // Any nonzero state's bit sequence has minimal polynomial P,
+            // since P is primitive (the period is 2²⁵⁶ − 1).
+            let mut s = [1u64, 0, 0, 0];
+            let bits: Vec<u8> = (0..512)
+                .map(|_| {
+                    let bit = (s[0] & 1) as u8;
+                    step(&mut s);
+                    bit
+                })
+                .collect();
+            let (c, len) = berlekamp_massey(&bits);
+            assert_eq!(len, 256, "xoshiro256's characteristic polynomial has degree 256");
+            // bits[n] = Σ c[i]·bits[n−i], so P = x²⁵⁶ + Σ c[i]·x^(256−i).
+            let mut low = [0u64; 4];
+            for (i, &ci) in c.iter().enumerate().skip(1).take(256) {
+                low[(256 - i) / 64] |= u64::from(ci) << ((256 - i) % 64);
+            }
+            let mut table = JumpTable { low, powers: Box::default() };
+            let mut power = [1, 0, 0, 0];
+            table.powers = (0..POWERS)
+                .map(|_| {
+                    let this = power;
+                    (0..64).for_each(|_| power = table.times_x(power));
+                    this
+                })
+                .collect();
+            table
+        })
+    }
+
+    /// `p·x mod P`.
+    #[inline]
+    fn times_x(&self, p: Poly) -> Poly {
+        let carry = (p[3] >> 63).wrapping_neg();
+        [
+            p[0] << 1 ^ (self.low[0] & carry),
+            (p[1] << 1 | p[0] >> 63) ^ (self.low[1] & carry),
+            (p[2] << 1 | p[1] >> 63) ^ (self.low[2] & carry),
+            (p[3] << 1 | p[2] >> 63) ^ (self.low[3] & carry),
+        ]
+    }
+
+    /// `a·b mod P`, Horner over the bits of `a`.
+    fn times(&self, a: Poly, b: Poly) -> Poly {
+        let mut acc = [0u64; 4];
+        for bit in (0..256).rev() {
+            acc = self.times_x(acc);
+            if a[bit / 64] >> (bit % 64) & 1 == 1 {
+                xor_into(&mut acc, &b);
+            }
+        }
+        acc
+    }
+
+    /// `xⁿ mod P`: a table lookup and fewer than 64 shifts below
+    /// `64 · POWERS`, one squaring per halving of `n` above.
+    #[inline]
+    fn x_pow(&self, n: u64) -> Poly {
+        if n >= 64 * POWERS as u64 {
+            return self.x_pow_beyond(n);
+        }
+        let mut p = self.powers[(n / 64) as usize];
+        for _ in 0..n % 64 {
+            p = self.times_x(p);
+        }
+        p
+    }
+
+    /// [`x_pow`](Self::x_pow) past the table: `(x^⌊n/2⌋)²·x^(n mod 2)`.
+    #[inline(never)]
+    fn x_pow_beyond(&self, n: u64) -> Poly {
+        let half = self.x_pow(n / 2);
+        let square = self.times(half, half);
+        if n % 2 == 1 {
+            self.times_x(square)
+        } else {
+            square
+        }
+    }
+}
+
+/// The shortest linear recurrence of a bit sequence (Berlekamp–Massey
+/// over GF(2)): `(c, len)` with `c[0] = 1` and
+/// `bits[n] = Σ_{1 ≤ i ≤ len} c[i]·bits[n − i]`.
+fn berlekamp_massey(bits: &[u8]) -> (Vec<u8>, usize) {
+    let n = bits.len();
+    let (mut c, mut b) = (vec![0u8; n + 1], vec![0u8; n + 1]);
+    c[0] = 1;
+    b[0] = 1;
+    let (mut len, mut shift) = (0, 1);
+    for i in 0..n {
+        let discrepancy = (1..=len).fold(bits[i], |d, j| d ^ (c[j] & bits[i - j]));
+        if discrepancy == 0 {
+            shift += 1;
+            continue;
+        }
+        let previous = (2 * len <= i).then(|| c.clone());
+        for j in shift..=n {
+            c[j] ^= b[j - shift];
+        }
+        match previous {
+            Some(previous) => {
+                len = i + 1 - len;
+                b = previous;
+                shift = 1;
+            }
+            None => shift += 1,
+        }
+    }
+    (c, len)
+}
+
+/// Random access into one [`SimRng`] stream: the `k`-th draw of the
+/// stream it was built from, for any `k`, without drawing the ones
+/// before it. The stream itself is never advanced.
+///
+/// The first read builds a 32 KiB table of the stream's first 256
+/// states in groups of four (see the module docs); from then on a read
+/// at `k < 2¹⁷` costs ~0.1 µs.
+///
+/// # Example
+///
+/// ```
+/// use tpv_sim::rng::{IndexedRng, SimRng};
+/// let mut stream = SimRng::seed_from_u64(5);
+/// let mut index = IndexedRng::new(stream.clone());
+/// let draws: Vec<f64> = (0..100).map(|_| stream.next_f64()).collect();
+/// assert_eq!(index.f64_at(99), draws[99]);
+/// assert_eq!(index.f64_at(7), draws[7]);
+/// ```
+#[derive(Debug)]
+pub struct IndexedRng {
+    origin: [u64; 4],
+    /// `groups[g][m]`: the XOR of the states `T^(4g + j)·origin` over
+    /// the set bits `j` of `m`; built on the first read.
+    groups: Option<Box<[[[u64; 4]; 16]]>>,
+}
+
+impl IndexedRng {
+    /// Random access into `stream` from its current position: draw `k`
+    /// is the one `stream` would give after `k` draws.
+    pub fn new(stream: SimRng) -> Self {
+        IndexedRng { origin: stream.s, groups: None }
+    }
+
+    /// The `k`-th 64-bit output, as [`SimRng::next_u64`] gives it.
+    fn u64_at(&mut self, k: u64) -> u64 {
+        let origin = self.origin;
+        let groups = self.groups.get_or_insert_with(|| {
+            let mut s = origin;
+            (0..64)
+                .map(|_| {
+                    let mut group = [[0u64; 4]; 16];
+                    for j in 0..4 {
+                        for m in 1usize << j..2 << j {
+                            group[m] = group[m - (1 << j)];
+                            xor_into(&mut group[m], &s);
+                        }
+                        step(&mut s);
+                    }
+                    group
+                })
+                .collect()
+        });
+        // The table holds the first 256 states themselves, 4 to a group;
+        // past them, apply x^(k − k mod 64) to the origin.
+        let (mut s, steps) = if k < 256 {
+            (groups[(k / 4) as usize][1 << (k % 4)], 0)
+        } else {
+            let poly = JumpTable::get().x_pow(k & !63);
+            let mut s = [0u64; 4];
+            for (&word, groups) in poly.iter().zip(groups.chunks_exact(16)) {
+                for (n, group) in groups.iter().enumerate() {
+                    xor_into(&mut s, &group[(word >> (4 * n) & 15) as usize]);
+                }
+            }
+            (s, k % 64)
+        };
+        for _ in 0..steps {
+            step(&mut s);
+        }
+        output(&s)
+    }
+
+    /// The `k`-th uniform, as [`SimRng::next_f64`] gives it.
+    pub fn f64_at(&mut self, k: u64) -> f64 {
+        unit_f64(self.u64_at(k))
+    }
+
+    /// Heap bytes held: none before the first read, the 32 KiB table
+    /// after it, whatever the reads reached.
+    pub fn heap_bytes(&self) -> usize {
+        self.groups.as_deref().map_or(0, std::mem::size_of_val)
     }
 }
 
@@ -294,6 +592,72 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(v, sorted, "shuffle of 50 elements left them sorted");
+    }
+
+    #[test]
+    fn jump_polynomials_match_the_reference_constants() {
+        // `JUMP` and `LONG_JUMP` of Vigna's xoshiro256++ `jump()` and
+        // `long_jump()`: x^(2^128) and x^(2^192) mod P, bit i the
+        // coefficient of x^i.
+        const JUMP: Poly = [0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c];
+        const LONG_JUMP: Poly =
+            [0x76e15d3efefdcbbf, 0xc5004e441c522fb3, 0x77710069854ee241, 0x39109bb02acbe635];
+        let table = JumpTable::get();
+        let mut p = [2, 0, 0, 0]; // x
+        for _ in 0..128 {
+            p = table.times(p, p);
+        }
+        assert_eq!(p, JUMP);
+        for _ in 0..64 {
+            p = table.times(p, p);
+        }
+        assert_eq!(p, LONG_JUMP);
+        assert_eq!(table.x_pow(1 << 40), {
+            let mut p = table.x_pow(1 << 16);
+            (0..24).for_each(|_| p = table.times(p, p));
+            p
+        });
+    }
+
+    #[test]
+    fn random_access_matches_sequential_draws() {
+        for seed in [0, 1, 7, 2024] {
+            let mut stream = SimRng::seed_from_u64(seed);
+            let mut index = IndexedRng::new(stream.clone());
+            assert_eq!(index.heap_bytes(), 0, "seed {seed}: building drew");
+            for k in 0..1 << 14 {
+                assert_eq!(index.f64_at(k).to_bits(), stream.next_f64().to_bits(), "seed {seed}: draw {k}");
+            }
+            assert_eq!(index.heap_bytes(), 32 << 10);
+        }
+        // Sampled indices up to 2^20, reaching past the table of powers.
+        let mut stream = SimRng::seed_from_u64(99).split();
+        let mut index = IndexedRng::new(stream.clone());
+        let mut picks = SimRng::seed_from_u64(100);
+        for k in 0..1u64 << 20 {
+            let x = stream.next_u64();
+            if k % 4093 == 0 || picks.next_below(2048) == 0 {
+                assert_eq!(index.u64_at(k), x, "draw {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn advance_composes_with_random_access() {
+        let origin = SimRng::seed_from_u64(31);
+        let mut index = IndexedRng::new(origin.clone());
+        let mut picks = SimRng::seed_from_u64(32);
+        let mut jumps = vec![0, 1, 63, 64, 255, 256, 131_071, 131_072, 1 << 20, (1 << 40) - 1, 1 << 40];
+        jumps.extend((0..6).map(|_| picks.next_below(1 << 40)));
+        for a in jumps {
+            let mut jumped = origin.clone();
+            jumped.advance(a);
+            let mut from_a = IndexedRng::new(jumped.clone());
+            for b in [0, 1, 100, 131_071 - (a % 64)] {
+                assert_eq!(from_a.u64_at(b), index.u64_at(a + b), "advance({a}) then draw {b}");
+            }
+            assert_eq!(jumped.next_u64(), index.u64_at(a), "advance({a}) then next_u64");
+        }
     }
 
     #[test]
