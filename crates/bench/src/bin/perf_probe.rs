@@ -29,7 +29,7 @@
 //!   the phased kernel with per-phase collection. With `--shards K`
 //!   (K > 1) the same fleet fans out over a uniform K-shard tier, so
 //!   the probe times the phased×sharded path — pooled partition dispatch
-//!   plus canonical-order per-phase merges — instead of the
+//!   plus per-phase merges — instead of the
 //!   single-stream kernel.
 //! * `fleet_256` — 256 nodes over a 16-shard server tier: the sharded
 //!   kernel's scale regime. Timed twice — forced serial and on the
@@ -140,7 +140,7 @@ struct Options {
     /// bit-identical).
     pin: PinPolicy,
     /// Shard count for `diurnal_8`: K > 1 runs the phased fleet over a
-    /// K-shard tier through the canonical-order per-phase merge path.
+    /// K-shard tier through the per-phase merge path.
     shards: usize,
 }
 
@@ -650,8 +650,8 @@ fn diurnal_8(opts: &Options) -> ScenarioReport {
     .map(|n| n.with_dynamics(dynamics.clone()))
     .collect();
     // `--shards K` (K > 1) fans the same phased fleet out over a
-    // uniform K-shard tier, timing the canonical-order per-phase merge
-    // path instead of the single-stream kernel.
+    // uniform K-shard tier, timing the per-phase merge path
+    // instead of the single-stream kernel.
     let shards = opts.shards;
     let tier = (shards > 1).then(|| ShardSpec::uniform(server, shards));
     let topo = TopologySpec {

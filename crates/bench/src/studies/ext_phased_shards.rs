@@ -1,7 +1,7 @@
 //! **Extension experiment** (beyond the paper's figures): time-varying
 //! client dynamics against a *sharded* server tier — the combination the
 //! kernel historically rejected (`TopologyError::PhasedMultiShard`) and
-//! PR 8's canonical-order per-phase merges unlocked.
+//! per-phase merges unlocked.
 //!
 //! A 32-node memcached fleet follows a 6-phase stepped diurnal load
 //! while a quarter of the nodes exhaust their turbo/power budget at

@@ -11,10 +11,10 @@
 //! Every [`RunResult`] the kernel reports — the aggregate, each shard's,
 //! each node's and each cohort's — is built by one crate-private `Pool`:
 //! a latency histogram, summed wake/send/truncation counters, and each
-//! member node's energy and offered load kept whole. Pools merge in the
-//! runner's canonical partition order. Only the histogram's Welford
-//! state (mean, standard deviation) depends on that order; the per-node
-//! floats are summed in sorted order when the result is built.
+//! member node's energy and offered load kept whole. The histogram and
+//! the counters are integers, and the per-node floats are summed in
+//! sorted order when the result is built, so pools merge in any order
+//! to the same bits.
 //!
 //! # Example
 //!
@@ -124,16 +124,11 @@ pub trait Collector {
 /// what lets the sharded kernel
 /// ([`crate::runtime::run_sharded_collected_hedged_with`]) give every
 /// concurrent shard its own collector and still hand the caller a single
-/// merged collection. `other` is always the *next* partition in
-/// canonical `(shard_key, shard_index)` order — the order the runner
-/// fixes once, when it builds the partitions — so an implementation can
-/// fold float state eagerly and still be independent of shard
-/// enumeration, worker count and schedule. Shards observe
-/// disjoint node sets, so merging by node index is order-insensitive
-/// outright.
+/// merged collection. Shards observe disjoint node sets, so merging by
+/// node index is order-insensitive outright, and histograms merge
+/// exactly in any order.
 pub trait MergeCollector: Collector {
-    /// Folds `other` — the same run's next partition, in canonical
-    /// order — into `self`.
+    /// Folds `other`, another partition of the same run, into `self`.
     fn merge(&mut self, other: Self);
 }
 
@@ -188,10 +183,9 @@ impl MergeCollector for EventCountCollector {
 ///
 /// Integer counters add exactly. Each node's energy and offered load
 /// are kept whole and summed in sorted order by [`Pool::result`], so
-/// those floats are a function of the pool's node multiset. Only the
-/// histogram's Welford state (mean, standard deviation) depends on the
-/// merge order, which is why pools merge in the runner's canonical
-/// partition order.
+/// those floats are a function of the pool's node multiset; the
+/// histogram merges exactly, so a merged pool's result is the same in
+/// any merge order.
 #[derive(Debug, Default)]
 pub(crate) struct Pool {
     hist: LatencyHistogram,
@@ -216,8 +210,7 @@ impl Pool {
         self.targets.push(stats.target_qps);
     }
 
-    /// Folds `other` in: the histogram in call order (callers merge in
-    /// canonical order), everything else order-independently.
+    /// Folds `other` in.
     pub(crate) fn merge(&mut self, other: &Pool) {
         self.hist.merge(&other.hist);
         self.add_counts(other.wakes, other.sends, other.truncated);
@@ -327,8 +320,8 @@ impl Collector for PerNodeCollector {
 /// [`TopologySpec::layout`](crate::topology::TopologySpec)); explicit
 /// nodes map to no cohort and are simply skipped, so the collector's
 /// footprint is `O(cohorts)`, flat in the modeled population. A cohort
-/// whose members span shards folds their pools in canonical partition
-/// order, so its rollup is bit-identical serial vs sharded-parallel.
+/// whose members span shards merges their pools, which is order-free,
+/// so its rollup is bit-identical serial vs sharded-parallel.
 #[derive(Debug)]
 pub struct PerCohortCollector {
     cohort_of: Vec<Option<usize>>,
@@ -514,10 +507,9 @@ pub struct PhaseStats {
 /// boundary.
 ///
 /// Sharded runs give every shard its own collector and fold them through
-/// [`MergeCollector`] in the runner's canonical partition order — the
-/// order the aggregate merges in too — so the per-phase Welford state
-/// (mean/CoV) is bit-identical whatever the shard enumeration, worker
-/// count or schedule.
+/// [`MergeCollector`]; per-phase histograms merge exactly, so the
+/// per-phase mean and CoV are bit-identical whatever the shard
+/// enumeration, worker count or schedule.
 #[derive(Debug)]
 pub struct PhaseCollector {
     schedule: PhaseSchedule,
@@ -651,8 +643,8 @@ impl WindowedObserver {
     /// `shard` — pass `|shard, key| WindowedObserver::for_partition(n,
     /// key, shard)` as the collector factory of
     /// [`crate::runtime::run_sharded_collected_hedged_with`]. The shard
-    /// content key is accepted for that factory's shape and unused: the
-    /// runner already merges partitions in canonical order.
+    /// content key is accepted for that factory's shape and unused:
+    /// merging partitions is order-free.
     pub fn for_partition(nodes: usize, _shard_key: u64, shard: usize) -> Self {
         WindowedObserver {
             node_hists: (0..nodes).map(|_| LatencyHistogram::new()).collect(),
@@ -723,8 +715,8 @@ impl Collector for WindowedObserver {
 
 impl MergeCollector for WindowedObserver {
     /// Takes `other`'s finished nodes (disjoint across shards) and its
-    /// shard rows whole — no float state is ever folded across shards,
-    /// so the observation is independent of merge order.
+    /// shard rows whole — nothing is folded across shards, so the
+    /// observation is independent of merge order.
     fn merge(&mut self, other: Self) {
         assert_eq!(self.node_hists.len(), other.node_hists.len(), "observers cover different fleets");
         for (i, (stats, (hist, hedges))) in
@@ -861,17 +853,19 @@ mod tests {
     }
 
     #[test]
-    fn per_cohort_merge_is_canonical_when_members_span_shards() {
+    fn per_cohort_merge_is_order_free_when_members_span_shards() {
         // Cohort 0's two members land on different shards.
         let map = vec![Some(0), Some(0)];
-        let observe = |order: [usize; 2], qps: [f64; 2]| {
+        let observe = |order: [usize; 2], qps: [f64; 2], reversed: bool| {
             let mut shards: Vec<PerCohortCollector> =
                 (0..2).map(|_| PerCohortCollector::new(map.clone(), 1)).collect();
             for (shard, node) in order.into_iter().enumerate() {
                 shards[shard].on_latency(node, SimTime::ZERO, SimDuration::from_us(40 + 10 * node as u64));
                 shards[shard].on_node_done(node, &node_stats(qps[node], 0.1 + node as f64));
             }
-            // Fold in one fixed order, as the sharded kernel folds its plans.
+            if reversed {
+                shards.reverse();
+            }
             let mut iter = shards.into_iter();
             let mut merged = iter.next().unwrap();
             for s in iter {
@@ -879,10 +873,12 @@ mod tests {
             }
             merged.into_results(SimDuration::from_ms(10))
         };
-        // Which shard hosts which member must not change the pooled result.
-        let a = observe([0, 1], [2_000.0, 3_000.0]);
-        let b = observe([1, 0], [2_000.0, 3_000.0]);
-        assert_eq!(a, b);
+        // Neither which shard hosts which member nor the fold order may
+        // change the pooled result.
+        let a = observe([0, 1], [2_000.0, 3_000.0], false);
+        for (order, reversed) in [([1, 0], false), ([0, 1], true), ([1, 0], true)] {
+            assert_eq!(observe(order, [2_000.0, 3_000.0], reversed), a);
+        }
         assert_eq!(a[0].samples, 2);
         assert_eq!(a[0].target_qps, 5_000.0);
     }
@@ -925,14 +921,17 @@ mod tests {
     }
 
     #[test]
-    fn windowed_observer_merge_is_canonical_and_counts_hedges() {
-        let observe = |order: [usize; 2]| {
+    fn windowed_observer_merge_is_order_free_and_counts_hedges() {
+        let observe = |order: [usize; 2], reversed: bool| {
             let mut parts: Vec<WindowedObserver> =
                 (0..2).map(|shard| WindowedObserver::for_partition(2, 100 + shard as u64, shard)).collect();
             for (shard, node) in order.into_iter().enumerate() {
                 parts[shard].on_latency(node, SimTime::ZERO, SimDuration::from_us(40 + 10 * node as u64));
                 parts[shard].on_hedge(node);
                 parts[shard].on_node_done(node, &node_stats(2_000.0, 0.5));
+            }
+            if reversed {
+                parts.reverse();
             }
             let mut iter = parts.into_iter();
             let mut merged = iter.next().unwrap();
@@ -942,9 +941,11 @@ mod tests {
             assert_eq!(merged.total_hedges(), 2);
             merged.into_windows(SimDuration::from_ms(10))
         };
-        // Which shard hosts which node must not change the observation.
-        let a = observe([0, 1]);
-        let b = observe([1, 0]);
+        // The fold order must not change the observation at all...
+        let (a, b) = (observe([0, 1], false), observe([1, 0], false));
+        assert_eq!(observe([0, 1], true), a);
+        assert_eq!(observe([1, 0], true), b);
+        // ...nor which shard hosts which node the node rows.
         assert_eq!(a.0, b.0);
         // Shard rows follow the shard index, not the fold order...
         assert_eq!(a.1.iter().map(|s| s.shard).collect::<Vec<_>>(), vec![0, 1]);

@@ -19,7 +19,7 @@
 //!
 //! A policy sees only a [`WindowObservation`]: node rows sorted by
 //! label, shard rows sorted by shard index, every statistic produced by
-//! canonical-order merges. Actions address nodes by **label**, never by
+//! exact, order-free merges. Actions address nodes by **label**, never by
 //! execution order, and each window's seed is a pure function of
 //! `(run seed, window index)`. So a controlled run is a pure function of
 //! `(spec, policy, seed)` — bit-identical across worker counts and node

@@ -12,8 +12,8 @@
 //!
 //! Pinning is **off by default** ([`PinPolicy::Off`]) and purely a
 //! placement decision: shard results are bit-identical with pinning on,
-//! off, or unsupported, because the sharded merge happens in canonical
-//! `(shard_key, idx)` order whatever thread ran which shard —
+//! off, or unsupported, because shard results merge exactly in any
+//! order, whatever thread ran which shard —
 //! `perf_probe --pin` asserts exactly that. On non-Linux targets (and on
 //! kernels that reject the affinity call) pinning degrades to a no-op.
 //!

@@ -442,9 +442,9 @@ pub fn run_traced(spec: &RunSpec<'_>, seed: u64, max_trace: usize) -> (RunResult
 /// Deterministic: the same `(spec, seed)` gives bit-identical results
 /// whatever `workers`, the OS schedule or the shard enumeration order.
 /// Each partition is a self-contained simulation with content-addressed
-/// RNG streams, and the per-shard collectors fold in the canonical plan
-/// order of `build_partitions`. Per-node results are invariant under
-/// permutation of the node declaration order.
+/// RNG streams, and the per-shard collectors merge exactly in any order.
+/// Per-node results are invariant under permutation of the node
+/// declaration order.
 ///
 /// # Errors
 ///
@@ -496,9 +496,9 @@ fn validate_topology(topo: &TopologySpec<'_>) {
 struct PartitionPlan<'a> {
     /// Shard index in declaration order (0 for the single tier).
     shard: usize,
-    /// Canonical content key: plans are ordered by `(key, shard)`, so
-    /// shard *enumeration* order cannot leak into any float merge
-    /// through non-associative f64 addition. 0 for the single tier.
+    /// Content key: plans are ordered by `(key, shard)`, so shard
+    /// *enumeration* order cannot change the order a serial collector
+    /// sees partitions in. 0 for the single tier.
     key: u64,
     server: &'a MachineConfig,
     members: Vec<(usize, &'a ClientNode, u64)>,
@@ -512,11 +512,10 @@ struct PartitionPlan<'a> {
 /// Splits a topology into its independent per-shard sub-simulations,
 /// over the **lowered** fleet `nodes` (see
 /// [`TopologySpec::lowered_node_count`]; identical to `topo.nodes` when
-/// the topology has no cohorts), returned in canonical
-/// `(shard_key, shard)` order. This is the one place the merge order is
-/// decided: every path iterates the plans in the order returned, so the
-/// aggregate and every merged collector fold their float state
-/// identically whatever the shard enumeration or execution schedule.
+/// the topology has no cohorts), sorted by `(shard_key, shard)`. That
+/// content order fixes the order in which [`run_collected`] feeds one
+/// collector the partitions, so an arbitrary collector sees the same
+/// sequence of hooks whatever the shard enumeration.
 ///
 /// Shards share no mutable state — each partition gets its own service
 /// instance, event queue, slab and RNG streams — so partitions can run
@@ -580,11 +579,9 @@ fn build_partitions<'a>(
     plans
 }
 
-/// Merges partition pools — given in [`build_partitions`]' canonical
-/// plan order — into the whole-run aggregate. A single partition merges
-/// into an empty histogram, which is bit-exact, keeping the unsharded
-/// path byte-identical to the historical single-loop epilogue; the
-/// aggregate's offered load pools every lowered node's effective load.
+/// Merges partition pools into the whole-run aggregate, which is exact
+/// in any order; the aggregate's offered load pools every lowered
+/// node's effective load.
 fn finish_run(topo: &TopologySpec<'_>, pools: &[Pool]) -> RunResult {
     let mut all = Pool::default();
     for pool in pools {
@@ -598,7 +595,7 @@ fn finish_run(topo: &TopologySpec<'_>, pools: &[Pool]) -> RunResult {
 /// [`run_traced`] and (per shard) the parallel
 /// [`run_sharded_collected_hedged_with`]. Sharded topologies execute
 /// their partitions serially here, feeding the one collector in
-/// canonical partition order.
+/// `build_partitions`' content order.
 ///
 /// # Panics
 ///
@@ -886,11 +883,9 @@ fn run_partition<C: Collector>(
 /// topology's partitions run on up to `workers` threads of the engine's
 /// pool, pinned per `pin`, every partition with its
 /// own collector `make(shard, shard_key)`. The per-shard collectors are
-/// folded through [`MergeCollector::merge`] in the canonical plan order
-/// of `build_partitions`, so a collector folding float state needs no
-/// ordering logic of its own. Returns the aggregate result, the
-/// per-shard breakdowns (sorted by shard index) and the merged
-/// collector.
+/// folded through [`MergeCollector::merge`]. Returns the aggregate
+/// result, the per-shard breakdowns (sorted by shard index) and the
+/// merged collector.
 ///
 /// The aggregate is bit-identical to feeding one collector through
 /// [`run_collected`] on the same topology, and every output is
@@ -928,8 +923,6 @@ where
     let layout = topo.layout();
     let master = SimRng::seed_from_u64(seed);
     let plans = build_partitions(topo, layout.nodes(), &master);
-    // The pool returns results in task order, which is plan order here,
-    // so the merge below is canonical whatever the schedule.
     let per_shard = run_indexed(plans.len(), workers, pin, |s| {
         let plan = &plans[s];
         let mut collector = make(plan.shard, plan.key);

@@ -8,11 +8,11 @@
 //!
 //! Histograms from different agent machines [`merge`](LatencyHistogram::merge)
 //! losslessly, mirroring the paper's master/agent mutilate deployment.
-//! Bucket counts are integers and merge exactly in any order; the
-//! embedded [`Welford`] moments do **not** — see its
-//! `merge` docs for the canonical-order discipline parallel callers owe.
+//! The mean and standard deviation come from integer sums of the
+//! nanosecond samples beside the buckets, so every field is an integer
+//! and a merge gives the same bits in any order.
 
-use crate::{SimDuration, Welford};
+use crate::SimDuration;
 
 /// Number of linear sub-buckets per power of two (2^6 = 64 ⇒ ≤1.6 % error).
 const SUB_BUCKET_BITS: u32 = 6;
@@ -39,7 +39,10 @@ pub struct LatencyHistogram {
     total: u64,
     min: u64,
     max: u64,
-    welford: Welford,
+    /// Σx over the samples in ns: below `total × max < 2¹²⁸`, so exact.
+    sum: u128,
+    /// Σx² over the samples in ns², saturating at `u128::MAX`.
+    sum_sq: u128,
 }
 
 fn bucket_index(value_ns: u64) -> usize {
@@ -70,7 +73,7 @@ fn bucket_high(index: usize) -> u64 {
 impl LatencyHistogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
-        LatencyHistogram { counts: Vec::new(), total: 0, min: u64::MAX, max: 0, welford: Welford::new() }
+        LatencyHistogram { counts: Vec::new(), total: 0, min: u64::MAX, max: 0, sum: 0, sum_sq: 0 }
     }
 
     /// Records one duration.
@@ -84,7 +87,8 @@ impl LatencyHistogram {
         self.total += 1;
         self.min = self.min.min(ns);
         self.max = self.max.max(ns);
-        self.welford.push(ns as f64);
+        self.sum += u128::from(ns);
+        self.sum_sq = self.sum_sq.saturating_add(u128::from(ns) * u128::from(ns));
     }
 
     /// Total number of recorded samples.
@@ -97,17 +101,41 @@ impl LatencyHistogram {
         self.total == 0
     }
 
-    /// Exact arithmetic mean of the recorded durations.
-    ///
-    /// The mean is tracked outside the buckets (Welford), so it has no
-    /// bucketing error.
+    /// Exact arithmetic mean of the recorded durations, rounded half up
+    /// to the nanosecond (`(2·Σx + n) / 2n`, in integers).
     pub fn mean(&self) -> SimDuration {
-        SimDuration::from_us_f64(self.welford.mean() / 1_000.0)
+        if self.total == 0 {
+            return SimDuration::ZERO;
+        }
+        let n = u128::from(self.total);
+        let (q, r) = (self.sum / n, self.sum % n);
+        // q ≤ max, and q = u64::MAX only when every sample is, so r = 0.
+        SimDuration::from_ns(q as u64 + u64::from(2 * r >= n))
     }
 
-    /// Exact sample standard deviation of the recorded durations.
+    /// Sample standard deviation of the recorded durations (0 below two
+    /// samples): one f64 division and `sqrt` of the exact integer
+    /// `n·Σx² − (Σx)²` over `n(n − 1)`.
+    ///
+    /// That integer fits in `u128` while `count × max < 2⁶⁴` (e.g. 10⁹
+    /// samples of up to 18 s). Past that bound the variance is evaluated
+    /// in f64 as `(Σx² − (Σx)²/n) / (n − 1)`, clamped at 0; it rounds,
+    /// and understates once Σx² saturates, but it is still a function of
+    /// the merged sums alone, so it too is the same in any merge order.
     pub fn std_dev(&self) -> SimDuration {
-        SimDuration::from_us_f64(self.welford.sample_std_dev() / 1_000.0)
+        if self.total < 2 {
+            return SimDuration::ZERO;
+        }
+        let n = u128::from(self.total);
+        let exact = n.checked_mul(self.sum_sq).and_then(|nq| nq.checked_sub(self.sum.checked_mul(self.sum)?));
+        let variance = match exact {
+            Some(num) => num as f64 / (n * (n - 1)) as f64,
+            None => {
+                let (n, s) = (n as f64, self.sum as f64);
+                ((self.sum_sq as f64 - s * s / n) / (n - 1.0)).max(0.0)
+            }
+        };
+        SimDuration::from_us_f64(variance.sqrt() / 1_000.0)
     }
 
     /// Smallest recorded duration ([`SimDuration::ZERO`] when empty).
@@ -153,7 +181,8 @@ impl LatencyHistogram {
         self.percentile(50.0)
     }
 
-    /// Merges another histogram into this one (exact; no resampling).
+    /// Merges another histogram into this one: exact, no resampling, and
+    /// the same bits in any merge order.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         if other.counts.len() > self.counts.len() {
             self.counts.resize(other.counts.len(), 0);
@@ -164,25 +193,8 @@ impl LatencyHistogram {
         self.total += other.total;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        self.welford.merge(&other.welford);
-    }
-
-    /// Iterates over `(bucket_upper_bound, count)` for non-empty buckets.
-    pub fn iter(&self) -> impl Iterator<Item = (SimDuration, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (SimDuration::from_ns(bucket_high(i)), c))
-    }
-
-    /// Resets the histogram to empty without releasing capacity.
-    pub fn clear(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
-        self.total = 0;
-        self.min = u64::MAX;
-        self.max = 0;
-        self.welford = Welford::new();
+        self.sum += other.sum;
+        self.sum_sq = self.sum_sq.saturating_add(other.sum_sq);
     }
 }
 
@@ -295,29 +307,54 @@ mod tests {
         for p in [50.0, 90.0, 99.0, 99.9] {
             assert_eq!(a.percentile(p), all.percentile(p), "p{p}");
         }
-        assert!((a.mean().as_ns() as i64 - all.mean().as_ns() as i64).abs() <= 1);
+        assert_eq!(a.mean(), all.mean());
+        assert_eq!(a.std_dev(), all.std_dev());
+    }
+
+    fn of_ns(samples: &[u64]) -> LatencyHistogram {
+        let mut h = LatencyHistogram::new();
+        samples.iter().for_each(|&ns| h.record(SimDuration::from_ns(ns)));
+        h
     }
 
     #[test]
-    fn clear_resets_but_keeps_capacity() {
-        let mut h = LatencyHistogram::new();
-        h.record(SimDuration::from_ms(5));
-        let cap = h.counts.len();
-        h.clear();
-        assert!(h.is_empty());
-        assert_eq!(h.counts.len(), cap);
-        h.record(SimDuration::from_us(1));
-        assert_eq!(h.count(), 1);
+    fn small_moments_are_exact() {
+        let one = of_ns(&[7_654]);
+        assert_eq!((one.mean().as_ns(), one.std_dev()), (7_654, SimDuration::ZERO));
+        let us = [2u64, 4, 4, 4, 5, 5, 7, 9];
+        let h = of_ns(&us.map(|v| v * 1_000));
+        assert_eq!(h.mean(), SimDuration::from_us(5));
+        // Sample std dev √(32/7) µs ≈ 2,138 ns; the same values in ns
+        // give √(32/7) ≈ 2.138, which rounds to 2 ns.
+        assert_eq!(h.std_dev().as_ns(), 2_138);
+        assert_eq!(of_ns(&us).std_dev().as_ns(), 2);
+        // Half a nanosecond rounds up.
+        assert_eq!(of_ns(&[1, 2]).mean().as_ns(), 2);
     }
 
     #[test]
-    fn iter_visits_every_sample_once() {
-        let mut h = LatencyHistogram::new();
-        for us in [1u64, 1, 2, 500, 500, 500] {
-            h.record(SimDuration::from_us(us));
-        }
-        let total: u64 = h.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, 6);
+    fn moments_past_the_exact_range_neither_wrap_nor_depend_on_order() {
+        let merged_both_ways = |a: &LatencyHistogram, b: &LatencyHistogram| {
+            let (mut ab, mut ba) = (a.clone(), b.clone());
+            ab.merge(b);
+            ba.merge(a);
+            let moments = |h: &LatencyHistogram| (h.count(), h.mean(), h.std_dev());
+            assert_eq!(moments(&ab), moments(&ba));
+            moments(&ab)
+        };
+        // Two u64::MAX samples: Σx² saturates, the mean stays exact and
+        // the f64 fallback clamps at 0, here the true spread.
+        let top = of_ns(&[u64::MAX]);
+        let (count, mean, sd) = merged_both_ways(&top, &top);
+        assert_eq!((count, mean.as_ns(), sd), (2, u64::MAX, SimDuration::ZERO));
+        assert_eq!(of_ns(&[u64::MAX, u64::MAX]).std_dev(), SimDuration::ZERO);
+        // A merge that crosses count × max = 2⁶⁴: 3 × 2⁶³. The mean is
+        // 2⁶⁴/3 rounded; the sample variance (2·2¹²⁶ − 2¹²⁸/3)/2 = 2¹²⁷/6.
+        let (count, mean, sd) = merged_both_ways(&of_ns(&[0]), &of_ns(&[1 << 63, 1 << 63]));
+        assert_eq!((count, mean.as_ns()), (3, 6_148_914_691_236_517_205));
+        let exact = (2f64.powi(127) / 6.0).sqrt();
+        let got = sd.as_ns() as f64;
+        assert!((got - exact).abs() <= exact * 1e-12, "std dev {got} vs {exact}");
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   Zipf, …).
 //! * [`hist`] — a mergeable, log-bucketed latency histogram in the spirit of
 //!   HdrHistogram, used by the load generators to record per-request
-//!   latencies.
-//! * [`welford`] — streaming mean/variance.
+//!   latencies. Its mean and standard deviation come from integer sums,
+//!   so merged histograms give the same bits in any order.
 //! * [`lindley`] — the single-server FIFO waiting-time recursion used by
 //!   every queueing resource in the testbed (client threads, server
 //!   workers, NIC queues).
@@ -48,7 +48,6 @@ pub mod dist;
 pub mod hist;
 pub mod lindley;
 pub mod rng;
-pub mod welford;
 
 pub use event::EventQueue;
 pub use hist::LatencyHistogram;
@@ -57,4 +56,3 @@ pub use phase::PhaseSchedule;
 pub use rng::SimRng;
 pub use slab::{HotColdSlab, Slab};
 pub use time::{SimDuration, SimTime};
-pub use welford::Welford;

@@ -17,9 +17,8 @@
 //! phase is just a time interval, per-phase aggregation composes with
 //! partitioned (sharded) execution — each partition buckets its own
 //! samples by the shared schedule and the partials merge afterwards.
-//! The schedule side is exact (boundary instants are integers); only
-//! the float moments inside each phase bucket need the canonical merge
-//! order documented on [`Welford::merge`](crate::Welford::merge).
+//! Both sides are exact: boundary instants are integers, and so is every
+//! field of each phase bucket's histogram, so the merge order is free.
 //!
 //! # Example
 //!

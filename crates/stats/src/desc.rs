@@ -1,7 +1,5 @@
 //! Descriptive statistics over sample sets, plus Little's law.
 
-pub use tpv_sim::Welford;
-
 /// Arithmetic mean. Returns 0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {

@@ -119,8 +119,8 @@ fn cohort_rollups_are_invariant_under_shard_rotation() {
     // all of them, so each rollup folds partials from three shards.
     // Rotating the machine list — with the explicit assignment remapped
     // so every node keeps its backend — changes only the shards'
-    // declaration order; the runner folds partitions in canonical
-    // content order, so no rollup may notice.
+    // declaration order; rollups merge exactly in any order, so no
+    // rollup may notice.
     let service = kv_service();
     let server = MachineConfig::server_baseline();
     let machines = [server, server.with_smt(true), server.with_turbo(true)];

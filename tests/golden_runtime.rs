@@ -281,7 +281,7 @@ fn observe_phased(parts: &Parts, dynamics: &NodeDynamics, seed: u64) -> ([u64; 1
 
 /// One pinned sharded case: aggregate row in `GOLDEN` format plus
 /// per-shard `(samples, p99 ns)` pairs — a drift in the shard
-/// partitioning, the per-shard RNG streams or the canonical merge trips
+/// partitioning, the per-shard RNG streams or the shard merge trips
 /// the pin. Observed through the *parallel* kernel, so the pin also
 /// guards thread-count independence against the serial suite.
 struct ShardedGolden {
@@ -332,8 +332,8 @@ fn observe_sharded(shards: &ShardSpec, nodes: &[ClientNode], seed: u64) -> ([u64
 
 /// One pinned phased×sharded case: aggregate row in `GOLDEN` format
 /// plus per-shard and per-phase `(samples, p99 ns)` pairs — a drift in
-/// the shard partitioning, the dynamic kernel, or the canonical
-/// `(shard_key, shard_index)` per-phase merge order trips the pin.
+/// the shard partitioning, the dynamic kernel, or the per-phase merge
+/// trips the pin.
 /// Observed through the *parallel* path, and re-checked at 1/2/3/4/8
 /// workers by the pin test.
 struct PhasedShardedGolden {
@@ -406,7 +406,7 @@ fn observe_phased_sharded(
 /// One pinned cohorted case: aggregate row in `GOLDEN` format plus
 /// per-cohort `(samples, p99 ns)` pairs — a drift in the cohort
 /// lowering, the pooled arrival superposition or the per-cohort
-/// canonical merge trips the pin. Observed through the parallel
+/// merge trips the pin. Observed through the parallel
 /// `run_fleet` entry point.
 struct CohortGolden {
     name: &'static str,
@@ -463,7 +463,7 @@ fn observe_cohort(
 /// the decision and hedge counts — a drift in the windowed observer, a
 /// policy's decision function, the mitigation rewrites or the hedge
 /// leg's RNG stream trips the pin. Checked at 1/2/3/4/8 workers: a
-/// controller decision is a pure function of canonical-order windowed
+/// controller decision is a pure function of order-free windowed
 /// stats, so the schedule cannot leak into a single bit.
 struct ControlGolden {
     name: &'static str,
@@ -646,7 +646,7 @@ const GOLDEN_CONTROL: &[ControlGolden] = &[
 ];
 
 /// Every controller-enabled run must be bit-identical across worker
-/// counts — the decision loop sees only canonical-order windowed stats,
+/// counts — the decision loop sees only order-free windowed stats,
 /// so parallelism is presentation, not physics. The pins also audit the
 /// decision and hedge accounting of every shipped policy.
 #[test]
@@ -887,8 +887,8 @@ fn phased_sharded_runs_match_their_pins() {
             .iter()
             .find(|(n, _, _)| *n == g.name)
             .unwrap_or_else(|| panic!("unknown phased sharded golden case {}", g.name));
-        // The pin holds at every worker count: the canonical per-phase
-        // merge order makes the schedule presentation, not physics.
+        // The pin holds at every worker count: per-phase merges are
+        // exact, so the schedule is presentation, not physics.
         for workers in [1usize, 2, 3, 4, 8] {
             let (row, per_shard, per_phase) = observe_phased_sharded(shards, nodes, g.seed, workers);
             assert_eq!(

@@ -31,6 +31,36 @@ proptest! {
         prop_assert!(got <= exact * 1.017 + 1.0, "p{p}: {got} >> exact {exact}");
     }
 
+    /// Histograms merge exactly in any order: split random ns samples (0
+    /// up to 2⁴⁰) into 1–8 partitions, merge them in a random
+    /// permutation, and every summary equals one histogram's that
+    /// recorded everything, bit for bit.
+    #[test]
+    fn histogram_merge_is_order_free(
+        samples in prop::collection::vec((0u64..(1 << 40) + 1, 0u32..41, 0usize..8), 1..300),
+        parts in 1usize..9,
+        ranks in prop::collection::vec(0u64..u64::MAX, 8..9),
+    ) {
+        let mut all = LatencyHistogram::new();
+        let mut partitions = vec![LatencyHistogram::new(); parts];
+        for &(ns, shift, part) in &samples {
+            // The shift spreads magnitudes, so 0 and small values show up.
+            let d = SimDuration::from_ns(ns >> shift);
+            all.record(d);
+            partitions[part % parts].record(d);
+        }
+        let mut order: Vec<usize> = (0..parts).collect();
+        order.sort_by_key(|&i| ranks[i]);
+        let mut merged = LatencyHistogram::new();
+        for i in order {
+            merged.merge(&partitions[i]);
+        }
+        let summary = |h: &LatencyHistogram| {
+            (h.count(), h.mean(), h.std_dev(), h.min(), h.max(), h.median(), h.percentile(99.0))
+        };
+        prop_assert_eq!(summary(&merged), summary(&all));
+    }
+
     /// Event queues pop in non-decreasing time order for arbitrary inputs.
     #[test]
     fn event_queue_is_time_ordered(times in prop::collection::vec(0u64..10_000_000, 1..500)) {

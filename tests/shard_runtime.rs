@@ -18,7 +18,7 @@ use tpv_loadgen::GeneratorSpec;
 use tpv_net::LinkConfig;
 use tpv_services::kv::KvConfig;
 use tpv_services::{ServiceConfig, ServiceKind};
-use tpv_sim::{PhaseSchedule, SimDuration, SimTime, Welford};
+use tpv_sim::{LatencyHistogram, PhaseSchedule, SimDuration, SimTime};
 
 fn kv_service() -> ServiceConfig {
     ServiceConfig::without_interference(ServiceKind::Memcached(KvConfig {
@@ -134,8 +134,8 @@ fn shard_enumeration_order_is_presentation_not_physics() {
             "{label} differs under shard enumeration permutation"
         );
     }
-    // ...the aggregate is bit-identical (float merges happen in
-    // canonical content order, not enumeration order)...
+    // ...the aggregate is bit-identical (pools merge exactly, and
+    // per-node floats are summed in sorted order)...
     assert_eq!(a.aggregate, b.aggregate);
     // ...and the shard breakdowns swap along with the enumeration.
     assert_eq!(a.shards[0].result, b.shards[1].result);
@@ -290,16 +290,15 @@ fn merged_event_counts_match_the_serial_collector() {
     assert_eq!(shard_results.len(), 4);
 }
 
-/// Latency moments in fold order: every sample is pushed into a
-/// [`Welford`] and partitions merge with [`Welford::merge`]. Unlike a
-/// histogram, whose bucket counts add exactly, these float bits depend
-/// on the order the samples and partitions are folded in.
+/// Latency moments of every sample: each is recorded into a
+/// [`LatencyHistogram`] and partitions merge with
+/// [`LatencyHistogram::merge`].
 #[derive(Default)]
-struct MomentCollector(Welford);
+struct MomentCollector(LatencyHistogram);
 
 impl Collector for MomentCollector {
     fn on_latency(&mut self, _node: usize, _stamp: SimTime, measured: SimDuration) {
-        self.0.push(measured.as_us());
+        self.0.record(measured);
     }
 }
 
@@ -309,10 +308,9 @@ impl MergeCollector for MomentCollector {
     }
 }
 
-/// The canonical `(shard_key, shard)` merge order is fixed by content,
-/// not by enumeration: rotating a 3-shard tier of distinct machines
-/// (with the explicit assignment remapped so every node keeps its
-/// machine) leaves the merged moments' bits unchanged, through the
+/// Shard results are fixed by content, not by enumeration: rotating a
+/// 3-shard tier of distinct machines (with the explicit assignment
+/// remapped so every node keeps its machine) leaves the merged moments' bits unchanged, through the
 /// serial single-collector path and the per-shard merge path alike.
 #[test]
 fn merged_moments_are_bit_identical_under_shard_rotation() {
@@ -337,7 +335,7 @@ fn merged_moments_are_bit_identical_under_shard_rotation() {
         warmup: SimDuration::from_ms(2),
         ..topo(&service, &server, &nodes, Some(shards))
     };
-    let bits = |w: &Welford| (w.count(), w.mean().to_bits(), w.population_variance().to_bits());
+    let bits = |h: &LatencyHistogram| (h.count(), h.mean(), h.std_dev(), h.percentile(99.0));
     for seed in 1..=3 {
         let mut serial = [MomentCollector::default(), MomentCollector::default()];
         for (collector, shards) in serial.iter_mut().zip([&forward, &rotated]) {
@@ -388,9 +386,8 @@ fn engine_execute_sharded_is_parallelism_invariant() {
 }
 
 // ---------------------------------------------------------------------
-// Phased × sharded: per-phase pooled stats merge in canonical
-// `(shard_key, shard_index)` order, so the same presentation-not-physics
-// contracts hold with a phase schedule in play.
+// Phased × sharded: per-phase pooled stats merge exactly, so the same
+// presentation-not-physics contracts hold with a phase schedule in play.
 // ---------------------------------------------------------------------
 
 /// [`mixed_fleet`] with mid-run dynamics layered on: every third node
@@ -452,8 +449,8 @@ fn phased_shard_enumeration_order_is_presentation_not_physics() {
     let nodes = phased_fleet();
     // Same relabeling as the static test: swap backend enumeration and
     // remap the explicit assignment so physics is unchanged. The
-    // per-phase pooled stats must not notice — they merge in canonical
-    // content order, not enumeration order.
+    // per-phase pooled stats must not notice — they merge exactly, in
+    // any order.
     let fast = MachineConfig::server_baseline();
     let slow = MachineConfig::server_baseline().with_smt(true);
     let assignment: Vec<usize> = (0..nodes.len()).map(|i| i % 2).collect();
@@ -560,7 +557,7 @@ fn phase_boundary_event_counts_merge_exactly_under_hot_shard_skew() {
     assert_eq!(shard_results.len(), 4);
     let serial_phases = serial.1.into_stats();
     let merged_phases = phases.into_stats();
-    assert_eq!(serial_phases, merged_phases, "canonical-order merge must reproduce the serial buckets");
+    assert_eq!(serial_phases, merged_phases, "the per-shard merge must reproduce the serial buckets");
     assert_eq!(merged_phases.len(), 2);
     let pooled: u64 = merged_phases.iter().map(|p| p.samples).sum();
     assert_eq!(pooled, parallel_result.samples, "phase buckets must partition the window exactly");
