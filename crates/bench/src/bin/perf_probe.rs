@@ -26,11 +26,7 @@
 //!   multi-node hot loop the studies sweep (and the scenario the 1.3x
 //!   speedup target of PR 4 is defined on).
 //! * `diurnal_8` — an 8-node fleet under a 6-step diurnal rate plan:
-//!   the phased kernel with per-phase collection. With `--shards K`
-//!   (K > 1) the same fleet fans out over a uniform K-shard tier, so
-//!   the probe times the phased×sharded path — pooled partition dispatch
-//!   plus per-phase merges — instead of the
-//!   single-stream kernel.
+//!   the phased kernel with per-phase collection.
 //! * `fleet_256` — 256 nodes over a 16-shard server tier: the sharded
 //!   kernel's scale regime. Timed twice — forced serial and on the
 //!   machine's cores, alternating trial by trial — so the report
@@ -61,27 +57,29 @@
 //!
 //! ```text
 //! perf_probe [--quick] [--trials N] [--out PATH] [--scenario NAME]
-//!            [--shards K] [--baseline PATH [--max-regression F]] [--pin]
 //!            [--min-shard-speedup F] [--summary PATH]
+//! perf_probe ab BASE_BIN HEAD_BIN -- ARGS...
 //! ```
 //!
-//! With `--baseline`, the fresh report is compared against another
-//! probe's report measured in the same session — `support/perf_gate.sh
-//! BASE_REV` builds and runs the base commit's probe for it, as CI
-//! does: only a median events/sec slowdown worse than
-//! `--max-regression` (default 1.5) that is *also* Mann–Whitney
-//! significant across the two trial samples exits non-zero; smaller or
-//! statistically indistinguishable slowdowns and work-counter drift
-//! print warnings. `--scenario NAME` probes one scenario (the
-//! interleaved-A/B workflow: alternate two binaries on one scenario and
-//! compare medians); `--summary PATH` writes the markdown delta table
-//! CI appends to `$GITHUB_STEP_SUMMARY`.
+//! The probe writes `BENCH.json` (`--out`), prints the markdown table
+//! `--summary PATH` also writes, and prints as its last stdout line
+//! every scenario's events/sec in the benchmark's result-line format
+//! (`{"metrics": {"static_1x1.events_per_sec": {"value": …, "unit":
+//! "1/s"}, …}}`). `--scenario NAME` probes one scenario.
 //!
-//! `--pin` runs the sharded scenarios' parallel legs with round-robin
-//! core pinning ([`PinPolicy::RoundRobin`]) and first asserts a pinned
-//! execution is bit-identical to an unpinned one — the kernel's
-//! determinism contract says pinning is a throughput knob, never a
-//! results knob, and this is the smoke test CI points at it.
+//! `ab` compares two builds of any program that prints such a line — two
+//! `perf_probe`s, or two builds of the repository benchmark: it runs
+//! `BASE_BIN ARGS...` and `HEAD_BIN ARGS...` in `AB_PAIRS` = 10 pairs,
+//! base first in even pairs and head first in odd ones, so host drift
+//! lands on both sides alike, and records each run's process wall as
+//! `process_s` plus every metric on its last stdout line. It prints one
+//! markdown row per metric (`tpv_bench::perf::ab_row`: medians, head/base
+//! ratio with a bootstrap 95% CI, Mann–Whitney p, pairs the head won,
+//! the base's IQR, and a verdict) and exits non-zero when a run fails
+//! (non-zero exit, or `"correct": false`) or a metric reads `FAIL`: worse
+//! by more than `MAX_REGRESSION` = 2x, Mann–Whitney significant.
+//! `support/perf_gate.sh BASE_REV` runs it over the base commit's probe
+//! and this checkout's, as CI does.
 //!
 //! The sharded scenario is additionally gated on its measured speedup:
 //! it must reach `min(--min-shard-speedup, 0.7 × workers)` — the cap
@@ -99,16 +97,14 @@
 //! same-session gate.
 
 use std::path::PathBuf;
-use std::process::ExitCode;
+use std::process::{Command, ExitCode};
 use std::time::Instant;
 
 use tpv_bench::perf::{
-    compare, events_per_sec_ci, iqr_filter, speedup_ci, summary_markdown, BenchReport, RunnerInfo,
-    ScenarioReport, Verdict, SCHEMA,
+    ab_row, events_per_sec_ci, iqr_filter, ratio_ci, read_result_line, summary_markdown, AbVerdict,
+    BenchReport, RunnerInfo, ScenarioReport, AB_HEADER, AB_PAIRS, MAX_REGRESSION, SCHEMA,
 };
-use tpv_core::collect::{
-    Collector, EventCountCollector, PerCohortCollector, PerNodeCollector, PhaseCollector,
-};
+use tpv_core::collect::{Collector, EventCountCollector, PerCohortCollector, PhaseCollector};
 use tpv_core::runtime::{run_collected, run_sharded_collected_hedged_with};
 use tpv_core::topology::{uniform_fleet, ClientNode, CohortSpec, NodeDynamics, ShardSpec, TopologySpec};
 use tpv_core::PinPolicy;
@@ -127,38 +123,28 @@ struct Options {
     quick: bool,
     trials: usize,
     out: PathBuf,
-    baseline: Option<PathBuf>,
-    max_regression: f64,
     /// Run only the scenario with this name.
     scenario: Option<String>,
-    /// Write the markdown delta table here.
+    /// Write the markdown matrix table here.
     summary: Option<PathBuf>,
     /// Required fleet_256 parallel speedup (capped by 0.7 × workers).
     min_shard_speedup: f64,
-    /// `--pin`: pin shard workers round-robin over cores (and
-    /// smoke-check that pinned and unpinned executions are
-    /// bit-identical).
-    pin: PinPolicy,
-    /// Shard count for `diurnal_8`: K > 1 runs the phased fleet over a
-    /// K-shard tier through the per-phase merge path.
-    shards: usize,
 }
 
-fn parse_args() -> Result<Options, String> {
+const USAGE: &str = "perf_probe [--quick] [--trials N] [--out PATH] [--scenario NAME] \
+                     [--min-shard-speedup F] [--summary PATH]\n       perf_probe ab BASE_BIN HEAD_BIN -- ARGS...";
+
+fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         quick: false,
         trials: 0,
         out: tpv_bench::results_dir().parent().map(PathBuf::from).unwrap_or_default().join("BENCH.json"),
-        baseline: None,
-        max_regression: 1.5,
         scenario: None,
         summary: None,
         min_shard_speedup: 3.0,
-        pin: PinPolicy::Off,
-        shards: 1,
     };
     let mut explicit_trials = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = args.iter().cloned();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => opts.quick = true,
@@ -167,25 +153,7 @@ fn parse_args() -> Result<Options, String> {
                 explicit_trials = Some(v.parse::<usize>().map_err(|e| format!("--trials: {e}"))?);
             }
             "--out" => opts.out = PathBuf::from(args.next().ok_or("--out needs a path")?),
-            "--baseline" => {
-                opts.baseline = Some(PathBuf::from(args.next().ok_or("--baseline needs a path")?))
-            }
-            "--max-regression" => {
-                let v = args.next().ok_or("--max-regression needs a value")?;
-                opts.max_regression = v.parse::<f64>().map_err(|e| format!("--max-regression: {e}"))?;
-                if opts.max_regression.is_nan() || opts.max_regression < 1.0 {
-                    return Err(format!("--max-regression must be >= 1.0, got {}", opts.max_regression));
-                }
-            }
             "--scenario" => opts.scenario = Some(args.next().ok_or("--scenario needs a name")?),
-            "--shards" => {
-                let v = args.next().ok_or("--shards needs a value")?;
-                opts.shards = v.parse::<usize>().map_err(|e| format!("--shards: {e}"))?;
-                if opts.shards == 0 {
-                    return Err("--shards must be positive".to_string());
-                }
-            }
-            "--pin" => opts.pin = PinPolicy::RoundRobin,
             "--summary" => opts.summary = Some(PathBuf::from(args.next().ok_or("--summary needs a path")?)),
             "--min-shard-speedup" => {
                 let v = args.next().ok_or("--min-shard-speedup needs a value")?;
@@ -198,11 +166,7 @@ fn parse_args() -> Result<Options, String> {
                 }
             }
             "--help" | "-h" => {
-                println!(
-                    "perf_probe [--quick] [--trials N] [--out PATH] [--scenario NAME] [--shards K] \
-                     [--baseline PATH [--max-regression F]] [--pin] [--min-shard-speedup F] \
-                     [--summary PATH]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument '{other}'")),
@@ -258,7 +222,7 @@ fn time_legs<const N: usize>(
         let ((events, requests), repeats) = warm[leg];
         let kept = iqr_filter(&walls[leg]);
         let median = tpv_stats::desc::median(&kept);
-        let (ci_low, ci_high) = events_per_sec_ci(events, &kept).unwrap_or((0.0, 0.0));
+        let ci = events_per_sec_ci(events, &kept);
         ScenarioReport {
             name: name.to_string(),
             trials: walls[leg].len(),
@@ -269,8 +233,8 @@ fn time_legs<const N: usize>(
             events_per_sec: if median > 0.0 { events as f64 / (median / 1e3) } else { 0.0 },
             repeats,
             wall_ms_trials: kept,
-            events_per_sec_ci_low: ci_low,
-            events_per_sec_ci_high: ci_high,
+            events_per_sec_ci_low: ci.map(|(low, _)| low),
+            events_per_sec_ci_high: ci.map(|(_, high)| high),
             ..ScenarioReport::default()
         }
     })
@@ -304,7 +268,7 @@ fn time_dual(
         (parallel.events, parallel.requests),
         "serial and parallel shard execution disagree on work counters"
     );
-    let ci = speedup_ci(&serial.wall_ms_trials, &parallel.wall_ms_trials);
+    let ci = ratio_ci(&serial.wall_ms_trials, &parallel.wall_ms_trials);
     ScenarioReport {
         wall_ms_serial: Some(serial.wall_ms_median),
         speedup_vs_serial: (parallel.wall_ms_median > 0.0)
@@ -649,13 +613,8 @@ fn diurnal_8(opts: &Options) -> ScenarioReport {
     .into_iter()
     .map(|n| n.with_dynamics(dynamics.clone()))
     .collect();
-    // `--shards K` (K > 1) fans the same phased fleet out over a
-    // uniform K-shard tier, timing the per-phase merge path
-    // instead of the single-stream kernel.
-    let shards = opts.shards;
-    let tier = (shards > 1).then(|| ShardSpec::uniform(server, shards));
     let topo = TopologySpec {
-        shards: tier.as_ref(),
+        shards: None,
         service: &service,
         server: &server,
         nodes: &nodes,
@@ -665,16 +624,7 @@ fn diurnal_8(opts: &Options) -> ScenarioReport {
     };
     let window = (SimTime::ZERO + topo.warmup, SimTime::ZERO + topo.duration);
     time_scenario("diurnal_8", opts.trials, || {
-        if shards > 1 {
-            let schedule = topo.merged_schedule();
-            let (result, _per_shard, collector) =
-                run_sharded_collected_hedged_with(&topo, SEED, shard_workers(), opts.pin, None, |_, _| {
-                    (EventCountCollector::new(), PhaseCollector::new(schedule.clone(), window.0, window.1))
-                });
-            (collector.0.events(), result.samples)
-        } else {
-            counted_run(&topo, PhaseCollector::new(topo.merged_schedule(), window.0, window.1))
-        }
+        counted_run(&topo, PhaseCollector::new(topo.merged_schedule(), window.0, window.1))
     })
 }
 
@@ -746,35 +696,20 @@ fn fleet_256(opts: &Options) -> ScenarioReport {
         warmup: SimDuration::from_ms(6),
         cohorts: &[],
     };
-    let workers = shard_workers();
-    if opts.pin != PinPolicy::Off {
-        // The pinning smoke: core affinity is a throughput knob, never
-        // a results knob. Compare the *full* sharded result structures,
-        // not just work counters, before any timed leg runs pinned.
-        let full = |pin: PinPolicy| {
-            let (aggregate, shards, per_node) =
-                run_sharded_collected_hedged_with(&topo, SEED, workers, pin, None, |_, _| {
-                    PerNodeCollector::new(nodes.len())
-                });
-            (aggregate, shards, per_node.into_results())
-        };
-        assert_eq!(full(PinPolicy::Off), full(opts.pin), "fleet_256: pinned execution drifted from unpinned");
-        println!("ok    fleet_256: pinned run bit-identical to unpinned ({workers} workers)");
-    }
-    let probe = |workers: usize, pin: PinPolicy| {
+    let probe = |workers: usize| {
         let (result, _, counter) =
-            run_sharded_collected_hedged_with(&topo, SEED, workers, pin, None, |_, _| {
+            run_sharded_collected_hedged_with(&topo, SEED, workers, PinPolicy::Off, None, |_, _| {
                 EventCountCollector::new()
             });
         (counter.events(), result.samples)
     };
-    let required = required_speedup(opts);
+    let (workers, required) = (shard_workers(), required_speedup(opts));
     time_dual(
         "fleet_256",
         opts.trials,
         |serial, parallel| scaling_trials(serial, parallel, required),
-        || probe(workers, opts.pin),
-        || probe(1, PinPolicy::Off),
+        || probe(workers),
+        || probe(1),
     )
 }
 
@@ -818,26 +753,35 @@ fn fleet_1m(opts: &Options) -> ScenarioReport {
     // per-event attribution cost it claims is flat — cohort order in
     // the lowering is tracked-then-pooled per cohort, 3 nodes each.
     let cohort_of: Vec<Option<usize>> = (0..48).map(|i| Some(i / 3)).collect();
-    let probe = |workers: usize, pin: PinPolicy| {
+    let probe = |workers: usize| {
         let (result, _, (counter, _)) =
-            run_sharded_collected_hedged_with(&topo, SEED, workers, pin, None, |_, _| {
+            run_sharded_collected_hedged_with(&topo, SEED, workers, PinPolicy::Off, None, |_, _| {
                 (EventCountCollector::new(), PerCohortCollector::new(cohort_of.clone(), 16))
             });
         (counter.events(), result.samples)
     };
     let workers = shard_workers();
-    time_dual("fleet_1m", opts.trials, |_, _| 0, || probe(workers, opts.pin), || probe(1, PinPolicy::Off))
+    time_dual("fleet_1m", opts.trials, |_, _| 0, || probe(workers), || probe(1))
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(opts) => opts,
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let outcome = match args.split_first() {
+        Some((first, rest)) if first == "ab" => ab(rest).map_err(|e| format!("ab: {e}")),
+        _ => parse_args(&args).and_then(|opts| probe(&opts)),
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("perf_probe: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
 
+/// Runs the scenario matrix and its gates, writes the report and prints
+/// the result line; `Err` when a gate failed, after all of that.
+fn probe(opts: &Options) -> Result<(), String> {
     println!("== perf_probe: kernel performance matrix ==");
     println!(
         "{} trials per scenario (plus one warm-up), seed {SEED}{}\n",
@@ -862,12 +806,8 @@ fn main() -> ExitCode {
     if let Some(only) = &opts.scenario {
         if !matrix.iter().any(|(name, _)| name == only) {
             let names: Vec<&str> = matrix.iter().map(|(n, _)| *n).collect();
-            eprintln!("perf_probe: unknown scenario '{only}' (have: {})", names.join(", "));
-            return ExitCode::FAILURE;
+            return Err(format!("unknown scenario '{only}' (have: {})", names.join(", ")));
         }
-    }
-    if opts.shards > 1 {
-        println!("diurnal_8 fans out over a uniform {}-shard tier (--shards)\n", opts.shards);
     }
     // Where the kernel supports it, reset the VmHWM high-water mark
     // before each scenario so peak_rss_kb reads that scenario's *own*
@@ -882,7 +822,7 @@ fn main() -> ExitCode {
             if rss_windowed {
                 tpv_bench::rss::reset_peak();
             }
-            let mut report = run(&opts);
+            let mut report = run(opts);
             report.peak_rss_kb = tpv_bench::rss::peak_rss_kb();
             report
         })
@@ -906,19 +846,13 @@ fn main() -> ExitCode {
         if small.peak_rss_kb > 0 && big.peak_rss_kb > 0 {
             let window = if rss_windowed { "per-scenario peaks" } else { "monotonic peaks" };
             let ratio = big.peak_rss_kb as f64 / small.peak_rss_kb as f64;
-            if ratio > 2.0 {
-                failed = true;
-                println!(
-                    "\nFAIL  fleet_1m: peak RSS {} kB is {ratio:.2}x fleet_256's peak {} kB \
-                     (flat-memory gate: <= 2x, {window})",
-                    big.peak_rss_kb, small.peak_rss_kb
-                );
-            } else {
-                println!(
-                    "\nok    fleet_1m: peak RSS {} kB vs {} kB for fleet_256 ({ratio:.2}x, gate <= 2x, {window})",
-                    big.peak_rss_kb, small.peak_rss_kb
-                );
-            }
+            failed |= ratio > 2.0;
+            println!(
+                "\n{}  fleet_1m: peak RSS {} kB is {ratio:.2}x fleet_256's {} kB (flat-memory gate: <= 2x, {window})",
+                if ratio > 2.0 { "FAIL" } else { "ok  " },
+                big.peak_rss_kb,
+                small.peak_rss_kb
+            );
         }
     }
 
@@ -929,8 +863,7 @@ fn main() -> ExitCode {
     // is effectively ungated, a 4-core CI runner must deliver 2.8x, and
     // the full 3x binds at ≥5 workers.
     if let Some(s) = report.scenario("fleet_256") {
-        let workers = shard_workers();
-        let required = required_speedup(&opts);
+        let required = required_speedup(opts);
         // Bind on the bootstrap CI lower bound when the trial samples
         // support one (>= 2 trials per leg): the gate then asks "is the
         // speedup *confidently* above the bar", so a single lucky
@@ -943,79 +876,96 @@ fn main() -> ExitCode {
         } else {
             (point, "point estimate, too few trials for a CI".to_string())
         };
-        if gated < required {
-            failed = true;
-            println!(
-                "\nFAIL  fleet_256: shard speedup {gated:.2}x ({basis}) below the required {required:.2}x \
-                 ({workers} workers, {} trials per leg, --min-shard-speedup {})",
-                s.trials, opts.min_shard_speedup
-            );
-        } else {
-            println!(
-                "\nok    fleet_256: shard speedup {gated:.2}x over serial ({basis}; required {required:.2}x on \
-                 {workers} workers, {} trials per leg)",
-                s.trials
-            );
-        }
+        failed |= gated < required;
+        println!(
+            "\n{}  fleet_256: shard speedup {gated:.2}x over serial ({basis}; required {required:.2}x on {} \
+             workers, {} trials per leg, --min-shard-speedup {})",
+            if gated < required { "FAIL" } else { "ok  " },
+            shard_workers(),
+            s.trials,
+            opts.min_shard_speedup
+        );
     }
 
-    match std::fs::write(&opts.out, report.to_json()) {
-        Ok(()) => println!("\n[json] {}", opts.out.display()),
-        Err(e) => {
-            eprintln!("perf_probe: failed to write {}: {e}", opts.out.display());
-            return ExitCode::FAILURE;
-        }
-    }
-
-    let baseline = match &opts.baseline {
-        None => None,
-        Some(path) => match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| BenchReport::from_json(&text))
-        {
-            Ok(b) => Some(b),
-            Err(e) => {
-                eprintln!("perf_probe: cannot load baseline {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-
-    let md = summary_markdown(&report, baseline.as_ref().map(|b| (b, opts.max_regression)));
+    std::fs::write(&opts.out, report.to_json())
+        .map_err(|e| format!("failed to write {}: {e}", opts.out.display()))?;
+    println!("\n[json] {}", opts.out.display());
+    let md = summary_markdown(&report);
     println!("\n{md}");
-    if let (Some(baseline), Some(path)) = (&baseline, &opts.baseline) {
-        println!("\n== baseline comparison ({}, fail below 1/{}x) ==", path.display(), opts.max_regression);
-        for verdict in compare(&report, baseline, opts.max_regression) {
-            match verdict {
-                Verdict::Ok { scenario, speedup } => {
-                    println!("  ok    {scenario}: {speedup:.2}x of baseline");
-                }
-                Verdict::Warn { scenario, reason, .. } => {
-                    println!("  WARN  {scenario}: {reason}");
-                }
-                Verdict::Fail { scenario, reason, .. } => {
-                    failed = true;
-                    println!("  FAIL  {scenario}: {reason}");
-                }
-            }
-        }
-    }
-
     if let Some(path) = &opts.summary {
-        match std::fs::write(path, md) {
-            Ok(()) => println!("[summary] {}", path.display()),
-            Err(e) => {
-                eprintln!("perf_probe: failed to write summary {}: {e}", path.display());
-                return ExitCode::FAILURE;
+        std::fs::write(path, &md).map_err(|e| format!("failed to write summary {}: {e}", path.display()))?;
+        println!("[summary] {}", path.display());
+    }
+    // Last on stdout, for `perf_probe ab`.
+    println!("{}", report.result_line());
+    if failed {
+        return Err("performance gate failed".to_string());
+    }
+    Ok(())
+}
+
+/// `perf_probe ab BASE_BIN HEAD_BIN -- ARGS...` (see the module docs):
+/// progress goes to stderr, the table to stdout; `Err` when a run
+/// failed or a metric reads `FAIL`.
+fn ab(args: &[String]) -> Result<(), String> {
+    let (bins, child_args) = args
+        .iter()
+        .position(|a| a == "--")
+        .map_or((args, &[][..]), |dash| (&args[..dash], &args[dash + 1..]));
+    let [base, head] = bins else {
+        return Err(format!("usage: {USAGE}"));
+    };
+    let sides = [("base", base), ("head", head)];
+    // (name, unit, samples of the base and of the head in pair order).
+    let mut metrics: Vec<(String, String, [Vec<f64>; 2])> = Vec::new();
+    for pair in 0..AB_PAIRS {
+        for side in if pair % 2 == 0 { [0, 1] } else { [1, 0] } {
+            let (label, bin) = sides[side];
+            let started = Instant::now();
+            let output =
+                Command::new(bin).args(child_args).output().map_err(|e| format!("cannot run {bin}: {e}"))?;
+            let process_s = started.elapsed().as_secs_f64();
+            let stdout = String::from_utf8_lossy(&output.stdout);
+            let last = stdout.lines().rev().find(|l| !l.trim().is_empty()).unwrap_or("");
+            let read = match (output.status.success(), read_result_line(last)) {
+                (false, _) => Err(format!("it exited with {}", output.status)),
+                (true, Ok(read)) if !read.correct => Err("it printed \"correct\": false".to_string()),
+                (true, read) => read,
+            }
+            .map_err(|why| {
+                eprintln!("{}", String::from_utf8_lossy(&output.stderr));
+                format!("pair {}: the {label} run failed: {why}", pair + 1)
+            })?;
+            eprintln!("ab: pair {}/{AB_PAIRS}: {label} {process_s:.2} s", pair + 1);
+            for (name, value, unit) in
+                std::iter::once(("process_s".to_string(), process_s, "s".to_string())).chain(read.metrics)
+            {
+                let at = metrics.iter().position(|m| m.0 == name).unwrap_or_else(|| {
+                    metrics.push((name, unit, Default::default()));
+                    metrics.len() - 1
+                });
+                metrics[at].2[side].push(value);
             }
         }
     }
-
-    if failed {
-        eprintln!("perf_probe: performance gate failed");
-        return ExitCode::FAILURE;
+    let mut failed = false;
+    println!("### perf_probe ab — {AB_PAIRS} interleaved pairs\n\n{AB_HEADER}");
+    for (name, unit, samples) in &metrics {
+        if let Some(side) = (0..2).find(|&i| !matches!(samples[i].len(), 0 | AB_PAIRS)) {
+            return Err(format!(
+                "the {} printed {name} in {} of {AB_PAIRS} runs",
+                sides[side].0,
+                samples[side].len()
+            ));
+        }
+        let (row, verdict) = ab_row(name, unit, &samples[0], &samples[1]);
+        failed |= verdict == AbVerdict::Fail;
+        println!("{row}");
     }
-    ExitCode::SUCCESS
+    if failed {
+        return Err(format!("a metric is worse than the base by more than {MAX_REGRESSION}x (FAIL rows)"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

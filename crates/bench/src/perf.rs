@@ -1,60 +1,33 @@
 //! The machine-readable kernel performance harness behind `perf_probe`.
 //!
-//! A [`BenchReport`] is the stable schema written to `BENCH.json`: one
+//! A [`BenchReport`] is the schema written to `BENCH.json`: one
 //! [`ScenarioReport`] per probe scenario with the deterministic work
 //! counters (events, requests) and the wall-clock summary (median + CoV
 //! over repeated trials, derived events/sec). No registry JSON crate is
-//! available offline, so the schema is hand-serialized by
-//! [`BenchReport::to_json`] and read back by [`BenchReport::from_json`],
-//! a line reader for exactly that layout. The reference a report is
-//! gated against is another report measured in the same session — in
-//! CI, the base commit's probe run in the same job
-//! (`support/perf_gate.sh`) — because wall-clock numbers from different
-//! machines or sessions do not compare.
+//! available offline, so [`BenchReport::to_json`] writes the schema by
+//! hand. Schema `tpv-perf/6` holds, per scenario, the retained trial
+//! walls, events/sec with its bootstrap 95% CI, the dual-timed
+//! scenarios' serial wall and speedup with its CI, and the peak RSS,
+//! plus one [`RunnerInfo`] per report; every value a scenario cannot
+//! measure (a CI below 2 trials, the dual-timing fields of a scenario
+//! that is not dual-timed) is `null`.
 //!
-//! Versioning: bump [`SCHEMA`] whenever a field changes meaning; the
-//! reader rejects reports from a different schema, so a gate whose two
-//! sides disagree on it fails loudly instead of comparing apples to
-//! oranges.
-//!
-//! Schema 3 hardens the statistics: every scenario carries its per-run
-//! trial wall times (after [`iqr_filter`] outlier rejection) so the
-//! baseline gate can require a Mann–Whitney-significant slowdown instead
-//! of trusting a lone median ratio, plus the repeat count used to pad
-//! short scenarios above the timer floor and the process peak RSS
-//! observed after the scenario ran (the cohort layer's flat-memory
-//! gate).
-//!
-//! Schema 4 attaches uncertainty to the headline numbers: every scenario
-//! carries a percentile-bootstrap 95% CI on its events/sec (derived from
-//! the retained trial walls via [`events_per_sec_ci`]), dual-timed
-//! scenarios additionally keep the parallel leg's trial walls and a
-//! two-sample bootstrap CI on the intra-run speedup ([`speedup_ci`]) —
-//! so the shard-scaling gate can bind on the CI lower bound instead of a
-//! point estimate — and the peak-RSS reading is per-scenario where the
-//! kernel supports resetting `VmHWM` (see `tpv_bench::rss`).
-//!
-//! Schema 5 makes the dual-timed fields honest and the report
-//! self-describing: `wall_ms_serial` and `speedup_vs_serial` are `null`
-//! for scenarios that never ran a serial leg (schema ≤ 4 wrote a
-//! meaningless `0.0` a reader could mistake for a measurement), and
-//! every report carries a [`RunnerInfo`] fingerprint — CPU model
-//! string, core count, kernel release — so a baseline diff can tell
-//! "the kernel regressed" apart from "CI landed on a different runner
-//! class". The speedup CI (`speedup_ci_low`/`_high`) follows the same
-//! rule: `null` off the dual-timed scenarios. Reports that still carry
-//! the `0.0` placeholder there parse as `Some(0.0)`, so the reader loads
-//! them unchanged.
+//! Two builds are compared by running them, not by reading their
+//! reports: `perf_probe ab` runs the two binaries in interleaved pairs,
+//! reads each run's process wall and the metrics on its last stdout line
+//! ([`read_result_line`]; `perf_probe` prints its own with
+//! [`BenchReport::result_line`]), and judges every metric with
+//! [`ab_verdict`]. Wall-clock numbers from different machines or
+//! sessions do not compare, and neither do two runs minutes apart on a
+//! noisy host: only alternating the two builds puts host drift on both
+//! sides alike.
 
 use std::fmt::Write as _;
 
 use tpv_sim::SimRng;
 
 /// Schema identifier written into every report.
-pub const SCHEMA: &str = "tpv-perf/5";
-
-/// Warn (but do not fail) when events/sec falls below `baseline / WARN`.
-pub const WARN_FACTOR: f64 = 1.25;
+pub const SCHEMA: &str = "tpv-perf/6";
 
 /// Wall-clock summary and deterministic work counters of one scenario.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -97,22 +70,22 @@ pub struct ScenarioReport {
     pub peak_rss_kb: u64,
     /// Per-run wall time of every *retained* timed trial (after
     /// [`iqr_filter`]), in milliseconds — the sample behind
-    /// `wall_ms_median`, kept so [`compare`] can run a Mann–Whitney test
-    /// between a fresh probe and the baseline.
+    /// `wall_ms_median`.
     pub wall_ms_trials: Vec<f64>,
     /// Percentile-bootstrap 95% CI on `events_per_sec`, derived from
-    /// `wall_ms_trials` by [`events_per_sec_ci`]; both `0.0` when the
-    /// trial sample is too small to bootstrap (fewer than 2 trials).
-    pub events_per_sec_ci_low: f64,
+    /// `wall_ms_trials` by [`events_per_sec_ci`]; `None` (serialized
+    /// `null`) when the trial sample is too small to bootstrap (fewer
+    /// than 2 trials).
+    pub events_per_sec_ci_low: Option<f64>,
     /// Upper end of the events/sec CI (see `events_per_sec_ci_low`).
-    pub events_per_sec_ci_high: f64,
+    pub events_per_sec_ci_high: Option<f64>,
     /// Retained per-run wall times of the *parallel* leg of a dual-timed
     /// scenario, in milliseconds — empty when not dual-timed. Note
     /// `wall_ms_trials` holds the gated (serial) leg's sample for those
     /// scenarios, so both legs stay recomputable from the report.
     pub wall_ms_parallel_trials: Vec<f64>,
     /// Two-sample-bootstrap 95% CI on `speedup_vs_serial` from
-    /// [`speedup_ci`]; `None` (serialized `null`) when not dual-timed or
+    /// [`ratio_ci`]; `None` (serialized `null`) when not dual-timed or
     /// when either leg's sample is too small. The scaling gate binds on
     /// this lower bound when present — a point estimate inflated by one
     /// lucky parallel trial no longer passes.
@@ -124,10 +97,9 @@ pub struct ScenarioReport {
 /// Fingerprint of the machine a report was measured on.
 ///
 /// Wall-clock numbers are only comparable between runs of the same
-/// runner class; the fingerprint travels with the report so a baseline
-/// diff can surface "different machine" as the likely cause of a swing
-/// instead of blaming the kernel. Informational: [`compare`] does not
-/// gate on it.
+/// runner class; the fingerprint travels with the report so a reader
+/// can tell "different machine" apart from "the kernel changed".
+/// Informational: no gate reads it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunnerInfo {
     /// CPU model string (`model name` from `/proc/cpuinfo`), or
@@ -182,9 +154,9 @@ impl BenchReport {
         let _ = writeln!(out, "  \"schema\": \"{}\",", self.schema);
         let _ = writeln!(out, "  \"quick\": {},", self.quick);
         out.push_str("  \"runner\": {\n");
-        let _ = writeln!(out, "    \"cpu_model\": \"{}\",", json::escape(&self.runner.cpu_model));
+        let _ = writeln!(out, "    \"cpu_model\": \"{}\",", escape(&self.runner.cpu_model));
         let _ = writeln!(out, "    \"cores\": {},", self.runner.cores);
-        let _ = writeln!(out, "    \"kernel\": \"{}\"", json::escape(&self.runner.kernel));
+        let _ = writeln!(out, "    \"kernel\": \"{}\"", escape(&self.runner.kernel));
         out.push_str("  },\n");
         out.push_str("  \"scenarios\": [\n");
         for (i, s) in self.scenarios.iter().enumerate() {
@@ -196,115 +168,51 @@ impl BenchReport {
             let _ = writeln!(out, "      \"wall_ms_median\": {:.4},", s.wall_ms_median);
             let _ = writeln!(out, "      \"wall_ms_cov\": {:.4},", s.wall_ms_cov);
             let _ = writeln!(out, "      \"events_per_sec\": {:.1},", s.events_per_sec);
-            let _ = writeln!(out, "      \"wall_ms_serial\": {},", json::opt_num(s.wall_ms_serial, 4));
-            let _ = writeln!(out, "      \"speedup_vs_serial\": {},", json::opt_num(s.speedup_vs_serial, 4));
+            let _ = writeln!(out, "      \"wall_ms_serial\": {},", opt_num(s.wall_ms_serial, 4));
+            let _ = writeln!(out, "      \"speedup_vs_serial\": {},", opt_num(s.speedup_vs_serial, 4));
             let _ = writeln!(out, "      \"repeats\": {},", s.repeats);
             let _ = writeln!(out, "      \"peak_rss_kb\": {},", s.peak_rss_kb);
             let trials: Vec<String> = s.wall_ms_trials.iter().map(|t| format!("{t:.4}")).collect();
             let _ = writeln!(out, "      \"wall_ms_trials\": [{}],", trials.join(", "));
-            let _ = writeln!(out, "      \"events_per_sec_ci_low\": {:.1},", s.events_per_sec_ci_low);
-            let _ = writeln!(out, "      \"events_per_sec_ci_high\": {:.1},", s.events_per_sec_ci_high);
+            let _ =
+                writeln!(out, "      \"events_per_sec_ci_low\": {},", opt_num(s.events_per_sec_ci_low, 1));
+            let _ =
+                writeln!(out, "      \"events_per_sec_ci_high\": {},", opt_num(s.events_per_sec_ci_high, 1));
             let parallel: Vec<String> = s.wall_ms_parallel_trials.iter().map(|t| format!("{t:.4}")).collect();
             let _ = writeln!(out, "      \"wall_ms_parallel_trials\": [{}],", parallel.join(", "));
-            let _ = writeln!(out, "      \"speedup_ci_low\": {},", json::opt_num(s.speedup_ci_low, 4));
-            let _ = writeln!(out, "      \"speedup_ci_high\": {}", json::opt_num(s.speedup_ci_high, 4));
+            let _ = writeln!(out, "      \"speedup_ci_low\": {},", opt_num(s.speedup_ci_low, 4));
+            let _ = writeln!(out, "      \"speedup_ci_high\": {}", opt_num(s.speedup_ci_high, 4));
             out.push_str(if i + 1 == self.scenarios.len() { "    }\n" } else { "    },\n" });
         }
         out.push_str("  ]\n}\n");
         out
     }
 
-    /// Reads a report written by [`BenchReport::to_json`].
-    ///
-    /// The reader takes exactly that layout: it reads the values off the
-    /// `"key": value` lines in the writer's key order, requires the
-    /// schema field to match [`SCHEMA`], then writes the report back
-    /// and requires every line to come out as it went in. Anything else
-    /// is an `Err` naming the line.
-    pub fn from_json(text: &str) -> Result<BenchReport, String> {
-        let mut fields = json::Fields::new(text);
-        let schema = fields.string("schema")?;
-        if schema != SCHEMA {
-            return Err(format!("schema mismatch: report is '{schema}', this binary reads '{SCHEMA}'"));
-        }
-        let quick = fields.parse("quick")?;
-        let runner = RunnerInfo {
-            cpu_model: fields.string("cpu_model")?,
-            cores: fields.parse("cores")?,
-            kernel: fields.string("kernel")?,
-        };
-        let mut scenarios = Vec::new();
-        while fields.next_is("name") {
-            scenarios.push(ScenarioReport {
-                name: fields.string("name")?,
-                trials: fields.parse("trials")?,
-                events: fields.parse("events")?,
-                requests: fields.parse("requests")?,
-                wall_ms_median: fields.parse("wall_ms_median")?,
-                wall_ms_cov: fields.parse("wall_ms_cov")?,
-                events_per_sec: fields.parse("events_per_sec")?,
-                wall_ms_serial: fields.opt_f64("wall_ms_serial")?,
-                speedup_vs_serial: fields.opt_f64("speedup_vs_serial")?,
-                repeats: fields.parse("repeats")?,
-                peak_rss_kb: fields.parse("peak_rss_kb")?,
-                wall_ms_trials: fields.f64_list("wall_ms_trials")?,
-                events_per_sec_ci_low: fields.parse("events_per_sec_ci_low")?,
-                events_per_sec_ci_high: fields.parse("events_per_sec_ci_high")?,
-                wall_ms_parallel_trials: fields.f64_list("wall_ms_parallel_trials")?,
-                speedup_ci_low: fields.opt_f64("speedup_ci_low")?,
-                speedup_ci_high: fields.opt_f64("speedup_ci_high")?,
-            });
-        }
-        let report = BenchReport { schema, quick, runner, scenarios };
-        let written = report.to_json();
-        let (want, got): (Vec<&str>, Vec<&str>) = (written.lines().collect(), text.lines().collect());
-        match (0..want.len().max(got.len())).find(|&i| want.get(i) != got.get(i)) {
-            None => Ok(report),
-            Some(i) => Err(format!(
-                "line {}: expected `{}`, got `{}`",
-                i + 1,
-                want.get(i).unwrap_or(&"the end of the report"),
-                got.get(i).unwrap_or(&"the end of the report")
-            )),
-        }
+    /// The line `perf_probe` prints last: every scenario's events/sec
+    /// (for a dual-timed scenario the serial leg's, so that the rate
+    /// does not depend on the core count) in the result-line format
+    /// [`read_result_line`] reads, so that `perf_probe ab` compares
+    /// per-run cost. The process wall cannot stand in for it:
+    /// calibration pads every trial to ~50 ms, so a short scenario's
+    /// wall barely moves with its per-run cost.
+    pub fn result_line(&self) -> String {
+        let metrics: Vec<String> = self
+            .scenarios
+            .iter()
+            .map(|s| {
+                format!(
+                    "\"{}.events_per_sec\": {{\"value\": {:?}, \"unit\": \"1/s\"}}",
+                    s.name, s.events_per_sec
+                )
+            })
+            .collect();
+        format!("{{\"metrics\": {{{}}}}}", metrics.join(", "))
     }
 
     /// The scenario named `name`, if present.
     pub fn scenario(&self, name: &str) -> Option<&ScenarioReport> {
         self.scenarios.iter().find(|s| s.name == name)
     }
-}
-
-/// One baseline-vs-current verdict from [`compare`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Verdict {
-    /// Current events/sec is within tolerance of the baseline.
-    Ok {
-        /// Scenario name.
-        scenario: String,
-        /// `current / baseline` events/sec (>1 = faster than baseline).
-        speedup: f64,
-    },
-    /// Slower than the baseline but within the hard tolerance — noisy
-    /// runners land here, so it only warns.
-    Warn {
-        /// Scenario name.
-        scenario: String,
-        /// `current / baseline` events/sec.
-        speedup: f64,
-        /// Human-readable cause.
-        reason: String,
-    },
-    /// Slower than `baseline / max_regression` — a real regression even
-    /// on a noisy runner.
-    Fail {
-        /// Scenario name.
-        scenario: String,
-        /// `current / baseline` events/sec.
-        speedup: f64,
-        /// Human-readable cause.
-        reason: String,
-    },
 }
 
 /// Tukey-fence outlier rejection: drops samples outside
@@ -367,145 +275,44 @@ pub fn events_per_sec_ci(events: u64, wall_ms_trials: &[f64]) -> Option<(f64, f6
     Some((events as f64 / (ci.high / 1e3), events as f64 / (ci.low / 1e3)))
 }
 
-/// Two-sample-bootstrap 95% CI on the intra-run speedup, `(low, high)`.
+/// Two-sample-bootstrap 95% CI on the ratio of medians
+/// `median(num) / median(den)`, `(low, high)`.
 ///
-/// The speedup is a ratio of two *independent* trial samples (serial and
-/// parallel legs time separate executions, not paired ones), so each
-/// bootstrap replicate resamples both legs independently and takes the
-/// ratio of their medians — the single-sample [`bootstrap_ci`] cannot
-/// express that. `None` when either leg has fewer than 2 trials or a
-/// resampled parallel median degenerates to zero.
+/// The two samples are *independent* (a dual-timed scenario's serial
+/// and parallel legs, or the head's and the base's runs of an `ab`
+/// comparison, time separate executions, not paired ones), so each
+/// bootstrap replicate resamples both independently and takes the ratio
+/// of their medians — the single-sample [`bootstrap_ci`] cannot express
+/// that. `None` when either sample has fewer than 2 values or a
+/// resampled `den` median degenerates to zero.
 ///
 /// [`bootstrap_ci`]: tpv_stats::bootstrap::bootstrap_ci
-pub fn speedup_ci(serial_ms: &[f64], parallel_ms: &[f64]) -> Option<(f64, f64)> {
-    if serial_ms.len() < 2 || parallel_ms.len() < 2 {
+pub fn ratio_ci(num: &[f64], den: &[f64]) -> Option<(f64, f64)> {
+    if num.len() < 2 || den.len() < 2 {
         return None;
     }
     let mut rng = SimRng::seed_from_u64(CI_SEED ^ 1);
     let mut ratios = Vec::with_capacity(CI_RESAMPLES);
-    let mut serial = vec![0.0; serial_ms.len()];
-    let mut parallel = vec![0.0; parallel_ms.len()];
+    let mut num_draw = vec![0.0; num.len()];
+    let mut den_draw = vec![0.0; den.len()];
     for _ in 0..CI_RESAMPLES {
-        for slot in serial.iter_mut() {
-            *slot = serial_ms[rng.next_index(serial_ms.len())];
+        for slot in num_draw.iter_mut() {
+            *slot = num[rng.next_index(num.len())];
         }
-        for slot in parallel.iter_mut() {
-            *slot = parallel_ms[rng.next_index(parallel_ms.len())];
+        for slot in den_draw.iter_mut() {
+            *slot = den[rng.next_index(den.len())];
         }
-        let denom = tpv_stats::desc::median(&parallel);
+        let denom = tpv_stats::desc::median(&den_draw);
         if denom <= 0.0 {
             return None;
         }
-        ratios.push(tpv_stats::desc::median(&serial) / denom);
+        ratios.push(tpv_stats::desc::median(&num_draw) / denom);
     }
-    ratios.sort_by(|a, b| a.partial_cmp(b).expect("NaN speedup replicate"));
+    ratios.sort_by(|a, b| a.partial_cmp(b).expect("NaN ratio replicate"));
     let alpha = (1.0 - CI_LEVEL) / 2.0;
     let lo = ((alpha * CI_RESAMPLES as f64) as usize).min(CI_RESAMPLES - 1);
     let hi = (((1.0 - alpha) * CI_RESAMPLES as f64) as usize).min(CI_RESAMPLES - 1);
     Some((ratios[lo], ratios[hi]))
-}
-
-/// Compares a fresh report against a baseline report measured in the
-/// same session (in CI, the base commit's probe run in the same job).
-///
-/// The contract is deliberately loose — CI runners are noisy, so only a
-/// slowdown worse than `max_regression`× **fails**; anything slower than
-/// `baseline / `[`WARN_FACTOR`] warns. When both reports carry per-trial
-/// wall times (schema 3), a median slowdown beyond the gate must *also*
-/// be Mann–Whitney significant (α = 0.05) between the two trial samples
-/// to fail — a single wild median on an otherwise overlapping spread
-/// downgrades to a warning. A scenario whose deterministic work counters
-/// (events, requests) differ from the baseline also warns: the change
-/// alters what the scenario does, so its speed compares different work.
-pub fn compare(current: &BenchReport, baseline: &BenchReport, max_regression: f64) -> Vec<Verdict> {
-    assert!(max_regression >= 1.0, "max_regression is a slowdown factor, got {max_regression}");
-    let mut verdicts = Vec::new();
-    // Scenarios the baseline has never seen are ungated — surface them,
-    // or a freshly added scenario could regress invisibly forever.
-    for cur in &current.scenarios {
-        if baseline.scenario(&cur.name).is_none() {
-            verdicts.push(Verdict::Warn {
-                scenario: cur.name.clone(),
-                speedup: 0.0,
-                reason: "scenario missing from the baseline (ungated): the baseline build does not run it"
-                    .to_string(),
-            });
-        }
-    }
-    for base in &baseline.scenarios {
-        let Some(cur) = current.scenario(&base.name) else {
-            verdicts.push(Verdict::Warn {
-                scenario: base.name.clone(),
-                speedup: 0.0,
-                reason: "scenario missing from current report".to_string(),
-            });
-            continue;
-        };
-        let speedup = if base.events_per_sec > 0.0 { cur.events_per_sec / base.events_per_sec } else { 0.0 };
-        // Counter drift and the speed gate are independent signals: a
-        // drifted baseline still gates throughput (events/sec stays
-        // comparable across small semantic changes), so a kernel change
-        // cannot smuggle a hard regression past CI behind the drift
-        // warning.
-        if cur.events != base.events || cur.requests != base.requests {
-            verdicts.push(Verdict::Warn {
-                scenario: base.name.clone(),
-                speedup,
-                reason: format!(
-                    "work counters drifted (events {} -> {}, requests {} -> {}): the change alters this \
-                     scenario's work",
-                    base.events, cur.events, base.requests, cur.requests
-                ),
-            });
-        }
-        if speedup * max_regression < 1.0 {
-            // A median beyond the gate fails only when the slowdown is
-            // also statistically significant across the retained trials;
-            // with fewer than two trial samples on a side (`--trials 1`)
-            // the median ratio stands alone.
-            let significance = tpv_stats::mann_whitney_u(&cur.wall_ms_trials, &base.wall_ms_trials);
-            match significance {
-                Some(mw) if !mw.differs(0.05) => {
-                    verdicts.push(Verdict::Warn {
-                        scenario: base.name.clone(),
-                        speedup,
-                        reason: format!(
-                            "median events/sec {:.0} breaches baseline {:.0} / {max_regression}, but the \
-                             trial spreads overlap (Mann-Whitney p = {:.3}) — rerun before trusting it",
-                            cur.events_per_sec, base.events_per_sec, mw.p_value
-                        ),
-                    });
-                }
-                _ => {
-                    verdicts.push(Verdict::Fail {
-                        scenario: base.name.clone(),
-                        speedup,
-                        reason: format!(
-                            "events/sec {:.0} is worse than baseline {:.0} / {max_regression} (speedup {speedup:.2}x{})",
-                            cur.events_per_sec,
-                            base.events_per_sec,
-                            significance.map_or(String::new(), |mw| format!(
-                                ", Mann-Whitney p = {:.4}",
-                                mw.p_value
-                            ))
-                        ),
-                    });
-                }
-            }
-        } else if speedup * WARN_FACTOR < 1.0 {
-            verdicts.push(Verdict::Warn {
-                scenario: base.name.clone(),
-                speedup,
-                reason: format!(
-                    "events/sec {:.0} lags baseline {:.0} (speedup {speedup:.2}x) — within tolerance",
-                    cur.events_per_sec, base.events_per_sec
-                ),
-            });
-        } else {
-            verdicts.push(Verdict::Ok { scenario: base.name.clone(), speedup });
-        }
-    }
-    verdicts
 }
 
 /// Renders a per-second rate with an SI prefix sized to it, so a slow
@@ -522,51 +329,24 @@ fn format_rate(per_sec: f64) -> String {
 }
 
 /// Renders the markdown table `perf_probe` prints and CI appends to
-/// `$GITHUB_STEP_SUMMARY`: one row per scenario of `current` with its
-/// deterministic work, wall-time summary, throughput, peak RSS, shard
-/// speedup, the events/sec delta against the baseline (when one is
-/// given) and the gate verdict.
-pub fn summary_markdown(current: &BenchReport, baseline: Option<(&BenchReport, f64)>) -> String {
+/// `$GITHUB_STEP_SUMMARY`: one row per scenario with its deterministic
+/// work, wall-time summary, throughput, peak RSS and shard speedup.
+pub fn summary_markdown(report: &BenchReport) -> String {
     let mut out = String::new();
-    out.push_str("### perf_probe — kernel events/sec vs baseline\n\n");
+    out.push_str("### perf_probe — kernel performance matrix\n\n");
     out.push_str(
         "| scenario | events/run | requests/run | median wall (ms) | CoV | repeats | events/sec | peak RSS (kB) \
-         | shard speedup | Δ vs baseline | verdict |\n",
+         | shard speedup |\n",
     );
-    out.push_str("|---|---|---|---|---|---|---|---|---|---|---|\n");
-    let verdicts = baseline.map(|(base, max_regression)| compare(current, base, max_regression));
-    for s in &current.scenarios {
-        let (delta, verdict) = match (&verdicts, baseline) {
-            (Some(verdicts), Some((base, _))) => {
-                let delta = base
-                    .scenario(&s.name)
-                    .filter(|b| b.events_per_sec > 0.0)
-                    .map_or("n/a".to_string(), |b| {
-                        format!("{:+.1}%", (s.events_per_sec / b.events_per_sec - 1.0) * 100.0)
-                    });
-                // The worst verdict for this scenario (a scenario can
-                // carry both a drift warning and a speed verdict).
-                let verdict = verdicts
-                    .iter()
-                    .filter_map(|v| match v {
-                        Verdict::Fail { scenario, .. } if *scenario == s.name => Some((0, "❌ fail")),
-                        Verdict::Warn { scenario, .. } if *scenario == s.name => Some((1, "⚠️ warn")),
-                        Verdict::Ok { scenario, .. } if *scenario == s.name => Some((2, "✅ ok")),
-                        _ => None,
-                    })
-                    .min_by_key(|&(rank, _)| rank)
-                    .map_or("—", |(_, label)| label);
-                (delta, verdict)
-            }
-            _ => ("n/a".to_string(), "—"),
-        };
+    out.push_str("|---|---|---|---|---|---|---|---|---|\n");
+    for s in &report.scenarios {
         let speedup = match (s.speedup_vs_serial, s.wall_ms_serial) {
             (Some(sp), Some(serial)) => format!("{sp:.2}x ({serial:.1} ms serial)"),
             _ => "—".to_string(),
         };
         let _ = writeln!(
             out,
-            "| {} | {} | {} | {:.2} | {:.3} | {} | {} | {} | {speedup} | {delta} | {verdict} |",
+            "| {} | {} | {} | {:.2} | {:.3} | {} | {} | {} | {speedup} |",
             s.name,
             s.events,
             s.requests,
@@ -580,118 +360,192 @@ pub fn summary_markdown(current: &BenchReport, baseline: Option<(&BenchReport, f
     out
 }
 
-/// The report layout's JSON pieces: the writer's renderings of optional
-/// numbers and strings, and [`Fields`], which reads the values back.
-mod json {
-    /// Renders an optional number as JSON: `null` or a fixed-precision
-    /// literal.
-    pub fn opt_num(value: Option<f64>, decimals: usize) -> String {
-        match value {
-            None => "null".to_string(),
-            Some(v) => format!("{v:.decimals$}"),
+/// Renders an optional number as JSON: `null` or a fixed-precision
+/// literal.
+fn opt_num(value: Option<f64>, decimals: usize) -> String {
+    match value {
+        None => "null".to_string(),
+        Some(v) => format!("{v:.decimals$}"),
+    }
+}
+
+/// Escapes a string for embedding in a JSON literal: backslash, quote,
+/// newline and tab.
+fn escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n").replace('\t', "\\t")
+}
+
+/// What a run's last stdout line reports, in the benchmark's result-line
+/// format: `{"correct": …, "metrics": {"name": {"value": x, "unit": "u"},
+/// …}}`, other keys ignored.
+#[derive(Debug)]
+pub struct ResultLine {
+    /// False when the line says `"correct": false`.
+    pub correct: bool,
+    /// `(name, value, unit)` of every metric, in line order; empty for a
+    /// line without `"metrics"`.
+    pub metrics: Vec<(String, f64, String)>,
+}
+
+/// Reads a run's last stdout line. A line without `"metrics"` (a usage
+/// line, or a program that prints no result line) reports no metrics;
+/// a `"metrics"` object that does not follow the format, or a value
+/// that is not a finite number, is an `Err`, never a 0.
+pub fn read_result_line(line: &str) -> Result<ResultLine, String> {
+    let correct = !line.contains("\"correct\": false");
+    let mut metrics = Vec::new();
+    if let Some((_, mut rest)) = line.split_once("\"metrics\": {") {
+        let bad = || format!("malformed metrics in `{line}`");
+        while !rest.starts_with('}') {
+            let (name, tail) = rest.strip_prefix('"').and_then(|r| r.split_once('"')).ok_or_else(bad)?;
+            let (value, tail) = tail
+                .strip_prefix(": {\"value\": ")
+                .and_then(|r| r.split_once(", \"unit\": \""))
+                .ok_or_else(bad)?;
+            let (unit, tail) = tail.split_once('"').ok_or_else(bad)?;
+            let tail = tail.strip_prefix('}').ok_or_else(bad)?;
+            let value = value
+                .parse::<f64>()
+                .ok()
+                .filter(|v| v.is_finite())
+                .ok_or_else(|| format!("metric {name}: `{value}` is not a number"))?;
+            metrics.push((name.to_string(), value, unit.to_string()));
+            rest = match tail.strip_prefix(", ") {
+                Some(next) => next,
+                None if tail.starts_with('}') => tail,
+                None => return Err(bad()),
+            };
         }
     }
+    Ok(ResultLine { correct, metrics })
+}
 
-    /// Escapes a string for embedding in a JSON literal: backslash,
-    /// quote, newline and tab, the escapes [`unescape`] undoes.
-    pub fn escape(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n").replace('\t', "\\t")
+/// Pairs of runs `perf_probe ab` makes: the base first in even pairs,
+/// the head first in odd ones.
+pub const AB_PAIRS: usize = 10;
+
+/// A head worse than the base by more than this factor, Mann–Whitney
+/// significant at α = 0.05, fails an `ab` comparison.
+pub const MAX_REGRESSION: f64 = 2.0;
+
+/// What one metric's samples say about the head against the base.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AbVerdict {
+    /// The head won at least 9 in 10 pairs and its median is better by
+    /// more than the base's IQR.
+    Better,
+    /// The head lost at least 9 in 10 pairs and its median is worse by
+    /// more than the base's IQR.
+    Worse,
+    /// The head is worse by more than [`MAX_REGRESSION`], Mann–Whitney
+    /// significant (p < 0.05).
+    Fail,
+    /// Only one side reports the metric.
+    Ungated,
+    /// None of the above.
+    NoChange,
+}
+
+impl std::fmt::Display for AbVerdict {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            AbVerdict::Better => "better",
+            AbVerdict::Worse => "worse",
+            AbVerdict::Fail => "FAIL",
+            AbVerdict::Ungated => "ungated",
+            AbVerdict::NoChange => "no change",
+        })
     }
+}
 
-    /// Undoes [`escape`]; `None` on any other escape or a bare quote.
-    fn unescape(s: &str) -> Option<String> {
-        let mut out = String::with_capacity(s.len());
-        let mut chars = s.chars();
-        while let Some(c) = chars.next() {
-            out.push(match c {
-                '\\' => match chars.next()? {
-                    '\\' => '\\',
-                    '"' => '"',
-                    'n' => '\n',
-                    't' => '\t',
-                    _ => return None,
-                },
-                '"' => return None,
-                other => other,
-            });
-        }
-        Some(out)
+/// Pairs the head won and lost: `base[i]` and `head[i]` were run in the
+/// same pair.
+fn head_won_lost(base: &[f64], head: &[f64], higher_is_better: bool) -> (usize, usize) {
+    let beats = |a: f64, b: f64| if higher_is_better { a > b } else { a < b };
+    let won = base.iter().zip(head).filter(|&(&b, &h)| beats(h, b)).count();
+    let lost = base.iter().zip(head).filter(|&(&b, &h)| beats(b, h)).count();
+    (won, lost)
+}
+
+/// The spread between the base's quartiles.
+fn iqr(samples: &[f64]) -> f64 {
+    tpv_stats::desc::percentile(samples, 75.0) - tpv_stats::desc::percentile(samples, 25.0)
+}
+
+/// Judges one metric of an `ab` comparison from its per-pair samples
+/// (`base[i]` and `head[i]` from pair `i`; an empty side does not
+/// report the metric). A metric measured in `1/s` is better higher,
+/// every other one lower. The rules, in order: one side empty reads
+/// `Ungated`; a head median worse than the base's by more than
+/// [`MAX_REGRESSION`] with Mann–Whitney p < 0.05 (both medians
+/// non-negative) reads `Fail`; a head
+/// that wins (loses) at least 9 in 10 pairs with a median gap larger
+/// than the base's IQR reads `Better` (`Worse`); anything else reads
+/// `NoChange`.
+pub fn ab_verdict(base: &[f64], head: &[f64], higher_is_better: bool) -> AbVerdict {
+    if base.is_empty() || head.is_empty() {
+        return AbVerdict::Ungated;
     }
-
-    /// The `"key": value` lines of a report, in order, with their
-    /// 1-based line numbers. Lines that only open or close an object or
-    /// a list carry no value and are skipped: the caller checks the
-    /// layout as a whole.
-    pub struct Fields<'a> {
-        fields: std::iter::Peekable<std::vec::IntoIter<(usize, &'a str, &'a str)>>,
-        lines: usize,
+    let (b, h) = (tpv_stats::desc::median(base), tpv_stats::desc::median(head));
+    // A ratio means nothing across or below zero (a traced benchmark
+    // run's `trace.overhead_frac` can read negative): such a metric is
+    // never `Fail`.
+    let slowdown = if higher_is_better { b / h } else { h / b };
+    let significant = tpv_stats::mann_whitney_u(head, base).is_some_and(|mw| mw.differs(0.05));
+    if b >= 0.0 && h >= 0.0 && slowdown > MAX_REGRESSION && significant {
+        return AbVerdict::Fail;
     }
-
-    impl<'a> Fields<'a> {
-        pub fn new(text: &'a str) -> Fields<'a> {
-            let fields: Vec<_> = text
-                .lines()
-                .enumerate()
-                .filter_map(|(i, line)| {
-                    let (key, value) = line.trim().strip_prefix('"')?.split_once("\": ")?;
-                    let value = value.strip_suffix(',').unwrap_or(value);
-                    (value != "{" && value != "[").then_some((i + 1, key, value))
-                })
-                .collect();
-            Fields { fields: fields.into_iter().peekable(), lines: text.lines().count() }
-        }
-
-        /// Whether the next field is `key`.
-        pub fn next_is(&mut self, key: &str) -> bool {
-            self.fields.peek().is_some_and(|&(_, k, _)| k == key)
-        }
-
-        /// The raw value of the next field, which must be `key`, with
-        /// its line number.
-        fn value(&mut self, key: &str) -> Result<(usize, &'a str), String> {
-            match self.fields.next() {
-                Some((n, k, value)) if k == key => Ok((n, value)),
-                Some((n, k, _)) => Err(format!("line {n}: expected the key \"{key}\", got \"{k}\"")),
-                None => Err(format!("line {}: the report ends before \"{key}\"", self.lines + 1)),
-            }
-        }
-
-        /// Reads the field `key` as a number or a boolean.
-        pub fn parse<T: std::str::FromStr>(&mut self, key: &str) -> Result<T, String> {
-            let (n, value) = self.value(key)?;
-            value.parse().map_err(|_| {
-                format!("line {n}: \"{key}\" must be a {}, got `{value}`", std::any::type_name::<T>())
-            })
-        }
-
-        /// Reads the field `key` as a number or `null` (`None`).
-        pub fn opt_f64(&mut self, key: &str) -> Result<Option<f64>, String> {
-            if self.fields.peek().is_some_and(|&(_, _, value)| value == "null") {
-                return self.value(key).map(|_| None);
-            }
-            self.parse(key).map(Some)
-        }
-
-        /// Reads the field `key` as a one-line list of numbers.
-        pub fn f64_list(&mut self, key: &str) -> Result<Vec<f64>, String> {
-            let (n, value) = self.value(key)?;
-            let bad = || format!("line {n}: \"{key}\" must be a list of numbers, got `{value}`");
-            match value.strip_prefix('[').and_then(|v| v.strip_suffix(']')).ok_or_else(bad)? {
-                "" => Ok(Vec::new()),
-                items => items.split(", ").map(|x| x.parse().map_err(|_| bad())).collect(),
-            }
-        }
-
-        /// Reads the field `key` as a string literal.
-        pub fn string(&mut self, key: &str) -> Result<String, String> {
-            let (n, value) = self.value(key)?;
-            value
-                .strip_prefix('"')
-                .and_then(|v| v.strip_suffix('"'))
-                .and_then(unescape)
-                .ok_or_else(|| format!("line {n}: \"{key}\" must be a string, got `{value}`"))
-        }
+    let (won, lost) = head_won_lost(base, head, higher_is_better);
+    let pairs = base.len().min(head.len());
+    let clear = (h - b).abs() > iqr(base);
+    if clear && 10 * won >= 9 * pairs {
+        AbVerdict::Better
+    } else if clear && 10 * lost >= 9 * pairs {
+        AbVerdict::Worse
+    } else {
+        AbVerdict::NoChange
     }
+}
+
+/// The header of the table `perf_probe ab` prints, one [`ab_row`] per
+/// metric below it.
+pub const AB_HEADER: &str = "| metric | unit | base median | head median | head/base (95% CI) | MW p \
+                             | head won | base IQR | verdict |\n|---|---|---|---|---|---|---|---|---|";
+
+/// One metric's markdown row of an `ab` table and its [`ab_verdict`]:
+/// the two medians, the head/base ratio of medians with its
+/// [`ratio_ci`], the Mann–Whitney p, the pairs the head won and the
+/// base's IQR.
+pub fn ab_row(metric: &str, unit: &str, base: &[f64], head: &[f64]) -> (String, AbVerdict) {
+    use tpv_stats::desc::median;
+    let higher_is_better = unit == "1/s";
+    let verdict = ab_verdict(base, head, higher_is_better);
+    let gated = verdict != AbVerdict::Ungated;
+    let ci = || ratio_ci(head, base).map_or(String::new(), |(lo, hi)| format!(" ({lo:.3}–{hi:.3})"));
+    let p =
+        || tpv_stats::mann_whitney_u(head, base).map_or("—".to_string(), |mw| format!("{:.4}", mw.p_value));
+    let cells = [
+        (!base.is_empty()).then(|| sig4(median(base))),
+        (!head.is_empty()).then(|| sig4(median(head))),
+        gated.then(|| format!("{:.3}{}", median(head) / median(base), ci())),
+        gated.then(p),
+        gated.then(|| {
+            format!("{}/{}", head_won_lost(base, head, higher_is_better).0, base.len().min(head.len()))
+        }),
+        gated.then(|| sig4(iqr(base))),
+    ]
+    .map(|cell| cell.unwrap_or_else(|| "—".to_string()));
+    (format!("| {metric} | {unit} | {} | {verdict} |", cells.join(" | ")), verdict)
+}
+
+/// Renders `x` with four significant digits (and no exponent).
+fn sig4(x: f64) -> String {
+    let decimals = if x == 0.0 || !x.is_finite() {
+        0
+    } else {
+        (3 - x.abs().log10().floor() as i32).clamp(0, 9) as usize
+    };
+    format!("{x:.decimals$}")
 }
 
 #[cfg(test)]
@@ -710,19 +564,19 @@ mod tests {
             scenarios: vec![
                 ScenarioReport {
                     name: "static_1x1".to_string(),
-                    trials: 5,
+                    trials: 1,
                     events: 32_768,
                     requests: 5_432,
                     wall_ms_median: 3.25,
-                    wall_ms_cov: 0.021,
+                    wall_ms_cov: 0.0,
                     events_per_sec: 10_082_461.5,
                     wall_ms_serial: None,
                     speedup_vs_serial: None,
                     repeats: 16,
                     peak_rss_kb: 14_200,
-                    wall_ms_trials: vec![3.21, 3.25, 3.30, 3.24, 3.27],
-                    events_per_sec_ci_low: 9_929_000.0,
-                    events_per_sec_ci_high: 10_207_000.0,
+                    wall_ms_trials: vec![3.25],
+                    events_per_sec_ci_low: None,
+                    events_per_sec_ci_high: None,
                     wall_ms_parallel_trials: Vec::new(),
                     speedup_ci_low: None,
                     speedup_ci_high: None,
@@ -740,8 +594,8 @@ mod tests {
                     repeats: 2,
                     peak_rss_kb: 18_944,
                     wall_ms_trials: vec![42.1, 42.5, 43.0, 42.4, 42.9],
-                    events_per_sec_ci_low: 11_600_000.0,
-                    events_per_sec_ci_high: 11_900_000.0,
+                    events_per_sec_ci_low: Some(11_600_000.0),
+                    events_per_sec_ci_high: Some(11_900_000.0),
                     wall_ms_parallel_trials: vec![11.2, 11.4, 11.3, 11.5, 11.25],
                     speedup_ci_low: Some(3.61),
                     speedup_ci_high: Some(3.90),
@@ -750,84 +604,169 @@ mod tests {
         }
     }
 
-    /// Two scenarios cut verbatim from a `perf_probe --quick` report of
-    /// a 2-vCPU Xeon host, as the writer lays it out: `samplers` is
-    /// single-timed (its speedup fields are `null`), `fleet_1m` is
-    /// dual-timed.
-    const REPORT_EXCERPT: &str = include_str!("../tests/data/perf_report_excerpt.json");
-
-    #[test]
-    fn probe_report_excerpt_parses() {
-        let report = BenchReport::from_json(REPORT_EXCERPT).expect("the excerpt parses");
-        assert!(report.quick);
-        assert_eq!(report.runner.cores, 2);
-        let names: Vec<&str> = report.scenarios.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["samplers", "fleet_1m"]);
-        let samplers = report.scenario("samplers").unwrap();
-        assert_eq!((samplers.events, samplers.requests, samplers.repeats), (700_000, 100_000, 2));
-        assert_eq!((samplers.wall_ms_serial, samplers.speedup_ci_low), (None, None));
-        assert!(samplers.wall_ms_parallel_trials.is_empty());
-        let fleet = report.scenario("fleet_1m").unwrap();
-        assert_eq!(fleet.speedup_vs_serial, Some(2.3663));
-        assert_eq!((fleet.speedup_ci_low, fleet.speedup_ci_high), (Some(2.1670), Some(2.4243)));
-        assert_eq!(fleet.wall_ms_trials.len(), 4);
-        assert_eq!(fleet.wall_ms_parallel_trials.len(), 5);
-        // The writer reproduces the excerpt byte for byte.
-        assert_eq!(report.to_json(), REPORT_EXCERPT);
-        // An A/A pair: the report gated against itself.
-        let verdicts = compare(&report, &report, 2.0);
-        assert_eq!(verdicts.len(), 2);
-        assert!(verdicts.iter().all(|v| matches!(v, Verdict::Ok { .. })), "{verdicts:?}");
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let report = sample();
-        let parsed = BenchReport::from_json(&report.to_json()).expect("round trip");
-        assert_eq!(parsed.schema, report.schema);
-        assert_eq!(parsed.quick, report.quick);
-        assert_eq!(parsed.runner, report.runner, "runner fingerprint must round-trip (incl. escapes)");
-        assert_eq!(parsed.scenarios.len(), 2);
-        for (a, b) in parsed.scenarios.iter().zip(&report.scenarios) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.events, b.events);
-            assert_eq!(a.requests, b.requests);
-            assert!((a.wall_ms_median - b.wall_ms_median).abs() < 1e-3);
-            assert!((a.events_per_sec - b.events_per_sec).abs() < 1.0);
-            let assert_close = |x: Option<f64>, y: Option<f64>, what: &str| match (x, y) {
-                (Some(x), Some(y)) => assert!((x - y).abs() < 1e-3, "{what}: {x} vs {y}"),
-                (x, y) => assert_eq!(x, y, "{what} None-ness must round-trip"),
-            };
-            assert_close(a.wall_ms_serial, b.wall_ms_serial, "serial wall");
-            assert_close(a.speedup_vs_serial, b.speedup_vs_serial, "speedup");
-            assert_close(a.speedup_ci_low, b.speedup_ci_low, "speedup CI low");
-            assert_close(a.speedup_ci_high, b.speedup_ci_high, "speedup CI high");
-            assert_eq!(a.repeats, b.repeats);
-            assert_eq!(a.peak_rss_kb, b.peak_rss_kb);
-            assert_eq!(a.wall_ms_trials.len(), b.wall_ms_trials.len());
-            for (x, y) in a.wall_ms_trials.iter().zip(&b.wall_ms_trials) {
-                assert!((x - y).abs() < 1e-3);
-            }
-            assert!((a.events_per_sec_ci_low - b.events_per_sec_ci_low).abs() < 1.0);
-            assert!((a.events_per_sec_ci_high - b.events_per_sec_ci_high).abs() < 1.0);
-            assert_eq!(a.wall_ms_parallel_trials.len(), b.wall_ms_parallel_trials.len());
-            for (x, y) in a.wall_ms_parallel_trials.iter().zip(&b.wall_ms_parallel_trials) {
-                assert!((x - y).abs() < 1e-3);
-            }
-        }
-    }
-
     #[test]
     fn speedup_ci_is_null_off_dual_timed_scenarios() {
         let json = sample().to_json();
         assert!(json.contains("\"speedup_ci_low\": null"), "{json}");
         assert!(json.contains("\"speedup_ci_high\": 3.9000"), "{json}");
-        // Reports written before the field became optional carry a 0.0
-        // placeholder; they still load.
-        let legacy = json.replace("\"speedup_ci_low\": null", "\"speedup_ci_low\": 0.0000");
-        let parsed = BenchReport::from_json(&legacy).expect("0.0 placeholder parses");
-        assert_eq!(parsed.scenarios[0].speedup_ci_low, Some(0.0));
-        assert_eq!(parsed.scenarios[0].speedup_ci_high, None);
+    }
+
+    #[test]
+    fn to_json_writes_null_cis_and_escapes_the_runner() {
+        let json = sample().to_json();
+        // A one-trial scenario has no events/sec CI: `null`, not a fake 0.
+        assert!(json.contains("\"events_per_sec_ci_low\": null,\n"), "{json}");
+        assert!(json.contains("\"events_per_sec_ci_high\": null,\n"), "{json}");
+        assert!(json.contains("\"events_per_sec_ci_low\": 11600000.0,\n"), "{json}");
+        assert!(json.contains("\"wall_ms_serial\": null,\n"), "{json}");
+        assert!(json.contains("\"schema\": \"tpv-perf/6\",\n"), "{json}");
+        assert!(
+            json.contains(r#""cpu_model": "Test CPU \"quoted\" model, back\\slash\ttab\nnewline","#),
+            "quote, backslash, tab and newline must be escaped: {json}"
+        );
+        // Every line is a whole line: the newline in the CPU string did
+        // not break one.
+        assert!(json.lines().all(|l| l.trim() != "newline\","), "{json}");
+    }
+
+    #[test]
+    fn probe_result_line_reads_back() {
+        let line = sample().result_line();
+        assert_eq!(
+            line,
+            "{\"metrics\": {\"static_1x1.events_per_sec\": {\"value\": 10082461.5, \"unit\": \"1/s\"}, \
+             \"fleet_16.events_per_sec\": {\"value\": 11764705.9, \"unit\": \"1/s\"}}}"
+        );
+        let read = read_result_line(&line).expect("the probe's own line reads");
+        assert!(read.correct);
+        assert_eq!(
+            read.metrics,
+            vec![
+                ("static_1x1.events_per_sec".to_string(), 10_082_461.5, "1/s".to_string()),
+                ("fleet_16.events_per_sec".to_string(), 11_764_705.9, "1/s".to_string()),
+            ]
+        );
+    }
+
+    /// The last stdout line of a `paper_grid` run of the repository
+    /// benchmark, in the shape its `json_line` writes.
+    const BENCHMARK_LINE: &str = "{\"correct\": true, \"attempted\": 412, \"failed\": 0, \"metrics\": \
+        {\"wall_s\": {\"value\": 0.5734, \"unit\": \"s\"}, \"sim_req_per_s\": {\"value\": 1.0354e7, \"unit\": \"1/s\"}, \
+        \"setup_s\": {\"value\": 0.00523, \"unit\": \"s\"}, \"peak_rss_mb\": {\"value\": 7.3125, \"unit\": \"MB\"}, \
+        \"engine.jobs\": {\"value\": 412.0, \"unit\": \"count\"}}}";
+
+    #[test]
+    fn result_line_reads_the_benchmark_line() {
+        let read = read_result_line(BENCHMARK_LINE).expect("the benchmark's line reads");
+        assert!(read.correct);
+        let names: Vec<&str> = read.metrics.iter().map(|(n, _, _)| n.as_str()).collect();
+        assert_eq!(names, ["wall_s", "sim_req_per_s", "setup_s", "peak_rss_mb", "engine.jobs"]);
+        assert_eq!(read.metrics[1], ("sim_req_per_s".to_string(), 1.0354e7, "1/s".to_string()));
+        assert_eq!(read.metrics[2].1, 0.00523);
+        let failed = BENCHMARK_LINE.replace("\"correct\": true", "\"correct\": false");
+        assert!(!read_result_line(&failed).unwrap().correct);
+    }
+
+    #[test]
+    fn result_line_without_metrics_reads_none() {
+        for line in [
+            "",
+            "perf_probe [--quick] [--trials N]",
+            "| fleet_1m | 1 | 2 |",
+            "{\"correct\": true, \"metrics\": {}}",
+        ] {
+            let read = read_result_line(line).expect(line);
+            assert!(read.correct && read.metrics.is_empty(), "{line}: {read:?}");
+        }
+    }
+
+    #[test]
+    fn result_line_rejects_a_malformed_number() {
+        for bad in ["0.57.34", "fast", "", "NaN", "inf", "\"0.5\""] {
+            let line = BENCHMARK_LINE.replace("0.5734", bad);
+            let err = read_result_line(&line).expect_err(bad);
+            assert!(err.contains("wall_s") || err.contains("malformed"), "{bad}: {err}");
+        }
+        // A metrics object cut short or out of shape is an error too.
+        for line in [
+            &BENCHMARK_LINE[..BENCHMARK_LINE.len() - 20],
+            &BENCHMARK_LINE.replace(", \"unit\": \"s\"}, \"sim", ", \"unit\": \"s\"} \"sim"),
+            &BENCHMARK_LINE.replace("{\"value\": 0.5734", "{\"v\": 0.5734"),
+        ] {
+            assert!(read_result_line(line).is_err(), "{line}");
+        }
+    }
+
+    /// Ten per-pair walls of one side, in seconds: a ~3% spread.
+    const BASE_S: [f64; AB_PAIRS] = [15.0, 15.3, 14.8, 15.1, 15.4, 14.9, 15.2, 15.0, 15.3, 14.7];
+
+    #[test]
+    fn ab_verdict_reads_a_ten_percent_shift_as_worse_not_fail() {
+        let head: Vec<f64> = BASE_S.iter().map(|x| x * 1.1).collect();
+        assert_eq!(ab_verdict(&BASE_S, &head, false), AbVerdict::Worse);
+        // The same shift in a rate reads the other way round.
+        let rates: Vec<f64> = BASE_S.iter().map(|x| 1e6 / x).collect();
+        let faster: Vec<f64> = head.iter().map(|x| 1e6 / x).collect();
+        assert_eq!(ab_verdict(&rates, &faster, true), AbVerdict::Worse);
+        assert_eq!(ab_verdict(&faster, &rates, true), AbVerdict::Better);
+    }
+
+    #[test]
+    fn ab_verdict_reads_an_a_a_pair_as_no_change() {
+        let mut head = BASE_S;
+        head.rotate_left(1);
+        assert_eq!(ab_verdict(&BASE_S, &head, false), AbVerdict::NoChange);
+        assert_eq!(ab_verdict(&BASE_S, &BASE_S, false), AbVerdict::NoChange);
+        // A deterministic counter that does not move.
+        assert_eq!(ab_verdict(&[412.0; AB_PAIRS], &[412.0; AB_PAIRS], false), AbVerdict::NoChange);
+    }
+
+    #[test]
+    fn ab_verdict_fails_a_significant_2_5x_slowdown() {
+        let slower: Vec<f64> = BASE_S.iter().map(|x| x * 2.5).collect();
+        assert_eq!(ab_verdict(&BASE_S, &slower, false), AbVerdict::Fail);
+        let rates: Vec<f64> = BASE_S.iter().map(|x| 1e6 / x).collect();
+        let slower_rates: Vec<f64> = slower.iter().map(|x| 1e6 / x).collect();
+        assert_eq!(ab_verdict(&rates, &slower_rates, true), AbVerdict::Fail);
+        // A 2.5x speed-up is no failure.
+        assert_eq!(ab_verdict(&slower_rates, &rates, true), AbVerdict::Better);
+        // Nor is a negative metric growing 2.5x more negative: lower is
+        // better, and it got lower.
+        let negative: Vec<f64> = BASE_S.iter().map(|x| -x).collect();
+        let more_negative: Vec<f64> = slower.iter().map(|x| -x).collect();
+        assert_eq!(ab_verdict(&negative, &more_negative, false), AbVerdict::Better);
+    }
+
+    #[test]
+    fn ab_verdict_does_not_fail_a_2_5x_median_over_overlapping_spreads() {
+        // Half of each side's runs are fast: the medians sit 2.5x apart
+        // (57 and 142.5), but the samples interleave (p ≈ 0.2).
+        let base = [10.0, 11.0, 12.0, 13.0, 14.0, 100.0, 101.0, 102.0, 103.0, 104.0];
+        let head = [11.0, 12.0, 13.0, 14.0, 15.0, 270.0, 271.0, 272.0, 273.0, 274.0];
+        let ratio = tpv_stats::desc::median(&head) / tpv_stats::desc::median(&base);
+        assert!((ratio - 2.5).abs() < 1e-12, "{ratio}");
+        let mw = tpv_stats::mann_whitney_u(&head, &base).unwrap();
+        assert!(!mw.differs(0.05), "p = {}", mw.p_value);
+        assert_ne!(ab_verdict(&base, &head, false), AbVerdict::Fail);
+    }
+
+    #[test]
+    fn ab_verdict_leaves_a_one_sided_metric_ungated() {
+        assert_eq!(ab_verdict(&[], &BASE_S, false), AbVerdict::Ungated);
+        assert_eq!(ab_verdict(&BASE_S, &[], true), AbVerdict::Ungated);
+        let (row, verdict) = ab_row("fleet_1m.events_per_sec", "1/s", &[], &[2.5e6; AB_PAIRS]);
+        assert_eq!(verdict, AbVerdict::Ungated);
+        assert_eq!(row, "| fleet_1m.events_per_sec | 1/s | — | 2500000 | — | — | — | — | ungated |");
+    }
+
+    #[test]
+    fn ab_row_renders_medians_ratio_p_wins_and_iqr() {
+        let head: Vec<f64> = BASE_S.iter().map(|x| x * 1.1).collect();
+        let (row, verdict) = ab_row("process_s", "s", &BASE_S, &head);
+        assert_eq!(verdict, AbVerdict::Worse);
+        assert!(row.starts_with("| process_s | s | 15.05 | 16.55 | 1.100 ("), "{row}");
+        assert!(row.ends_with(" | 0/10 | 0.4000 | worse |"), "{row}");
+        assert_eq!(AB_HEADER.lines().next().unwrap().matches('|').count(), row.matches('|').count());
     }
 
     #[test]
@@ -849,148 +788,33 @@ mod tests {
         // Tight legs around a 4x speedup: the CI hugs the ratio.
         let serial = [160.0, 161.0, 159.5, 160.5, 160.2];
         let parallel = [40.0, 40.3, 39.8, 40.1, 40.2];
-        let (low, high) = speedup_ci(&serial, &parallel).expect("5 trials per leg");
+        let (low, high) = ratio_ci(&serial, &parallel).expect("5 trials per leg");
         assert!(low > 3.8 && high < 4.2, "tight legs must give a tight CI, got [{low}, {high}]");
         // A noisy parallel leg widens the interval downward — the lower
         // bound is what the scaling gate binds on.
         let noisy = [40.0, 80.0, 39.8, 75.0, 40.2];
-        let (noisy_low, _) = speedup_ci(&serial, &noisy).expect("5 trials per leg");
+        let (noisy_low, _) = ratio_ci(&serial, &noisy).expect("5 trials per leg");
         assert!(noisy_low < low, "noise must drag the lower bound down: {noisy_low} vs {low}");
         // Single-trial legs: no interval.
-        assert_eq!(speedup_ci(&[160.0], &parallel), None);
-        assert_eq!(speedup_ci(&serial, &[40.0]), None);
+        assert_eq!(ratio_ci(&[160.0], &parallel), None);
+        assert_eq!(ratio_ci(&serial, &[40.0]), None);
     }
 
     #[test]
-    fn summary_markdown_renders_deltas_and_verdicts() {
-        let mut baseline = sample();
-        let mut current = sample();
-        current.scenarios[0].events_per_sec *= 1.10;
-        current.scenarios[1].events_per_sec /= 3.0;
-        for t in &mut current.scenarios[1].wall_ms_trials {
-            *t *= 3.0; // a real slowdown: walls stretch with the rate
-        }
+    fn summary_markdown_renders_rates_and_speedups() {
+        let mut report = sample();
         // A set-up scenario runs a few hundred constructions per second.
-        let setup = ScenarioReport {
+        report.scenarios.push(ScenarioReport {
             name: "service_setup".to_string(),
             events_per_sec: 319.4,
-            ..baseline.scenarios[0].clone()
-        };
-        baseline.scenarios.push(setup.clone());
-        current.scenarios.push(setup);
-        let md = summary_markdown(&current, Some((&baseline, 2.0)));
+            ..report.scenarios[0].clone()
+        });
+        let md = summary_markdown(&report);
         assert!(md.contains("| static_1x1 |"), "{md}");
-        assert!(md.contains("| 11.09M/s |"), "{md}");
+        assert!(md.contains("| 10.08M/s |"), "{md}");
         assert!(md.contains("| 319.4/s |") && !md.contains("0.00M"), "{md}");
-        assert!(md.contains("+10.0%"), "{md}");
-        assert!(md.contains("✅ ok"), "{md}");
-        assert!(md.contains("❌ fail"), "{md}");
-        assert!(md.contains("3.77x"), "dual-timed scenario must show its speedup: {md}");
-        // Without a baseline the table still renders, ungated.
-        let md = summary_markdown(&current, None);
-        assert!(md.contains("n/a"), "{md}");
-    }
-
-    #[test]
-    fn schema_mismatch_is_rejected() {
-        let mut report = sample();
-        report.schema = "tpv-perf/1".to_string();
-        let err = BenchReport::from_json(&report.to_json()).unwrap_err();
-        assert!(err.contains("schema mismatch"), "{err}");
-    }
-
-    #[test]
-    fn malformed_json_is_rejected_not_panicked() {
-        for bad in [
-            "",
-            "{",
-            "{\"schema\": }",
-            "[1,2",
-            "{\"schema\":\"tpv-perf/1\"} extra",
-            "{\"schema\": \"tpv-perf/5\"}",
-        ] {
-            assert!(BenchReport::from_json(bad).is_err(), "{bad:?} should fail");
-        }
-        // Every truncation of a real report short of its closing brace.
-        let end = REPORT_EXCERPT.trim_end().len() - 1;
-        for cut in (0..end).filter(|&i| REPORT_EXCERPT.is_char_boundary(i)) {
-            assert!(BenchReport::from_json(&REPORT_EXCERPT[..cut]).is_err(), "truncated at byte {cut}");
-        }
-        // A missing key, a value of the wrong kind or a layout the writer
-        // does not produce: each is an error naming the line.
-        let missing: Vec<&str> = REPORT_EXCERPT.lines().filter(|l| !l.contains("\"requests\"")).collect();
-        let err = BenchReport::from_json(&missing.join("\n")).unwrap_err();
-        assert!(err.starts_with("line 14:") && err.contains("\"requests\""), "{err}");
-        for (old, new) in [
-            ("\"events\": 700000", "\"events\": \"700000\""),
-            ("\"events\": 700000", "\"events\": -7"),
-            ("\"wall_ms_median\": 32.6986", "\"wall_ms_median\": fast"),
-            ("\"wall_ms_median\": 32.6986", "\"wall_ms_median\": 32.69860"),
-            ("[32.3871,", "[x,"),
-            ("\"quick\": true", "\"quick\": 1"),
-            ("\"samplers\"", "samplers"),
-            ("\"runner\": {", "\"runner\": ["),
-            ("\n  ]\n}", "\n  ]\n}\n{}"),
-        ] {
-            let err = BenchReport::from_json(&REPORT_EXCERPT.replace(old, new)).expect_err(new);
-            assert!(err.starts_with("line "), "{new}: {err}");
-        }
-    }
-
-    #[test]
-    fn compare_passes_within_tolerance_and_fails_beyond() {
-        let baseline = sample();
-        // Identical performance: all Ok.
-        let verdicts = compare(&baseline, &baseline, 2.0);
-        assert!(verdicts.iter().all(|v| matches!(v, Verdict::Ok { .. })), "{verdicts:?}");
-
-        // 1.5x slower: warns but does not fail under the 2x gate.
-        let mut slower = baseline.clone();
-        for s in &mut slower.scenarios {
-            s.events_per_sec /= 1.5;
-        }
-        let verdicts = compare(&slower, &baseline, 2.0);
-        assert!(verdicts.iter().all(|v| matches!(v, Verdict::Warn { .. })), "{verdicts:?}");
-
-        // 3x slower — walls stretched to match, so the slowdown is both
-        // beyond the gate and Mann-Whitney significant: fails.
-        let mut much_slower = baseline.clone();
-        for s in &mut much_slower.scenarios {
-            s.events_per_sec /= 3.0;
-            for t in &mut s.wall_ms_trials {
-                *t *= 3.0;
-            }
-        }
-        let verdicts = compare(&much_slower, &baseline, 2.0);
-        assert!(verdicts.iter().all(|v| matches!(v, Verdict::Fail { .. })), "{verdicts:?}");
-    }
-
-    #[test]
-    fn compare_downgrades_insignificant_breaches() {
-        let mut baseline = sample();
-        let mut current = sample();
-        // Median events/sec breaches the 2x gate, but the trial spreads
-        // interleave — no statistically detectable slowdown.
-        baseline.scenarios.truncate(1);
-        current.scenarios.truncate(1);
-        baseline.scenarios[0].wall_ms_trials = vec![10.0, 1_000.0, 12.0, 1_002.0];
-        current.scenarios[0].wall_ms_trials = vec![11.0, 1_001.0, 13.0, 1_003.0];
-        current.scenarios[0].events_per_sec = baseline.scenarios[0].events_per_sec / 3.0;
-        let verdicts = compare(&current, &baseline, 2.0);
-        assert!(
-            matches!(&verdicts[0], Verdict::Warn { reason, .. } if reason.contains("overlap")),
-            "an insignificant breach must warn, not fail: {verdicts:?}"
-        );
-
-        // Strip the trial samples (too few for the test): the median
-        // ratio stands alone again and the same breach hard-fails.
-        baseline.scenarios[0].wall_ms_trials.clear();
-        current.scenarios[0].wall_ms_trials.clear();
-        let verdicts = compare(&current, &baseline, 2.0);
-        assert!(
-            matches!(&verdicts[0], Verdict::Fail { .. }),
-            "without trial samples the ratio gate must still bind: {verdicts:?}"
-        );
+        assert!(md.contains("3.77x (160.1 ms serial)"), "dual-timed scenario must show its speedup: {md}");
+        assert_eq!(md.lines().filter(|l| l.starts_with("| ")).count(), 4, "{md}");
     }
 
     #[test]
@@ -1016,70 +840,5 @@ mod tests {
         assert_eq!(iqr_filter(&samples), samples.to_vec(), "zero IQR must keep every sample");
         // Sanity: a genuinely wide spread still fences.
         assert_eq!(iqr_filter(&[7.0, 7.0, 7.0, 7.0, 7.1, 700.0]).len(), 5);
-    }
-
-    #[test]
-    fn compare_flags_work_drift_and_missing_scenarios() {
-        let baseline = sample();
-        let mut drifted = baseline.clone();
-        drifted.scenarios[0].events += 1;
-        let verdicts = compare(&drifted, &baseline, 2.0);
-        assert!(
-            matches!(&verdicts[0], Verdict::Warn { reason, .. } if reason.contains("work counters")),
-            "{verdicts:?}"
-        );
-
-        // Drift must not mask a hard regression: both verdicts surface.
-        let mut drifted_and_slow = baseline.clone();
-        drifted_and_slow.scenarios[0].events += 1;
-        drifted_and_slow.scenarios[0].events_per_sec /= 3.0;
-        for t in &mut drifted_and_slow.scenarios[0].wall_ms_trials {
-            *t *= 3.0;
-        }
-        let verdicts = compare(&drifted_and_slow, &baseline, 2.0);
-        assert!(
-            verdicts
-                .iter()
-                .any(|v| matches!(v, Verdict::Warn { reason, .. } if reason.contains("work counters"))),
-            "{verdicts:?}"
-        );
-        assert!(
-            verdicts.iter().any(|v| matches!(v, Verdict::Fail { .. })),
-            "a 3x slowdown must fail even when counters drifted: {verdicts:?}"
-        );
-
-        let mut missing = baseline.clone();
-        missing.scenarios.remove(1);
-        let verdicts = compare(&missing, &baseline, 2.0);
-        assert!(
-            verdicts.iter().any(|v| matches!(v, Verdict::Warn { reason, .. } if reason.contains("missing"))),
-            "{verdicts:?}"
-        );
-
-        // The asymmetric case: a scenario the baseline has never seen is
-        // ungated and must warn, not pass silently.
-        let mut extra = baseline.clone();
-        extra.scenarios.push(ScenarioReport {
-            name: "brand_new".to_string(),
-            trials: 5,
-            events: 1,
-            requests: 1,
-            wall_ms_median: 1.0,
-            wall_ms_cov: 0.0,
-            events_per_sec: 1.0,
-            wall_ms_serial: None,
-            speedup_vs_serial: None,
-            repeats: 1,
-            peak_rss_kb: 0,
-            wall_ms_trials: Vec::new(),
-            ..ScenarioReport::default()
-        });
-        let verdicts = compare(&extra, &baseline, 2.0);
-        assert!(
-            verdicts.iter().any(
-                |v| matches!(v, Verdict::Warn { scenario, reason, .. } if scenario == "brand_new" && reason.contains("ungated"))
-            ),
-            "{verdicts:?}"
-        );
     }
 }

@@ -14,7 +14,7 @@
 //! placement decision: shard results are bit-identical with pinning on,
 //! off, or unsupported, because shard results merge exactly in any
 //! order, whatever thread ran which shard —
-//! `perf_probe --pin` asserts exactly that. On non-Linux targets (and on
+//! `tests/shard_runtime.rs` asserts exactly that. On non-Linux targets (and on
 //! kernels that reject the affinity call) pinning degrades to a no-op.
 //!
 //! The only `unsafe` in the workspace lives here: one direct

@@ -1,18 +1,21 @@
 #!/bin/sh
-# Same-session perf gate: times the base revision's kernel and this
-# checkout's kernel on the same machine, one after the other, and gates
-# the checkout against the base. Wall-clock numbers from another machine
-# or another session do not compare, so the reference is measured here.
+# Same-session perf gate: compares the base revision's kernel probe
+# with this checkout's on the same machine, the two builds run in
+# alternating pairs, so host drift lands on both sides alike instead of
+# on their ratio.
 #
 # 1. Extracts BASE_REV with `git archive` (no worktree; `.git` is left
-#    as it is) and builds its perf_probe into target/perf-base.
-# 2. Runs the base probe with --quick into BENCH_base.json. Its own
-#    gates do not decide the result; a base run that writes no report
-#    does.
-# 3. Runs this checkout's probe, gated against BENCH_base.json: it
-#    writes BENCH.json and perf_summary.md and exits non-zero on a
-#    Mann-Whitney-significant slowdown beyond 2x, a failed shard
-#    scaling gate or a failed flat-memory gate.
+#    as it is) and builds its perf_probe into target/perf-base, then
+#    builds this checkout's into target/release.
+# 2. `perf_probe ab` runs the two probes' quick one-trial matrices in
+#    10 interleaved pairs and writes its table to perf_ab.md. It fails
+#    when a run fails, or when a metric both sides report (each
+#    scenario's events/sec, and the process wall `process_s`) is worse
+#    than the base by more than 2x and Mann-Whitney significant.
+# 3. Runs this checkout's probe once more with the shard-scaling and
+#    flat-memory gates; it writes BENCH.json and perf_summary.md.
+#
+# Exits non-zero when step 2 or step 3 fails; both always run.
 #
 # Usage: support/perf_gate.sh BASE_REV    (any working dir)
 set -eu
@@ -33,12 +36,12 @@ mkdir -p "$src"
 git archive "$base_sha" | tar -x -m -C "$src"
 CARGO_TARGET_DIR="$root/target/perf-base" \
     cargo build --release --offline --manifest-path "$src/Cargo.toml" -p tpv-bench --bin perf_probe
+CARGO_TARGET_DIR="$root/target" cargo build --release --offline -p tpv-bench --bin perf_probe
+base="$root/target/perf-base/release/perf_probe"
+head="$root/target/release/perf_probe"
 
-rm -f BENCH_base.json
-"$root/target/perf-base/release/perf_probe" --quick --min-shard-speedup 0 --out BENCH_base.json \
-    || echo "perf_gate: the base probe's own gates failed; they do not decide this gate"
-test -s BENCH_base.json || { echo "perf_gate: the base probe wrote no report"; exit 1; }
-
-cargo run --release --offline -p tpv-bench --bin perf_probe -- \
-    --quick --out BENCH.json --baseline BENCH_base.json --max-regression 2.0 \
-    --min-shard-speedup 3.0 --summary perf_summary.md
+status=0
+"$head" ab "$base" "$head" -- --quick --trials 1 --min-shard-speedup 0 --out /dev/null > perf_ab.md || status=1
+cat perf_ab.md
+"$head" --quick --out BENCH.json --min-shard-speedup 3.0 --summary perf_summary.md || status=1
+exit $status
