@@ -338,12 +338,11 @@ fn ab_ns_per_block_draw(
 /// the ratio isolates the transcendental kernels.
 fn samplers(opts: &Options) -> ScenarioReport {
     use std::hint::black_box;
-    use tpv_sim::dist::{Exponential, GeneralizedPareto, Gev, LogNormal, Normal, Pareto, Sampler, Zipf};
+    use tpv_sim::dist::{Exponential, GeneralizedPareto, Gev, LogNormal, Normal, Sampler, Zipf};
 
     let exp = Exponential::with_mean(10.0);
     let norm = Normal::new(100.0, 15.0);
     let lnorm = LogNormal::with_mean(100.0, 0.5);
-    let pareto = Pareto::new(1.0, 1.5);
     let gpd = GeneralizedPareto::new(0.0, 1.0, 0.2);
     let gev = Gev::new(0.0, 1.0, 0.3);
     let zipf = Zipf::new(10_000, 0.99);
@@ -388,7 +387,6 @@ fn samplers(opts: &Options) -> ScenarioReport {
                 |r| lnorm.sample(r),
             ),
         ),
-        ("pareto", ab_ns_per_draw(|r| 1.0 / (1.0 - r.next_f64()).powf(1.0 / 1.5), |r| pareto.sample(r))),
         ("gpd", ab_ns_per_draw(|r| ((1.0 - r.next_f64()).powf(-0.2) - 1.0) / 0.2, |r| gpd.sample(r))),
         (
             "gev",
@@ -412,7 +410,7 @@ fn samplers(opts: &Options) -> ScenarioReport {
 
     // The gated leg: one pass over every production sampler. events =
     // total draws, so events/sec is the aggregate sampler draw rate.
-    const FAMILIES: u64 = 7;
+    const FAMILIES: u64 = 6;
     time_scenario("samplers", opts.trials, || {
         let mut rng = tpv_sim::SimRng::seed_from_u64(SEED);
         let mut acc = 0.0;
@@ -420,7 +418,6 @@ fn samplers(opts: &Options) -> ScenarioReport {
             acc += exp.sample(&mut rng);
             acc += norm.sample(&mut rng);
             acc += lnorm.sample(&mut rng);
-            acc += pareto.sample(&mut rng);
             acc += gpd.sample(&mut rng);
             acc += gev.sample(&mut rng);
             acc += zipf.sample(&mut rng);

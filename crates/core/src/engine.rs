@@ -53,7 +53,6 @@ use std::sync::{Arc, Mutex};
 
 use tpv_sim::SimRng;
 
-use crate::pin::PinPolicy;
 use crate::runtime::{run_once, RunResult, RunSpec};
 use crate::topology::TopologySpec;
 
@@ -301,7 +300,7 @@ impl Engine {
         F: Fn(&Job) -> R + Sync,
     {
         let jobs = plan.jobs();
-        let mut results = run_indexed(jobs.len(), self.workers, PinPolicy::Off, |i| {
+        let mut results = run_indexed(jobs.len(), self.workers, |i| {
             let job = &jobs[i];
             (job.cell, job.run, run(job))
         });
@@ -343,11 +342,10 @@ impl Engine {
 /// results in index order, whatever the schedule.
 ///
 /// Each worker claims the next unclaimed index from one shared counter,
-/// so a long task cannot idle the pool. Worker `w` calls
-/// `pin.apply(w)` once at thread start. With one worker the tasks run in
-/// index order on the calling thread, which is never pinned. A panicking
-/// task re-raises its own payload on the calling thread.
-pub(crate) fn run_indexed<R, F>(tasks: usize, workers: usize, pin: PinPolicy, task: F) -> Vec<R>
+/// so a long task cannot idle the pool. With one worker the tasks run in
+/// index order on the calling thread. A panicking task re-raises its own
+/// payload on the calling thread.
+pub(crate) fn run_indexed<R, F>(tasks: usize, workers: usize, task: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -359,10 +357,9 @@ where
     let next = AtomicUsize::new(0);
     let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
+            .map(|_| {
                 let (next, task) = (&next, &task);
                 scope.spawn(move || {
-                    pin.apply(w);
                     let mut claimed = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -514,7 +511,7 @@ mod tests {
         for tasks in [0, 1, 17] {
             for workers in 1..=8 {
                 let runs: Vec<AtomicUsize> = (0..tasks).map(|_| AtomicUsize::new(0)).collect();
-                let out = run_indexed(tasks, workers, PinPolicy::Off, |i| {
+                let out = run_indexed(tasks, workers, |i| {
                     runs[i].fetch_add(1, Ordering::Relaxed);
                     i * 10
                 });
@@ -532,7 +529,7 @@ mod tests {
         const TASKS: usize = 17;
         for workers in 1..=8 {
             let finished = AtomicUsize::new(0);
-            let out = run_indexed(TASKS, workers, PinPolicy::Off, |i| {
+            let out = run_indexed(TASKS, workers, |i| {
                 if i == 0 && workers > 1 {
                     // The long task: it outlasts every other task, which
                     // the other workers drain meanwhile.
@@ -550,7 +547,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "task 3 failed")]
     fn pool_reraises_a_task_panic() {
-        run_indexed(8, 4, PinPolicy::Off, |i| assert!(i != 3, "task {i} failed"));
+        run_indexed(8, 4, |i| assert!(i != 3, "task {i} failed"));
     }
 
     #[test]

@@ -23,10 +23,6 @@
 //! remediation, admission control) that act on the fleet between
 //! windows.
 
-// `deny` rather than `forbid`: the worker-pinning shim in [`pin`] scopes
-// a single documented `sched_setaffinity` declaration behind a local
-// `#[allow(unsafe_code)]`; everything else in the crate stays safe.
-#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;

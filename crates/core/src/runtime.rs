@@ -881,17 +881,16 @@ fn run_partition<C: Collector>(
 /// The collector-generic parallel sharded kernel behind [`run_fleet`]
 /// and the mitigation controller ([`crate::control::Controller`]): the
 /// topology's partitions run on up to `workers` threads of the engine's
-/// pool, pinned per `pin`, every partition with its
-/// own collector `make(shard, shard_key)`. The per-shard collectors are
+/// pool, every partition with its own collector `make(shard, shard_key)`.
+/// The `_pin` argument is ignored, kept only for the repository
+/// benchmark's call (see [`crate::pin`]). The per-shard collectors are
 /// folded through [`MergeCollector::merge`]. Returns the aggregate
 /// result, the per-shard breakdowns (sorted by shard index) and the
 /// merged collector.
 ///
 /// The aggregate is bit-identical to feeding one collector through
 /// [`run_collected`] on the same topology, and every output is
-/// bit-identical whatever `workers`, the pin policy or the OS schedule —
-/// pinning only decides *where* worker threads run, never *what* they
-/// compute (see [`crate::pin`]).
+/// bit-identical whatever `workers` or the OS schedule.
 ///
 /// An optional [`HedgePlan`](crate::control::HedgePlan) makes the nodes
 /// it covers duplicate overdue requests to an analytic replica, first
@@ -911,7 +910,7 @@ pub fn run_sharded_collected_hedged_with<C, F>(
     topo: &TopologySpec<'_>,
     seed: u64,
     workers: usize,
-    pin: PinPolicy,
+    _pin: PinPolicy,
     hedge: Option<&crate::control::HedgePlan>,
     make: F,
 ) -> (RunResult, Vec<ShardResult>, C)
@@ -923,7 +922,7 @@ where
     let layout = topo.layout();
     let master = SimRng::seed_from_u64(seed);
     let plans = build_partitions(topo, layout.nodes(), &master);
-    let per_shard = run_indexed(plans.len(), workers, pin, |s| {
+    let per_shard = run_indexed(plans.len(), workers, |s| {
         let plan = &plans[s];
         let mut collector = make(plan.shard, plan.key);
         (run_partition(topo, plan, &master, hedge, &mut collector), collector)

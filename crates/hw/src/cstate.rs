@@ -155,11 +155,6 @@ impl CStatePolicy {
         state <= self.deepest()
     }
 
-    /// The states this policy exposes, shallowest first.
-    pub fn enabled_states(self) -> Vec<CState> {
-        CState::ALL.iter().copied().filter(|&s| self.allows(s)).collect()
-    }
-
     /// Menu-governor-style retrospective state selection: the deepest
     /// allowed state whose target residency fits inside the (bias-scaled)
     /// idle span.
@@ -235,7 +230,6 @@ mod tests {
         let srv = CStatePolicy::UpToC1;
         assert!(srv.allows(CState::C1));
         assert!(!srv.allows(CState::C1E));
-        assert_eq!(srv.enabled_states(), vec![CState::C0, CState::C1]);
     }
 
     #[test]

@@ -41,13 +41,6 @@ impl DynamicMachine {
         DynamicMachine { schedule, configs }
     }
 
-    /// Turbo-budget exhaustion: `base` runs with its configured turbo
-    /// until `exhausted_at`, then turbo is off for the rest of the run —
-    /// the simplest sustained-load frequency decay.
-    pub fn turbo_decay(base: MachineConfig, exhausted_at: SimTime) -> Self {
-        DynamicMachine::new(PhaseSchedule::new(vec![exhausted_at]), vec![base, base.with_turbo(false)])
-    }
-
     /// The phase schedule this plan follows.
     pub fn schedule(&self) -> &PhaseSchedule {
         &self.schedule
@@ -82,12 +75,6 @@ impl DynamicMachine {
             .collect();
         DynamicMachine { schedule, configs }
     }
-
-    /// True when no boundary actually changes the configuration — the
-    /// machine is (perhaps redundantly described but) static.
-    pub fn is_static(&self) -> bool {
-        self.configs.windows(2).all(|pair| pair[0] == pair[1])
-    }
 }
 
 #[cfg(test)]
@@ -98,7 +85,6 @@ mod tests {
     #[test]
     fn fixed_machine_is_static_everywhere() {
         let m = DynamicMachine::fixed(MachineConfig::high_performance());
-        assert!(m.is_static());
         assert_eq!(*m.at(SimTime::ZERO), MachineConfig::high_performance());
         assert_eq!(*m.at(SimTime::from_secs(100)), MachineConfig::high_performance());
         assert_eq!(m.schedule().phase_count(), 1);
@@ -108,7 +94,6 @@ mod tests {
     fn resolution_follows_the_schedule() {
         let s = PhaseSchedule::stepped(SimDuration::from_ms(10), 2);
         let m = DynamicMachine::new(s, vec![MachineConfig::high_performance(), MachineConfig::low_power()]);
-        assert!(!m.is_static());
         assert_eq!(*m.at(SimTime::from_ms(9)), MachineConfig::high_performance());
         assert_eq!(*m.at(SimTime::from_ms(10)), MachineConfig::low_power());
         assert_eq!(*m.config(0), MachineConfig::high_performance());
@@ -116,20 +101,12 @@ mod tests {
     }
 
     #[test]
-    fn turbo_decay_flips_exactly_turbo() {
-        let base = MachineConfig::high_performance();
-        let m = DynamicMachine::turbo_decay(base, SimTime::from_ms(50));
-        assert!(m.at(SimTime::from_ms(49)).turbo.enabled);
-        let after = m.at(SimTime::from_ms(50));
-        assert!(!after.turbo.enabled);
-        assert_eq!(after.cstates, base.cstates);
-        assert_eq!(after.dvfs, base.dvfs);
-    }
-
-    #[test]
     fn slice_replays_the_covered_timeline() {
         let base = MachineConfig::high_performance();
-        let m = DynamicMachine::turbo_decay(base, SimTime::from_ms(50));
+        let m = DynamicMachine::new(
+            PhaseSchedule::new(vec![SimTime::from_ms(50)]),
+            vec![base, base.with_turbo(false)],
+        );
         // A window straddling the decay keeps the boundary, re-anchored.
         let w = m.slice(SimTime::from_ms(40), SimTime::from_ms(60));
         assert_eq!(w.schedule().boundaries(), &[SimTime::from_ms(10)]);
@@ -137,15 +114,7 @@ mod tests {
         assert!(!w.at(SimTime::from_ms(10)).turbo.enabled);
         // A window entirely after the decay is statically exhausted.
         let w = m.slice(SimTime::from_ms(50), SimTime::from_ms(70));
-        assert!(w.is_static());
-        assert!(!w.at(SimTime::ZERO).turbo.enabled);
-    }
-
-    #[test]
-    fn equal_configs_count_as_static() {
-        let s = PhaseSchedule::stepped(SimDuration::from_ms(5), 3);
-        let hp = MachineConfig::high_performance();
-        assert!(DynamicMachine::new(s, vec![hp, hp, hp]).is_static());
+        assert!((0..w.schedule().phase_count()).all(|p| !w.config(p).turbo.enabled));
     }
 
     #[test]

@@ -38,7 +38,6 @@
 //! assert!(g.wake_latency >= SimDuration::from_us(50));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod core;

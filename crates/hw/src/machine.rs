@@ -157,12 +157,6 @@ impl MachineConfig {
         self
     }
 
-    /// Returns a copy with tickless on/off.
-    pub fn with_tickless(mut self, tickless: bool) -> Self {
-        self.tick = if tickless { TickConfig::tickless() } else { TickConfig::ticking() };
-        self
-    }
-
     /// Draws the per-run environment for this machine.
     pub fn draw_environment(&self, rng: &mut SimRng) -> RunEnvironment {
         RunEnvironment::draw(&self.variability, rng)
@@ -257,9 +251,8 @@ mod tests {
         assert!(c1e.cstates.allows(CState::C1E));
         assert_eq!(c1e.smt.enabled, srv.smt.enabled);
 
-        let nt = srv.with_turbo(true).with_tickless(false).with_uncore(UncoreMode::Dynamic);
+        let nt = srv.with_turbo(true).with_uncore(UncoreMode::Dynamic);
         assert!(nt.turbo.enabled);
-        assert!(!nt.tick.tickless);
         assert_eq!(nt.uncore, UncoreMode::Dynamic);
         assert!(nt.label().starts_with("custom"));
 

@@ -43,12 +43,6 @@ impl SmtConfig {
         let p = sibling_busy_probability.clamp(0.0, 1.0);
         1.0 + p * (self.sibling_inflation - 1.0)
     }
-
-    /// Whether kernel network work (softirq) can be offloaded to sibling
-    /// hardware threads instead of stealing time from pinned workers.
-    pub fn offloads_softirq(&self) -> bool {
-        self.enabled
-    }
 }
 
 impl Default for SmtConfig {
@@ -71,7 +65,6 @@ mod tests {
     fn smt_off_never_inflates() {
         let s = SmtConfig::off();
         assert_eq!(s.service_inflation(1.0), 1.0);
-        assert!(!s.offloads_softirq());
     }
 
     #[test]
@@ -82,7 +75,6 @@ mod tests {
         let full = s.service_inflation(1.0);
         assert!(half > 1.0 && half < full);
         assert!((full - 1.12).abs() < 1e-12);
-        assert!(s.offloads_softirq());
     }
 
     #[test]

@@ -52,17 +52,6 @@ impl CpuSpec {
     pub fn logical_cpus_per_socket(&self, smt_enabled: bool) -> u32 {
         self.logical_cpus(smt_enabled) / self.sockets
     }
-
-    /// Slowdown of running at `ghz` relative to nominal (≥ 1 for lower
-    /// frequencies).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ghz` is not positive.
-    pub fn slowdown_at(&self, ghz: f64) -> f64 {
-        assert!(ghz > 0.0, "frequency must be positive, got {ghz}");
-        self.nominal_ghz / ghz
-    }
 }
 
 impl Default for CpuSpec {
@@ -88,13 +77,5 @@ mod tests {
         assert_eq!(s.turbo_ghz, 3.0);
         assert_eq!(s.logical_cpus_per_socket(true), 20);
         assert_eq!(s.logical_cpus_per_socket(false), 10);
-    }
-
-    #[test]
-    fn slowdown_is_relative_to_nominal() {
-        let s = CpuSpec::default();
-        assert!((s.slowdown_at(2.2) - 1.0).abs() < 1e-12);
-        assert!((s.slowdown_at(0.8) - 2.75).abs() < 1e-12);
-        assert!(s.slowdown_at(3.0) < 1.0);
     }
 }

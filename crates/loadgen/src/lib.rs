@@ -38,7 +38,6 @@
 //! assert!(plan.wire > SimTime::from_ms(5));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod rate;

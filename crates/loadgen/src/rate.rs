@@ -19,12 +19,6 @@ pub struct PhasedRate {
 }
 
 impl PhasedRate {
-    /// The constant rate — multiplier `1.0` over a single all-covering
-    /// phase. Exactly the static load of the pre-phase testbed.
-    pub fn constant() -> Self {
-        PhasedRate { schedule: PhaseSchedule::single(), multipliers: vec![1.0] }
-    }
-
     /// Rate `base_qps * multipliers[i]` during phase `i` of `schedule`.
     ///
     /// # Panics
@@ -138,7 +132,7 @@ mod tests {
 
     #[test]
     fn constant_rate_is_exactly_one() {
-        let r = PhasedRate::constant();
+        let r = PhasedRate::new(PhaseSchedule::single(), vec![1.0]);
         assert_eq!(r.multiplier_at(SimTime::from_secs(5)), 1.0);
         assert_eq!(r.mean_multiplier(SimTime::ZERO, SimTime::from_secs(1)), 1.0);
         assert!(r.schedule().is_single());

@@ -61,7 +61,6 @@
 //! assert!((tpv_math::fast_pow(x, 1.5) - x.powf(1.5)).abs() < 1e-11);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// log2(e), for `exp`'s power-of-two argument split.

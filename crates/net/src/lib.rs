@@ -32,7 +32,6 @@
 //! assert!(arrival > sent);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use serde::{Deserialize, Serialize};

@@ -22,7 +22,6 @@
 //! `handle()` executes it against the service, returning when the response
 //! hits the wire.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fasthash;

@@ -11,8 +11,6 @@
 //!   (Atikoglu et al., SIGMETRICS'12). The Memcached workload transforms
 //!   value sizes and consumes, without transforming, the key-size draw.
 //! * [`Zipf`] — key popularity.
-//! * [`Pareto`] — heavy-tailed interference.
-//! * [`Deterministic`], [`Uniform`], [`Empirical`] — building blocks.
 //!
 //! Every transcendental step goes through [`tpv_math`]'s deterministic
 //! kernels (never libm, whose bits legally vary across platforms), and
@@ -38,59 +36,6 @@ pub trait Sampler {
     /// models where the jitter may dip below zero.
     fn sample_us(&self, rng: &mut SimRng) -> SimDuration {
         SimDuration::from_us_f64(self.sample(rng))
-    }
-}
-
-/// A point mass: always returns the same value.
-///
-/// # Example
-///
-/// ```
-/// use tpv_sim::dist::{Deterministic, Sampler};
-/// use tpv_sim::SimRng;
-/// let d = Deterministic::new(4.0);
-/// assert_eq!(d.sample(&mut SimRng::seed_from_u64(0)), 4.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Deterministic {
-    value: f64,
-}
-
-impl Deterministic {
-    /// A distribution that always yields `value`.
-    pub fn new(value: f64) -> Self {
-        Deterministic { value }
-    }
-}
-
-impl Sampler for Deterministic {
-    fn sample(&self, _rng: &mut SimRng) -> f64 {
-        self.value
-    }
-}
-
-/// Uniform on `[low, high)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    low: f64,
-    span: f64,
-}
-
-impl Uniform {
-    /// Uniform over `[low, high)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `high < low` or either bound is non-finite.
-    pub fn new(low: f64, high: f64) -> Self {
-        assert!(low.is_finite() && high.is_finite() && high >= low, "bad uniform bounds [{low}, {high})");
-        Uniform { low, span: high - low }
-    }
-}
-
-impl Sampler for Uniform {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.low + self.span * rng.next_f64()
     }
 }
 
@@ -309,31 +254,6 @@ impl Sampler for LogNormal {
     }
 }
 
-/// Pareto (type I) with scale `x_m` and shape `alpha`, via inverse CDF.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    scale: f64,
-    inv_alpha: f64,
-}
-
-impl Pareto {
-    /// Pareto with minimum `scale` and tail index `alpha`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `scale > 0` and `alpha > 0`.
-    pub fn new(scale: f64, alpha: f64) -> Self {
-        assert!(scale > 0.0 && alpha > 0.0, "bad pareto parameters ({scale}, {alpha})");
-        Pareto { scale, inv_alpha: 1.0 / alpha }
-    }
-}
-
-impl Sampler for Pareto {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.scale / fast_pow(1.0 - rng.next_f64(), self.inv_alpha)
-    }
-}
-
 /// Generalized Pareto distribution (GPD).
 ///
 /// Atikoglu et al. model Facebook ETC *value sizes* as
@@ -536,30 +456,6 @@ impl Sampler for Zipf {
     }
 }
 
-/// An empirical distribution: samples uniformly from observed values.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Empirical {
-    values: Vec<f64>,
-}
-
-impl Empirical {
-    /// Builds an empirical distribution from observed values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty.
-    pub fn new(values: Vec<f64>) -> Self {
-        assert!(!values.is_empty(), "empirical distribution needs at least one value");
-        Empirical { values }
-    }
-}
-
-impl Sampler for Empirical {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.values[rng.next_index(self.values.len())]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,18 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn pareto_respects_scale_floor() {
-        let p = Pareto::new(2.0, 3.0);
-        let mut rng = SimRng::seed_from_u64(8);
-        for _ in 0..10_000 {
-            assert!(p.sample(&mut rng) >= 2.0);
-        }
-        // E[X] = alpha*xm/(alpha-1) = 3 for alpha=3, xm=2.
-        let m = mean_of(&p, 400_000, 9);
-        assert!((m - 3.0).abs() < 0.1, "mean {m}");
-    }
-
-    #[test]
     fn gpd_shape_zero_degenerates_to_exponential() {
         let g = GeneralizedPareto::new(0.0, 5.0, 0.0);
         let m = mean_of(&g, 200_000, 10);
@@ -785,34 +669,11 @@ mod tests {
     }
 
     #[test]
-    fn empirical_samples_only_observed_values() {
-        let e = Empirical::new(vec![1.5, 2.5, 4.0]);
-        let mut rng = SimRng::seed_from_u64(16);
-        for _ in 0..1_000 {
-            let x = e.sample(&mut rng);
-            assert!(x == 1.5 || x == 2.5 || x == 4.0);
-        }
-    }
-
-    #[test]
-    fn deterministic_and_uniform() {
-        let mut rng = SimRng::seed_from_u64(17);
-        assert_eq!(Deterministic::new(2.0).sample(&mut rng), 2.0);
-        let u = Uniform::new(3.0, 7.0);
-        for _ in 0..10_000 {
-            let x = u.sample(&mut rng);
-            assert!((3.0..7.0).contains(&x));
-        }
-        let m = mean_of(&u, 100_000, 18);
-        assert!((m - 5.0).abs() < 0.05, "mean {m}");
-    }
-
-    #[test]
     fn sample_us_clamps_negatives() {
         let n = Normal::new(-100.0, 0.1);
         let mut rng = SimRng::seed_from_u64(19);
         assert_eq!(n.sample_us(&mut rng), SimDuration::ZERO);
-        let d = Deterministic::new(2.5);
+        let d = Normal::new(2.5, 0.0);
         assert_eq!(d.sample_us(&mut rng).as_ns(), 2_500);
     }
 }

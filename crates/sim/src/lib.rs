@@ -36,7 +36,6 @@
 //! assert_eq!((t.as_us(), ev), (5.0, "a"));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod event;

@@ -96,11 +96,6 @@ impl FifoResource {
         assert!(horizon > SimTime::ZERO, "utilization needs a positive horizon");
         (self.busy_time.as_ns() as f64 / horizon.as_ns() as f64).min(1.0)
     }
-
-    /// Forgets all state (used when resetting the environment between runs).
-    pub fn reset(&mut self) {
-        *self = FifoResource::default();
-    }
 }
 
 #[cfg(test)]
@@ -161,15 +156,5 @@ mod tests {
         assert!(!r.is_idle_at(SimTime::from_us(5)));
         assert!(r.is_idle_at(SimTime::from_us(10)));
         assert_eq!(r.busy_until(), SimTime::from_us(10));
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut r = FifoResource::new();
-        r.offer(SimTime::from_us(3), SimDuration::from_us(4));
-        r.reset();
-        assert_eq!(r.busy_until(), SimTime::ZERO);
-        assert_eq!(r.busy_time(), SimDuration::ZERO);
-        assert_eq!(r.items(), 0);
     }
 }

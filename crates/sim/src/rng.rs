@@ -19,9 +19,8 @@
 //!
 //! xoshiro256's state update `T` is linear over GF(2), so the state
 //! before draw `k` is `p_k(T)·s₀` with `p_k = xᵏ mod P`, where `P` is the
-//! degree-256 characteristic polynomial of `T`. Berlekamp–Massey finds
-//! `P` once per process from 512 bits of one state sequence, and the
-//! tests pin it against the `JUMP` and `LONG_JUMP` constants of the
+//! degree-256 characteristic polynomial of `T`, a constant here, which
+//! the tests pin against the `JUMP` and `LONG_JUMP` constants of the
 //! reference `jump()` (`x^(2¹²⁸)` and `x^(2¹⁹²)` mod `P`). Two tables make
 //! a jump cheap:
 //!
@@ -276,11 +275,13 @@ type Poly = [u64; 4];
 /// `k < 64 · POWERS = 2¹⁷` is a lookup and fewer than 64 shifts.
 const POWERS: usize = 2048;
 
-/// The characteristic polynomial `P` of the state update, and the
-/// powers `x^(64·d) mod P` for `d < POWERS`.
+/// The characteristic polynomial `P` of the state update less its
+/// leading `x²⁵⁶`. The tests pin it through the reference `JUMP` and
+/// `LONG_JUMP`.
+const P_LOW: Poly = [0x9d116f2bb0f0f001, 0x0280002bcefd1a5e, 0x04b4edcf26259f85, 0x0003c03c3f3ecb19];
+
+/// The powers `x^(64·d) mod P` for `d < POWERS`.
 struct JumpTable {
-    /// `P − x²⁵⁶`.
-    low: Poly,
     powers: Box<[Poly]>,
 }
 
@@ -289,45 +290,27 @@ impl JumpTable {
     fn get() -> &'static JumpTable {
         static TABLE: OnceLock<JumpTable> = OnceLock::new();
         TABLE.get_or_init(|| {
-            // Any nonzero state's bit sequence has minimal polynomial P,
-            // since P is primitive (the period is 2²⁵⁶ − 1).
-            let mut s = [1u64, 0, 0, 0];
-            let bits: Vec<u8> = (0..512)
-                .map(|_| {
-                    let bit = (s[0] & 1) as u8;
-                    step(&mut s);
-                    bit
-                })
-                .collect();
-            let (c, len) = berlekamp_massey(&bits);
-            assert_eq!(len, 256, "xoshiro256's characteristic polynomial has degree 256");
-            // bits[n] = Σ c[i]·bits[n−i], so P = x²⁵⁶ + Σ c[i]·x^(256−i).
-            let mut low = [0u64; 4];
-            for (i, &ci) in c.iter().enumerate().skip(1).take(256) {
-                low[(256 - i) / 64] |= u64::from(ci) << ((256 - i) % 64);
-            }
-            let mut table = JumpTable { low, powers: Box::default() };
             let mut power = [1, 0, 0, 0];
-            table.powers = (0..POWERS)
+            let powers = (0..POWERS)
                 .map(|_| {
                     let this = power;
-                    (0..64).for_each(|_| power = table.times_x(power));
+                    (0..64).for_each(|_| power = Self::times_x(power));
                     this
                 })
                 .collect();
-            table
+            JumpTable { powers }
         })
     }
 
     /// `p·x mod P`.
     #[inline]
-    fn times_x(&self, p: Poly) -> Poly {
+    fn times_x(p: Poly) -> Poly {
         let carry = (p[3] >> 63).wrapping_neg();
         [
-            p[0] << 1 ^ (self.low[0] & carry),
-            (p[1] << 1 | p[0] >> 63) ^ (self.low[1] & carry),
-            (p[2] << 1 | p[1] >> 63) ^ (self.low[2] & carry),
-            (p[3] << 1 | p[2] >> 63) ^ (self.low[3] & carry),
+            p[0] << 1 ^ (P_LOW[0] & carry),
+            (p[1] << 1 | p[0] >> 63) ^ (P_LOW[1] & carry),
+            (p[2] << 1 | p[1] >> 63) ^ (P_LOW[2] & carry),
+            (p[3] << 1 | p[2] >> 63) ^ (P_LOW[3] & carry),
         ]
     }
 
@@ -335,7 +318,7 @@ impl JumpTable {
     fn times(&self, a: Poly, b: Poly) -> Poly {
         let mut acc = [0u64; 4];
         for bit in (0..256).rev() {
-            acc = self.times_x(acc);
+            acc = Self::times_x(acc);
             if a[bit / 64] >> (bit % 64) & 1 == 1 {
                 xor_into(&mut acc, &b);
             }
@@ -352,7 +335,7 @@ impl JumpTable {
         }
         let mut p = self.powers[(n / 64) as usize];
         for _ in 0..n % 64 {
-            p = self.times_x(p);
+            p = Self::times_x(p);
         }
         p
     }
@@ -363,42 +346,11 @@ impl JumpTable {
         let half = self.x_pow(n / 2);
         let square = self.times(half, half);
         if n % 2 == 1 {
-            self.times_x(square)
+            Self::times_x(square)
         } else {
             square
         }
     }
-}
-
-/// The shortest linear recurrence of a bit sequence (Berlekamp–Massey
-/// over GF(2)): `(c, len)` with `c[0] = 1` and
-/// `bits[n] = Σ_{1 ≤ i ≤ len} c[i]·bits[n − i]`.
-fn berlekamp_massey(bits: &[u8]) -> (Vec<u8>, usize) {
-    let n = bits.len();
-    let (mut c, mut b) = (vec![0u8; n + 1], vec![0u8; n + 1]);
-    c[0] = 1;
-    b[0] = 1;
-    let (mut len, mut shift) = (0, 1);
-    for i in 0..n {
-        let discrepancy = (1..=len).fold(bits[i], |d, j| d ^ (c[j] & bits[i - j]));
-        if discrepancy == 0 {
-            shift += 1;
-            continue;
-        }
-        let previous = (2 * len <= i).then(|| c.clone());
-        for j in shift..=n {
-            c[j] ^= b[j - shift];
-        }
-        match previous {
-            Some(previous) => {
-                len = i + 1 - len;
-                b = previous;
-                shift = 1;
-            }
-            None => shift += 1,
-        }
-    }
-    (c, len)
 }
 
 /// Random access into one [`SimRng`] stream: the `k`-th draw of the

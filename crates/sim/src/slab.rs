@@ -184,8 +184,9 @@ impl<T> Default for Slab<T> {
 /// let mut slab: HotColdSlab<u64, [u8; 64]> = HotColdSlab::with_capacity(4);
 /// let k = slab.insert(7, [0; 64]);
 /// assert_eq!(*slab.hot(k), 7);
-/// *slab.hot_mut(k) += 1;
-/// assert_eq!(slab.remove(k), 8); // cold half never read
+/// slab.cold_mut(k)[0] = 1;
+/// assert_eq!(slab.cold(k)[0], 1);
+/// assert_eq!(slab.remove(k), 7); // returns the hot half
 /// assert!(slab.is_empty());
 /// ```
 #[derive(Debug, Clone)]
@@ -259,18 +260,6 @@ impl<H: Copy, C: Copy> HotColdSlab<H, C> {
     pub fn hot(&self, key: u32) -> &H {
         debug_assert!(self.links[key as usize] == OCCUPIED, "slab key is vacant");
         &self.hot[key as usize]
-    }
-
-    /// Mutable access to the hot half of the record under `key`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is out of bounds; vacancy is checked in debug
-    /// builds only.
-    #[inline]
-    pub fn hot_mut(&mut self, key: u32) -> &mut H {
-        debug_assert!(self.links[key as usize] == OCCUPIED, "slab key is vacant");
-        &mut self.hot[key as usize]
     }
 
     /// The cold half of the record under `key`.
@@ -413,11 +402,9 @@ mod tests {
         let b = slab.insert(2, (20, 200));
         assert_eq!(*slab.hot(a), 1);
         assert_eq!(*slab.cold(b), (20, 200));
-        *slab.hot_mut(a) = 11;
         slab.cold_mut(b).0 = 21;
-        assert_eq!(*slab.hot(a), 11);
         assert_eq!(slab.cold(b).0, 21);
-        assert_eq!(slab.remove(a), 11);
+        assert_eq!(slab.remove(a), 1);
         assert_eq!(slab.remove(b), 2);
         assert!(slab.is_empty());
         // LIFO recycling, matching `Slab`.

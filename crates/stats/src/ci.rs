@@ -2,17 +2,16 @@
 //!
 //! The paper uses **non-parametric CIs on the median** (Eq. 1/2) because
 //! roughly half the measured configurations fail normality testing (§V-C).
-//! The parametric mean CI is provided for the comparison Table IV makes.
 
-use crate::desc::{mean, sorted, std_dev};
-use crate::dist_fn::{norm_quantile, t_quantile};
+use crate::desc::sorted;
+use crate::dist_fn::norm_quantile;
 
 /// A two-sided confidence interval around a point estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Lower bound.
     pub low: f64,
-    /// Point estimate the interval is centred on (median or mean).
+    /// Point estimate the interval is centred on.
     pub mid: f64,
     /// Upper bound.
     pub high: f64,
@@ -21,18 +20,6 @@ pub struct ConfidenceInterval {
 }
 
 impl ConfidenceInterval {
-    /// Half-width relative to the point estimate, in percent.
-    ///
-    /// This is the "error" the paper's evaluation-time analysis drives to
-    /// ≤ 1 % (§V-C).
-    pub fn relative_error_pct(&self) -> f64 {
-        if self.mid == 0.0 {
-            return f64::INFINITY;
-        }
-        let half = (self.high - self.low) / 2.0;
-        (half / self.mid.abs()) * 100.0
-    }
-
     /// True if the interval contains `x`.
     pub fn contains(&self, x: f64) -> bool {
         self.low <= x && x <= self.high
@@ -96,42 +83,6 @@ pub fn nonparametric_median_ci(xs: &[f64], level: f64) -> Option<ConfidenceInter
     Some(ci)
 }
 
-/// Parametric confidence interval for the **mean**, Student-t based.
-///
-/// Assumes (approximate) normality of the samples — the assumption the
-/// paper checks with Shapiro–Wilk before trusting parametric methods.
-///
-/// Returns `None` for fewer than 2 samples.
-pub fn parametric_mean_ci(xs: &[f64], level: f64) -> Option<ConfidenceInterval> {
-    assert!(level > 0.0 && level < 1.0, "confidence level must be in (0,1), got {level}");
-    let n = xs.len();
-    if n < 2 {
-        return None;
-    }
-    let m = mean(xs);
-    let s = std_dev(xs);
-    let t = t_quantile(0.5 + level / 2.0, (n - 1) as f64);
-    let half = t * s / (n as f64).sqrt();
-    Some(ConfidenceInterval { low: m - half, mid: m, high: m + half, level })
-}
-
-/// Parametric confidence interval for the mean using the normal (z)
-/// critical value — the large-sample form used in Jain's formula.
-///
-/// Returns `None` for fewer than 2 samples.
-pub fn parametric_mean_ci_z(xs: &[f64], level: f64) -> Option<ConfidenceInterval> {
-    assert!(level > 0.0 && level < 1.0, "confidence level must be in (0,1), got {level}");
-    let n = xs.len();
-    if n < 2 {
-        return None;
-    }
-    let m = mean(xs);
-    let s = std_dev(xs);
-    let z = norm_quantile(0.5 + level / 2.0);
-    let half = z * s / (n as f64).sqrt();
-    Some(ConfidenceInterval { low: m - half, mid: m, high: m + half, level })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,40 +134,13 @@ mod tests {
     }
 
     #[test]
-    fn parametric_ci_shrinks_with_sqrt_n() {
-        let xs30: Vec<f64> = (0..30).map(|i| 100.0 + (i % 5) as f64).collect();
-        let xs120: Vec<f64> = (0..120).map(|i| 100.0 + (i % 5) as f64).collect();
-        let w30 = {
-            let ci = parametric_mean_ci(&xs30, 0.95).unwrap();
-            ci.high - ci.low
-        };
-        let w120 = {
-            let ci = parametric_mean_ci(&xs120, 0.95).unwrap();
-            ci.high - ci.low
-        };
-        assert!(w120 < w30 / 1.8, "CI did not shrink ~sqrt(4): {w30} -> {w120}");
-    }
-
-    #[test]
-    fn parametric_t_is_wider_than_z_for_small_n() {
-        let xs = [10.0, 11.0, 12.0, 9.0, 10.5, 11.5];
-        let t = parametric_mean_ci(&xs, 0.95).unwrap();
-        let z = parametric_mean_ci_z(&xs, 0.95).unwrap();
-        assert!(t.high - t.low > z.high - z.low);
-        assert!(parametric_mean_ci(&[1.0], 0.95).is_none());
-    }
-
-    #[test]
-    fn overlap_and_relative_error() {
+    fn overlap_is_symmetric_and_strict() {
         let a = ConfidenceInterval { low: 1.0, mid: 2.0, high: 3.0, level: 0.95 };
         let b = ConfidenceInterval { low: 2.5, mid: 3.0, high: 4.0, level: 0.95 };
         let c = ConfidenceInterval { low: 3.5, mid: 4.0, high: 5.0, level: 0.95 };
         assert!(a.overlaps(&b));
         assert!(b.overlaps(&a));
         assert!(!a.overlaps(&c));
-        assert!((a.relative_error_pct() - 50.0).abs() < 1e-12);
-        let zero = ConfidenceInterval { low: -1.0, mid: 0.0, high: 1.0, level: 0.95 };
-        assert!(zero.relative_error_pct().is_infinite());
     }
 
     #[test]

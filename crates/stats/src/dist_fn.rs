@@ -7,7 +7,7 @@
 //!   polished by one Halley step (≈1e-14 absolute accuracy);
 //! * `ln Γ` via the Lanczos approximation;
 //! * the regularized incomplete beta function via Lentz's continued
-//!   fraction, from which the Student-t CDF and quantile follow.
+//!   fraction, from which the Student-t CDF follows.
 
 /// Standard normal probability density function.
 pub fn norm_pdf(x: f64) -> f64 {
@@ -252,47 +252,6 @@ pub fn t_cdf(t: f64, df: f64) -> f64 {
     }
 }
 
-/// Student-t quantile (inverse CDF) with `df` degrees of freedom.
-///
-/// Uses the normal quantile as an initial guess, followed by Newton
-/// iterations on the exact CDF.
-///
-/// # Panics
-///
-/// Panics unless `df > 0` and `0 < p < 1`.
-pub fn t_quantile(p: f64, df: f64) -> f64 {
-    assert!(df > 0.0, "t_quantile needs positive degrees of freedom, got {df}");
-    assert!(p > 0.0 && p < 1.0, "t_quantile requires p in (0,1), got {p}");
-    if (p - 0.5).abs() < 1e-16 {
-        return 0.0;
-    }
-    // Cornish–Fisher-style expansion around the normal quantile.
-    let z = norm_quantile(p);
-    let g1 = (z.powi(3) + z) / 4.0;
-    let g2 = (5.0 * z.powi(5) + 16.0 * z.powi(3) + 3.0 * z) / 96.0;
-    let mut t = z + g1 / df + g2 / (df * df);
-    // Newton polish.
-    for _ in 0..60 {
-        let f = t_cdf(t, df) - p;
-        let dens = t_pdf(t, df);
-        if dens <= 0.0 {
-            break;
-        }
-        let step = f / dens;
-        t -= step;
-        if step.abs() < 1e-12 * (1.0 + t.abs()) {
-            break;
-        }
-    }
-    t
-}
-
-/// Student-t probability density function.
-fn t_pdf(t: f64, df: f64) -> f64 {
-    let ln_c = ln_gamma((df + 1.0) / 2.0) - ln_gamma(df / 2.0) - 0.5 * (df * std::f64::consts::PI).ln();
-    (ln_c - (df + 1.0) / 2.0 * (1.0 + t * t / df).ln()).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,31 +325,5 @@ mod tests {
         }
         // Symmetry.
         assert!((t_cdf(1.3, 7.0) + t_cdf(-1.3, 7.0) - 1.0).abs() < 1e-13);
-    }
-
-    #[test]
-    fn t_quantile_reference_values() {
-        // Classic two-sided 95 % critical values.
-        let cases = [
-            (0.975, 1.0, 12.706_204_736_432_1),
-            (0.975, 4.0, 2.776_445_105_198_54),
-            (0.975, 9.0, 2.262_157_162_740_99),
-            (0.975, 29.0, 2.045_229_642_132_703),
-            (0.995, 9.0, 3.249_835_541_592_14),
-        ];
-        for (p, df, expect) in cases {
-            let got = t_quantile(p, df);
-            assert!((got - expect).abs() < 1e-6, "p={p} df={df}: got {got}, expect {expect}");
-        }
-    }
-
-    #[test]
-    fn t_quantile_inverts_cdf() {
-        for &df in &[1.0, 3.0, 10.0, 49.0] {
-            for &p in &[0.01, 0.1, 0.5, 0.9, 0.99] {
-                let t = t_quantile(p, df);
-                assert!((t_cdf(t, df) - p).abs() < 1e-9, "df={df} p={p}");
-            }
-        }
     }
 }

@@ -3,42 +3,12 @@
 //! Confidence intervals require independent, identically distributed
 //! samples. The paper gets independence by resetting the environment
 //! between runs, and lists the standard checks for doubtful cases:
-//! autocorrelation, lag plots and the turning-point test. Lancet's
-//! Spearman-based independence check is included as well.
+//! autocorrelation, lag plots and the turning-point test. This module
+//! implements the turning-point test and Lancet's Spearman-based lag-1
+//! independence check, which the fidelity checks run.
 
 use crate::desc::mean;
 use crate::dist_fn::{norm_sf, t_cdf};
-
-/// Lag-`k` sample autocorrelation.
-///
-/// Returns a value in `[-1, 1]`; near 0 indicates no correlation between a
-/// series and its lagged self. Returns `None` if `k >= n` or the series has
-/// zero variance.
-pub fn autocorrelation(xs: &[f64], k: usize) -> Option<f64> {
-    let n = xs.len();
-    if k >= n || n < 2 {
-        return None;
-    }
-    let m = mean(xs);
-    let denom: f64 = xs.iter().map(|x| (x - m) * (x - m)).sum();
-    if denom <= 0.0 {
-        return None;
-    }
-    let num: f64 = (0..n - k).map(|i| (xs[i] - m) * (xs[i + k] - m)).sum();
-    Some(num / denom)
-}
-
-/// The autocorrelation function for lags `1..=max_lag`.
-pub fn acf(xs: &[f64], max_lag: usize) -> Vec<f64> {
-    (1..=max_lag).filter_map(|k| autocorrelation(xs, k)).collect()
-}
-
-/// Whether the series looks uncorrelated: every |acf(k)| for
-/// k ≤ `max_lag` falls inside the ±1.96/√n white-noise band.
-pub fn is_uncorrelated(xs: &[f64], max_lag: usize) -> bool {
-    let bound = 1.96 / (xs.len() as f64).sqrt();
-    acf(xs, max_lag).iter().all(|r| r.abs() <= bound)
-}
 
 /// Result of the turning-point test for randomness.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,15 +44,6 @@ pub fn turning_point_test(xs: &[f64]) -> Option<TurningPointTest> {
     let z = (t as f64 - expected) / variance.sqrt();
     let p_value = (2.0 * norm_sf(z.abs())).min(1.0);
     Some(TurningPointTest { turning_points: t, expected, z, p_value })
-}
-
-/// Pairs `(x_t, x_{t+k})` for a lag plot — the visual iid check the paper
-/// mentions alongside autocorrelation.
-pub fn lag_plot_pairs(xs: &[f64], k: usize) -> Vec<(f64, f64)> {
-    if k >= xs.len() {
-        return Vec::new();
-    }
-    (0..xs.len() - k).map(|i| (xs[i], xs[i + k])).collect()
 }
 
 /// Result of a Spearman rank-correlation test.
@@ -171,38 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn autocorrelation_of_white_noise_is_small() {
-        let xs = white_noise(2_000, 1);
-        for k in 1..=5 {
-            let r = autocorrelation(&xs, k).unwrap();
-            assert!(r.abs() < 0.06, "lag {k}: {r}");
-        }
-        assert!(is_uncorrelated(&xs, 5));
-    }
-
-    #[test]
-    fn autocorrelation_detects_trend() {
-        let xs: Vec<f64> = (0..500).map(|i| i as f64).collect();
-        let r = autocorrelation(&xs, 1).unwrap();
-        assert!(r > 0.9, "r = {r}");
-        assert!(!is_uncorrelated(&xs, 3));
-    }
-
-    #[test]
-    fn autocorrelation_of_alternating_series_is_negative() {
-        let xs: Vec<f64> = (0..100).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
-        let r = autocorrelation(&xs, 1).unwrap();
-        assert!(r < -0.9, "r = {r}");
-    }
-
-    #[test]
-    fn autocorrelation_edge_cases() {
-        assert!(autocorrelation(&[1.0, 2.0], 2).is_none());
-        assert!(autocorrelation(&[3.0; 10], 1).is_none());
-        assert_eq!(acf(&white_noise(100, 2), 3).len(), 3);
-    }
-
-    #[test]
     fn turning_points_of_random_series_match_expectation() {
         let xs = white_noise(1_000, 3);
         let t = turning_point_test(&xs).unwrap();
@@ -217,13 +146,6 @@ mod tests {
         assert_eq!(t.turning_points, 0);
         assert!(t.p_value < 1e-6);
         assert!(turning_point_test(&[1.0, 2.0]).is_none());
-    }
-
-    #[test]
-    fn lag_plot_pairs_shape() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(lag_plot_pairs(&xs, 1), vec![(1.0, 2.0), (2.0, 3.0), (3.0, 4.0)]);
-        assert!(lag_plot_pairs(&xs, 4).is_empty());
     }
 
     #[test]

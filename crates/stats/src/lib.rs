@@ -4,19 +4,17 @@
 //! statistically defensible conclusions:
 //!
 //! * [`ci`] — confidence intervals: the **non-parametric median CI** of the
-//!   paper's Eq. (1)/(2) and the classical parametric mean CI (z and
-//!   Student-t).
+//!   paper's Eq. (1)/(2).
 //! * [`normality`] — the **Shapiro–Wilk test** (AS R94 / Royston 1995) used
-//!   for Fig. 8 and Table IV, plus Anderson–Darling (the Lancet-style
-//!   check referenced in related work).
+//!   for Fig. 8 and Table IV.
 //! * [`repetitions`] — how many runs an experiment needs: **Jain's
 //!   parametric formula** (Eq. 3) and the **CONFIRM** resampling method
 //!   (Maricq et al., OSDI '18).
-//! * [`iid`] — diagnostics for the iid assumption: autocorrelation,
-//!   turning-point test, lag plots, Spearman rank correlation.
-//! * [`desc`] — descriptive statistics and Little's-law helpers.
+//! * [`iid`] — diagnostics for the iid assumption: the turning-point test
+//!   and Spearman rank correlation.
+//! * [`desc`] — descriptive statistics and Little's law.
 //! * [`dist_fn`] — the underlying special functions (Φ, Φ⁻¹, erf, ln Γ,
-//!   regularized incomplete beta, Student-t CDF/quantile).
+//!   regularized incomplete beta, Student-t CDF).
 //!
 //! # Example: the paper's CI recipe
 //!
@@ -29,7 +27,6 @@
 //! assert!(ci.low <= ci.mid && ci.mid <= ci.high);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bootstrap;

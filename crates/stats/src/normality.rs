@@ -6,12 +6,8 @@
 //! algorithm **AS R94** (Royston, 1995, *Applied Statistics* 44) — the same
 //! algorithm behind R's `shapiro.test` and SciPy's `shapiro` — without the
 //! censoring path, for sample sizes 3 ≤ n ≤ 5000.
-//!
-//! [`anderson_darling`] is also provided: it is the arrival-distribution
-//! check used by Lancet (Kogias et al., ATC '19), which the paper discusses
-//! in related work.
 
-use crate::dist_fn::{norm_cdf, norm_quantile, norm_sf};
+use crate::dist_fn::{norm_quantile, norm_sf};
 
 /// Result of a Shapiro–Wilk test.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -169,57 +165,6 @@ pub fn shapiro_wilk(samples: &[f64]) -> Result<ShapiroWilk, ShapiroWilkError> {
     Ok(ShapiroWilk { w, p_value })
 }
 
-/// Result of an Anderson–Darling normality test.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AndersonDarling {
-    /// The size-adjusted A*² statistic.
-    pub a2_star: f64,
-    /// Approximate p-value (D'Agostino & Stephens, case: µ, σ estimated).
-    pub p_value: f64,
-}
-
-/// Anderson–Darling test for normality with estimated mean and variance.
-///
-/// # Errors
-///
-/// Returns `None` for n < 8 (the p-value approximation is unreliable) or a
-/// zero-variance sample.
-pub fn anderson_darling(samples: &[f64]) -> Option<AndersonDarling> {
-    let n = samples.len();
-    if n < 8 {
-        return None;
-    }
-    let mut x = samples.to_vec();
-    x.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-    let nf = n as f64;
-    let mean = x.iter().sum::<f64>() / nf;
-    let var = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (nf - 1.0);
-    if var <= 0.0 {
-        return None;
-    }
-    let sd = var.sqrt();
-    let mut a2 = 0.0;
-    for i in 0..n {
-        let zi = (x[i] - mean) / sd;
-        let zrev = (x[n - 1 - i] - mean) / sd;
-        let cdf_i = norm_cdf(zi).clamp(1e-300, 1.0 - 1e-16);
-        let sf_rev = norm_sf(zrev).clamp(1e-300, 1.0);
-        a2 += (2.0 * i as f64 + 1.0) * (cdf_i.ln() + sf_rev.ln());
-    }
-    let a2 = -nf - a2 / nf;
-    let a2_star = a2 * (1.0 + 0.75 / nf + 2.25 / (nf * nf));
-    let p_value = if a2_star >= 0.6 {
-        (1.2937 - 5.709 * a2_star + 0.0186 * a2_star * a2_star).exp()
-    } else if a2_star > 0.34 {
-        (0.9177 - 4.279 * a2_star - 1.38 * a2_star * a2_star).exp()
-    } else if a2_star > 0.2 {
-        1.0 - (-8.318 + 42.796 * a2_star - 59.938 * a2_star * a2_star).exp()
-    } else {
-        1.0 - (-13.436 + 101.14 * a2_star - 223.73 * a2_star * a2_star).exp()
-    };
-    Some(AndersonDarling { a2_star, p_value: p_value.clamp(0.0, 1.0) })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,26 +298,5 @@ mod tests {
         let b = shapiro_wilk(&shifted).unwrap();
         assert!((a.w - b.w).abs() < 1e-9);
         assert!((a.p_value - b.p_value).abs() < 1e-9);
-    }
-
-    #[test]
-    fn anderson_darling_agrees_directionally_with_sw() {
-        let normal = Normal::new(0.0, 1.0);
-        let mut rng = SimRng::seed_from_u64(17);
-        let good: Vec<f64> = (0..80).map(|_| normal.sample(&mut rng)).collect();
-        let ad_good = anderson_darling(&good).unwrap();
-        assert!(ad_good.p_value > 0.05, "AD rejected normal data: {ad_good:?}");
-
-        let exp = Exponential::with_mean(1.0);
-        let bad: Vec<f64> = (0..80).map(|_| exp.sample(&mut rng)).collect();
-        let ad_bad = anderson_darling(&bad).unwrap();
-        assert!(ad_bad.p_value < 0.01, "AD accepted exponential data: {ad_bad:?}");
-        assert!(ad_bad.a2_star > ad_good.a2_star);
-    }
-
-    #[test]
-    fn anderson_darling_edge_cases() {
-        assert!(anderson_darling(&[1.0; 7]).is_none());
-        assert!(anderson_darling(&[3.0; 20]).is_none());
     }
 }

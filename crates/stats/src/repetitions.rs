@@ -68,14 +68,6 @@ pub enum ConfirmOutcome {
 }
 
 impl ConfirmOutcome {
-    /// The repetition count if converged.
-    pub fn converged(self) -> Option<usize> {
-        match self {
-            ConfirmOutcome::Converged(n) => Some(n),
-            ConfirmOutcome::MoreThan(_) => None,
-        }
-    }
-
     /// A lower bound on the repetitions required (the count itself when
     /// converged).
     pub fn lower_bound(self) -> usize {
@@ -206,7 +198,6 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(1);
         let out = confirm(&xs, &ConfirmConfig::default(), &mut rng);
         assert_eq!(out, ConfirmOutcome::Converged(10));
-        assert_eq!(out.converged(), Some(10));
         assert_eq!(out.to_string(), "10");
     }
 
@@ -218,7 +209,6 @@ mod tests {
         let xs: Vec<f64> = (0..50).map(|_| d.sample(&mut rng)).collect();
         let out = confirm(&xs, &ConfirmConfig::default(), &mut rng);
         assert_eq!(out, ConfirmOutcome::MoreThan(50));
-        assert_eq!(out.converged(), None);
         assert_eq!(out.lower_bound(), 50);
         assert_eq!(out.to_string(), ">50");
     }

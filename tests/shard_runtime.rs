@@ -9,9 +9,7 @@
 use tpv_core::collect::{Collector, EventCountCollector, MergeCollector, PerNodeCollector, PhaseCollector};
 use tpv_core::engine::{fingerprint_topology, Engine, JobPlan};
 use tpv_core::runtime::{run_collected, run_fleet, run_sharded_collected_hedged_with};
-use tpv_core::topology::{
-    ClientNode, FleetResult, NodeDynamics, NodeResult, ShardPolicy, ShardSpec, TopologySpec,
-};
+use tpv_core::topology::{ClientNode, FleetResult, NodeDynamics, ShardPolicy, ShardSpec, TopologySpec};
 use tpv_core::PinPolicy;
 use tpv_hw::MachineConfig;
 use tpv_loadgen::GeneratorSpec;
@@ -61,26 +59,6 @@ fn topo<'a>(
 /// [`run_fleet`] on a topology these tests build valid.
 fn fleet(spec: &TopologySpec<'_>, seed: u64, workers: usize) -> FleetResult {
     run_fleet(spec, seed, workers).expect("valid topology")
-}
-
-/// [`run_fleet`] on up to `workers` threads pinned round-robin: the same
-/// per-node and per-phase collectors, through the pin-taking kernel
-/// (these topologies have no cohorts).
-fn pinned_fleet(spec: &TopologySpec<'_>, seed: u64, workers: usize) -> FleetResult {
-    let n = spec.nodes.len();
-    let window = (SimTime::ZERO + spec.warmup, SimTime::ZERO + spec.duration);
-    let schedule = spec.merged_schedule();
-    let (aggregate, shards, (per_node, phases)) =
-        run_sharded_collected_hedged_with(spec, seed, workers, PinPolicy::RoundRobin, None, |_, _| {
-            (PerNodeCollector::new(n), PhaseCollector::new(schedule.clone(), window.0, window.1))
-        });
-    let nodes = spec
-        .nodes
-        .iter()
-        .zip(per_node.into_results())
-        .map(|(node, result)| NodeResult { label: node.label.clone(), result })
-        .collect();
-    FleetResult { aggregate, nodes, shards, phases: phases.into_stats(), cohorts: Vec::new() }
 }
 
 #[test]
@@ -240,13 +218,12 @@ fn hot_shard_policy_skews_the_per_shard_tail() {
 }
 
 #[test]
-fn work_stealing_and_pinning_are_schedule_invariant_under_hot_shard_skew() {
+fn work_stealing_is_schedule_invariant_under_hot_shard_skew() {
     // A HotShard tier is the worst case for the worker pool: one shard
     // carries half the fleet, so its worker runs long while the others
     // drain the cheap shards, and partitions finish out of plan order.
-    // Whatever the worker count, that schedule — and a core-pinned one —
-    // must reproduce the serial execution bit for bit: scheduling is
-    // presentation, not physics.
+    // Whatever the worker count, that schedule must reproduce the serial
+    // execution bit for bit: scheduling is presentation, not physics.
     let service = kv_service();
     let server = MachineConfig::server_baseline();
     let gen = GeneratorSpec::mutilate().with_connections(20);
@@ -267,8 +244,6 @@ fn work_stealing_and_pinning_are_schedule_invariant_under_hot_shard_skew() {
     for workers in [2, 3, 4, 8] {
         let pooled = fleet(&spec, 29, workers);
         assert_eq!(serial, pooled, "{workers}-worker pooled schedule drifted from serial");
-        let pinned = pinned_fleet(&spec, 29, workers);
-        assert_eq!(serial, pinned, "{workers}-worker pinned schedule drifted from serial");
     }
 }
 
@@ -424,8 +399,6 @@ fn phased_serial_and_parallel_shard_execution_are_bit_identical() {
     for workers in [2, 3, 4, 8] {
         let parallel = fleet(&spec, 19, workers);
         assert_eq!(serial, parallel, "{workers}-worker phased schedule drifted from serial");
-        let pinned = pinned_fleet(&spec, 19, workers);
-        assert_eq!(serial, pinned, "{workers}-worker pinned phased schedule drifted from serial");
     }
     // The phase lens is only a collector: a pass collecting per node
     // alone must give the same aggregate, nodes and shards, bit for bit.
