@@ -15,8 +15,8 @@
 //!   `ServiceInstance::new` for the default memcached (100K-key store,
 //!   whose preload is read by key, never drawn), HDSearch and Social
 //!   Network configurations, printed per service, plus the memcached
-//!   store's random reads at Zipf-drawn keys and HDSearch's dataset draw
-//!   and LSH index build on their own (print-only); the gated quantity
+//!   store's random reads at Zipf-drawn keys and HDSearch's streamed LSH
+//!   index build and query profiles on their own (print-only); the gated quantity
 //!   is service constructions per second.
 //! * `static_1x1` — the paper's testbed: one HP memcached client at
 //!   100K QPS (the `run_once` fast path).
@@ -439,13 +439,13 @@ const STORE_READS: usize = 8_192;
 /// scenarios' 10K-key probe store. Prints the per-configuration median
 /// over [`SETUP_ROUNDS`] constructions, then the memcached store's cost
 /// per read at Zipf-drawn keys and of its first read, which builds its
-/// random-access table, and HDSearch's dataset draw and its index build
-/// timed apart; the gated leg builds one of each service, so events/sec
+/// random-access table, and HDSearch's streamed index build and its
+/// query profiles timed apart; the gated leg builds one of each service, so events/sec
 /// is service constructions per second.
 fn service_setup(opts: &Options) -> ScenarioReport {
     use std::hint::black_box;
     use tpv_hw::RunEnvironment;
-    use tpv_services::hdsearch::{clustered_dataset, HdSearchConfig, LshIndex, CLUSTERS};
+    use tpv_services::hdsearch::{HdSearchConfig, StreamedIndex};
     use tpv_services::kv::{EtcWorkload, KvStore};
     use tpv_services::socialnet::SocialConfig;
     use tpv_services::ServiceInstance;
@@ -502,25 +502,24 @@ fn service_setup(opts: &Options) -> ScenarioReport {
         tpv_stats::desc::median(&read_ns),
         tpv_stats::desc::median(&first_us)
     );
-    // HDSearch's two largest set-up phases on their own, at the default
-    // shape: drawing the clustered dataset and building the LSH index
-    // over it. Print-only.
+    // HDSearch's two set-up phases on their own, at the default shape:
+    // the LSH index streamed over the dataset as it is drawn, and the
+    // query profiles measured against it. Print-only.
     let hd = HdSearchConfig::default();
-    let (mut dataset_us, mut index_us) = (Vec::new(), Vec::new());
+    let (mut index_us, mut profiles_us) = (Vec::new(), Vec::new());
     for round in 0..SETUP_ROUNDS as u64 {
         let mut rng = tpv_sim::SimRng::seed_from_u64(SEED + round);
         let started = Instant::now();
-        let data = clustered_dataset(hd.dataset_size, hd.dim, CLUSTERS, &mut rng);
-        dataset_us.push(started.elapsed().as_secs_f64() * 1e6);
-        let started = Instant::now();
-        // Bound so that its drop (dataset and buckets) falls after the
-        // timer is read.
-        let index = black_box(LshIndex::build(data, hd.tables, hd.planes, hd.shards, &mut rng));
+        let index = black_box(StreamedIndex::build(&hd, &mut rng));
         index_us.push(started.elapsed().as_secs_f64() * 1e6);
+        let started = Instant::now();
+        black_box(index.profiles(&mut rng));
+        profiles_us.push(started.elapsed().as_secs_f64() * 1e6);
+        // Dropped after the timers are read.
         drop(index);
     }
-    println!("| hdsearch dataset | {:.0} |", tpv_stats::desc::median(&dataset_us));
-    println!("| hdsearch index | {:.0} |", tpv_stats::desc::median(&index_us));
+    println!("| hdsearch streamed index | {:.0} |", tpv_stats::desc::median(&index_us));
+    println!("| hdsearch profiles | {:.0} |", tpv_stats::desc::median(&profiles_us));
     println!();
 
     time_scenario("service_setup", opts.trials, || {

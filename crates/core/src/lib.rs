@@ -23,8 +23,6 @@
 //! remediation, admission control) that act on the fleet between
 //! windows.
 
-#![warn(missing_docs)]
-
 pub mod analysis;
 pub mod collect;
 pub mod control;

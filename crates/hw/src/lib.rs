@@ -38,8 +38,6 @@
 //! assert!(g.wake_latency >= SimDuration::from_us(50));
 //! ```
 
-#![warn(missing_docs)]
-
 pub mod core;
 pub mod cstate;
 pub mod dvfs;

@@ -38,8 +38,6 @@
 //! assert!(plan.wire > SimTime::from_ms(5));
 //! ```
 
-#![warn(missing_docs)]
-
 mod rate;
 
 pub use rate::PhasedRate;

@@ -61,8 +61,6 @@
 //! assert!((tpv_math::fast_pow(x, 1.5) - x.powf(1.5)).abs() < 1e-11);
 //! ```
 
-#![warn(missing_docs)]
-
 /// log2(e), for `exp`'s power-of-two argument split.
 const LOG2E: f64 = std::f64::consts::LOG2_E;
 

@@ -32,8 +32,6 @@
 //! assert!(arrival > sent);
 //! ```
 
-#![warn(missing_docs)]
-
 use serde::{Deserialize, Serialize};
 use tpv_sim::dist::{Exponential, Normal, Sampler};
 use tpv_sim::{SimDuration, SimRng, SimTime};

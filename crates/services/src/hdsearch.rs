@@ -14,14 +14,18 @@
 //! distribution is grounded in the real data structure while the
 //! simulation stays cheap per request.
 //!
-//! Every run builds its own dataset and index, so construction is kept
-//! cheap without moving a bit of it: the dataset and hyperplanes are
-//! drawn in blocks of standard normals ([`Normal::fill_standard`]), all
-//! tables' hyperplanes sit in one plane bank that hashes a vector
-//! against every table in one pass over its components and fills each
-//! table's buckets as it goes, and a query's per-shard candidate counts
-//! are popcounts of its candidate bitmap under at most 64 per-shard
-//! masks, built once per index and rotated per bitmap word.
+//! Every run draws its own dataset and builds its own index, so
+//! construction is kept cheap without moving a bit of it: the dataset
+//! and hyperplanes are drawn in blocks of standard normals
+//! ([`Normal::fill_standard`]), all tables' hyperplanes sit in one plane
+//! bank that hashes a vector against every table in one pass over its
+//! components, and a query's per-shard candidate counts are popcounts of
+//! its candidate bitmap under at most 64 per-shard masks, built once per
+//! index and rotated per bitmap word. No run holds the dataset
+//! ([`StreamedIndex`]): an exact jump over the dataset's draws reaches
+//! the hyperplanes first, so each point is hashed into the buckets as it
+//! is drawn, and only the points the profile queries start from are
+//! kept.
 
 use tpv_hw::{MachineConfig, RunEnvironment};
 use tpv_net::StackCosts;
@@ -131,19 +135,27 @@ fn pass_sums(columns: &[[f32; LANES * PASS]], v: &[f32]) -> [f32; LANES * PASS] 
     sums
 }
 
-/// A multi-table random-hyperplane LSH index over a vector dataset.
+/// A multi-table random-hyperplane LSH index over a vector dataset. It
+/// keeps each vector's id in its buckets, not the vector: [`query`]
+/// and [`brute_force`] take the indexed data as an argument.
+///
+/// [`query`]: Self::query
+/// [`brute_force`]: Self::brute_force
 #[derive(Debug)]
 pub struct LshIndex {
     bank: PlaneBank,
     /// Per table: signature → ids, ascending.
     buckets: Vec<crate::fasthash::FxHashMap<u64, Vec<u32>>>,
-    data: Vec<Vector>,
+    /// Indexed vectors; the next one inserted gets this id.
+    len: usize,
     shards: usize,
     /// Per-shard masks within a candidate bitmap word, one per offset
     /// `k < min(shards, 64)`: bit `i` is set when `i % shards == k`.
     /// In word `r`, offset `k`'s bits are the ids on shard
     /// `(64 r + k) % shards`.
     shard_masks: Vec<u64>,
+    /// Scratch for [`insert`](Self::insert): one signature per table.
+    signatures: Vec<u64>,
 }
 
 fn squared_distance(a: &[f32], b: &[f32]) -> f32 {
@@ -178,56 +190,105 @@ fn cluster_point<'a>(
     center.iter().zip(normals.iter()).map(|(&x, &g)| x + g as f32 * 0.6)
 }
 
-/// Generates a clustered synthetic dataset (images of similar scenes have
-/// nearby feature vectors; clusters model that structure).
+/// A clustered synthetic dataset drawn one point at a time (images of
+/// similar scenes have nearby feature vectors; clusters model that
+/// structure): the cluster centres first, then point `i` near centre
+/// `i % clusters`. Each centre and each point takes `2 · dim` uniforms.
+struct ClusteredPoints {
+    dim: usize,
+    clusters: usize,
+    /// The centres' components, centre after centre.
+    centers: Vec<f32>,
+    normals: Vec<f64>,
+    /// The next point's id.
+    next: usize,
+}
+
+impl ClusteredPoints {
+    /// Draws the `clusters` centres.
+    fn new(dim: usize, clusters: usize, rng: &mut SimRng) -> Self {
+        assert!(clusters > 0, "need at least one cluster");
+        let mut normals = vec![0.0; dim];
+        let mut centers = Vec::with_capacity(clusters * dim);
+        for _ in 0..clusters {
+            centers.extend(cluster_center(&mut normals, rng));
+        }
+        ClusteredPoints { dim, clusters, centers, normals, next: 0 }
+    }
+
+    /// The next point's components.
+    fn draw(&mut self, rng: &mut SimRng) -> impl Iterator<Item = f32> + '_ {
+        let center = &self.centers[self.next % self.clusters * self.dim..][..self.dim];
+        self.next += 1;
+        cluster_point(center, &mut self.normals, rng)
+    }
+}
+
+/// Generates a clustered synthetic dataset: `clusters` centres, then
+/// `n` points, point `i` near centre `i % clusters`, drawn one at a time
+/// as [`HdSearchService::new`] streams them through its index.
 pub fn clustered_dataset(n: usize, dim: usize, clusters: usize, rng: &mut SimRng) -> Vec<Vector> {
-    assert!(clusters > 0, "need at least one cluster");
-    let mut normals = vec![0.0; dim];
-    let centers: Vec<Vector> = (0..clusters).map(|_| cluster_center(&mut normals, rng).collect()).collect();
-    (0..n).map(|i| cluster_point(&centers[i % clusters], &mut normals, rng).collect()).collect()
+    let mut points = ClusteredPoints::new(dim, clusters, rng);
+    (0..n).map(|_| points.draw(rng).collect()).collect()
 }
 
 impl LshIndex {
     /// Builds an index over `data` with `tables` tables of `planes`
-    /// hyperplanes each, logically sharded across `shards` bucket servers.
+    /// hyperplanes each, logically sharded across `shards` bucket
+    /// servers: draws the hyperplanes, then inserts each vector.
     ///
     /// # Panics
     ///
     /// Panics on an empty dataset, zero tables/planes/shards, or more
     /// than [`MAX_PLANES`] planes.
-    pub fn build(data: Vec<Vector>, tables: usize, planes: usize, shards: usize, rng: &mut SimRng) -> Self {
+    pub fn build(data: &[Vector], tables: usize, planes: usize, shards: usize, rng: &mut SimRng) -> Self {
         assert!(!data.is_empty(), "LSH needs data");
+        let mut index = LshIndex::empty(tables, planes, data[0].len(), shards, rng);
+        for v in data {
+            index.insert(v);
+        }
+        index
+    }
+
+    /// An index with no vectors yet, its hyperplanes drawn.
+    fn empty(tables: usize, planes: usize, dim: usize, shards: usize, rng: &mut SimRng) -> Self {
         assert!(tables > 0 && planes > 0 && planes <= MAX_PLANES, "bad LSH shape");
         assert!(shards > 0, "need at least one shard");
-        let dim = data[0].len();
-        assert!(data.iter().all(|v| v.len() == dim), "inconsistent vector dimensionality");
         // Every hyperplane is drawn before any hashing, which draws
         // nothing, so the stream is that of a table-by-table build.
         let bank = PlaneBank::draw(tables, planes, dim, rng);
-        let mut buckets: Vec<crate::fasthash::FxHashMap<u64, Vec<u32>>> =
-            (0..tables).map(|_| Default::default()).collect();
-        let mut signatures = vec![0; tables];
-        for (id, v) in data.iter().enumerate() {
-            bank.signatures(v, &mut signatures);
-            for (table, &signature) in buckets.iter_mut().zip(&signatures) {
-                table.entry(signature).or_default().push(id as u32);
-            }
-        }
         let mut shard_masks = vec![0u64; shards.min(64)];
         for bit in 0..64 {
             shard_masks[bit % shards] |= 1 << bit;
         }
-        LshIndex { bank, buckets, data, shards, shard_masks }
+        LshIndex {
+            bank,
+            buckets: (0..tables).map(|_| Default::default()).collect(),
+            len: 0,
+            shards,
+            shard_masks,
+            signatures: vec![0; tables],
+        }
+    }
+
+    /// Hashes `v` into every table's buckets under the next id.
+    fn insert(&mut self, v: &[f32]) {
+        assert_eq!(v.len(), self.bank.dim, "inconsistent vector dimensionality");
+        self.bank.signatures(v, &mut self.signatures);
+        for (table, &signature) in self.buckets.iter_mut().zip(&self.signatures) {
+            table.entry(signature).or_default().push(self.len as u32);
+        }
+        self.len += 1;
     }
 
     /// Number of indexed vectors.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.len
     }
 
     /// Whether the index is empty (never true after `build`).
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
     }
 
     /// Vector dimensionality.
@@ -244,7 +305,7 @@ impl LshIndex {
     fn candidate_bitmap(&self, query: &[f32]) -> Vec<u64> {
         let mut signatures = vec![0; self.buckets.len()];
         self.bank.signatures(query, &mut signatures);
-        let mut seen = vec![0u64; self.data.len().div_ceil(64)];
+        let mut seen = vec![0u64; self.len.div_ceil(64)];
         for (table, signature) in self.buckets.iter().zip(&signatures) {
             if let Some(bucket) = table.get(signature) {
                 for &id in bucket {
@@ -263,22 +324,34 @@ impl LshIndex {
         ids
     }
 
-    /// Full LSH query: candidates, exact distances, top-`k` nearest.
-    pub fn query(&self, query: &[f32], k: usize) -> Vec<(u32, f32)> {
+    /// Full LSH query over the indexed `data`: candidates, exact
+    /// distances, top-`k` nearest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is not as long as the index.
+    pub fn query(&self, data: &[Vector], query: &[f32], k: usize) -> Vec<(u32, f32)> {
+        assert_eq!(data.len(), self.len, "data is not the indexed dataset");
         let mut scored: Vec<(u32, f32)> = self
             .candidates(query)
             .into_iter()
-            .map(|id| (id, squared_distance(&self.data[id as usize], query)))
+            .map(|id| (id, squared_distance(&data[id as usize], query)))
             .collect();
         scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
         scored.truncate(k);
         scored
     }
 
-    /// Exact brute-force top-`k` (ground truth for recall tests).
-    pub fn brute_force(&self, query: &[f32], k: usize) -> Vec<(u32, f32)> {
+    /// Exact brute-force top-`k` over the indexed `data` (ground truth
+    /// for recall tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is not as long as the index.
+    pub fn brute_force(&self, data: &[Vector], query: &[f32], k: usize) -> Vec<(u32, f32)> {
+        assert_eq!(data.len(), self.len, "data is not the indexed dataset");
         let mut scored: Vec<(u32, f32)> =
-            self.data.iter().enumerate().map(|(id, v)| (id as u32, squared_distance(v, query))).collect();
+            data.iter().enumerate().map(|(id, v)| (id as u32, squared_distance(v, query))).collect();
         scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
         scored.truncate(k);
         scored
@@ -360,11 +433,15 @@ impl HdSearchConfig {
     /// The first field [`HdSearchService::new`] cannot build from (see
     /// [`crate::ServiceKind::invalid_field`]): the index needs data,
     /// dimensions, tables, shards and 1 to [`MAX_PLANES`] planes, and
-    /// each worker pool a worker.
+    /// each worker pool a worker. Vector ids and query ids are `u32`s,
+    /// so the dataset and the profile queries (0 runs one) hold at most
+    /// `u32::MAX`.
     pub fn invalid_field(&self) -> Option<(&'static str, u64, u64)> {
         let count = |field, value: usize| (field, value as u64, u64::MAX);
+        let id_count = |field, value: usize| (field, value as u64, u32::MAX as u64);
         crate::service::first_invalid([
-            count("dataset_size", self.dataset_size),
+            id_count("dataset_size", self.dataset_size),
+            id_count("profile_queries", self.profile_queries.max(1)),
             count("dim", self.dim),
             count("tables", self.tables),
             ("planes", self.planes as u64, MAX_PLANES as u64),
@@ -375,16 +452,92 @@ impl HdSearchConfig {
     }
 }
 
-/// A pre-measured query cost profile.
-#[derive(Debug, Clone)]
-struct QueryProfile {
-    shard_candidates: Vec<u32>,
+/// The LSH index [`HdSearchService::new`] measures its query profiles
+/// against, built without holding the dataset: each point is hashed as
+/// it is drawn, and only the points the profile queries start from,
+/// their anchors, are kept.
+#[derive(Debug)]
+pub struct StreamedIndex {
+    index: LshIndex,
+    /// Profile queries: `profile_queries`, at least one.
+    queries: usize,
+    /// The anchors' ids, ascending and distinct: query `i` starts from
+    /// point `17 i % dataset_size`.
+    anchor_ids: Vec<usize>,
+    /// The anchors' components, anchor after anchor in `anchor_ids`
+    /// order.
+    anchors: Vec<f32>,
+}
+
+impl StreamedIndex {
+    /// Builds `config`'s index over the dataset [`clustered_dataset`]
+    /// would draw from `rng` with [`CLUSTERS`] clusters, with the
+    /// hyperplanes [`LshIndex::build`] would draw after it, and leaves
+    /// `rng` where that build leaves it. The dataset takes exactly
+    /// `2 · dim · (CLUSTERS + dataset_size)` uniforms, so the
+    /// hyperplanes are drawn first from `rng` jumped that far
+    /// ([`SimRng::advance`]), and the points after them from a copy of
+    /// the unjumped stream, each hashed as it is drawn.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty dataset or an LSH shape [`LshIndex::build`]
+    /// rejects.
+    pub fn build(config: &HdSearchConfig, rng: &mut SimRng) -> Self {
+        let (n, dim) = (config.dataset_size, config.dim);
+        assert!(n > 0, "LSH needs data");
+        let mut point_rng = rng.clone();
+        rng.advance(2 * dim as u64 * (CLUSTERS + n) as u64);
+        let mut index = LshIndex::empty(config.tables, config.planes, dim, config.shards, rng);
+        let queries = config.profile_queries.max(1);
+        // Query `i + n` starts from query `i`'s anchor.
+        let mut anchor_ids: Vec<usize> = (0..queries.min(n)).map(|i| i * 17 % n).collect();
+        anchor_ids.sort_unstable();
+        anchor_ids.dedup();
+        let mut anchors = Vec::with_capacity(anchor_ids.len() * dim);
+        let mut next_anchor = anchor_ids.iter().peekable();
+        let mut points = ClusteredPoints::new(dim, CLUSTERS, &mut point_rng);
+        let mut point = Vec::with_capacity(dim);
+        for id in 0..n {
+            point.clear();
+            point.extend(points.draw(&mut point_rng));
+            index.insert(&point);
+            if next_anchor.next_if_eq(&&id).is_some() {
+                anchors.extend_from_slice(&point);
+            }
+        }
+        StreamedIndex { index, queries, anchor_ids, anchors }
+    }
+
+    /// Each profile query's candidate count per shard. Query `i` is its
+    /// anchor plus 0.15 times a base, a one-point cluster around a
+    /// fresh centre drawn from `rng` as `clustered_dataset(1, dim, 1,
+    /// …)` would draw it; the anchor makes it hit populated buckets.
+    pub fn profiles(&self, rng: &mut SimRng) -> Vec<Vec<u32>> {
+        let dim = self.index.dim();
+        let mut normals = vec![0.0; dim];
+        let mut center = Vec::with_capacity(dim);
+        let mut q = Vec::with_capacity(dim);
+        (0..self.queries)
+            .map(|i| {
+                center.clear();
+                center.extend(cluster_center(&mut normals, rng));
+                let base = cluster_point(&center, &mut normals, rng);
+                let slot =
+                    self.anchor_ids.binary_search(&(i * 17 % self.index.len())).expect("anchors are kept");
+                q.clear();
+                q.extend(self.anchors[slot * dim..][..dim].iter().zip(base).map(|(a, b)| a + 0.15 * b));
+                self.index.shard_candidate_counts(&q)
+            })
+            .collect()
+    }
 }
 
 /// The HDSearch service instance for one run.
 #[derive(Debug)]
 pub struct HdSearchService {
-    profiles: Vec<QueryProfile>,
+    /// Per pre-measured query: its candidate count per shard.
+    profiles: Vec<Vec<u32>>,
     midtier: WorkerPool,
     buckets: WorkerPool,
     config: HdSearchConfig,
@@ -393,10 +546,10 @@ pub struct HdSearchService {
 }
 
 impl HdSearchService {
-    /// Builds the dataset, the LSH index, the query profiles and the
-    /// worker pools for one run. Requests read only the profiles, so
-    /// the dataset and index are dropped once profiling is done rather
-    /// than held for the whole run.
+    /// Builds the query profiles and the worker pools for one run.
+    /// Requests read only the profiles, so the index they are measured
+    /// against ([`StreamedIndex`]) is dropped once profiling is done
+    /// rather than held for the whole run.
     pub fn new(
         config: HdSearchConfig,
         server: &MachineConfig,
@@ -408,26 +561,7 @@ impl HdSearchService {
         // A fork of the per-run service stream: the dataset changes with
         // the run seed, like every other draw the service makes.
         let mut data_rng = rng.fork(0x4453);
-        let data = clustered_dataset(config.dataset_size, config.dim, CLUSTERS, &mut data_rng);
-        let index = LshIndex::build(data, config.tables, config.planes, config.shards, &mut data_rng);
-        // Measure real per-query candidate counts once. Each query base
-        // is a one-point cluster around a fresh centre, drawn as
-        // `clustered_dataset(1, dim, 1, …)` would draw it.
-        let mut normals = vec![0.0; config.dim];
-        let mut center = Vec::with_capacity(config.dim);
-        let mut q = Vec::with_capacity(config.dim);
-        let profiles = (0..config.profile_queries.max(1))
-            .map(|i| {
-                center.clear();
-                center.extend(cluster_center(&mut normals, &mut data_rng));
-                let base = cluster_point(&center, &mut normals, &mut data_rng);
-                // Mix a real dataset point in so queries hit populated buckets.
-                let anchor = (i * 17) % index.len();
-                q.clear();
-                q.extend(index.data[anchor].iter().zip(base).map(|(a, b)| a + 0.15 * b));
-                QueryProfile { shard_candidates: index.shard_candidate_counts(&q) }
-            })
-            .collect();
+        let profiles = StreamedIndex::build(&config, &mut data_rng).profiles(&mut data_rng);
         let midtier = WorkerPool::new(server, env, config.midtier_workers, interference, horizon, rng);
         let buckets = WorkerPool::new(server, env, config.bucket_workers, interference, horizon, rng);
         HdSearchService {
@@ -500,7 +634,7 @@ impl HdSearchService {
                 // Fan-out: one leg per shard, in parallel on the bucket pool.
                 let mut busy = SimDuration::from_ns(ctx.busy_ns);
                 let mut join = now;
-                for (shard, &cands) in self.profiles[query_id].shard_candidates.iter().enumerate() {
+                for (shard, &cands) in self.profiles[query_id].iter().enumerate() {
                     // Distance computations dominate: ~1.1 µs per candidate
                     // (64-dim float distance + ranking).
                     let leg_work = SimDuration::from_us_f64(35.0 + cands as f64 * 1.1)
@@ -537,16 +671,16 @@ impl HdSearchService {
 mod tests {
     use super::*;
 
-    fn small_index(seed: u64) -> (LshIndex, SimRng) {
+    fn small_index(seed: u64) -> (Vec<Vector>, LshIndex, SimRng) {
         let mut rng = SimRng::seed_from_u64(seed);
         let data = clustered_dataset(1024, 32, 8, &mut rng);
-        let index = LshIndex::build(data, 4, 8, 4, &mut rng);
-        (index, rng)
+        let index = LshIndex::build(&data, 4, 8, 4, &mut rng);
+        (data, index, rng)
     }
 
     #[test]
     fn index_build_and_shape() {
-        let (index, _) = small_index(1);
+        let (_, index, _) = small_index(1);
         assert_eq!(index.len(), 1024);
         assert_eq!(index.dim(), 32);
         assert!(!index.is_empty());
@@ -555,13 +689,13 @@ mod tests {
 
     #[test]
     fn identical_vector_is_always_its_own_candidate() {
-        let (index, _) = small_index(2);
+        let (data, index, _) = small_index(2);
         for id in [0usize, 100, 500, 1023] {
-            let q = index.data[id].clone();
-            let cands = index.candidates(&q);
+            let q = &data[id];
+            let cands = index.candidates(q);
             assert!(cands.contains(&(id as u32)), "vector {id} not in its own bucket");
             // And it is the top-ranked result with distance 0.
-            let top = index.query(&q, 1);
+            let top = index.query(&data, q, 1);
             assert_eq!(top[0].0, id as u32);
             assert!(top[0].1 < 1e-9);
         }
@@ -569,20 +703,18 @@ mod tests {
 
     #[test]
     fn lsh_recall_beats_random_selection() {
-        let (index, mut rng) = small_index(3);
+        let (data, index, mut rng) = small_index(3);
         let mut recall_sum = 0.0;
         let trials = 30;
         for t in 0..trials {
             // Perturb a dataset point slightly: a realistic near-duplicate query.
             let anchor = (t * 31) % index.len();
-            let q: Vector = index.data[anchor]
-                .iter()
-                .map(|&x| x + Normal::standard_sample(&mut rng) as f32 * 0.1)
-                .collect();
+            let q: Vector =
+                data[anchor].iter().map(|&x| x + Normal::standard_sample(&mut rng) as f32 * 0.1).collect();
             let truth: std::collections::HashSet<u32> =
-                index.brute_force(&q, 10).into_iter().map(|(id, _)| id).collect();
+                index.brute_force(&data, &q, 10).into_iter().map(|(id, _)| id).collect();
             let got: std::collections::HashSet<u32> =
-                index.query(&q, 10).into_iter().map(|(id, _)| id).collect();
+                index.query(&data, &q, 10).into_iter().map(|(id, _)| id).collect();
             recall_sum += truth.intersection(&got).count() as f64 / truth.len() as f64;
         }
         let recall = recall_sum / trials as f64;
@@ -591,14 +723,12 @@ mod tests {
 
     #[test]
     fn candidates_are_a_small_fraction_of_the_dataset() {
-        let (index, mut rng) = small_index(4);
+        let (data, index, mut rng) = small_index(4);
         let mut total = 0usize;
         for t in 0..20 {
             let anchor = (t * 53) % index.len();
-            let q: Vector = index.data[anchor]
-                .iter()
-                .map(|&x| x + Normal::standard_sample(&mut rng) as f32 * 0.1)
-                .collect();
+            let q: Vector =
+                data[anchor].iter().map(|&x| x + Normal::standard_sample(&mut rng) as f32 * 0.1).collect();
             total += index.candidates(&q).len();
         }
         let avg = total as f64 / 20.0;
@@ -608,11 +738,10 @@ mod tests {
 
     #[test]
     fn shard_counts_sum_to_candidate_count() {
-        let (index, _) = small_index(5);
-        let q = index.data[10].clone();
-        let counts = index.shard_candidate_counts(&q);
+        let (data, index, _) = small_index(5);
+        let counts = index.shard_candidate_counts(&data[10]);
         let total: u32 = counts.iter().sum();
-        assert_eq!(total as usize, index.candidates(&q).len());
+        assert_eq!(total as usize, index.candidates(&data[10]).len());
         assert_eq!(counts.len(), 4);
     }
 
@@ -687,12 +816,12 @@ mod tests {
             let mut rng = SimRng::seed_from_u64(10 + planes as u64);
             let data = clustered_dataset(200, 48, 4, &mut rng);
             let mut reference_rng = rng.clone();
-            let index = LshIndex::build(data, 3, planes, 2, &mut rng);
+            let index = LshIndex::build(&data, 3, planes, 2, &mut rng);
             let mut normals = vec![0.0; 48];
             let hyperplanes: Vec<Vec<Vector>> = (0..3)
                 .map(|_| (0..planes).map(|_| random_unit_vector(&mut normals, &mut reference_rng)).collect())
                 .collect();
-            let mut queries = index.data.clone();
+            let mut queries = data;
             queries.push(vec![0.0; 48]);
             queries.push(hyperplanes[0][0].iter().map(|x| -x).collect());
             for (i, q) in queries.iter().enumerate() {
@@ -743,9 +872,9 @@ mod tests {
         for planes in [5usize, 8, 13] {
             let mut rng = SimRng::seed_from_u64(planes as u64);
             let data = clustered_dataset(1000, 32, 8, &mut rng);
-            let index = LshIndex::build(data, 4, planes, 3, &mut rng);
+            let index = LshIndex::build(&data, 4, planes, 3, &mut rng);
             for t in 0..40 {
-                let q: Vector = index.data[(t * 37) % index.len()]
+                let q: Vector = data[(t * 37) % index.len()]
                     .iter()
                     .map(|&x| x + Normal::standard_sample(&mut rng) as f32 * 0.3)
                     .collect();
@@ -770,7 +899,7 @@ mod tests {
         for shards in [1usize, 3, 4, 5, 7, 64, 100, 255, 1001, 5003] {
             for n in [333usize, 1000, 4100] {
                 let mut rng = SimRng::seed_from_u64((shards * 10_000 + n) as u64);
-                let index = LshIndex::build(clustered_dataset(n, 8, 4, &mut rng), 2, 1, shards, &mut rng);
+                let index = LshIndex::build(&clustered_dataset(n, 8, 4, &mut rng), 2, 1, shards, &mut rng);
                 let mut queries = clustered_dataset(10, 8, 2, &mut rng);
                 queries.push(vec![0.0; 8]);
                 for (i, q) in queries.iter().enumerate() {
@@ -790,16 +919,85 @@ mod tests {
     fn hash_then_bucket_keeps_bucket_contents_and_order() {
         for planes in [3usize, 8, 13] {
             let (mut rng, dim) = (SimRng::seed_from_u64(40 + planes as u64), 24);
-            let index = LshIndex::build(clustered_dataset(900, dim, 6, &mut rng), 3, planes, 2, &mut rng);
+            let data = clustered_dataset(900, dim, 6, &mut rng);
+            let index = LshIndex::build(&data, 3, planes, 2, &mut rng);
             let mut signatures = vec![0; 3];
             for (table, buckets) in index.buckets.iter().enumerate() {
                 let mut interleaved = crate::fasthash::FxHashMap::<u64, Vec<u32>>::default();
-                for (id, v) in index.data.iter().enumerate() {
+                for (id, v) in data.iter().enumerate() {
                     index.bank.signatures(v, &mut signatures);
                     interleaved.entry(signatures[table]).or_default().push(id as u32);
                 }
                 assert_eq!(*buckets, interleaved, "{planes} planes, table {table}");
             }
+        }
+    }
+
+    /// Profiles as a build that holds the dataset measures them:
+    /// [`clustered_dataset`], then [`LshIndex::build`], then each query
+    /// with its anchor read out of the dataset.
+    fn held_dataset_profiles(config: &HdSearchConfig, rng: &mut SimRng) -> Vec<Vec<u32>> {
+        let data = clustered_dataset(config.dataset_size, config.dim, CLUSTERS, rng);
+        let index = LshIndex::build(&data, config.tables, config.planes, config.shards, rng);
+        let mut normals = vec![0.0; config.dim];
+        (0..config.profile_queries.max(1))
+            .map(|i| {
+                let center: Vector = cluster_center(&mut normals, rng).collect();
+                let base = cluster_point(&center, &mut normals, rng);
+                let q: Vector =
+                    data[i * 17 % data.len()].iter().zip(base).map(|(a, b)| a + 0.15 * b).collect();
+                index.shard_candidate_counts(&q)
+            })
+            .collect()
+    }
+
+    /// The streamed index measures every profile's shard counts as the
+    /// build that holds the dataset does, leaves the data stream at the
+    /// same position, and keeps at most one anchor per distinct anchor
+    /// id. Shapes cover dimensions at, below and above a block of
+    /// normals, one and many planes and tables, shard counts that do
+    /// and do not divide 64 or exceed one word, datasets that end inside
+    /// a bitmap word, and profile counts of 0, 1 and past the dataset;
+    /// datasets of 17 and 34 points make anchors repeat.
+    #[test]
+    fn streamed_profiles_match_the_held_dataset_build() {
+        let shapes = [
+            // (dim, dataset_size, planes, tables, shards, profile_queries)
+            (1usize, 1usize, 1usize, 1usize, 1usize, 0usize),
+            (37, 17, 8, 4, 3, 256),
+            (64, 34, 13, 5, 64, 1),
+            (65, 333, 63, 1, 100, 1000),
+            (64, 4100, 8, 4, 3, 256),
+            (37, 4100, 13, 5, 100, 5000),
+            (1, 333, 8, 4, 64, 0),
+            (65, 17, 1, 5, 1, 1),
+            (64, 1, 63, 4, 100, 256),
+            (37, 34, 63, 1, 3, 100),
+            (1, 4100, 1, 1, 64, 1),
+            (65, 4100, 63, 5, 1, 256),
+        ];
+        for (seed, (dim, dataset_size, planes, tables, shards, profile_queries)) in
+            shapes.into_iter().enumerate()
+        {
+            let config = HdSearchConfig {
+                dim,
+                dataset_size,
+                planes,
+                tables,
+                shards,
+                profile_queries,
+                ..Default::default()
+            };
+            let mut streamed_rng = SimRng::seed_from_u64(seed as u64);
+            let mut held_rng = streamed_rng.clone();
+            let index = StreamedIndex::build(&config, &mut streamed_rng);
+            let queries = profile_queries.max(1);
+            assert!(index.anchor_ids.len() <= queries.min(dataset_size), "{config:?}");
+            assert_eq!(index.anchors.len(), index.anchor_ids.len() * dim, "{config:?}");
+            let profiles = index.profiles(&mut streamed_rng);
+            assert_eq!(profiles.len(), queries, "{config:?}");
+            assert_eq!(profiles, held_dataset_profiles(&config, &mut held_rng), "{config:?}");
+            assert_eq!(streamed_rng.next_u64(), held_rng.next_u64(), "{config:?}: stream positions diverged");
         }
     }
 
@@ -857,7 +1055,7 @@ mod tests {
     fn queries_with_more_candidates_take_longer() {
         let (mut svc, mut rng) = service(7);
         // Find the cheapest and dearest profiles.
-        let sums: Vec<u32> = svc.profiles.iter().map(|p| p.shard_candidates.iter().sum()).collect();
+        let sums: Vec<u32> = svc.profiles.iter().map(|p| p.iter().sum()).collect();
         let (min_id, _) = sums.iter().enumerate().min_by_key(|(_, &s)| s).unwrap();
         let (max_id, max_sum) = sums.iter().enumerate().max_by_key(|(_, &s)| s).unwrap();
         if *max_sum == 0 {

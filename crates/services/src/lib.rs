@@ -22,8 +22,6 @@
 //! `handle()` executes it against the service, returning when the response
 //! hits the wire.
 
-#![warn(missing_docs)]
-
 pub mod fasthash;
 pub mod hdsearch;
 pub mod interference;

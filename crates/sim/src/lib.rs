@@ -36,8 +36,6 @@
 //! assert_eq!((t.as_us(), ev), (5.0, "a"));
 //! ```
 
-#![warn(missing_docs)]
-
 mod event;
 mod phase;
 mod slab;

@@ -27,8 +27,6 @@
 //! assert!(ci.low <= ci.mid && ci.mid <= ci.high);
 //! ```
 
-#![warn(missing_docs)]
-
 pub mod bootstrap;
 pub mod ci;
 pub mod desc;

@@ -420,7 +420,7 @@ fn hdsearch_block_build_matches_the_scalar_build() {
             let bits = |x: &Vector| x.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(v), bits(w), "seed {seed}: vector {id}");
         }
-        let index = LshIndex::build(data, 4, planes, 3, &mut block_rng);
+        let index = LshIndex::build(&data, 4, planes, 3, &mut block_rng);
         let reference = scalar_build::index(&expected, 4, planes, &mut scalar_rng);
         assert_eq!(block_rng.next_u64(), scalar_rng.next_u64(), "seed {seed}: stream positions diverged");
         for (t, q) in expected.iter().enumerate() {

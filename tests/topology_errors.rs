@@ -437,10 +437,12 @@ fn unusable_sigmas_are_rejected() {
 }
 
 /// A service config its service cannot be built from — a pool with no
-/// workers, an empty keyspace, dataset or graph, a zero LSH shape, or
-/// more planes than a signature holds — is a typed error from
+/// workers, an empty keyspace, dataset or graph, a zero LSH shape,
+/// more planes than a signature holds, or more vectors or profile
+/// queries than a `u32` id numbers — is a typed error from
 /// `validate` and `run_fleet`. Before it was checked, each passed
-/// `validate` and `run_fleet` panicked while building the service.
+/// `validate`, and `run_fleet` panicked while building the service or,
+/// past the id limit, wrapped ids silently.
 #[test]
 fn unbuildable_service_configs_are_rejected() {
     let server = MachineConfig::server_baseline();
@@ -448,6 +450,8 @@ fn unbuildable_service_configs_are_rejected() {
     let kv = KvConfig::default();
     let hd = HdSearchConfig::default();
     let count = |field, value| (field, value, u64::MAX);
+    // Vector and query ids are `u32`s.
+    let (ids, too_many) = (u32::MAX as u64, u32::MAX as usize + 1);
     let cases = [
         (ServiceKind::Memcached(KvConfig { workers: 0, ..kv }), count("workers", 0)),
         (ServiceKind::Memcached(KvConfig { preload_keys: 0, ..kv }), count("preload_keys", 0)),
@@ -456,7 +460,15 @@ fn unbuildable_service_configs_are_rejected() {
             ServiceKind::Synthetic(SyntheticConfig { workers: 0, ..SyntheticConfig::default() }),
             count("workers", 0),
         ),
-        (ServiceKind::HdSearch(HdSearchConfig { dataset_size: 0, ..hd }), count("dataset_size", 0)),
+        (ServiceKind::HdSearch(HdSearchConfig { dataset_size: 0, ..hd }), ("dataset_size", 0, ids)),
+        (
+            ServiceKind::HdSearch(HdSearchConfig { dataset_size: too_many, ..hd }),
+            ("dataset_size", ids + 1, ids),
+        ),
+        (
+            ServiceKind::HdSearch(HdSearchConfig { profile_queries: too_many, ..hd }),
+            ("profile_queries", ids + 1, ids),
+        ),
         (ServiceKind::HdSearch(HdSearchConfig { dim: 0, ..hd }), count("dim", 0)),
         (ServiceKind::HdSearch(HdSearchConfig { tables: 0, ..hd }), count("tables", 0)),
         (ServiceKind::HdSearch(HdSearchConfig { planes: 0, ..hd }), ("planes", 0, 63)),
@@ -474,6 +486,11 @@ fn unbuildable_service_configs_are_rejected() {
         assert_eq!(run_fleet(&topo, 1, 1).unwrap_err(), expected, "{kind:?}");
     }
     assert_eq!(ServiceKind::HdSearch(HdSearchConfig { planes: MAX_PLANES, ..hd }).invalid_field(), None);
+    // Zero profile queries run one; the id limits are inclusive.
+    let limits = HdSearchConfig { dataset_size: u32::MAX as usize, profile_queries: u32::MAX as usize, ..hd };
+    for hd in [HdSearchConfig { profile_queries: 0, ..hd }, limits] {
+        assert_eq!(ServiceKind::HdSearch(hd).invalid_field(), None, "{hd:?}");
+    }
     // One worker and one key is the smallest config that builds and runs.
     let tiny = KvConfig { workers: 1, preload_keys: 1, ..KvConfig::default() };
     let service = ServiceConfig::without_interference(ServiceKind::Memcached(tiny));
