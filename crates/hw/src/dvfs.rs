@@ -148,7 +148,7 @@ impl DvfsConfig {
         let stall = self.driver.transition_latency().scale(depth * dvfs_bias.max(0.1));
         DvfsWakeCost {
             stall,
-            slowdown_factor_x1000: (slowdown * 1000.0).round() as u64,
+            slowdown_factor_x1000: tpv_sim::round_half_away(slowdown * 1000.0) as u64,
             // The ramp completes within roughly one transition plus the
             // governor's evaluation interval; 30 µs captures the legacy path.
             slow_window: SimDuration::from_us(30).scale(depth),

@@ -98,6 +98,26 @@ fn pow2(k: i64) -> f64 {
     f64::from_bits(((k + 1023) as u64) << 52)
 }
 
+/// `y.round()` — to the nearest integer, half away from zero — with the
+/// same bits for every input, but without the libm call `f64::round`
+/// compiles to on baseline x86-64 (it has no instruction there). For
+/// `|y| < 2⁵²`, `(|y| + 2⁵²) − 2⁵²` rounds `|y|` to an integer with
+/// ties to even, and both steps are exact otherwise; `|y|` minus that
+/// integer is exact too, so an exact `0.5` marks a tie rounded down,
+/// which takes one more. The sign is copied back, so `-0.3` gives
+/// `-0.0` as `f64::round` does. Larger magnitudes are already integers,
+/// and they, infinities and NaN round to themselves.
+#[inline]
+pub fn round_half_away(y: f64) -> f64 {
+    let a = y.abs();
+    if a >= TWO_52 || a.is_nan() {
+        return y;
+    }
+    let t = (a + TWO_52) - TWO_52;
+    let r = if a - t == 0.5 { t + 1.0 } else { t };
+    r.copysign(y)
+}
+
 /// Deterministic `e^x`.
 ///
 /// Cody–Waite reduction `x = k·ln2 + r` with `|r| ≤ ln2/2`, a
@@ -123,7 +143,7 @@ pub fn fast_exp(x: f64) -> f64 {
     if x < -745.2 {
         return 0.0;
     }
-    let kf = (x * LOG2E).round();
+    let kf = round_half_away(x * LOG2E);
     let k = kf as i64;
     // Two-part reduction keeps r's absolute error ~|k|·2^-84 — far
     // below what a single ln2 constant would leak into the result.
@@ -238,7 +258,7 @@ pub fn fast_sincos(x: f64) -> (f64, f64) {
     if !x.is_finite() {
         return (f64::NAN, f64::NAN);
     }
-    let nf = (x * FRAC_2_PI).round();
+    let nf = round_half_away(x * FRAC_2_PI);
     let (s, c) = sincos_reduced(x, nf);
     // Two's-complement masking maps negative n to the right quadrant.
     match (nf as i64) & 3 {
@@ -402,6 +422,36 @@ mod tests {
             let (s, c) = fast_sincos(x);
             assert!((s - x.sin()).abs() < 1e-12, "sin({x})");
             assert!((c - x.cos()).abs() < 1e-12, "cos({x})");
+        }
+    }
+
+    #[test]
+    fn round_half_away_has_the_bits_of_f64_round() {
+        let same = |y: f64| {
+            assert_eq!(round_half_away(y).to_bits(), y.round().to_bits(), "round({y:e})");
+            assert_eq!(round_half_away(-y).to_bits(), (-y).round().to_bits(), "round({:e})", -y);
+        };
+        // Exact ties, up to where halves stop being representable.
+        for k in (0..2_000u64).chain([1 << 20, (1 << 51) - 1]) {
+            same(k as f64 + 0.5);
+        }
+        // Just below a half (`+ 0.5` would round up), signed zeros, the
+        // largest non-integers, integers from 2⁵² on, and non-finite.
+        for y in
+            [0.499_999_999_999_999_94, 0.0, 0.3, 1e-300, 2.5e-324, TWO_52 - 0.5, TWO_52 - 1.5, TWO_52, 1e300]
+        {
+            same(y);
+        }
+        assert_eq!(round_half_away(-0.3).to_bits(), (-0.0f64).to_bits());
+        same(f64::INFINITY);
+        assert!(round_half_away(f64::NAN).is_nan());
+        // Random y in [-1100, 1100], the exponent range `fast_exp` rounds.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..100_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            same(((state >> 11) as f64 / (1u64 << 53) as f64) * 1_100.0);
         }
     }
 

@@ -301,12 +301,15 @@ impl LshIndex {
         id as usize % self.shards
     }
 
-    /// Marks every id in the query's buckets, one bit per indexed vector.
-    fn candidate_bitmap(&self, query: &[f32]) -> Vec<u64> {
-        let mut signatures = vec![0; self.buckets.len()];
-        self.bank.signatures(query, &mut signatures);
-        let mut seen = vec![0u64; self.len.div_ceil(64)];
-        for (table, signature) in self.buckets.iter().zip(&signatures) {
+    /// Marks every id in the query's buckets, one bit per indexed vector,
+    /// in `buffers`, and returns the bitmap.
+    fn candidate_bitmap<'b>(&self, query: &[f32], buffers: &'b mut QueryBuffers) -> &'b [u64] {
+        let QueryBuffers { signatures, seen } = buffers;
+        signatures.resize(self.buckets.len(), 0);
+        self.bank.signatures(query, signatures);
+        seen.clear();
+        seen.resize(self.len.div_ceil(64), 0);
+        for (table, signature) in self.buckets.iter().zip(signatures.iter()) {
             if let Some(bucket) = table.get(signature) {
                 for &id in bucket {
                     seen[id as usize / 64] |= 1 << (id % 64);
@@ -320,7 +323,7 @@ impl LshIndex {
     /// ascending id order.
     pub fn candidates(&self, query: &[f32]) -> Vec<u32> {
         let mut ids = Vec::new();
-        for_each_set_bit(&self.candidate_bitmap(query), |id| ids.push(id));
+        for_each_set_bit(self.candidate_bitmap(query, &mut QueryBuffers::default()), |id| ids.push(id));
         ids
     }
 
@@ -363,10 +366,16 @@ impl LshIndex {
     /// is at most 64 popcounts per non-empty word, whatever the shard
     /// count.
     pub fn shard_candidate_counts(&self, query: &[f32]) -> Vec<u32> {
+        self.shard_counts_with(query, &mut QueryBuffers::default())
+    }
+
+    /// [`shard_candidate_counts`](Self::shard_candidate_counts) with the
+    /// query's signatures and bitmap in reused `buffers`.
+    fn shard_counts_with(&self, query: &[f32], buffers: &mut QueryBuffers) -> Vec<u32> {
         let mut counts = vec![0u32; self.shards];
         // The shard of the current word's first id, `64 r % shards`.
         let mut first = 0;
-        for word in self.candidate_bitmap(query) {
+        for &word in self.candidate_bitmap(query, buffers) {
             if word != 0 {
                 let (before, from) = counts.split_at_mut(first);
                 for (count, &mask) in from.iter_mut().chain(before).zip(&self.shard_masks) {
@@ -377,6 +386,14 @@ impl LshIndex {
         }
         counts
     }
+}
+
+/// A query's working buffers, reusable across the queries of one
+/// index: one signature per table and the candidate bitmap.
+#[derive(Debug, Default)]
+struct QueryBuffers {
+    signatures: Vec<u64>,
+    seen: Vec<u64>,
 }
 
 /// Calls `f` with the index of every set bit of `words`, ascending.
@@ -518,6 +535,7 @@ impl StreamedIndex {
         let mut normals = vec![0.0; dim];
         let mut center = Vec::with_capacity(dim);
         let mut q = Vec::with_capacity(dim);
+        let mut buffers = QueryBuffers::default();
         (0..self.queries)
             .map(|i| {
                 center.clear();
@@ -527,7 +545,7 @@ impl StreamedIndex {
                     self.anchor_ids.binary_search(&(i * 17 % self.index.len())).expect("anchors are kept");
                 q.clear();
                 q.extend(self.anchors[slot * dim..][..dim].iter().zip(base).map(|(a, b)| a + 0.15 * b));
-                self.index.shard_candidate_counts(&q)
+                self.index.shard_counts_with(&q, &mut buffers)
             })
             .collect()
     }
@@ -896,6 +914,9 @@ mod tests {
     /// candidate sets large.
     #[test]
     fn popcount_shard_counts_match_the_set_bit_walk() {
+        // One set of buffers across every index and query: reuse must
+        // not leak a previous query's bits or signatures.
+        let mut buffers = QueryBuffers::default();
         for shards in [1usize, 3, 4, 5, 7, 64, 100, 255, 1001, 5003] {
             for n in [333usize, 1000, 4100] {
                 let mut rng = SimRng::seed_from_u64((shards * 10_000 + n) as u64);
@@ -904,7 +925,9 @@ mod tests {
                 queries.push(vec![0.0; 8]);
                 for (i, q) in queries.iter().enumerate() {
                     let mut counts = vec![0u32; shards];
-                    for_each_set_bit(&index.candidate_bitmap(q), |id| counts[index.shard_of(id)] += 1);
+                    for_each_set_bit(index.candidate_bitmap(q, &mut buffers), |id| {
+                        counts[index.shard_of(id)] += 1
+                    });
                     assert_eq!(
                         index.shard_candidate_counts(q),
                         counts,

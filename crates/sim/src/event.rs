@@ -27,6 +27,17 @@
 //! hysteresis to avoid ping-ponging and is left until a workload needs
 //! it.
 //!
+//! Bucketed events live in one node arena, a `Vec` of nodes addressed
+//! by `u32` indices; each bucket is a singly linked list through the
+//! nodes' `next` indices, headed by one `u32` in the ring. A bucket is
+//! unsorted — scheduling pushes onto its head, and a pop min-scans it —
+//! so bucket order carries no meaning, and widening relinks the nodes
+//! in place. Popped nodes form an intrusive free list through the same
+//! `next` field, and the next schedule reuses the most recently freed
+//! one, so a run allocates O(peak pending) nodes in one block. A popped
+//! event is copied out of its node, hence the `E: Copy` bound; the
+//! simulation's events are plain keys (EXPERIMENTS.md, round 17).
+//!
 //! The pop order is the total order `(time, seq)` regardless of which
 //! tier an event waited in, so the calendar queue is observably
 //! *bit-identical* to the straightforward binary-heap implementation it
@@ -76,6 +87,9 @@ const ADAPT_PERIOD: u64 = 1024;
 /// buckets per pop on average.
 const ADAPT_SCAN_RATIO: u64 = 4;
 
+/// End of a bucket list: an empty bucket's head, a last node's `next`.
+const NONE: u32 = u32::MAX;
+
 /// A deterministic priority queue of timestamped events.
 ///
 /// # Example
@@ -94,10 +108,18 @@ const ADAPT_SCAN_RATIO: u64 = 4;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// The calendar ring: bucket `s & mask` holds the events of slot `s`
-    /// for every slot in the window `[cursor, cursor + buckets.len())`.
-    buckets: Vec<Vec<Entry<E>>>,
-    /// `buckets.len() - 1`; the length is a power of two.
+    /// The node arena: one node per bucketed event, plus the popped
+    /// nodes that `free` chains for reuse.
+    nodes: Vec<Node<E>>,
+    /// Head of the free list through popped nodes' [`Node::next`]
+    /// ([`NONE`] when every node holds an event).
+    free: u32,
+    /// The calendar ring: `heads[s & mask]` starts the list, linked
+    /// through [`Node::next`], of the events of slot `s` for every slot
+    /// in the window `[cursor, cursor + heads.len())`; [`NONE`] when the
+    /// bucket is empty.
+    heads: Vec<u32>,
+    /// `heads.len() - 1`; the length is a power of two.
     mask: u64,
     /// `log2` of the bucket width in nanoseconds.
     shift: u32,
@@ -129,11 +151,20 @@ pub struct EventQueue<E> {
     scratch: Vec<Entry<E>>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Entry<E> {
     at: SimTime,
     seq: u64,
     event: E,
+}
+
+/// An arena node: a bucketed event and the index of the next node in
+/// its bucket, or, once popped, in the free list ([`NONE`] ends either
+/// list).
+#[derive(Debug, Clone, Copy)]
+struct Node<E> {
+    entry: Entry<E>,
+    next: u32,
 }
 
 impl<E> PartialEq for Entry<E> {
@@ -156,7 +187,7 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         Self::with_capacity(0)
@@ -190,11 +221,9 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(capacity: usize) -> Self {
         let buckets = capacity.next_power_of_two().clamp(1024, 4096);
         EventQueue {
-            // A few slots of headroom per bucket: a freshly filled queue
-            // otherwise pays the 1→2→4 realloc chain in thousands of
-            // buckets during its first window. Purely an allocation
-            // pattern — pop order is unaffected.
-            buckets: (0..buckets).map(|_| Vec::with_capacity(4)).collect(),
+            nodes: Vec::with_capacity(capacity),
+            free: NONE,
+            heads: vec![NONE; buckets],
             mask: buckets as u64 - 1,
             shift: INITIAL_SHIFT,
             cursor: 0,
@@ -216,18 +245,57 @@ impl<E> EventQueue<E> {
         at.as_ns() >> self.shift
     }
 
+    /// The window slot an event at `at` files under. The release-mode
+    /// past-scheduling clamp: a slot below the cursor files under the
+    /// cursor so the event still pops next, in raw `(time, seq)` order
+    /// among its fellow clamped events.
+    #[inline]
+    fn filing_slot(&self, at: SimTime) -> u64 {
+        self.slot_of(at).max(self.cursor)
+    }
+
+    /// Pushes `entry` onto the front of `slot`'s bucket list, in the
+    /// most recently freed node or a new one.
+    #[inline]
+    fn link(&mut self, slot: u64, entry: Entry<E>) {
+        let head = &mut self.heads[(slot & self.mask) as usize];
+        let node = Node { entry, next: *head };
+        *head = match self.free {
+            NONE => Self::push_node(&mut self.nodes, node),
+            key => {
+                let reused = &mut self.nodes[key as usize];
+                self.free = reused.next;
+                *reused = node;
+                key
+            }
+        };
+        self.near_len += 1;
+    }
+
+    /// Appends `node` to the arena and returns its index. The arena only
+    /// grows while the pending set reaches a new high-water mark, so
+    /// this stays out of line, as do the queue's other rare paths
+    /// (`widen`, `jump_to_far`, `pop_run`): inlined, they slowed the
+    /// runtime's dispatch loop (EXPERIMENTS.md, round 17).
+    #[cold]
+    #[inline(never)]
+    fn push_node(nodes: &mut Vec<Node<E>>, node: Node<E>) -> u32 {
+        let key = u32::try_from(nodes.len())
+            .ok()
+            .filter(|&key| key != NONE)
+            .expect("event queue exceeded u32::MAX - 1 bucketed events");
+        nodes.push(node);
+        key
+    }
+
     /// Files an entry into its bucket or the far heap. `seq` is already
-    /// assigned; shared by [`EventQueue::schedule`], far→near migration
-    /// and re-bucketing.
+    /// assigned; shared by [`EventQueue::schedule`] and far→near
+    /// migration.
     #[inline]
     fn insert_entry(&mut self, entry: Entry<E>) {
-        // The release-mode past-scheduling clamp: a slot below the cursor
-        // files under the cursor so the event still pops next, in raw
-        // `(time, seq)` order among its fellow clamped events.
-        let slot = self.slot_of(entry.at).max(self.cursor);
-        if slot < self.cursor + self.buckets.len() as u64 {
-            self.buckets[(slot & self.mask) as usize].push(entry);
-            self.near_len += 1;
+        let slot = self.filing_slot(entry.at);
+        if slot < self.cursor + self.heads.len() as u64 {
+            self.link(slot, entry);
         } else {
             self.far_next_slot = self.far_next_slot.min(slot);
             self.far.push(entry);
@@ -251,26 +319,33 @@ impl<E> EventQueue<E> {
         self.seq += 1;
         self.len += 1;
         self.insert_entry(Entry { at, seq, event });
+        self.debug_check_counts();
+    }
+
+    /// Debug builds: events scheduled minus events popped equals the
+    /// events resident in the buckets and the far heap.
+    #[inline]
+    fn debug_check_counts(&self) {
+        debug_assert_eq!(self.len, self.near_len + self.far.len(), "pending events lost or duplicated");
     }
 
     /// Moves far-heap events whose slot has entered the window into their
     /// buckets.
     fn drain_far(&mut self) {
-        let window_end = self.cursor + self.buckets.len() as u64;
+        let window_end = self.cursor + self.heads.len() as u64;
         while let Some(top) = self.far.peek() {
             if self.slot_of(top.at) >= window_end {
                 break;
             }
             let entry = self.far.pop().expect("peeked entry vanished");
-            let slot = self.slot_of(entry.at).max(self.cursor);
-            self.buckets[(slot & self.mask) as usize].push(entry);
-            self.near_len += 1;
+            self.link(self.filing_slot(entry.at), entry);
         }
         self.far_next_slot = self.far.peek().map_or(u64::MAX, |e| self.slot_of(e.at));
     }
 
     /// With the window empty, jumps the cursor to the earliest far event
     /// and migrates the now-near events in.
+    #[cold]
     fn jump_to_far(&mut self) {
         debug_assert_eq!(self.near_len, 0);
         if let Some(top) = self.far.peek() {
@@ -280,21 +355,109 @@ impl<E> EventQueue<E> {
     }
 
     /// Doubles the bucket width and re-files the window, shrinking the
-    /// per-pop scan distance for sparse schedules.
+    /// per-pop scan distance for sparse schedules. Nodes are relinked in
+    /// place, without moving an event or allocating: every bucket list
+    /// is spliced onto one chain, which is then re-filed at the new
+    /// width. Halving the cursor keeps every re-filed slot inside the
+    /// (twice as long) window.
+    #[cold]
+    #[inline(never)]
     fn widen(&mut self) {
-        let mut stash: Vec<Entry<E>> = Vec::with_capacity(self.near_len);
-        for bucket in &mut self.buckets {
-            stash.append(bucket);
+        let mut chain = NONE;
+        for head in &mut self.heads {
+            let mut key = std::mem::replace(head, NONE);
+            while key != NONE {
+                let next = std::mem::replace(&mut self.nodes[key as usize].next, chain);
+                chain = key;
+                key = next;
+            }
         }
-        self.near_len = 0;
         self.shift += 1;
         self.cursor >>= 1;
-        for entry in stash {
-            self.insert_entry(entry);
+        while chain != NONE {
+            let node = self.nodes[chain as usize];
+            let (next, slot) = (node.next, self.filing_slot(node.entry.at));
+            debug_assert!(
+                slot < self.cursor + self.heads.len() as u64,
+                "widen pushed an event past the window"
+            );
+            let head = &mut self.heads[(slot & self.mask) as usize];
+            self.nodes[chain as usize].next = std::mem::replace(head, chain);
+            chain = next;
         }
         // The longer window may now cover events that waited in the far
         // heap; pull them in so the near/far order invariant holds.
         self.drain_far();
+    }
+
+    /// Advances the cursor to the first non-empty bucket and returns its
+    /// ring index, migrating far events as the window reaches them. The
+    /// queue must not be empty.
+    #[inline]
+    fn seek(&mut self) -> usize {
+        if self.near_len == 0 {
+            self.jump_to_far();
+        }
+        loop {
+            let idx = (self.cursor & self.mask) as usize;
+            if self.heads[idx] != NONE {
+                return idx;
+            }
+            self.cursor += 1;
+            self.scans_in_period += 1;
+            if self.far_next_slot < self.cursor + self.heads.len() as u64 {
+                self.drain_far();
+            }
+            if self.near_len == 0 {
+                self.jump_to_far();
+            }
+        }
+    }
+
+    /// Unlinks node `key` from bucket `idx`, where `prev` is its
+    /// predecessor in the list ([`NONE`] for the head), frees the node
+    /// and returns its entry.
+    #[inline]
+    fn unlink(&mut self, idx: usize, prev: u32, key: u32) -> Entry<E> {
+        let node = &mut self.nodes[key as usize];
+        let (entry, next) = (node.entry, std::mem::replace(&mut node.next, self.free));
+        self.free = key;
+        self.near_len -= 1;
+        match prev {
+            NONE => self.heads[idx] = next,
+            prev => self.nodes[prev as usize].next = next,
+        }
+        entry
+    }
+
+    /// One min-scan of the cursor bucket `idx`: the node holding its
+    /// earliest `(time, seq)`, that node's predecessor ([`NONE`] for the
+    /// head), its time, and the number of entries sharing that time (the
+    /// tie run). The bucket's earliest entry is the global minimum:
+    /// every other window slot is later, and far events are beyond the
+    /// window.
+    #[inline]
+    fn scan(&self, idx: usize) -> (u32, u32, SimTime, usize) {
+        let mut best = self.heads[idx];
+        let mut best_prev = NONE;
+        let first = &self.nodes[best as usize];
+        let mut best_key = (first.entry.at, first.entry.seq);
+        let mut run = 1;
+        let (mut prev, mut key) = (best, first.next);
+        while key != NONE {
+            let node = &self.nodes[key as usize];
+            let (at, seq) = (node.entry.at, node.entry.seq);
+            if at < best_key.0 {
+                (best, best_prev, best_key, run) = (key, prev, (at, seq), 1);
+            } else if at == best_key.0 {
+                run += 1;
+                if seq < best_key.1 {
+                    (best, best_prev, best_key) = (key, prev, (at, seq));
+                }
+            }
+            (prev, key) = (key, node.next);
+        }
+        (best, best_prev, best_key.0, run)
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
@@ -308,59 +471,12 @@ impl<E> EventQueue<E> {
         if self.len == 0 {
             return None;
         }
-        if self.near_len == 0 {
-            self.jump_to_far();
-        }
-        loop {
-            let bucket = &mut self.buckets[(self.cursor & self.mask) as usize];
-            if !bucket.is_empty() {
-                // The earliest (time, seq) in the cursor bucket is the
-                // global minimum: every other window slot is later, and
-                // far events are beyond the window.
-                let mut best = 0;
-                let mut best_key = (bucket[0].at, bucket[0].seq);
-                for (i, e) in bucket.iter().enumerate().skip(1) {
-                    let key = (e.at, e.seq);
-                    if key < best_key {
-                        best = i;
-                        best_key = key;
-                    }
-                }
-                let entry = bucket.swap_remove(best);
-                self.near_len -= 1;
-                self.len -= 1;
-                self.pops_in_period += 1;
-                if self.pops_in_period == ADAPT_PERIOD {
-                    if self.scans_in_period > ADAPT_SCAN_RATIO * ADAPT_PERIOD && self.shift < MAX_SHIFT {
-                        self.widen();
-                    }
-                    self.pops_in_period = 0;
-                    self.scans_in_period = 0;
-                }
-                let at = entry.at.max(self.last_popped);
-                // FIFO among ties: equal pop times must preserve
-                // scheduling order (callers and the golden pins depend
-                // on it). In debug builds past-scheduling panics above,
-                // so `entry.at` is the raw timestamp here.
-                debug_assert!(
-                    self.last_seq == u64::MAX || at > self.last_popped || entry.seq > self.last_seq,
-                    "FIFO tie order violated at {at}: seq {} after {}",
-                    entry.seq,
-                    self.last_seq
-                );
-                self.last_popped = at;
-                self.last_seq = entry.seq;
-                return Some((at, entry.event));
-            }
-            self.cursor += 1;
-            self.scans_in_period += 1;
-            if self.far_next_slot < self.cursor + self.buckets.len() as u64 {
-                self.drain_far();
-            }
-            if self.near_len == 0 {
-                self.jump_to_far();
-            }
-        }
+        let idx = self.seek();
+        let (best, best_prev, _, _) = self.scan(idx);
+        let entry = self.unlink(idx, best_prev, best);
+        let popped = self.finish_pop(entry);
+        self.debug_check_counts();
+        Some(popped)
     }
 
     /// Drains the earliest *tie run* — every pending event sharing the
@@ -384,79 +500,56 @@ impl<E> EventQueue<E> {
         if self.len == 0 {
             return 0;
         }
-        if self.near_len == 0 {
-            self.jump_to_far();
+        let idx = self.seek();
+        // Every tied entry is in this bucket — equal raw times share a
+        // slot, and the far heap only holds slots beyond the window (see
+        // the module docs).
+        let (best, best_prev, at, run) = self.scan(idx);
+        if run == 1 {
+            let entry = self.unlink(idx, best_prev, best);
+            out.push(self.finish_pop(entry));
+        } else {
+            self.pop_run(idx, at, out);
         }
-        loop {
-            let idx = (self.cursor & self.mask) as usize;
-            if !self.buckets[idx].is_empty() {
-                // One scan: locate the earliest `(time, seq)` and count
-                // the entries sharing its timestamp (the tie run). Every
-                // tied entry is in this bucket — equal raw times share a
-                // slot, and the far heap only holds slots beyond the
-                // window (see the module docs).
-                let bucket = &self.buckets[idx];
-                let mut best = 0;
-                let mut best_key = (bucket[0].at, bucket[0].seq);
-                let mut run = 1usize;
-                for (i, e) in bucket.iter().enumerate().skip(1) {
-                    if e.at < best_key.0 {
-                        best = i;
-                        best_key = (e.at, e.seq);
-                        run = 1;
-                    } else if e.at == best_key.0 {
-                        run += 1;
-                        if e.seq < best_key.1 {
-                            best = i;
-                            best_key = (e.at, e.seq);
-                        }
-                    }
-                }
-                if run == 1 {
-                    let entry = self.buckets[idx].swap_remove(best);
-                    self.finish_pop(entry, out);
-                } else {
-                    // Extract the run back-to-front — `swap_remove` only
-                    // pulls already-examined tail entries into the hole —
-                    // then restore FIFO order by `seq`. `scratch` is
-                    // detached from `self` for the duration so the
-                    // per-entry bookkeeping below can borrow the queue.
-                    let at = best_key.0;
-                    let mut scratch = std::mem::take(&mut self.scratch);
-                    let bucket = &mut self.buckets[idx];
-                    let mut i = bucket.len();
-                    while i > 0 {
-                        i -= 1;
-                        if bucket[i].at == at {
-                            scratch.push(bucket.swap_remove(i));
-                        }
-                    }
-                    scratch.sort_unstable_by_key(|e| e.seq);
-                    for entry in scratch.drain(..) {
-                        self.finish_pop(entry, out);
-                    }
-                    self.scratch = scratch;
-                }
-                return out.len();
-            }
-            self.cursor += 1;
-            self.scans_in_period += 1;
-            if self.far_next_slot < self.cursor + self.buckets.len() as u64 {
-                self.drain_far();
-            }
-            if self.near_len == 0 {
-                self.jump_to_far();
-            }
-        }
+        self.debug_check_counts();
+        out.len()
     }
 
-    /// Per-entry bookkeeping shared by the [`EventQueue::pop_batch`]
-    /// paths: adaptation accounting, the monotonic-clock clamp, the FIFO
-    /// tie assertion, and the push into the caller's batch. Mirrors the
-    /// tail of [`EventQueue::pop`] exactly.
+    /// Pops a tie run of two or more events at `at` from the cursor
+    /// bucket `idx` into `out`, in FIFO (`seq`) order.
+    #[cold]
+    #[inline(never)]
+    fn pop_run(&mut self, idx: usize, at: SimTime, out: &mut Vec<(SimTime, E)>) {
+        // Unlink the whole run, which takes it off `near_len`, before any
+        // per-entry bookkeeping: that may widen the buckets at the
+        // adaptation checkpoint, and the widen must then see only the
+        // events still bucketed. `scratch` is detached from `self` so the
+        // bookkeeping can borrow the queue.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let (mut prev, mut key) = (NONE, self.heads[idx]);
+        while key != NONE {
+            let node = &self.nodes[key as usize];
+            let next = node.next;
+            if node.entry.at == at {
+                scratch.push(self.unlink(idx, prev, key));
+            } else {
+                prev = key;
+            }
+            key = next;
+        }
+        scratch.sort_unstable_by_key(|e| e.seq);
+        for entry in scratch.drain(..) {
+            out.push(self.finish_pop(entry));
+        }
+        self.scratch = scratch;
+    }
+
+    /// Per-pop bookkeeping shared by [`EventQueue::pop`] and
+    /// [`EventQueue::pop_batch`], for an entry already unlinked:
+    /// adaptation accounting, the monotonic-clock clamp and the FIFO tie
+    /// assertion.
     #[inline]
-    fn finish_pop(&mut self, entry: Entry<E>, out: &mut Vec<(SimTime, E)>) {
-        self.near_len -= 1;
+    fn finish_pop(&mut self, entry: Entry<E>) -> (SimTime, E) {
         self.len -= 1;
         self.pops_in_period += 1;
         if self.pops_in_period == ADAPT_PERIOD {
@@ -467,6 +560,10 @@ impl<E> EventQueue<E> {
             self.scans_in_period = 0;
         }
         let at = entry.at.max(self.last_popped);
+        // FIFO among ties: equal pop times must preserve scheduling order
+        // (callers and the golden pins depend on it). In debug builds
+        // past-scheduling panics in `schedule`, so `entry.at` is the raw
+        // timestamp here.
         debug_assert!(
             self.last_seq == u64::MAX || at > self.last_popped || entry.seq > self.last_seq,
             "FIFO tie order violated at {at}: seq {} after {}",
@@ -475,7 +572,7 @@ impl<E> EventQueue<E> {
         );
         self.last_popped = at;
         self.last_seq = entry.seq;
-        out.push((at, entry.event));
+        (at, entry.event)
     }
 
     /// The timestamp of the next event without removing it.
@@ -487,17 +584,19 @@ impl<E> EventQueue<E> {
             return self.far.peek().map(|e| e.at.max(self.last_popped));
         }
         let mut slot = self.cursor;
-        loop {
-            let bucket = &self.buckets[(slot & self.mask) as usize];
-            if let Some(first) = bucket.first() {
-                let mut min = first.at;
-                for e in &bucket[1..] {
-                    min = min.min(e.at);
-                }
-                return Some(min.max(self.last_popped));
+        let mut key = loop {
+            match self.heads[(slot & self.mask) as usize] {
+                NONE => slot += 1,
+                head => break head,
             }
-            slot += 1;
+        };
+        let mut min = self.nodes[key as usize].entry.at;
+        while key != NONE {
+            let node = &self.nodes[key as usize];
+            min = min.min(node.entry.at);
+            key = node.next;
         }
+        Some(min.max(self.last_popped))
     }
 
     /// Number of pending events.
@@ -513,9 +612,9 @@ impl<E> EventQueue<E> {
     /// Removes all pending events but keeps the sequence counter, so a
     /// cleared queue still breaks ties deterministically.
     pub fn clear(&mut self) {
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
+        self.nodes.clear();
+        self.free = NONE;
+        self.heads.fill(NONE);
         self.far.clear();
         self.far_next_slot = u64::MAX;
         self.near_len = 0;
@@ -523,7 +622,7 @@ impl<E> EventQueue<E> {
     }
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }

@@ -53,3 +53,6 @@ pub use phase::PhaseSchedule;
 pub use rng::SimRng;
 pub use slab::{HotColdSlab, Slab};
 pub use time::{SimDuration, SimTime};
+/// Rounding half away from zero without a libm call, for crates that
+/// reach the pinned math only through this one.
+pub use tpv_math::round_half_away;

@@ -3,7 +3,9 @@
 //! ordered by `(time, seq)` — non-decreasing pop times, FIFO among equal
 //! timestamps, and bit-identical pop sequences on random schedules,
 //! including interleaved schedule/pop traffic that slides the bucket
-//! window and exercises the far-future heap.
+//! window and exercises the far-future heap. The long cases run past
+//! the queue's 1,024-pop adaptation checkpoint with sparse stretches,
+//! so bucket widening happens mid-stream, inside tie runs included.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -32,6 +34,76 @@ impl ReferenceQueue {
         self.last_popped = at;
         Some((at, seq))
     }
+
+    fn clear(&mut self) {
+        self.heap.clear();
+    }
+}
+
+/// Event times for the long cases: each `(gap, pick)` is one event.
+/// `pick == 0` stretches the gap to up to 1 ms (a sparse stretch, tens
+/// of empty buckets per pop, so the adaptation widens), `pick == 1`
+/// ties the event with the previous one, and the rest stay dense.
+fn long_schedule(steps: &[(u64, u32)]) -> Vec<SimTime> {
+    let mut at = SimTime::ZERO;
+    steps
+        .iter()
+        .map(|&step| {
+            at += step_gap(step);
+            at
+        })
+        .collect()
+}
+
+/// One step's gap for [`long_schedule`].
+fn step_gap((gap, pick): (u64, u32)) -> SimDuration {
+    SimDuration::from_ns(match pick {
+        0 => gap * 1_000,
+        1 => 0,
+        _ => gap,
+    })
+}
+
+/// Drains `calendar` batch by batch against `reference`, checking each
+/// batch is one timestamp's FIFO run; returns the events drained.
+fn drain_batches_against(calendar: &mut EventQueue<u64>, reference: &mut ReferenceQueue) -> usize {
+    let mut batch = Vec::new();
+    let mut drained = 0;
+    while calendar.pop_batch(&mut batch) > 0 {
+        for pair in batch.windows(2) {
+            assert_eq!(pair[0].0, pair[1].0, "a batch must be one timestamp's tie run");
+            assert!(pair[0].1 < pair[1].1, "tie run out of FIFO order");
+        }
+        for &got in &batch {
+            assert_eq!(Some(got), reference.pop(), "batched queue diverged after {drained} events");
+            drained += 1;
+        }
+    }
+    assert_eq!(reference.pop(), None, "batched queue ended early");
+    drained
+}
+
+/// A bucket widen at the 1,024-pop adaptation checkpoint that lands
+/// inside a tie run: 1,022 sparse events (100 µs apart, ~50 empty
+/// buckets per pop), then a 3-event tie run whose second member is the
+/// 1,024th pop, then one event 10 µs later and one 1 s later. Every
+/// event must pop in order at its own time.
+#[test]
+fn widen_inside_a_tie_run_keeps_every_event() {
+    let tie = SimTime::from_us(102_300);
+    let mut times: Vec<SimTime> = (0..1022).map(|i| SimTime::from_us(100 * i)).collect();
+    times.extend([tie, tie, tie, tie + SimDuration::from_us(10), tie + SimDuration::from_secs(1)]);
+    let mut q = EventQueue::new();
+    for (i, &at) in times.iter().enumerate() {
+        q.schedule(at, i);
+    }
+    let mut batch = Vec::new();
+    let mut popped = Vec::new();
+    while q.pop_batch(&mut batch) > 0 {
+        popped.extend_from_slice(&batch);
+    }
+    let want: Vec<(SimTime, usize)> = times.iter().copied().zip(0..).collect();
+    assert_eq!(popped, want);
 }
 
 proptest! {
@@ -219,6 +291,85 @@ proptest! {
             }
         }
         prop_assert!(plain.pop().is_none(), "batched queue ended early");
+    }
+
+    /// Batched draining of 1,100–3,000 events scheduled up front, with
+    /// sparse stretches that make the queue widen and ties across the
+    /// adaptation checkpoint, matches the reference heap.
+    #[test]
+    fn pop_batch_matches_reference_past_the_adaptation_checkpoint(
+        steps in prop::collection::vec((0u64..1_000, 0u32..16), 1_100..3_000),
+    ) {
+        let mut calendar = EventQueue::new();
+        let mut reference = ReferenceQueue::default();
+        for (i, at) in long_schedule(&steps).into_iter().enumerate() {
+            calendar.schedule(at, i as u64);
+            reference.schedule(at);
+        }
+        prop_assert_eq!(drain_batches_against(&mut calendar, &mut reference), steps.len());
+    }
+
+    /// Interleaved traffic past the checkpoint: each step schedules one
+    /// event its [`step_gap`] ahead of the clock (a tied step reuses the
+    /// previous event's time while the clock has not passed it), and
+    /// two steps in three drain a batch, so widening re-files a window
+    /// that events keep entering.
+    #[test]
+    fn pop_batch_matches_reference_interleaved_past_the_adaptation_checkpoint(
+        steps in prop::collection::vec((0u64..1_000, 0u32..16), 1_100..3_000),
+    ) {
+        let mut calendar = EventQueue::new();
+        let mut reference = ReferenceQueue::default();
+        let mut batch = Vec::new();
+        let (mut clock, mut last) = (SimTime::ZERO, SimTime::ZERO);
+        for (i, &step) in steps.iter().enumerate() {
+            let at = if step.1 == 1 { last.max(clock) } else { clock + step_gap(step) };
+            calendar.schedule(at, i as u64);
+            reference.schedule(at);
+            last = at;
+            if i % 3 != 0 && calendar.pop_batch(&mut batch) > 0 {
+                for &got in &batch {
+                    prop_assert_eq!(Some(got), reference.pop());
+                }
+                clock = batch[0].0;
+            }
+        }
+        drain_batches_against(&mut calendar, &mut reference);
+    }
+
+    /// `clear` after a widened, partly drained run leaves a queue that
+    /// behaves like a fresh one past the clock: the reuse matches the
+    /// reference heap, which keeps its sequence counter across the clear
+    /// as the calendar queue does.
+    #[test]
+    fn clear_then_reuse_matches_reference(
+        steps in prop::collection::vec((0u64..1_000, 0u32..16), 1_100..3_000),
+        drained in 1_025usize..1_100,
+    ) {
+        let mut calendar = EventQueue::new();
+        let mut reference = ReferenceQueue::default();
+        let times = long_schedule(&steps);
+        for (i, &at) in times.iter().enumerate() {
+            calendar.schedule(at, i as u64);
+            reference.schedule(at);
+        }
+        let mut clock = SimTime::ZERO;
+        for _ in 0..drained {
+            let got = calendar.pop();
+            prop_assert_eq!(got, reference.pop());
+            clock = got.expect("fewer events than the drain").0;
+        }
+        calendar.clear();
+        reference.clear();
+        prop_assert!(calendar.is_empty());
+        prop_assert_eq!(calendar.peek_time(), None);
+        for (i, &at) in times.iter().enumerate() {
+            let at = clock + (at - SimTime::ZERO);
+            calendar.schedule(at, (times.len() + i) as u64);
+            reference.schedule(at);
+        }
+        prop_assert_eq!(calendar.len(), times.len());
+        prop_assert_eq!(drain_batches_against(&mut calendar, &mut reference), times.len());
     }
 
     /// `len` and `peek_time` agree with the pop sequence.
