@@ -39,7 +39,7 @@ pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
             .qps(&[100_000.0])
             .runs(runs)
             .run_duration(duration)
-            .seed(ctx.seed() + think_us)
+            .seed(ctx.seed())
             .build()
             .run_with(&ctx.engine);
 

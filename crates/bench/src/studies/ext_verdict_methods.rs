@@ -6,21 +6,18 @@
 //! decisions under both rules and reports where they disagree — a check
 //! that the paper's conclusions are not an artefact of its decision rule.
 
-use crate::{avg_samples, banner};
+use crate::avg_samples;
 use tpv_core::analysis::compare;
 use tpv_core::report::{Csv, MarkdownTable};
-use tpv_core::scenarios::{memcached_c1e_study, MEMCACHED_QPS};
+use tpv_core::scenarios::MEMCACHED_QPS;
 use tpv_stats::mann_whitney_u;
 
 use crate::study::StudyCtx;
 
 /// Renders this artefact through the context engine.
 pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
-    let runs = ctx.runs(30);
-    let duration = ctx.duration(500);
-    banner("Extension: CI-overlap vs Mann-Whitney verdicts (C1E study)", runs, duration);
-
-    let results = memcached_c1e_study(&MEMCACHED_QPS, runs, duration, ctx.seed()).run_with(&ctx.engine);
+    let results =
+        super::section_va(ctx, "Extension: CI-overlap vs Mann-Whitney verdicts (C1E study)", &MEMCACHED_QPS);
 
     let mut table = MarkdownTable::new(&[
         "client",

@@ -7,18 +7,13 @@
 
 use tpv_core::analysis::compare;
 use tpv_core::report::{Csv, MarkdownTable};
-use tpv_core::scenarios::{memcached_smt_study, MEMCACHED_QPS};
+use tpv_core::scenarios::MEMCACHED_QPS;
 
-use crate::banner;
 use crate::study::StudyCtx;
 
 /// Renders Figure 2 through the context's engine.
 pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
-    let runs = ctx.runs(30);
-    let duration = ctx.duration(500);
-    banner("Figure 2: Memcached SMT study (LP/HP clients)", runs, duration);
-
-    let results = memcached_smt_study(&MEMCACHED_QPS, runs, duration, ctx.seed()).run_with(&ctx.engine);
+    let results = super::section_va(ctx, "Figure 2: Memcached SMT study (LP/HP clients)", &MEMCACHED_QPS);
 
     let mut table = MarkdownTable::new(&[
         "QPS",

@@ -2,20 +2,15 @@
 //! Memcached service latency with LP and HP clients — the paper's
 //! conflicting-conclusions study (Finding 2).
 
-use crate::banner;
 use tpv_core::analysis::{compare, conclusions_conflict};
 use tpv_core::report::{Csv, MarkdownTable};
-use tpv_core::scenarios::{memcached_c1e_study, MEMCACHED_QPS};
+use tpv_core::scenarios::MEMCACHED_QPS;
 
 use crate::study::StudyCtx;
 
 /// Renders this artefact through the context engine.
 pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
-    let runs = ctx.runs(30);
-    let duration = ctx.duration(500);
-    banner("Figure 3: Memcached C1E study (LP/HP clients)", runs, duration);
-
-    let results = memcached_c1e_study(&MEMCACHED_QPS, runs, duration, ctx.seed()).run_with(&ctx.engine);
+    let results = super::section_va(ctx, "Figure 3: Memcached C1E study (LP/HP clients)", &MEMCACHED_QPS);
 
     let mut table = MarkdownTable::new(&[
         "QPS",

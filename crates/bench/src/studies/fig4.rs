@@ -2,21 +2,15 @@
 //! latency with LP and HP clients — the high-response-time service where
 //! client choice stops mattering (Finding 3).
 
-use crate::banner;
 use tpv_core::analysis::compare;
 use tpv_core::report::{Csv, MarkdownTable};
-use tpv_core::scenarios::{hdsearch_c1e_study, hdsearch_smt_study, HDSEARCH_QPS};
+use tpv_core::scenarios::HDSEARCH_QPS;
 
 use crate::study::StudyCtx;
 
 /// Renders this artefact through the context engine.
 pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
-    let runs = ctx.runs(20);
-    let duration = ctx.duration(1500);
-    banner("Figure 4: HDSearch SMT + C1E studies (LP/HP clients)", runs, duration);
-
-    let smt = hdsearch_smt_study(&HDSEARCH_QPS, runs, duration, ctx.seed()).run_with(&ctx.engine);
-    let c1e = hdsearch_c1e_study(&HDSEARCH_QPS, runs, duration, ctx.seed() + 1).run_with(&ctx.engine);
+    let results = super::hdsearch_campaign(ctx, "Figure 4: HDSearch SMT + C1E studies (LP/HP clients)");
 
     let mut table = MarkdownTable::new(&[
         "QPS",
@@ -45,14 +39,12 @@ pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
     let mut gaps = Vec::new();
     let mut trend_agreement = 0usize;
     for &q in &HDSEARCH_QPS {
-        let lp_off = smt.cell("LP", "SMToff", q).unwrap().summary();
-        let hp_off = smt.cell("HP", "SMToff", q).unwrap().summary();
-        let lp_on = smt.cell("LP", "SMTon", q).unwrap().summary();
-        let hp_on = smt.cell("HP", "SMTon", q).unwrap().summary();
-        let lp_c_off = c1e.cell("LP", "SMToff", q).unwrap().summary();
-        let lp_c_on = c1e.cell("LP", "C1Eon", q).unwrap().summary();
-        let hp_c_off = c1e.cell("HP", "SMToff", q).unwrap().summary();
-        let hp_c_on = c1e.cell("HP", "C1Eon", q).unwrap().summary();
+        let lp_off = results.cell("LP", "SMToff", q).unwrap().summary();
+        let hp_off = results.cell("HP", "SMToff", q).unwrap().summary();
+        let lp_on = results.cell("LP", "SMTon", q).unwrap().summary();
+        let hp_on = results.cell("HP", "SMTon", q).unwrap().summary();
+        let lp_c1e = results.cell("LP", "C1Eon", q).unwrap().summary();
+        let hp_c1e = results.cell("HP", "C1Eon", q).unwrap().summary();
 
         let gap_avg = lp_off.avg_median_us() / hp_off.avg_median_us();
         let gap_p99 = lp_off.p99_median_us() / hp_off.p99_median_us();
@@ -60,8 +52,8 @@ pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
 
         let smt_lp = compare(&lp_off, &lp_on).speedup_avg;
         let smt_hp = compare(&hp_off, &hp_on).speedup_avg;
-        let c1e_lp = compare(&lp_c_on, &lp_c_off).speedup_avg;
-        let c1e_hp = compare(&hp_c_on, &hp_c_off).speedup_avg;
+        let c1e_lp = compare(&lp_c1e, &lp_off).speedup_avg;
+        let c1e_hp = compare(&hp_c1e, &hp_off).speedup_avg;
         // "Same speedups (with similar trends) for both clients".
         if (smt_lp - smt_hp).abs() < 0.08 {
             trend_agreement += 1;

@@ -1,21 +1,16 @@
 //! Regenerates **Figure 5**: standard deviation of the average response
 //! time for Memcached and HDSearch under LP/HP clients and SMT on/off —
-//! the variance-crossover evidence behind Finding 4.
+//! the evidence behind Finding 4.
 
-use crate::banner;
 use tpv_core::report::{Csv, MarkdownTable};
-use tpv_core::scenarios::{hdsearch_smt_study, memcached_smt_study, HDSEARCH_QPS, MEMCACHED_QPS};
+use tpv_core::scenarios::{HDSEARCH_QPS, MEMCACHED_QPS};
 
 use crate::study::StudyCtx;
 
 /// Renders this artefact through the context engine.
 pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
-    let runs = ctx.runs(30);
-    let duration = ctx.duration(500);
-    banner("Figure 5: stddev of average response time (Memcached, HDSearch)", runs, duration);
-
-    println!("-- (a) Memcached --\n");
-    let mem = memcached_smt_study(&MEMCACHED_QPS, runs, duration, ctx.seed()).run_with(&ctx.engine);
+    let mem =
+        super::section_va(ctx, "Figure 5(a): stddev of average response time, Memcached", &MEMCACHED_QPS);
     let mut table = MarkdownTable::new(&["QPS", "LP-SMToff", "LP-SMTon", "HP-SMToff", "HP-SMTon"]);
     let mut csv =
         Csv::new(&["benchmark", "qps", "lp_smtoff_us", "lp_smton_us", "hp_smtoff_us", "hp_smton_us"]);
@@ -56,9 +51,7 @@ pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
     }
     println!("{}", table.render());
 
-    println!("-- (b) HDSearch --\n");
-    let hd = hdsearch_smt_study(&HDSEARCH_QPS, runs.min(20), ctx.duration(1500), ctx.seed() + 1)
-        .run_with(&ctx.engine);
+    let hd = super::hdsearch_campaign(ctx, "Figure 5(b): stddev of average response time, HDSearch");
     let mut table_b = MarkdownTable::new(&["QPS", "LP-SMToff", "LP-SMTon", "HP-SMToff", "HP-SMTon"]);
     for &q in &HDSEARCH_QPS {
         let cells = [
@@ -85,9 +78,14 @@ pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
     }
     println!("{}", table_b.render());
 
+    // The paper's crossover: LP noisier than HP at 10K, quieter at 500K.
+    let crossover = if lp_high < hp_high { " crossover" } else { "" };
+    let quieter = |lp: f64, hp: f64| if lp < hp { "LP quieter" } else { "LP noisier" };
     println!(
-        "\nFinding 4 crossover: at 10K QPS LP stddev {lp_low:.1}us vs HP {hp_low:.1}us (LP noisier); \
-         at 500K LP {lp_high:.1}us vs HP {hp_high:.1}us."
+        "\nFinding 4{crossover}: at 10K QPS LP stddev {lp_low:.1}us vs HP {hp_low:.1}us ({}); \
+         at 500K LP {lp_high:.1}us vs HP {hp_high:.1}us ({}).",
+        quieter(lp_low, hp_low),
+        quieter(lp_high, hp_high)
     );
     if lp_low <= hp_low {
         eprintln!("[shape warning] LP should be noisier than HP at low load");

@@ -42,14 +42,9 @@ pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
     let mut ratio_at_zero_20k = 0.0;
     let mut ratio_at_400_20k = 0.0;
     for &delay_us in &SYNTHETIC_DELAYS_US {
-        let exp = synthetic_study(
-            SimDuration::from_us(delay_us),
-            &SYNTHETIC_QPS,
-            runs,
-            duration,
-            ctx.seed() + delay_us,
-        );
-        let results = exp.run_with(&ctx.engine);
+        let results =
+            synthetic_study(SimDuration::from_us(delay_us), &SYNTHETIC_QPS, runs, duration, ctx.seed())
+                .run_with(&ctx.engine);
         for &q in &SYNTHETIC_QPS {
             let lp = results.cell("LP", "SMToff", q).unwrap().summary();
             let hp = results.cell("HP", "SMToff", q).unwrap().summary();

@@ -2,9 +2,8 @@
 //! times for the HP-SMToff 400K configuration — the right-skewed,
 //! queueing-dominated distribution that fails normality testing.
 
-use crate::{avg_samples, banner};
+use crate::avg_samples;
 use tpv_core::report::{frequency_chart, Csv};
-use tpv_core::scenarios::memcached_smt_study;
 use tpv_stats::desc::skewness;
 use tpv_stats::shapiro_wilk;
 
@@ -12,11 +11,8 @@ use crate::study::StudyCtx;
 
 /// Renders this artefact through the context engine.
 pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
-    let runs = ctx.runs(50);
-    let duration = ctx.duration(400);
-    banner("Figure 9: frequency chart for HP-SMToff @ 400K QPS", runs, duration);
-
-    let results = memcached_smt_study(&[400_000.0], runs, duration, ctx.seed()).run_with(&ctx.engine);
+    // The campaign's 400K cells: the same jobs as in the full sweep.
+    let results = super::section_va(ctx, "Figure 9: frequency chart for HP-SMToff @ 400K QPS", &[400_000.0]);
     let cell = results.cell("HP", "SMToff", 400_000.0).unwrap();
     let xs = avg_samples(cell);
 

@@ -5,11 +5,11 @@
 //! study in the same driver process), prints the paper-format output and
 //! returns its CSVs.
 
-use tpv_core::experiment::{Benchmark, Cell, Experiment, ServerScenario};
-use tpv_core::scenarios::{memcached_smt_study, MEMCACHED_QPS};
-use tpv_hw::MachineConfig;
+use tpv_core::experiment::{Benchmark, ExperimentResults, ServerScenario};
+use tpv_core::scenarios::{paper_study, HDSEARCH_QPS};
 use tpv_sim::SimDuration;
 
+use crate::banner;
 use crate::study::StudyCtx;
 
 pub(crate) mod ext_closed_loop;
@@ -36,26 +36,35 @@ pub(crate) mod table2;
 pub(crate) mod table3;
 pub(crate) mod table4;
 
-/// The cells of the six §V-A configurations that Figure 8 and Table IV
-/// test, over [`MEMCACHED_QPS`] in (client, server, qps) order:
-/// LP-SMToff, LP-SMTon, HP-SMToff, HP-SMTon, LP-C1Eon, HP-C1Eon. The
-/// C1E-on cells come from an experiment at `seed + 1` without the
-/// C1E-off baseline, which neither artefact reads. Job seeds depend only
-/// on the master seed, a cell's content and the run index, so these
-/// cells are bit-identical to the C1E-on cells of
-/// `memcached_c1e_study` at `seed + 1`.
-pub(crate) fn section_va_cells(ctx: &StudyCtx, runs: usize, duration: SimDuration) -> Vec<Cell> {
-    let c1e_on = Experiment::builder(Benchmark::memcached())
-        .client(MachineConfig::low_power())
-        .client(MachineConfig::high_performance())
-        .server(ServerScenario::c1e_on())
-        .qps(&MEMCACHED_QPS)
-        .runs(runs)
-        .run_duration(duration)
-        .seed(ctx.seed() + 1)
-        .build();
-    [memcached_smt_study(&MEMCACHED_QPS, runs, duration, ctx.seed()), c1e_on]
-        .iter()
-        .flat_map(|experiment| experiment.run_with(&ctx.engine).cells().to_vec())
-        .collect()
+/// The §V-A campaign that Figures 2, 3, 5(a), 8 and 9, Table IV and
+/// `ext_verdict_methods` read: Memcached under LP/HP clients × SMT off,
+/// SMT on and C1E on × `qps`, by default 50 runs of 0.4 s per cell (the
+/// paper's 50 runs, shortened from 120 s). Its cells come in (client,
+/// server, qps) order: LP-SMToff, LP-SMTon, LP-C1Eon, HP-SMToff,
+/// HP-SMTon, HP-C1Eon. Job seeds depend only on the master seed, a
+/// cell's content and the run index, so a narrower `qps` sweep replays
+/// the same jobs as the full one.
+pub(crate) fn section_va(ctx: &StudyCtx, title: &str, qps: &[f64]) -> ExperimentResults {
+    campaign(ctx, title, Benchmark::memcached(), qps, ctx.runs(50), ctx.duration(400))
+}
+
+/// The HDSearch campaign that Figures 4 and 5(b) read: the same three
+/// servers × [`HDSEARCH_QPS`], by default 20 runs of 1.5 s per cell.
+pub(crate) fn hdsearch_campaign(ctx: &StudyCtx, title: &str) -> ExperimentResults {
+    campaign(ctx, title, Benchmark::hdsearch(), &HDSEARCH_QPS, ctx.runs(20), ctx.duration(1500))
+}
+
+/// Prints `title`'s banner and runs LP/HP × the three §V-A servers on
+/// `benchmark` at the context's master seed, through its engine.
+fn campaign(
+    ctx: &StudyCtx,
+    title: &str,
+    benchmark: Benchmark,
+    qps: &[f64],
+    runs: usize,
+    duration: SimDuration,
+) -> ExperimentResults {
+    banner(title, runs, duration);
+    let servers = [ServerScenario::baseline(), ServerScenario::smt_on(), ServerScenario::c1e_on()];
+    paper_study(benchmark, &servers, qps, runs, duration, ctx.seed()).run_with(&ctx.engine)
 }

@@ -2,27 +2,28 @@
 //! confidence (parametric Eq. 3 vs CONFIRM) and Shapiro–Wilk results, for
 //! the six §V-A scenarios across the QPS sweep.
 
-use crate::banner;
 use tpv_core::analysis::iteration_estimate;
 use tpv_core::report::{Csv, MarkdownTable};
+use tpv_core::scenarios::MEMCACHED_QPS;
 use tpv_sim::SimRng;
 
 use crate::study::StudyCtx;
 
 /// Renders this artefact through the context engine.
 pub(crate) fn run(ctx: &StudyCtx) -> Vec<(String, Csv)> {
-    let runs = ctx.runs(50);
-    let duration = ctx.duration(400);
-    banner("Table IV: iterations to gain statistical confidence (1% error, 95% level)", runs, duration);
-
+    let results = super::section_va(
+        ctx,
+        "Table IV: iterations to gain statistical confidence (1% error, 95% level)",
+        &MEMCACHED_QPS,
+    );
     let mut table = MarkdownTable::new(&["Configuration", "QPS", "Parametric", "CONFIRM", "Shapiro-Wilk"]);
     let mut csv = Csv::new(&["config", "qps", "parametric", "confirm", "shapiro"]);
     let mut rng = SimRng::seed_from_u64(ctx.seed() ^ 0x7ab1e4);
 
     let mut lp_low_iters = 0usize;
     let mut hp_low_iters = usize::MAX;
-    for cell in super::section_va_cells(ctx, runs, duration) {
-        let name = format!("{}-{}", cell.client_label, cell.server_label);
+    for cell in results.cells() {
+        let name = cell.key();
         let q = cell.qps;
         let est = iteration_estimate(&cell.summary(), &mut rng);
         let shapiro = match est.shapiro_pass {

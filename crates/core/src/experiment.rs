@@ -101,11 +101,6 @@ impl ServerScenario {
             config: MachineConfig::server_baseline().with_cstates(CStatePolicy::UpToC1E),
         }
     }
-
-    /// A custom named scenario.
-    pub fn custom(name: impl Into<String>, config: MachineConfig) -> Self {
-        ServerScenario { name: name.into(), config }
-    }
 }
 
 /// A fully specified experiment (built via [`Experiment::builder`]).
@@ -119,7 +114,6 @@ pub struct Experiment {
     duration: SimDuration,
     warmup: SimDuration,
     seed: u64,
-    shuffle_order: bool,
 }
 
 /// Builder for [`Experiment`].
@@ -141,7 +135,6 @@ impl Experiment {
                 duration: SimDuration::from_ms(200),
                 warmup: SimDuration::from_ms(20),
                 seed: 0xC1DE,
-                shuffle_order: false,
             },
         }
     }
@@ -193,10 +186,7 @@ impl Experiment {
 
         let specs: Vec<RunSpec<'_>> = cells.iter().map(|cell| self.spec_for(cell)).collect();
         let fingerprints: Vec<u64> = specs.iter().map(fingerprint).collect();
-        let mut plan = JobPlan::new(self.seed, &fingerprints, self.runs);
-        if self.shuffle_order {
-            plan = plan.shuffled(self.seed ^ 0x0D0E);
-        }
+        let plan = JobPlan::new(self.seed, &fingerprints, self.runs);
 
         let results = engine.execute(&plan, |ci| specs[ci]);
 
@@ -270,14 +260,6 @@ impl ExperimentBuilder {
     /// Sets the experiment master seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.inner.seed = seed;
-        self
-    }
-
-    /// Randomizes job execution order (OrderSage-style). Because seeds
-    /// are bound to (cell, run) pairs, this cannot change results in the
-    /// simulator — the flag exists to document and test that property.
-    pub fn shuffle_order(mut self, shuffle: bool) -> Self {
-        self.inner.shuffle_order = shuffle;
         self
     }
 
@@ -378,17 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn shuffled_order_cannot_change_results() {
-        let mut exp = tiny_experiment();
-        let plain = exp.run();
-        exp.shuffle_order = true;
-        let shuffled = exp.run();
-        for (a, b) in plain.cells().iter().zip(shuffled.cells()) {
-            assert_eq!(a.samples, b.samples);
-        }
-    }
-
-    #[test]
     fn seeds_differ_across_runs_and_cells() {
         let results = tiny_experiment().run();
         let lp = &results.cells()[0];
@@ -413,8 +384,6 @@ mod tests {
         assert_eq!(ServerScenario::baseline().name, "SMToff");
         assert!(ServerScenario::smt_on().config.smt.enabled);
         assert!(ServerScenario::c1e_on().config.cstates.allows(tpv_hw::CState::C1E));
-        let c = ServerScenario::custom("X", MachineConfig::server_baseline());
-        assert_eq!(c.name, "X");
         // Benchmarks expose the right generators.
         assert_eq!(Benchmark::hdsearch().generator.timing, tpv_loadgen::TimingMode::BusyWait);
         assert_eq!(Benchmark::social_network().generator.connections, 20);

@@ -23,67 +23,51 @@ pub const SYNTHETIC_DELAYS_US: [u64; 5] = [0, 100, 200, 300, 400];
 /// concurrency stays below the 10 workers).
 pub const SYNTHETIC_QPS: [f64; 4] = [5_000.0, 10_000.0, 15_000.0, 20_000.0];
 
-fn both_clients(builder: ExperimentBuilder) -> ExperimentBuilder {
-    builder.client(MachineConfig::low_power()).client(MachineConfig::high_performance())
+/// Every §V experiment: LP and HP clients × `servers` × `qps` on one
+/// benchmark, `runs` runs of `duration` per cell from master `seed`.
+pub fn paper_study(
+    benchmark: Benchmark,
+    servers: &[ServerScenario],
+    qps: &[f64],
+    runs: usize,
+    duration: SimDuration,
+    seed: u64,
+) -> Experiment {
+    let builder = Experiment::builder(benchmark)
+        .client(MachineConfig::low_power())
+        .client(MachineConfig::high_performance());
+    servers
+        .iter()
+        .cloned()
+        .fold(builder, ExperimentBuilder::server)
+        .qps(qps)
+        .runs(runs)
+        .run_duration(duration)
+        .seed(seed)
+        .build()
 }
 
 /// Fig. 2: Memcached, SMT on/off server, LP/HP clients, 10K–500K QPS.
 pub fn memcached_smt_study(qps: &[f64], runs: usize, duration: SimDuration, seed: u64) -> Experiment {
-    both_clients(Experiment::builder(Benchmark::memcached()))
-        .server(ServerScenario::baseline())
-        .server(ServerScenario::smt_on())
-        .qps(qps)
-        .runs(runs)
-        .run_duration(duration)
-        .seed(seed)
-        .build()
+    let servers = [ServerScenario::baseline(), ServerScenario::smt_on()];
+    paper_study(Benchmark::memcached(), &servers, qps, runs, duration, seed)
 }
 
 /// Fig. 3: Memcached, C1E on/off server, LP/HP clients.
 pub fn memcached_c1e_study(qps: &[f64], runs: usize, duration: SimDuration, seed: u64) -> Experiment {
-    both_clients(Experiment::builder(Benchmark::memcached()))
-        .server(ServerScenario::baseline())
-        .server(ServerScenario::c1e_on())
-        .qps(qps)
-        .runs(runs)
-        .run_duration(duration)
-        .seed(seed)
-        .build()
+    let servers = [ServerScenario::baseline(), ServerScenario::c1e_on()];
+    paper_study(Benchmark::memcached(), &servers, qps, runs, duration, seed)
 }
 
 /// Fig. 4 (left): HDSearch with SMT on/off.
 pub fn hdsearch_smt_study(qps: &[f64], runs: usize, duration: SimDuration, seed: u64) -> Experiment {
-    both_clients(Experiment::builder(Benchmark::hdsearch()))
-        .server(ServerScenario::baseline())
-        .server(ServerScenario::smt_on())
-        .qps(qps)
-        .runs(runs)
-        .run_duration(duration)
-        .seed(seed)
-        .build()
-}
-
-/// Fig. 4 (right): HDSearch with C1E on/off.
-pub fn hdsearch_c1e_study(qps: &[f64], runs: usize, duration: SimDuration, seed: u64) -> Experiment {
-    both_clients(Experiment::builder(Benchmark::hdsearch()))
-        .server(ServerScenario::baseline())
-        .server(ServerScenario::c1e_on())
-        .qps(qps)
-        .runs(runs)
-        .run_duration(duration)
-        .seed(seed)
-        .build()
+    let servers = [ServerScenario::baseline(), ServerScenario::smt_on()];
+    paper_study(Benchmark::hdsearch(), &servers, qps, runs, duration, seed)
 }
 
 /// Fig. 6: Social Network with the baseline server, LP/HP clients.
 pub fn socialnet_study(qps: &[f64], runs: usize, duration: SimDuration, seed: u64) -> Experiment {
-    both_clients(Experiment::builder(Benchmark::social_network()))
-        .server(ServerScenario::baseline())
-        .qps(qps)
-        .runs(runs)
-        .run_duration(duration)
-        .seed(seed)
-        .build()
+    paper_study(Benchmark::social_network(), &[ServerScenario::baseline()], qps, runs, duration, seed)
 }
 
 /// Fig. 7: the synthetic service at one added delay, LP/HP clients
@@ -95,13 +79,7 @@ pub fn synthetic_study(
     duration: SimDuration,
     seed: u64,
 ) -> Experiment {
-    both_clients(Experiment::builder(Benchmark::synthetic(delay)))
-        .server(ServerScenario::baseline())
-        .qps(qps)
-        .runs(runs)
-        .run_duration(duration)
-        .seed(seed)
-        .build()
+    paper_study(Benchmark::synthetic(delay), &[ServerScenario::baseline()], qps, runs, duration, seed)
 }
 
 /// One row of the paper's Table III.

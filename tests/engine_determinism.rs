@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use tpv::core::engine::{fingerprint, Engine, RunCache};
+use tpv::core::engine::{fingerprint, Engine, JobPlan, RunCache};
 use tpv::core::experiment::{Benchmark, Experiment, ExperimentResults, ServerScenario};
 use tpv::core::runtime::RunSpec;
 use tpv::hw::MachineConfig;
@@ -66,26 +66,37 @@ fn parallel_serial_and_cached_execution_are_bit_identical() {
 
 #[test]
 fn shuffled_job_order_cannot_change_results() {
-    let plain = experiment(&[50_000.0]).run_with(&Engine::serial());
-    // Rebuild with shuffle through the public builder to exercise the
-    // shuffled JobPlan path end to end.
-    let mut bench = Benchmark::memcached();
-    bench.service = ServiceConfig::without_interference(ServiceKind::Memcached(KvConfig {
+    // Seeds travel with their jobs, so a shuffled plan on a pool must
+    // return what the plan in order returns on one thread.
+    let service = ServiceConfig::without_interference(ServiceKind::Memcached(KvConfig {
         preload_keys: 1_000,
         ..KvConfig::default()
     }));
-    let shuffled = Experiment::builder(bench)
-        .client(MachineConfig::low_power())
-        .client(MachineConfig::high_performance())
-        .server(ServerScenario::baseline())
-        .qps(&[50_000.0])
-        .runs(3)
-        .run_duration(SimDuration::from_ms(30))
-        .seed(2024)
-        .shuffle_order(true)
-        .build()
-        .run_with(&Engine::with_workers(4));
-    assert_identical(&plain, &shuffled, "plain vs shuffled");
+    let server = MachineConfig::server_baseline();
+    let clients = [MachineConfig::low_power(), MachineConfig::high_performance()];
+    let generator = tpv::loadgen::GeneratorSpec::mutilate();
+    let link = tpv::net::LinkConfig::cloudlab_lan();
+    let specs: Vec<RunSpec<'_>> = clients
+        .iter()
+        .map(|client| RunSpec {
+            service: &service,
+            server: &server,
+            client,
+            generator: &generator,
+            link: &link,
+            qps: 50_000.0,
+            duration: SimDuration::from_ms(30),
+            warmup: SimDuration::from_ms(3),
+        })
+        .collect();
+    let fingerprints: Vec<u64> = specs.iter().map(fingerprint).collect();
+    let plan = JobPlan::new(2024, &fingerprints, 3);
+    let shuffled = plan.clone().shuffled(0x0D0E);
+    assert_ne!(shuffled.jobs(), plan.jobs(), "the shuffle must reorder the jobs");
+
+    let in_order = Engine::serial().execute(&plan, |cell| specs[cell]);
+    let reordered = Engine::with_workers(4).execute(&shuffled, |cell| specs[cell]);
+    assert_eq!(in_order, reordered, "plain vs shuffled");
 }
 
 #[test]
